@@ -434,6 +434,27 @@ class TestTwoReplicas:
         sync([c], r1)
         assert is_visible(r1.committed_ctx(), "C", "c").visible
 
+    def test_multivalue_fk_keeps_concurrent_references(self):
+        text = """
+        CREATE UPDATE_WINS TABLE P (K VARCHAR PRIMARY KEY, V INT LWW);
+        CREATE UPDATE_WINS TABLE C (
+          K INT PRIMARY KEY,
+          R VARCHAR MULTI_VALUE FOREIGN KEY DELETE_WINS REFERENCES P (K)
+        );
+        """
+        reps, catalog = make_group(text)
+        r1, r2 = reps["r1"], reps["r2"]
+        rec, _ = run(r1, "INSERT INTO P VALUES ('a', 1)", "INSERT INTO P VALUES ('b', 2)",
+                     "INSERT INTO C VALUES (1, 'a')")
+        sync([rec], r2)
+        a, _ = run(r1, "UPDATE C SET R = 'a' WHERE K = 1")
+        b, _ = run(r2, "UPDATE C SET R = 'b' WHERE K = 1")
+        sync([b], r1)
+        sync([a], r2)
+        for rep in (r1, r2):
+            assert dump_table(rep.store, catalog, "C") == ["1,{a|b}"]
+            assert integrity_violations(rep.store, catalog) == []
+
     def test_integrity_checker_accepts_converged_stores(self):
         reps, catalog = make_group()
         r1, r2 = reps["r1"], reps["r2"]

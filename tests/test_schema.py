@@ -190,6 +190,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             parse_ddl(self.plain("A INT PRIMARY KEY, B INT FOREIGN KEY REFERENCES Nope (X)"))
 
+    def test_dotted_column_name_is_reserved(self):
+        # The engine keeps foreign key references in cells named ref.<column>.
+        with pytest.raises(AqlSyntaxError):
+            parse_ddl(self.plain("A INT PRIMARY KEY, ref.X INT"))
+
     def test_syntax_error_carries_position(self):
         with pytest.raises(AqlSyntaxError) as err:
             parse_ddl("CREATE TABLE T (A INT PRIMARY KEY,,)")
