@@ -73,7 +73,6 @@ from .sim import (
     causal_orders,
     enumerate_orders,
     fuzz,
-    fuzz_many,
     load_scenario,
     minimize,
     parse_scenario,

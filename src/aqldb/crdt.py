@@ -34,10 +34,6 @@ def make_version(counts: Mapping[str, int]) -> Version:
     return tuple(sorted((r, int(c)) for r, c in counts.items() if c))
 
 
-def version_counts(version: Version) -> dict[str, int]:
-    return dict(version)
-
-
 def version_leq(a: Version, b: Version) -> bool:
     bc = dict(b)
     return all(c <= bc.get(r, 0) for r, c in a)
@@ -405,10 +401,6 @@ def merge(a: MergeValue, b: MergeValue) -> MergeValue:
     if type(a) is not type(b):
         raise KindMismatch(f"cannot merge {type(a).__name__} with {type(b).__name__}")
     return a.merge(b)
-
-
-def canon(value: MergeValue) -> str:
-    return value.canon()
 
 
 def _max_map(a: Mapping, b: Mapping) -> dict:

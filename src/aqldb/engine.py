@@ -1,9 +1,10 @@
 """Per-replica relational state and statement execution.
 
-Rows are bundles of mergeable cells plus a visibility register, an insertion
-generation counter, and shadow registers that remember which parent (and
-which generation of it) each foreign key column referenced. Statements run
-inside a transaction: they validate against the transaction's snapshot,
+Rows are bundles of mergeable cells plus a visibility register and an
+insertion generation counter. Beside each foreign key column sits a reference
+cell that remembers which parent (and which generation of it) the column
+referenced; it is written and merged in lockstep with the column. Statements
+run inside a transaction: they validate against the transaction's snapshot,
 grab whatever locks the schema's concurrency annotations demand, and buffer
 effects that the commit fold turns into stamped mergeable states.
 """
@@ -41,7 +42,9 @@ from .errors import (
 )
 from .txn import (
     CausalClock,
+    ClusterHooks,
     CommitRecord,
+    LocalHooks,
     Mode,
     RowDelta,
     RowWrite,
@@ -57,17 +60,26 @@ SEQ_COLUMN = "value"
 
 RowKey = tuple[str, Scalar]
 
+# The stamp of a last-writer-wins register that was never written.
+_UNWRITTEN = EventStamp(0, "")
+
+
+def ref_cell(column: str) -> str:
+    """Name of the cell holding a foreign key column's (parent pk, parent
+    generation) reference. Identifiers cannot contain a dot, so it never
+    collides with a column."""
+    return f"ref.{column}"
+
 
 @dataclass
 class Row:
     cells: dict[str, MergeValue] = field(default_factory=dict)
     visibility: VisibilityRegister = field(default_factory=VisibilityRegister)
     generation: int = 0
-    fk_shadows: dict[str, MergeValue] = field(default_factory=dict)
 
     def copy(self) -> "Row":
         # Cell states are never mutated in place, so sharing them is safe.
-        return Row(dict(self.cells), self.visibility, self.generation, dict(self.fk_shadows))
+        return Row(dict(self.cells), self.visibility, self.generation)
 
 
 class Store:
@@ -140,7 +152,7 @@ class RowView:
         if cell is None:
             return ()
         if isinstance(cell, LwwRegister):
-            return () if cell.stamp == EventStamp(0, "") else (cell.value,)
+            return () if cell.stamp == _UNWRITTEN else (cell.value,)
         if isinstance(cell, MvRegister):
             return tuple(cell.values())
         return (cell.value(),)
@@ -149,15 +161,8 @@ class RowView:
         cell = self.row.cells.get(column) if self.row is not None else None
         return cell.value() if isinstance(cell, (AdditiveCounter, BoundedCounter)) else 0
 
-    def fk_refs(self, column: str) -> list[tuple[Scalar, int]]:
-        if self.write is not None and column in self.write.fk_sets:
-            return [self.write.fk_sets[column][0]]
-        shadow = self.row.fk_shadows.get(column) if self.row is not None else None
-        if shadow is None:
-            return []
-        if isinstance(shadow, LwwRegister):
-            return [shadow.value] if shadow.value is not None else []
-        return list(shadow.values())
+    def fk_refs(self, column: str) -> tuple[tuple[Scalar, int], ...]:
+        return self.scalars(ref_cell(column))
 
     def visibility_versions(self) -> dict[str, int]:
         return self.row.visibility.max_versions() if self.row is not None else {}
@@ -165,10 +170,6 @@ class RowView:
     def cell_versions(self, column: str) -> dict[str, int]:
         cell = self.row.cells.get(column) if self.row is not None else None
         return cell.max_versions() if isinstance(cell, MvRegister) else {}
-
-    def shadow_versions(self, column: str) -> dict[str, int]:
-        shadow = self.row.fk_shadows.get(column) if self.row is not None else None
-        return shadow.max_versions() if isinstance(shadow, MvRegister) else {}
 
 
 class ViewContext:
@@ -260,28 +261,26 @@ def check_eval(atoms: Iterable[sch.CheckAtom], value: Scalar) -> bool:
     return all(compare(value, atom.op, atom.value) for atom in atoms)
 
 
-class StandaloneHooks:
-    """Cluster services for a replica running on its own."""
-
-    def reachable(self, a: str, b: str) -> bool:
-        return True
-
-    def catch_up(self, replica: str, sources) -> bool:
-        return True
-
-    def request_rights(self, replica: str, table: str, pk, column: str, needed: int) -> bool:
-        return False
+def _buffer_set(write: RowWrite, view: RowView | None, col: sch.ColumnDef, name: str, value) -> None:
+    """Buffer an absolute write to cell name, which holds column col or its
+    reference. A multi-value write remembers the versions it observed."""
+    if col.modifier is sch.Modifier.MULTI_VALUE:
+        write.sets[name] = (value, view.cell_versions(name) if view is not None else {})
+    else:
+        write.sets[name] = (value, None)
 
 
 class Replica:
     """One logical data center: a store, a clock, and active transactions."""
 
-    def __init__(self, rid: str, catalog: sch.Catalog, replica_ids, lock_manager, hooks=None):
+    def __init__(
+        self, rid: str, catalog: sch.Catalog, replica_ids, lock_manager, hooks: ClusterHooks | None = None
+    ):
         self.rid = rid
         self.catalog = catalog
         self.replica_ids = sorted(replica_ids)
         self.locks = lock_manager
-        self.hooks = hooks if hooks is not None else StandaloneHooks()
+        self.hooks = hooks if hooks is not None else LocalHooks()
         self.store = Store()
         self.clock = CausalClock()
         self.lamport = 0
@@ -297,7 +296,7 @@ class Replica:
         if txid is None:
             self.txn_counter += 1
             txid = f"{self.rid}-t{self.txn_counter}"
-        tx = Transaction(txid, self.rid, self.store.copy(), self.clock.copy())
+        tx = Transaction(txid, self.rid, self.store.copy())
         self.active[txid] = tx
         return tx
 
@@ -322,7 +321,6 @@ class Replica:
         if tx.status is not TxStatus.ACTIVE:
             raise ValidationError(f"transaction {tx.txid} is {tx.status.value}")
         try:
-            self._revalidate_checks(tx)
             lam = self.lamport + 1
             deltas = []
             for rowkey in sorted(tx.buffer, key=lambda k: (k[0], render_scalar(k[1]))):
@@ -399,9 +397,6 @@ class Replica:
             row.visibility = row.visibility.merge(delta.visibility)
         if delta.generation is not None and delta.generation > row.generation:
             row.generation = delta.generation
-        for col, state in delta.fk_shadows.items():
-            cur = row.fk_shadows.get(col)
-            row.fk_shadows[col] = state if cur is None else merge(cur, state)
 
     # -- contexts -------------------------------------------------------------
 
@@ -528,19 +523,10 @@ class Replica:
             # Re-insert over a deleted key starts a fresh generation.
             generation = view.generation() + 1 if dead is not None else view.generation()
 
-        fk_records: dict[str, tuple[Scalar, int]] = {}
-        touch_targets: list[RowKey] = []
-        for colname, fk in schema.foreign_keys:
-            ppk = stmt.values[colname]
-            fk_ctx = self.live_ctx(tx) if fk.policy is sch.Policy.NO_CONCURRENCY else self.snap_ctx(tx)
-            parent = fk_ctx.view(fk.table, ppk)
-            if parent is None or not is_visible(fk_ctx, fk.table, ppk).visible:
-                raise FkParentMissing(
-                    f"{stmt.table}.{colname} references missing {fk.table} key {render_scalar(ppk)}"
-                )
-            fk_records[colname] = (ppk, parent.generation())
-            if fk.policy is sch.Policy.UPDATE_WINS:
-                touch_targets.extend(self._touch_targets(fk_ctx, fk.table, ppk))
+        refs = {
+            colname: self._check_fk_parent(tx, stmt.table, colname, fk, stmt.values[colname])
+            for colname, fk in schema.foreign_keys
+        }
 
         for col in schema.columns:
             atoms = col.check_atoms()
@@ -560,21 +546,12 @@ class Replica:
             value = stmt.values[col.name]
             if col.modifier is sch.Modifier.ADDITIVE:
                 write.deltas[col.name] = write.deltas.get(col.name, 0) + value
-            elif col.modifier is sch.Modifier.MULTI_VALUE:
-                observed = view.cell_versions(col.name) if view is not None else {}
-                write.sets[col.name] = (value, observed)
             else:
-                write.sets[col.name] = (value, None)
+                _buffer_set(write, view, col, col.name, value)
+        for colname, ref in refs.items():
+            _buffer_set(write, view, schema.column(colname), ref_cell(colname), ref)
         write.flag = ("I", view.visibility_versions() if view is not None else {})
         write.generation = generation
-        for colname, ref in fk_records.items():
-            col = schema.column(colname)
-            observed = view.shadow_versions(colname) if view is not None else {}
-            if col.modifier is sch.Modifier.MULTI_VALUE:
-                write.fk_sets[colname] = (ref, observed)
-            else:
-                write.fk_sets[colname] = (ref, None)
-        self._buffer_touches(tx, touch_targets)
         return None
 
     def _exec_update(self, tx: Transaction, stmt: sch.Update):
@@ -621,25 +598,10 @@ class Replica:
                 atoms = col.check_atoms()
                 if atoms and not check_eval(atoms, a.value):
                     raise CheckViolation(f"{stmt.table}.{a.column} = {a.value!r} fails its check")
-                fk = col.foreign_key
-                if fk is not None:
-                    fk_ctx = self.live_ctx(tx) if fk.policy is sch.Policy.NO_CONCURRENCY else snap
-                    parent = fk_ctx.view(fk.table, a.value)
-                    if parent is None or not is_visible(fk_ctx, fk.table, a.value).visible:
-                        raise FkParentMissing(
-                            f"{stmt.table}.{a.column} references missing {fk.table} key {render_scalar(a.value)}"
-                        )
-                    ref = (a.value, parent.generation())
-                    if col.modifier is sch.Modifier.MULTI_VALUE:
-                        write.fk_sets[a.column] = (ref, view.shadow_versions(a.column))
-                    else:
-                        write.fk_sets[a.column] = (ref, None)
-                    if fk.policy is sch.Policy.UPDATE_WINS:
-                        self._buffer_touches(tx, self._touch_targets(fk_ctx, fk.table, a.value))
-                if col.modifier is sch.Modifier.MULTI_VALUE:
-                    write.sets[a.column] = (a.value, view.cell_versions(a.column))
-                else:
-                    write.sets[a.column] = (a.value, None)
+                if col.foreign_key is not None:
+                    ref = self._check_fk_parent(tx, stmt.table, a.column, col.foreign_key, a.value)
+                    _buffer_set(write, view, col, ref_cell(a.column), ref)
+                _buffer_set(write, view, col, a.column, a.value)
             if write.flag is None:
                 write.flag = ("I", view.visibility_versions())
             elif write.flag[0] == "T":
@@ -738,6 +700,23 @@ class Replica:
 
     # -- shared helpers -------------------------------------------------------
 
+    def _check_fk_parent(
+        self, tx: Transaction, table: str, column: str, fk: sch.ForeignKey, ppk: Scalar
+    ) -> tuple[Scalar, int]:
+        """Require the referenced parent to be visible; return the reference
+        to record, the parent's key and generation. An update-wins edge also
+        touches the parent and its ancestors."""
+        ctx = self.live_ctx(tx) if fk.policy is sch.Policy.NO_CONCURRENCY else self.snap_ctx(tx)
+        parent = ctx.view(fk.table, ppk)
+        if parent is None or not is_visible(ctx, fk.table, ppk).visible:
+            raise FkParentMissing(
+                f"{table}.{column} references missing {fk.table} key {render_scalar(ppk)}"
+            )
+        ref = (ppk, parent.generation())
+        if fk.policy is sch.Policy.UPDATE_WINS:
+            self._buffer_touches(tx, self._touch_targets(ctx, fk.table, ppk))
+        return ref
+
     def _touch_targets(self, ctx: ViewContext, table: str, pk: Scalar) -> list[RowKey]:
         """The parent and, through update-wins edges, its ancestors.
 
@@ -812,17 +791,6 @@ class Replica:
             if reservations:
                 reservations.pop(tx.txid, None)
 
-    def _revalidate_checks(self, tx: Transaction) -> None:
-        for (table, _pk), write in tx.buffer.items():
-            schema = self.catalog.tables.get(table)
-            if schema is None:
-                continue
-            for colname, (value, _) in write.sets.items():
-                col = schema.column(colname)
-                atoms = col.check_atoms()
-                if atoms and col.modifier is not sch.Modifier.ADDITIVE and not check_eval(atoms, value):
-                    raise CheckViolation(f"{table}.{colname} = {value!r} fails its check")
-
     def _fold_row(self, rowkey: RowKey, write: RowWrite, lam: int) -> RowDelta:
         table, pk = rowkey
         schema = self.catalog.tables.get(table)
@@ -830,13 +798,12 @@ class Replica:
         stamp = EventStamp(lam, self.rid)
 
         cells: dict[str, MergeValue] = {}
-        for colname in sorted(write.sets):
-            value, observed = write.sets[colname]
-            modifier = schema.column(colname).modifier if schema is not None else sch.Modifier.LWW
-            if modifier is sch.Modifier.MULTI_VALUE:
-                cells[colname] = MvRegister().assign(value, observed or {}, self.rid, lam)
+        for name in sorted(write.sets):
+            value, observed = write.sets[name]
+            if observed is None:
+                cells[name] = LwwRegister(value, stamp)
             else:
-                cells[colname] = LwwRegister(value, stamp)
+                cells[name] = MvRegister().assign(value, observed, self.rid, lam)
         for colname in sorted(write.deltas):
             delta = write.deltas[colname]
             col = schema.column(colname)
@@ -868,16 +835,7 @@ class Replica:
                 observed = live.visibility.max_versions()
             visibility = VisibilityRegister().assign(flag, observed, self.rid, lam)
 
-        shadows: dict[str, MergeValue] = {}
-        for colname in sorted(write.fk_sets):
-            ref, observed = write.fk_sets[colname]
-            modifier = schema.column(colname).modifier if schema is not None else sch.Modifier.LWW
-            if modifier is sch.Modifier.MULTI_VALUE:
-                shadows[colname] = MvRegister().assign(ref, observed or {}, self.rid, lam)
-            else:
-                shadows[colname] = LwwRegister(ref, stamp)
-
-        return RowDelta(table, pk, cells, visibility, write.generation, shadows)
+        return RowDelta(table, pk, cells, visibility, write.generation)
 
 
 # --------------------------------------------------------------------------

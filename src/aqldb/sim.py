@@ -9,7 +9,6 @@ event runner.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 
@@ -171,8 +170,6 @@ def store_canon(store: Store) -> str:
                 parts.append(f"{col}={row.cells[col].canon()}")
             parts.append(f"vis={row.visibility.canon()}")
             parts.append(f"gen={row.generation}")
-            for col in sorted(row.fk_shadows):
-                parts.append(f"ref.{col}={row.fk_shadows[col].canon()}")
             lines.append(" ".join(parts))
     return "\n".join(lines)
 
@@ -1107,17 +1104,3 @@ def minimize(config: FuzzConfig, trace: list[Event]) -> list[Event]:
                 changed = True
                 break
     return current
-
-
-def fuzz_many(
-    seeds, replicas: int = 3, events: int = 60, schema_text: str = FUZZ_SCHEMA
-) -> list[FuzzOutcome]:
-    out = []
-    for seed in seeds:
-        config = FuzzConfig(seed=seed, replicas=replicas, events=events, schema_text=schema_text)
-        out.append(fuzz(config))
-    return out
-
-
-def report_json(report: Report) -> str:
-    return json.dumps(report.to_json(), indent=2, sort_keys=True)

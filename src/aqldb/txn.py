@@ -56,26 +56,23 @@ class CausalClock:
     def dominates(self, other: "CausalClock") -> bool:
         return all(self.get(r) >= c for r, c in other.counts.items())
 
-    def canon(self) -> str:
-        return "{" + ",".join(f"{r}:{c}" for r, c in sorted(self.counts.items()) if c) + "}"
-
 
 @dataclass
 class RowWrite:
     """Buffered, not yet stamped effects of one transaction on one row.
 
-    Absolute writes remember the versions the writer observed so that the
-    commit fold can issue entries that dominate exactly what was read.
+    Absolute writes to multi-value cells remember the versions the writer
+    observed so that the commit fold can issue entries that dominate exactly
+    what was read; last-writer-wins writes carry None instead.
     """
 
     sets: dict[str, tuple[object, dict[str, int] | None]] = field(default_factory=dict)
     deltas: dict[str, int] = field(default_factory=dict)
     flag: tuple[str, dict[str, int]] | None = None
     generation: int | None = None
-    fk_sets: dict[str, tuple[tuple, dict[str, int] | None]] = field(default_factory=dict)
 
     def is_empty(self) -> bool:
-        return not (self.sets or self.deltas or self.flag or self.fk_sets)
+        return not (self.sets or self.deltas or self.flag)
 
 
 @dataclass
@@ -83,7 +80,6 @@ class Transaction:
     txid: str
     origin: str
     snapshot_store: object  # engine.Store copied at begin
-    snapshot_clock: CausalClock
     status: TxStatus = TxStatus.ACTIVE
     error: Exception | None = None
     buffer: dict[tuple, RowWrite] = field(default_factory=dict)
@@ -104,22 +100,6 @@ class RowDelta:
     cells: dict[str, MergeValue] = field(default_factory=dict)
     visibility: VisibilityRegister | None = None
     generation: int | None = None
-    fk_shadows: dict[str, MergeValue] = field(default_factory=dict)
-
-    def sort_key(self) -> tuple:
-        return (self.table, render_scalar(self.pk))
-
-    def canon(self) -> str:
-        parts = [f"{self.table}/{render_scalar(self.pk)}"]
-        for col in sorted(self.cells):
-            parts.append(f"{col}={self.cells[col].canon()}")
-        if self.visibility is not None:
-            parts.append(f"vis={self.visibility.canon()}")
-        if self.generation is not None:
-            parts.append(f"gen={self.generation}")
-        for col in sorted(self.fk_shadows):
-            parts.append(f"ref.{col}={self.fk_shadows[col].canon()}")
-        return " ".join(parts)
 
 
 @dataclass
@@ -137,10 +117,6 @@ class CommitRecord:
 
     def happens_before(self, other: "CommitRecord") -> bool:
         return self.record_id != other.record_id and other.clock.dominates(self.clock)
-
-    def canon(self) -> str:
-        body = "; ".join(d.canon() for d in sorted(self.deltas, key=RowDelta.sort_key))
-        return f"commit {self.txid} @{self.origin} seq={self.seq} clock={self.clock.canon()} [{body}]"
 
 
 # --------------------------------------------------------------------------
@@ -163,21 +139,27 @@ def _key_text(pk) -> str:
 
 
 class ClusterHooks(Protocol):
-    """What the lock manager needs to know about the surrounding cluster."""
+    """What the lock manager and the replicas need from the surrounding cluster."""
 
     def reachable(self, a: str, b: str) -> bool: ...
 
     def catch_up(self, replica: str, sources: Iterable[str]) -> bool: ...
 
+    def request_rights(self, replica: str, table: str, pk, column: str, needed: int) -> bool: ...
+
 
 class LocalHooks:
-    """Degenerate single-site view: everything reachable, nothing to fetch."""
+    """Degenerate single-site view: everything reachable, nothing to fetch,
+    and no other replica to send bounded-counter rights."""
 
     def reachable(self, a: str, b: str) -> bool:
         return True
 
     def catch_up(self, replica: str, sources: Iterable[str]) -> bool:
         return True
+
+    def request_rights(self, replica: str, table: str, pk, column: str, needed: int) -> bool:
+        return False
 
 
 @dataclass

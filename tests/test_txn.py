@@ -15,7 +15,7 @@ from aqldb.txn import (
 
 
 def make_tx(txid, origin):
-    return Transaction(txid, origin, snapshot_store=None, snapshot_clock=CausalClock())
+    return Transaction(txid, origin, snapshot_store=None)
 
 
 class TestClock:
