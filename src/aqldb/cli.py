@@ -18,7 +18,7 @@ import sys
 
 from . import schema as sch
 from .errors import AqlError
-from .sim import FuzzConfig, Runner, fuzz, load_scenario, render_dump
+from .sim import FuzzConfig, Runner, fuzz, load_scenario, render_dump, run_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,14 +59,7 @@ def _cmd_run(args) -> int:
     reports = []
     for path in args.scripts:
         scenario = load_scenario(path)
-        runner = Runner(
-            scenario.catalog(),
-            scenario.replicas,
-            name=scenario.name,
-            check_invariants=not args.no_invariants,
-        )
-        runner.run(scenario.events)
-        reports.append(runner.report)
+        reports.append(run_scenario(scenario, check_invariants=not args.no_invariants))
     if args.format == "machine":
         print(json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True))
     else:

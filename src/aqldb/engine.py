@@ -188,6 +188,8 @@ class ViewContext:
         return RowView(row, write)
 
     def pks(self, table: str) -> list[Scalar]:
+        if not self.buffer:  # dumps and audits: no merged key set to build
+            return sorted(self.store.pks(table), key=render_scalar)
         out = set(self.store.pks(table))
         for (t, pk), write in self.buffer.items():
             if t == table and not write.is_empty():
@@ -234,6 +236,18 @@ def is_visible(
             if fk.policy is sch.Policy.DELETE_WINS and parent.generation() != pgen:
                 return VisibilityVerdict(False, Cause.PARENT_VERSION_STALE)
     return VisibilityVerdict(True, Cause.ALL_CLEAR)
+
+
+def visible_rows(ctx: ViewContext, table: str) -> list[tuple[Scalar, RowView]]:
+    """Every visible row of table as (pk, view), in key order. The one table
+    scan: statements, cascades, dumps and audits all read rows through it.
+    It builds a list, not a generator: the per-event audit scans mostly
+    empty tables, where setting up a generator costs more than the scan."""
+    out = []
+    for pk in ctx.pks(table):
+        if is_visible(ctx, table, pk).visible:
+            out.append((pk, ctx.view(table, pk)))
+    return out
 
 
 def compare(left: Scalar, op: str, right: Scalar) -> bool:
@@ -331,20 +345,24 @@ class Replica:
         except AqlError as err:
             self.abort(tx, err)
             raise
+        record = self._seal(tx.txid, lam, deltas)
+        self._settle(tx, TxStatus.COMMITTED)
+        return record
+
+    def _seal(self, txid: str, lam: int, deltas: list[RowDelta]) -> CommitRecord:
+        """Apply a local commit's deltas and stamp the record that ships them."""
         self.lamport = lam
         for delta in deltas:
             self._apply_delta(delta)
         self.clock.tick(self.rid)
-        record = CommitRecord(
+        return CommitRecord(
             origin=self.rid,
             seq=self.clock.get(self.rid),
-            txid=tx.txid,
+            txid=txid,
             clock=self.clock.copy(),
             lamport=lam,
             deltas=deltas,
         )
-        self._settle(tx, TxStatus.COMMITTED)
-        return record
 
     def abort(self, tx: Transaction, error: Exception | None = None) -> None:
         if tx.status is not TxStatus.ACTIVE:
@@ -452,20 +470,9 @@ class Replica:
         if not isinstance(cell, BoundedCounter):
             raise InsufficientRights(f"{table}.{column} holds no bounded counter here")
         moved = cell.transfer(self.rid, dst, amount)
-        lam = self.lamport + 1
         delta = RowDelta(table, pk, {column: moved.slice_for(self.rid)})
-        self.lamport = lam
-        self._apply_delta(delta)
-        self.clock.tick(self.rid)
         self.txn_counter += 1
-        return CommitRecord(
-            origin=self.rid,
-            seq=self.clock.get(self.rid),
-            txid=f"{self.rid}-rights{self.txn_counter}",
-            clock=self.clock.copy(),
-            lamport=lam,
-            deltas=[delta],
-        )
+        return self._seal(f"{self.rid}-rights{self.txn_counter}", self.lamport + 1, [delta])
 
     # -- statement execution --------------------------------------------------
 
@@ -479,11 +486,8 @@ class Replica:
 
     def _match_rows(self, ctx: ViewContext, schema: sch.TableSchema, where: sch.Where | None) -> list[Scalar]:
         out = []
-        for pk in ctx.pks(schema.name):
-            if not is_visible(ctx, schema.name, pk).visible:
-                continue
+        for pk, view in visible_rows(ctx, schema.name):
             if where is not None:
-                view = ctx.view(schema.name, pk)
                 values = view.scalars(where.column)
                 if not any(compare(v, where.op, where.value) for v in values):
                     continue
@@ -493,18 +497,17 @@ class Replica:
     def _exec_insert(self, tx: Transaction, stmt: sch.Insert):
         schema = self.catalog.table(stmt.table)
         pk = stmt.values[schema.primary_key]
-        rowkey = (stmt.table, pk)
         allow_concurrent = sch.concurrent_insert_allowed(schema)
+        assignments = [
+            sch.DeltaAssign(col.name, stmt.values[col.name])
+            if col.modifier is sch.Modifier.ADDITIVE
+            else sch.SetAssign(col.name, stmt.values[col.name])
+            for col in schema.columns
+        ]
 
-        wants: list[tuple[str, Mode]] = []
+        wants = self._write_wants(schema, pk, assignments)
         if not allow_concurrent:
             wants.append((row_lock(stmt.table, pk), Mode.EXCLUSIVE))
-        for col in schema.non_pk_columns:
-            if col.modifier is sch.Modifier.NONE:
-                wants.append((column_lock(stmt.table, pk, col.name), Mode.EXCLUSIVE))
-        for colname, fk in schema.foreign_keys:
-            if fk.policy is sch.Policy.NO_CONCURRENCY:
-                wants.append((row_lock(fk.table, stmt.values[colname]), Mode.SHARED))
         self._acquire(tx, wants)
 
         # With the insert lock held, validation reads the freshest state the
@@ -523,33 +526,7 @@ class Replica:
             # Re-insert over a deleted key starts a fresh generation.
             generation = view.generation() + 1 if dead is not None else view.generation()
 
-        refs = {
-            colname: self._check_fk_parent(tx, stmt.table, colname, fk, stmt.values[colname])
-            for colname, fk in schema.foreign_keys
-        }
-
-        for col in schema.columns:
-            atoms = col.check_atoms()
-            if atoms and col.modifier is not sch.Modifier.ADDITIVE:
-                if not check_eval(atoms, stmt.values[col.name]):
-                    raise CheckViolation(
-                        f"{stmt.table}.{col.name} = {stmt.values[col.name]!r} fails its check"
-                    )
-        for col in schema.columns:
-            if col.modifier is sch.Modifier.ADDITIVE:
-                bound = sch.additive_bound(col)
-                if bound is not None:
-                    self._reserve_bounded(tx, rowkey, col.name, bound, stmt.values[col.name])
-
-        write = tx.write(rowkey)
-        for col in schema.columns:
-            value = stmt.values[col.name]
-            if col.modifier is sch.Modifier.ADDITIVE:
-                write.deltas[col.name] = write.deltas.get(col.name, 0) + value
-            else:
-                _buffer_set(write, view, col, col.name, value)
-        for colname, ref in refs.items():
-            _buffer_set(write, view, schema.column(colname), ref_cell(colname), ref)
+        write = self._buffer_assignments(tx, schema, pk, view, assignments)
         write.flag = ("I", view.visibility_versions() if view is not None else {})
         write.generation = generation
         return None
@@ -566,13 +543,7 @@ class Replica:
         for pk in matched:
             if noc_row:
                 wants.append((row_lock(stmt.table, pk), Mode.SHARED))
-            for a in stmt.assignments:
-                col = schema.column(a.column)
-                if col.modifier is sch.Modifier.NONE:
-                    wants.append((column_lock(stmt.table, pk, a.column), Mode.EXCLUSIVE))
-                fk = col.foreign_key
-                if isinstance(a, sch.SetAssign) and fk is not None and fk.policy is sch.Policy.NO_CONCURRENCY:
-                    wants.append((row_lock(fk.table, a.value), Mode.SHARED))
+            wants.extend(self._write_wants(schema, pk, stmt.assignments))
         self._acquire(tx, wants)
 
         if noc_row:
@@ -584,24 +555,8 @@ class Replica:
                     )
 
         for pk in matched:
-            rowkey = (stmt.table, pk)
             view = snap.view(stmt.table, pk)
-            write = tx.write(rowkey)
-            for a in stmt.assignments:
-                col = schema.column(a.column)
-                if isinstance(a, sch.DeltaAssign):
-                    bound = sch.additive_bound(col)
-                    if bound is not None:
-                        self._reserve_bounded(tx, rowkey, a.column, bound, a.delta)
-                    write.deltas[a.column] = write.deltas.get(a.column, 0) + a.delta
-                    continue
-                atoms = col.check_atoms()
-                if atoms and not check_eval(atoms, a.value):
-                    raise CheckViolation(f"{stmt.table}.{a.column} = {a.value!r} fails its check")
-                if col.foreign_key is not None:
-                    ref = self._check_fk_parent(tx, stmt.table, a.column, col.foreign_key, a.value)
-                    _buffer_set(write, view, col, ref_cell(a.column), ref)
-                _buffer_set(write, view, col, a.column, a.value)
+            write = self._buffer_assignments(tx, schema, pk, view, stmt.assignments)
             if write.flag is None:
                 write.flag = ("I", view.visibility_versions())
             elif write.flag[0] == "T":
@@ -676,10 +631,7 @@ class Replica:
 
     def _children(self, ctx: ViewContext, child_table: str, colname: str, parent_pk: Scalar) -> list[Scalar]:
         out = []
-        for cpk in ctx.pks(child_table):
-            if not is_visible(ctx, child_table, cpk).visible:
-                continue
-            view = ctx.view(child_table, cpk)
+        for cpk, view in visible_rows(ctx, child_table):
             if any(v == parent_pk for v in view.scalars(colname)):
                 out.append(cpk)
         return out
@@ -699,6 +651,53 @@ class Replica:
         return rows
 
     # -- shared helpers -------------------------------------------------------
+
+    @staticmethod
+    def _write_wants(
+        schema: sch.TableSchema, pk: Scalar, assignments: list[sch.SetAssign | sch.DeltaAssign]
+    ) -> list[tuple[str, Mode]]:
+        """Locks a write of assignments to row pk takes: each unannotated
+        non-key column exclusively, and a lock-guarded parent shared."""
+        wants: list[tuple[str, Mode]] = []
+        for a in assignments:
+            col = schema.column(a.column)
+            if col.modifier is sch.Modifier.NONE and not col.is_primary_key:
+                wants.append((column_lock(schema.name, pk, a.column), Mode.EXCLUSIVE))
+            fk = col.foreign_key
+            if isinstance(a, sch.SetAssign) and fk is not None and fk.policy is sch.Policy.NO_CONCURRENCY:
+                wants.append((row_lock(fk.table, a.value), Mode.SHARED))
+        return wants
+
+    def _buffer_assignments(
+        self,
+        tx: Transaction,
+        schema: sch.TableSchema,
+        pk: Scalar,
+        view: RowView | None,
+        assignments: list[sch.SetAssign | sch.DeltaAssign],
+    ) -> RowWrite:
+        """Enforce each assignment's constraints, in order, and buffer it. A
+        delta reserves bounded-counter rights; an absolute value must pass
+        its checks and, for a foreign key, the parent check, whose reference
+        is buffered beside the value. The first failure raises."""
+        rowkey = (schema.name, pk)
+        write = tx.write(rowkey)
+        for a in assignments:
+            col = schema.column(a.column)
+            if isinstance(a, sch.DeltaAssign):
+                bound = sch.additive_bound(col)
+                if bound is not None:
+                    self._reserve_bounded(tx, rowkey, a.column, bound, a.delta)
+                write.deltas[a.column] = write.deltas.get(a.column, 0) + a.delta
+                continue
+            atoms = col.check_atoms()
+            if atoms and not check_eval(atoms, a.value):
+                raise CheckViolation(f"{schema.name}.{a.column} = {a.value!r} fails its check")
+            if col.foreign_key is not None:
+                ref = self._check_fk_parent(tx, schema.name, a.column, col.foreign_key, a.value)
+                _buffer_set(write, view, col, ref_cell(a.column), ref)
+            _buffer_set(write, view, col, a.column, a.value)
+        return write
 
     def _check_fk_parent(
         self, tx: Transaction, table: str, column: str, fk: sch.ForeignKey, ppk: Scalar
@@ -846,10 +845,7 @@ def dump_table(store: Store, catalog: sch.Catalog, table: str) -> list[str]:
     ctx = ViewContext(store, catalog)
     schema = catalog.table(table)
     lines = []
-    for pk in sorted(store.pks(table), key=render_scalar):
-        if not is_visible(ctx, table, pk).visible:
-            continue
-        view = ctx.view(table, pk)
+    for _, view in visible_rows(ctx, table):
         parts = []
         for col in schema.columns:
             values = view.scalars(col.name)
@@ -877,18 +873,16 @@ def render_dump(dumps: dict[str, list[str]]) -> str:
 
 def integrity_violations(store: Store, catalog: sch.Catalog) -> list[str]:
     """Every visible child must point at a visible parent of the recorded
-    generation. Delete-wins edges satisfy this by construction; update-wins
-    and lock-guarded edges are the ones this actually audits."""
+    generation. is_visible already demands that on every edge kind before it
+    calls a child visible, so on a correct engine this finds nothing: it
+    guards is_visible against regressions by re-deriving each edge."""
     ctx = ViewContext(store, catalog)
     out = []
     for table in sorted(catalog.tables):
         schema = catalog.table(table)
         if not schema.foreign_keys:
             continue
-        for pk in sorted(store.pks(table), key=render_scalar):
-            if not is_visible(ctx, table, pk).visible:
-                continue
-            view = ctx.view(table, pk)
+        for pk, view in visible_rows(ctx, table):
             for colname, fk in schema.foreign_keys:
                 for ppk, pgen in view.fk_refs(colname):
                     parent = ctx.view(fk.table, ppk)
@@ -909,10 +903,7 @@ def constraint_violations(store: Store, catalog: sch.Catalog) -> list[str]:
     out = []
     for table in sorted(catalog.tables):
         schema = catalog.table(table)
-        for pk in sorted(store.pks(table), key=render_scalar):
-            if not is_visible(ctx, table, pk).visible:
-                continue
-            view = ctx.view(table, pk)
+        for pk, view in visible_rows(ctx, table):
             for col in schema.columns:
                 atoms = col.check_atoms()
                 if not atoms:

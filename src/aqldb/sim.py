@@ -338,13 +338,9 @@ class Runner:
                 return
             raise ScenarioError(f"line {event.line}: transaction not active")
         sql = event.args["sql"]
-        expect = event.args.get("expect")
-        ok, detail, raised = self._outcome(
-            expect, lambda: self.cluster.replica(tx.origin).execute(tx, sql)
+        ok, detail = self._outcome(
+            tx.txid, event.args.get("expect"), lambda: self.cluster.replica(tx.origin).execute(tx, sql)
         )
-        if raised is not None:
-            self.outcomes[tx.txid] = raised
-            self.report.aborts += 1
         self.report.step(event.line, f"stmt {tx.txid}: {sql}", ok or self.lenient, detail)
 
     def _ev_commit(self, event: Event) -> None:
@@ -353,11 +349,7 @@ class Runner:
             if self.lenient:
                 return
             raise ScenarioError(f"line {event.line}: transaction not active")
-        expect = event.args.get("expect")
-        ok, detail, raised = self._outcome(expect, lambda: self._commit(tx))
-        if raised is not None:
-            self.outcomes[tx.txid] = raised
-            self.report.aborts += 1
+        ok, detail = self._outcome(tx.txid, event.args.get("expect"), lambda: self._commit(tx))
         self.report.step(event.line, f"commit {tx.txid}", ok or self.lenient, detail)
 
     def _ev_abort(self, event: Event) -> None:
@@ -377,36 +369,17 @@ class Runner:
         self._record_ledger(tx)
 
     def _ev_txblock(self, event: Event) -> None:
-        rid = event.args["rid"]
-        txid = event.args["txid"]
-        expect = event.args.get("expect")
-        stmts = event.args["stmts"]
+        rid, txid = event.args["rid"], event.args["txid"]
         rep = self.cluster.replica(rid)
         tx = rep.begin(txid)
         self.txs[txid] = tx
-        raised = None
-        for sql in stmts:
-            try:
+
+        def run_block() -> None:
+            for sql in event.args["stmts"]:
                 rep.execute(tx, sql)
-            except AqlError as err:
-                raised = err
-                break
-        if raised is None:
-            try:
-                self._commit(tx)
-            except AqlError as err:
-                raised = err
-        if raised is not None:
-            self.outcomes[txid] = raised.kind
-            self.report.aborts += 1
-        if expect is None:
-            ok = raised is None
-            detail = f"unexpected {raised.kind}: {raised}" if raised else ""
-        elif raised is None:
-            ok, detail = False, f"expected {expect}, transaction committed"
-        else:
-            ok = raised.kind == expect
-            detail = "" if ok else f"expected {expect}, got {raised.kind}: {raised}"
+            self._commit(tx)
+
+        ok, detail = self._outcome(txid, event.args.get("expect"), run_block)
         self.report.step(event.line, f"tx {txid} @{rid}", ok, detail)
 
     def _ev_deliver(self, event: Event) -> None:
@@ -470,20 +443,22 @@ class Runner:
             detail = f"replica states differ: {dumps!r}"
         self.report.step(event.line, "assert converged", ok, detail)
 
-    @staticmethod
-    def _outcome(expect: str | None, action) -> tuple[bool, str, str | None]:
-        """Run action; compare what it raised against the expected kind."""
+    def _outcome(self, txid: str, expect: str | None, action) -> tuple[bool, str]:
+        """Run action on transaction txid; record what it raised as the
+        transaction's outcome and compare it against the expected kind."""
         try:
             action()
         except AqlError as err:
+            self.outcomes[txid] = err.kind
+            self.report.aborts += 1
             if expect is None:
-                return False, f"unexpected {err.kind}: {err}", err.kind
+                return False, f"unexpected {err.kind}: {err}"
             if err.kind != expect:
-                return False, f"expected {expect}, got {err.kind}: {err}", err.kind
-            return True, "", err.kind
+                return False, f"expected {expect}, got {err.kind}: {err}"
+            return True, ""
         if expect is not None:
-            return False, f"expected {expect}, nothing raised", None
-        return True, "", None
+            return False, f"expected {expect}, nothing raised"
+        return True, ""
 
     # ---- invariants
 
@@ -1061,15 +1036,18 @@ def _gen_events(config: FuzzConfig, rng: random.Random, rids: list[str], runner:
     return trace
 
 
+def _fuzz_runner(config: FuzzConfig, name: str) -> tuple[Runner, list[str]]:
+    """A lenient runner over config's schema, and its replica ids r1..rN."""
+    rids = [f"r{i + 1}" for i in range(config.replicas)]
+    catalog = sch.parse_schema_text(config.schema_text)
+    runner = Runner(catalog, rids, name=name, check_invariants=config.check_invariants, lenient=True)
+    return runner, rids
+
+
 def fuzz(config: FuzzConfig, shrink: bool = True) -> FuzzOutcome:
     """One seeded random run; the report carries any invariant breakage."""
     rng = random.Random(config.seed)
-    rids = [f"r{i + 1}" for i in range(config.replicas)]
-    catalog = sch.parse_schema_text(config.schema_text)
-    runner = Runner(
-        catalog, rids, name=f"fuzz-{config.seed}",
-        check_invariants=config.check_invariants, lenient=True,
-    )
+    runner, rids = _fuzz_runner(config, f"fuzz-{config.seed}")
     trace = _gen_events(config, rng, rids, runner)
     runner.finish()
     outcome = FuzzOutcome(config, trace, runner.report)
@@ -1080,12 +1058,7 @@ def fuzz(config: FuzzConfig, shrink: bool = True) -> FuzzOutcome:
 
 def replay_trace(config: FuzzConfig, trace: list[Event]) -> Report:
     """Re-run a recorded trace; used to confirm and minimize failures."""
-    rids = [f"r{i + 1}" for i in range(config.replicas)]
-    catalog = sch.parse_schema_text(config.schema_text)
-    runner = Runner(
-        catalog, rids, name="replay",
-        check_invariants=config.check_invariants, lenient=True,
-    )
+    runner, _ = _fuzz_runner(config, "replay")
     runner.run(trace)
     runner.finish()
     return runner.report

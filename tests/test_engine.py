@@ -467,6 +467,39 @@ class TestTwoReplicas:
             assert integrity_violations(rep.store, catalog) == []
 
 
+class TestErrorPrecedence:
+    """A statement that breaks several constraints reports the first failing
+    column: schema order for INSERT, SET order for UPDATE."""
+
+    SCHEMA = """
+    CREATE UPDATE_WINS TABLE P (Id VARCHAR PRIMARY KEY, Note VARCHAR LWW);
+    CREATE UPDATE_WINS TABLE C (
+      Id INT PRIMARY KEY,
+      N INT LWW CHECK (N >= 0),
+      R VARCHAR LWW FOREIGN KEY UPDATE_WINS REFERENCES P (Id)
+    );
+    """
+
+    def test_insert_checks_columns_in_schema_order(self):
+        reps, _ = make_group(self.SCHEMA)
+        r1 = reps["r1"]
+        tx = r1.begin()
+        with pytest.raises(CheckViolation):
+            r1.execute(tx, "INSERT INTO C VALUES (1, -1, 'nope')")
+
+    @pytest.mark.parametrize(
+        "assignments, error",
+        [("N = -1, R = 'nope'", CheckViolation), ("R = 'nope', N = -1", FkParentMissing)],
+    )
+    def test_update_checks_columns_in_set_order(self, assignments, error):
+        reps, _ = make_group(self.SCHEMA)
+        r1 = reps["r1"]
+        run(r1, "INSERT INTO P VALUES ('p', 'x')", "INSERT INTO C VALUES (1, 0, 'p')")
+        tx = r1.begin()
+        with pytest.raises(error):
+            r1.execute(tx, f"UPDATE C SET {assignments} WHERE Id = 1")
+
+
 # ---------------------------------------------------------------------------
 # identifier generation
 

@@ -6,6 +6,7 @@ import os
 import pytest
 
 import aqldb.schema as sch
+from aqldb.engine import RowView
 from aqldb.errors import ScenarioError
 from aqldb.sim import (
     FUZZ_SCHEMA,
@@ -258,6 +259,55 @@ class TestOrderIndependence:
             count, dumps = enumerate_orders(records, catalog, rids, limit=4)
             assert count >= 1
             assert len(dumps) == 1, f"seed {seed} diverged across {count} orders"
+
+
+# FUZZ_SCHEMA with both foreign key columns MULTI_VALUE.
+MV_FK_SCHEMA = FUZZ_SCHEMA.replace("VARCHAR LWW FOREIGN KEY", "VARCHAR MULTI_VALUE FOREIGN KEY")
+assert MV_FK_SCHEMA.count("MULTI_VALUE FOREIGN KEY") == 2
+
+
+def check_fk_refs(runner, mismatches) -> int:
+    """Compare every foreign key column with its reference cell, on every
+    row at every replica; return how many written columns were compared."""
+    compared = 0
+    for rid in runner.cluster.replica_ids:
+        store = runner.cluster.replica(rid).store
+        for table, schema in runner.catalog.tables.items():
+            for pk, row in store.tables.get(table, {}).items():
+                view = RowView(row)
+                for col, _ in schema.foreign_keys:
+                    refs = sorted(ppk for ppk, _ in view.fk_refs(col))
+                    values = sorted(view.scalars(col))
+                    compared += bool(values)
+                    if refs != values:
+                        mismatches.append(f"{rid} {table}/{pk}.{col}: refs {refs}, values {values}")
+    return compared
+
+
+class TestReferenceCells:
+    def test_scenarios_keep_references_in_lockstep(self):
+        mismatches, compared = [], 0
+        for path in scenario_paths():
+            scenario = load_scenario(path)
+            runner = Runner(scenario.catalog(), scenario.replicas, name=scenario.name)
+            runner.run(scenario.events)
+            compared += check_fk_refs(runner, mismatches)
+        assert mismatches == []
+        assert compared > 0
+
+    @pytest.mark.parametrize("schema_text", [FUZZ_SCHEMA, MV_FK_SCHEMA], ids=["lww", "multi_value"])
+    def test_fuzz_keeps_references_in_lockstep(self, schema_text):
+        mismatches, compared = [], 0
+        for seed in range(20):
+            config = FuzzConfig(seed=seed, events=200, schema_text=schema_text)
+            outcome = fuzz(config, shrink=False)
+            runner = Runner(sch.parse_schema_text(schema_text), ["r1", "r2", "r3"], lenient=True)
+            runner.run(outcome.trace)
+            runner.finish()
+            assert runner.report.to_json()["steps"] == outcome.report.to_json()["steps"]
+            compared += check_fk_refs(runner, mismatches)
+        assert mismatches == []
+        assert compared > 0
 
 
 class TestFuzz:
