@@ -62,13 +62,14 @@ RowKey = tuple[str, Scalar]
 
 # The stamp of a last-writer-wins register that was never written.
 _UNWRITTEN = EventStamp(0, "")
+_REF = "ref."
 
 
 def ref_cell(column: str) -> str:
     """Name of the cell holding a foreign key column's (parent pk, parent
     generation) reference. Identifiers cannot contain a dot, so it never
     collides with a column."""
-    return f"ref.{column}"
+    return _REF + column
 
 
 @dataclass
@@ -83,10 +84,13 @@ class Row:
 
 
 class Store:
-    """All rows of one replica, keyed by table then primary key."""
+    """All rows of one replica, keyed by table then primary key, and a
+    reverse foreign key index (child table, fk column, parent pk) -> child
+    pks. Entries are never removed: readers re-check every candidate."""
 
     def __init__(self):
         self.tables: dict[str, dict[Scalar, Row]] = {}
+        self.children: dict[tuple[str, str, Scalar], set[Scalar]] = {}
 
     def row(self, table: str, pk: Scalar) -> Row | None:
         return self.tables.get(table, {}).get(pk)
@@ -100,11 +104,23 @@ class Store:
     def pks(self, table: str) -> list[Scalar]:
         return list(self.tables.get(table, {}))
 
-    def copy(self) -> "Store":
-        out = Store()
-        for table, rows in self.tables.items():
-            out.tables[table] = {pk: row.copy() for pk, row in rows.items()}
-        return out
+
+class Snapshot:
+    """The store as a transaction saw it at begin, read through the live
+    store. Before a commit first changes a row, Replica._apply_delta saves
+    the row's pre-image here, or None when the row did not exist yet."""
+
+    def __init__(self, store: Store):
+        self.store = store
+        self.saved: dict[RowKey, Row | None] = {}
+
+    def row(self, table: str, pk: Scalar) -> Row | None:
+        key = (table, pk)
+        return self.saved[key] if key in self.saved else self.store.row(table, pk)
+
+    def pks(self, table: str) -> list[Scalar]:
+        absent = {pk for (t, pk), row in self.saved.items() if t == table and row is None}
+        return [pk for pk in self.store.pks(table) if pk not in absent]
 
 
 class Cause(Enum):
@@ -175,7 +191,7 @@ class RowView:
 class ViewContext:
     """Row lookup over a store, optionally overlaid with transaction writes."""
 
-    def __init__(self, store: Store, catalog: sch.Catalog, buffer: dict | None = None):
+    def __init__(self, store: Store | Snapshot, catalog: sch.Catalog, buffer: dict | None = None):
         self.store = store
         self.catalog = catalog
         self.buffer = buffer if buffer is not None else {}
@@ -310,7 +326,7 @@ class Replica:
         if txid is None:
             self.txn_counter += 1
             txid = f"{self.rid}-t{self.txn_counter}"
-        tx = Transaction(txid, self.rid, self.store.copy())
+        tx = Transaction(txid, self.rid, Snapshot(self.store))
         self.active[txid] = tx
         return tx
 
@@ -353,7 +369,7 @@ class Replica:
         """Apply a local commit's deltas and stamp the record that ships them."""
         self.lamport = lam
         for delta in deltas:
-            self._apply_delta(delta)
+            self._apply_delta(delta, committing=txid)
         self.clock.tick(self.rid)
         return CommitRecord(
             origin=self.rid,
@@ -406,11 +422,24 @@ class Replica:
             self.lamport = record.lamport
         return True
 
-    def _apply_delta(self, delta: RowDelta) -> None:
-        row = self.store.ensure(delta.table, delta.pk)
+    def _apply_delta(self, delta: RowDelta, committing: str | None = None) -> None:
+        """Merge one row's delta: the only place stored rows change. Each open
+        transaction but the committing one first saves the row's pre-image."""
+        key = (delta.table, delta.pk)
+        row = self.store.row(*key)
+        for tx in self.active.values():
+            saved = tx.snapshot_store.saved
+            if tx.txid != committing and key not in saved:
+                saved[key] = row.copy() if row is not None else None
+        if row is None:
+            row = self.store.ensure(*key)
         for col, state in delta.cells.items():
             cur = row.cells.get(col)
             row.cells[col] = state if cur is None else merge(cur, state)
+            if col.startswith(_REF):
+                refs = [state.value] if isinstance(state, LwwRegister) else state.values()
+                for ppk, _ in refs:
+                    self.store.children.setdefault((delta.table, col[len(_REF):], ppk), set()).add(delta.pk)
         if delta.visibility is not None:
             row.visibility = row.visibility.merge(delta.visibility)
         if delta.generation is not None and delta.generation > row.generation:
@@ -485,6 +514,11 @@ class Replica:
             self.locks.acquire(tx, lock_id, strongest[lock_id])
 
     def _match_rows(self, ctx: ViewContext, schema: sch.TableSchema, where: sch.Where | None) -> list[Scalar]:
+        if where is not None and where.is_pk_lookup(schema):
+            pk, view = where.value, ctx.view(schema.name, where.value)
+            hit = view is not None and is_visible(ctx, schema.name, pk).visible and any(
+                compare(v, where.op, pk) for v in view.scalars(where.column))
+            return [pk] if hit else []
         out = []
         for pk, view in visible_rows(ctx, schema.name):
             if where is not None:
@@ -630,9 +664,15 @@ class Replica:
                             changed = True
 
     def _children(self, ctx: ViewContext, child_table: str, colname: str, parent_pk: Scalar) -> list[Scalar]:
+        """Visible rows of child_table whose colname holds parent_pk, in key
+        order. Candidates come from the reverse index and the transaction's
+        own writes; each is re-checked in ctx, visibility last."""
+        candidates = set(self.store.children.get((child_table, colname, parent_pk), ()))
+        candidates.update(pk for t, pk in ctx.buffer if t == child_table)
         out = []
-        for cpk, view in visible_rows(ctx, child_table):
-            if any(v == parent_pk for v in view.scalars(colname)):
+        for cpk in sorted(candidates, key=render_scalar):
+            view = ctx.view(child_table, cpk)
+            if view is not None and parent_pk in view.scalars(colname) and is_visible(ctx, child_table, cpk).visible:
                 out.append(cpk)
         return out
 

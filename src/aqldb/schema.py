@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .crdt import Bound, Scalar
 from .errors import AqlSyntaxError, ValidationError
@@ -72,6 +73,7 @@ class ForeignKey:
 ConstraintDef = PrimaryKey | Check | ForeignKey
 
 
+# A parsed column or table is never mutated, so derived properties are cached.
 @dataclass
 class ColumnDef:
     name: str
@@ -87,7 +89,7 @@ class ColumnDef:
     def checks(self) -> list[Check]:
         return [c for c in self.constraints if isinstance(c, Check)]
 
-    @property
+    @cached_property
     def foreign_key(self) -> ForeignKey | None:
         for c in self.constraints:
             if isinstance(c, ForeignKey):
@@ -104,7 +106,7 @@ class TableSchema:
     row_policy: Policy
     columns: list[ColumnDef]
 
-    @property
+    @cached_property
     def primary_key(self) -> str:
         for col in self.columns:
             if col.is_primary_key:
@@ -120,7 +122,7 @@ class TableSchema:
     def has_column(self, name: str) -> bool:
         return any(col.name == name for col in self.columns)
 
-    @property
+    @cached_property
     def foreign_keys(self) -> list[tuple[str, ForeignKey]]:
         return [(c.name, c.foreign_key) for c in self.columns if c.foreign_key]
 

@@ -79,7 +79,7 @@ class RowWrite:
 class Transaction:
     txid: str
     origin: str
-    snapshot_store: object  # engine.Store copied at begin
+    snapshot_store: object  # engine.Snapshot: the store as of begin, read lazily
     status: TxStatus = TxStatus.ACTIVE
     error: Exception | None = None
     buffer: dict[tuple, RowWrite] = field(default_factory=dict)

@@ -190,6 +190,52 @@ class TestBasicStatements:
         rows = r1.execute(tx, "SELECT Active FROM Artists WHERE Name = 'Sam'")
         assert rows == [{"Active": True}]
 
+    @pytest.mark.parametrize("cascade", [True, False], ids=["cascade", "restrict"])
+    def test_snapshot_isolation_across_delivery(self, cascade):
+        schema_text = MUSIC if cascade else MUSIC.replace(
+            "REFERENCES Artists (Name) ON DELETE CASCADE", "REFERENCES Artists (Name)"
+        )
+        reps, catalog = make_group(schema_text)
+        r1, r2 = reps["r1"], reps["r2"]
+        rec, _ = run(
+            r1,
+            "INSERT INTO Artists VALUES ('Upd', TRUE, 0)",
+            "INSERT INTO Artists VALUES ('Gone', TRUE, 0)",
+            "INSERT INTO Artists VALUES ('Four', TRUE, 0)",
+        )
+        sync([rec], r2)
+        tx = r2.begin()
+        # commits at r1 reach r2 while tx is open there
+        records = [
+            run(r1, s)[0]
+            for s in (
+                "INSERT INTO Artists VALUES ('New', TRUE, 0)",
+                "UPDATE Artists SET Active = FALSE WHERE Name = 'Upd'",
+                "DELETE FROM Artists WHERE Name = 'Gone'",
+                "INSERT INTO Albums VALUES ('Late', 'Four', 'rock')",
+            )
+        ]
+        sync(records, r2)
+        assert dump_table(r2.store, catalog, "Albums") == ["Late,Four,rock"]
+
+        assert r2.execute(tx, "SELECT * FROM Artists WHERE Name = 'New'") == []
+        assert r2.execute(tx, "SELECT Active FROM Artists WHERE Name = 'Upd'") == [{"Active": True}]
+        assert r2.execute(tx, "SELECT Name FROM Artists WHERE Name = 'Gone'") == [{"Name": "Gone"}]
+        assert r2.execute(tx, "SELECT * FROM Albums WHERE Title = 'Late'") == []
+        r2.execute(tx, "DELETE FROM Artists WHERE Name = 'Four'")  # no FkRestrict
+        assert ("Albums", "Late") not in tx.buffer  # nor a cascade
+        with pytest.raises(RowNotFound):
+            r2.execute(tx, "UPDATE Artists SET Active = FALSE WHERE Name = 'New'")
+
+        # A transaction begun after the delivery does see the album.
+        fresh = r2.begin()
+        if cascade:
+            r2.execute(fresh, "DELETE FROM Artists WHERE Name = 'Four'")
+            assert ("Albums", "Late") in fresh.buffer
+        else:
+            with pytest.raises(FkRestrict):
+                r2.execute(fresh, "DELETE FROM Artists WHERE Name = 'Four'")
+
     def test_own_writes_visible_in_tx(self):
         reps, _ = make_group()
         r1 = reps["r1"]
@@ -283,6 +329,30 @@ class TestReferences:
         # but it now follows Ana out through the cascade
         run(r1, "DELETE FROM Artists WHERE Name = 'Ana'")
         assert dump_table(r1.store, catalog, "Albums") == []
+
+    @pytest.mark.parametrize("cascade", [True, False], ids=["cascade", "restrict"])
+    def test_delete_sees_children_written_in_the_same_tx(self, cascade):
+        schema_text = MUSIC if cascade else MUSIC.replace(
+            "REFERENCES Artists (Name) ON DELETE CASCADE", "REFERENCES Artists (Name)"
+        )
+        reps, _ = make_group(schema_text)
+        r1 = reps["r1"]
+        run(
+            r1,
+            "INSERT INTO Artists VALUES ('Sam', TRUE, 0)",
+            "INSERT INTO Artists VALUES ('Ana', TRUE, 0)",
+            "INSERT INTO Albums VALUES ('Old', 'Sam', 'rock')",
+        )
+        tx = r1.begin()
+        r1.execute(tx, "INSERT INTO Albums VALUES ('New', 'Ana', 'pop')")
+        r1.execute(tx, "UPDATE Albums SET Artist = 'Ana' WHERE Title = 'Old'")
+        if not cascade:
+            with pytest.raises(FkRestrict):
+                r1.execute(tx, "DELETE FROM Artists WHERE Name = 'Ana'")
+            return
+        r1.execute(tx, "DELETE FROM Artists WHERE Name = 'Ana'")
+        assert tx.buffer[("Albums", "New")].flag[0] == "D"
+        assert tx.buffer[("Albums", "Old")].flag[0] == "D"
 
     def test_update_to_missing_parent(self):
         reps, _ = make_group()

@@ -6,7 +6,8 @@ import os
 import pytest
 
 import aqldb.schema as sch
-from aqldb.engine import RowView
+from aqldb.crdt import render_scalar
+from aqldb.engine import RowView, visible_rows
 from aqldb.errors import ScenarioError
 from aqldb.sim import (
     FUZZ_SCHEMA,
@@ -284,13 +285,30 @@ def check_fk_refs(runner, mismatches) -> int:
     return compared
 
 
+def scenario_runs():
+    """A runner per scenario in scenarios/, after its events ran."""
+    for path in scenario_paths():
+        scenario = load_scenario(path)
+        runner = Runner(scenario.catalog(), scenario.replicas, name=scenario.name)
+        runner.run(scenario.events)
+        yield runner
+
+
+def fuzz_runs(schema_text):
+    """Fuzz seeds 0-19 replayed, each runner before finish (its open
+    transactions still open) with the fuzz outcome. 200 events, because at
+    60 or 120 these seeds commit no foreign key value."""
+    for seed in range(20):
+        outcome = fuzz(FuzzConfig(seed=seed, events=200, schema_text=schema_text), shrink=False)
+        runner = Runner(sch.parse_schema_text(schema_text), ["r1", "r2", "r3"], lenient=True)
+        runner.run(outcome.trace)
+        yield runner, outcome
+
+
 class TestReferenceCells:
     def test_scenarios_keep_references_in_lockstep(self):
         mismatches, compared = [], 0
-        for path in scenario_paths():
-            scenario = load_scenario(path)
-            runner = Runner(scenario.catalog(), scenario.replicas, name=scenario.name)
-            runner.run(scenario.events)
+        for runner in scenario_runs():
             compared += check_fk_refs(runner, mismatches)
         assert mismatches == []
         assert compared > 0
@@ -298,16 +316,67 @@ class TestReferenceCells:
     @pytest.mark.parametrize("schema_text", [FUZZ_SCHEMA, MV_FK_SCHEMA], ids=["lww", "multi_value"])
     def test_fuzz_keeps_references_in_lockstep(self, schema_text):
         mismatches, compared = [], 0
-        for seed in range(20):
-            config = FuzzConfig(seed=seed, events=200, schema_text=schema_text)
-            outcome = fuzz(config, shrink=False)
-            runner = Runner(sch.parse_schema_text(schema_text), ["r1", "r2", "r3"], lenient=True)
-            runner.run(outcome.trace)
+        for runner, outcome in fuzz_runs(schema_text):
             runner.finish()
             assert runner.report.to_json()["steps"] == outcome.report.to_json()["steps"]
             compared += check_fk_refs(runner, mismatches)
         assert mismatches == []
         assert compared > 0
+
+
+def check_point_reads(runner, mismatches) -> tuple[int, int]:
+    """At every replica, in the committed context and in the snapshot of
+    every open transaction, compare the pk point lookup of every stored key
+    and the foreign key children of every parent key with scans over
+    visible_rows; return (children compared, snapshots compared)."""
+    children = snapshots = 0
+    for rid in runner.cluster.replica_ids:
+        rep = runner.cluster.replica(rid)
+        contexts = [("committed", rep.committed_ctx())]
+        contexts += [(tx.txid, rep.snap_ctx(tx)) for tx in rep.active.values()]
+        snapshots += len(contexts) - 1
+        for name, ctx in contexts:
+            for table, schema in runner.catalog.tables.items():
+                rows = visible_rows(ctx, table)
+                for pk in sorted(set(rep.store.pks(table)) | set(ctx.pks(table)), key=render_scalar):
+                    got = rep._match_rows(ctx, schema, sch.Where(schema.primary_key, "=", pk))
+                    want = [p for p, view in rows if pk in view.scalars(schema.primary_key)]
+                    if got != want:
+                        mismatches.append(f"{rid} {name} {table} pk {pk}: {got} != {want}")
+            for parent in runner.catalog.tables:
+                for child, col, _ in runner.catalog.referencing(parent):
+                    rows = visible_rows(ctx, child)
+                    for ppk in rep.store.pks(parent):
+                        got = rep._children(ctx, child, col, ppk)
+                        want = [c for c, view in rows if ppk in view.scalars(col)]
+                        children += len(want)
+                        if got != want:
+                            mismatches.append(f"{rid} {name} {child}.{col} -> {ppk}: {got} != {want}")
+    return children, snapshots
+
+
+class TestPointReads:
+    """The pk point lookup and the reverse foreign key index find what a
+    table scan finds."""
+
+    def test_scenarios_agree_with_scans(self):
+        mismatches, children = [], 0
+        for runner in scenario_runs():
+            children += check_point_reads(runner, mismatches)[0]
+        assert mismatches == []
+        assert children > 0
+
+    @pytest.mark.parametrize("schema_text", [FUZZ_SCHEMA, MV_FK_SCHEMA], ids=["lww", "multi_value"])
+    def test_fuzz_agrees_with_scans(self, schema_text):
+        mismatches, children, snapshots = [], 0, 0
+        for runner, _ in fuzz_runs(schema_text):
+            open_children, open_snapshots = check_point_reads(runner, mismatches)
+            runner.finish()
+            children += open_children + check_point_reads(runner, mismatches)[0]
+            snapshots += open_snapshots
+        assert mismatches == []
+        assert children > 0
+        assert snapshots > 0
 
 
 class TestFuzz:
