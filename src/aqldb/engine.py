@@ -86,11 +86,14 @@ class Row:
 class Store:
     """All rows of one replica, keyed by table then primary key, and a
     reverse foreign key index (child table, fk column, parent pk) -> child
-    pks. Entries are never removed: readers re-check every candidate."""
+    pks. Entries are never removed: readers re-check every candidate.
+    Replica._apply_delta, the only place rows change, bumps version first,
+    so an unchanged version means an unchanged store."""
 
     def __init__(self):
         self.tables: dict[str, dict[Scalar, Row]] = {}
         self.children: dict[tuple[str, str, Scalar], set[Scalar]] = {}
+        self.version = 0
 
     def row(self, table: str, pk: Scalar) -> Row | None:
         return self.tables.get(table, {}).get(pk)
@@ -425,6 +428,7 @@ class Replica:
     def _apply_delta(self, delta: RowDelta, committing: str | None = None) -> None:
         """Merge one row's delta: the only place stored rows change. Each open
         transaction but the committing one first saves the row's pre-image."""
+        self.store.version += 1
         key = (delta.table, delta.pk)
         row = self.store.row(*key)
         for tx in self.active.values():
@@ -730,7 +734,7 @@ class Replica:
                     self._reserve_bounded(tx, rowkey, a.column, bound, a.delta)
                 write.deltas[a.column] = write.deltas.get(a.column, 0) + a.delta
                 continue
-            atoms = col.check_atoms()
+            atoms = col.check_atoms
             if atoms and not check_eval(atoms, a.value):
                 raise CheckViolation(f"{schema.name}.{a.column} = {a.value!r} fails its check")
             if col.foreign_key is not None:
@@ -942,15 +946,12 @@ def constraint_violations(store: Store, catalog: sch.Catalog) -> list[str]:
     ctx = ViewContext(store, catalog)
     out = []
     for table in sorted(catalog.tables):
-        schema = catalog.table(table)
+        checked = [(col.name, col.check_atoms) for col in catalog.table(table).columns if col.check_atoms]
+        if not checked:
+            continue
         for pk, view in visible_rows(ctx, table):
-            for col in schema.columns:
-                atoms = col.check_atoms()
-                if not atoms:
-                    continue
-                for value in view.scalars(col.name):
+            for name, atoms in checked:
+                for value in view.scalars(name):
                     if not check_eval(atoms, value):
-                        out.append(
-                            f"{table}/{render_scalar(pk)}.{col.name} = {value!r} violates its check"
-                        )
+                        out.append(f"{table}/{render_scalar(pk)}.{name} = {value!r} violates its check")
     return out

@@ -96,6 +96,7 @@ class ColumnDef:
                 return c
         return None
 
+    @cached_property
     def check_atoms(self) -> list[CheckAtom]:
         return [a for chk in self.checks for a in chk.atoms]
 
@@ -165,7 +166,7 @@ def concurrent_insert_allowed(schema: TableSchema) -> bool:
 
 def additive_bound(col: ColumnDef) -> Bound | None:
     """The single bound a check constraint puts on an additive column."""
-    atoms = col.check_atoms()
+    atoms = col.check_atoms
     if not atoms:
         return None
     atom = atoms[0]
@@ -512,7 +513,7 @@ def _validate_schema(schema: TableSchema, catalog: Catalog) -> None:
 
 
 def _validate_checks(schema: TableSchema, col: ColumnDef) -> None:
-    atoms = col.check_atoms()
+    atoms = col.check_atoms
     for atom in atoms:
         if atom.column != col.name:
             raise ValidationError(

@@ -297,6 +297,8 @@ class Runner:
         self.lenient = lenient
         # committed delta per additive cell: (table, pk, column) -> int
         self.ledger: dict[tuple, int] = {}
+        # rid -> (store version, [(action, problem)]) of its last audit
+        self.audited: dict[str, tuple[int, list[tuple[str, str]]]] = {}
 
     # ---- event dispatch
 
@@ -473,14 +475,20 @@ class Runner:
                     self.ledger[key] = self.ledger.get(key, 0) + delta
 
     def _audit(self, event: Event) -> None:
+        """Report lock safety, and the integrity and check findings of every
+        replica. Those are a function of the store and the fixed catalog, so
+        a store whose version has not moved reports its saved findings."""
         for problem in self.cluster.locks.safety_violations():
             self.report.step(event.line, "lock safety", False, problem)
         for rid in self.cluster.replica_ids:
             store = self.cluster.replica(rid).store
-            for problem in integrity_violations(store, self.catalog):
-                self.report.step(event.line, f"integrity at {rid}", False, problem)
-            for problem in constraint_violations(store, self.catalog):
-                self.report.step(event.line, f"constraints at {rid}", False, problem)
+            audited = self.audited.get(rid)
+            if audited is None or audited[0] != store.version:
+                findings = [(f"integrity at {rid}", p) for p in integrity_violations(store, self.catalog)]
+                findings += [(f"constraints at {rid}", p) for p in constraint_violations(store, self.catalog)]
+                audited = self.audited[rid] = (store.version, findings)
+            for action, problem in audited[1]:
+                self.report.step(event.line, action, False, problem)
 
     def finish(self) -> Report:
         """Abort leftovers, heal, deliver everything, check convergence."""
@@ -991,10 +999,9 @@ def _gen_events(config: FuzzConfig, rng: random.Random, rids: list[str], runner:
         elif kind == "heal":
             partitioned = False
 
+    open_txs: list[str] = []  # in begin order, as runner.txs has them
     for _ in range(config.events):
-        open_txs = [
-            txid for txid, tx in runner.txs.items() if tx.status is TxStatus.ACTIVE
-        ]
+        open_txs = [txid for txid in open_txs if runner.txs[txid].status is TxStatus.ACTIVE]
         choices: list[tuple[int, str]] = []
         if len(open_txs) < config.max_open:
             choices.append((20, "begin"))
@@ -1017,6 +1024,7 @@ def _gen_events(config: FuzzConfig, rng: random.Random, rids: list[str], runner:
         if kind == "begin":
             counter += 1
             emit("begin", {"rid": rng.choice(rids), "txid": f"t{counter}"})
+            open_txs.append(f"t{counter}")
         elif kind == "stmt":
             emit("stmt", {"txid": rng.choice(open_txs), "sql": _gen_statement(rng), "expect": None})
         elif kind == "commit":

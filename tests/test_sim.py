@@ -1,17 +1,20 @@
 """Scenario language, cluster behavior, order enumeration and fuzzing."""
 
 import glob
+import hashlib
+import json
 import os
 
 import pytest
 
 import aqldb.schema as sch
-from aqldb.crdt import render_scalar
-from aqldb.engine import RowView, visible_rows
+from aqldb.crdt import EventStamp, LwwRegister, render_scalar
+from aqldb.engine import RowView, constraint_violations, integrity_violations, visible_rows
 from aqldb.errors import ScenarioError
 from aqldb.sim import (
     FUZZ_SCHEMA,
     Cluster,
+    Event,
     FuzzConfig,
     Runner,
     causal_orders,
@@ -24,6 +27,7 @@ from aqldb.sim import (
     run_scenario,
     store_canon,
 )
+from aqldb.txn import RowDelta
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -285,22 +289,22 @@ def check_fk_refs(runner, mismatches) -> int:
     return compared
 
 
-def scenario_runs():
+def scenario_runs(runner_class=Runner):
     """A runner per scenario in scenarios/, after its events ran."""
     for path in scenario_paths():
         scenario = load_scenario(path)
-        runner = Runner(scenario.catalog(), scenario.replicas, name=scenario.name)
+        runner = runner_class(scenario.catalog(), scenario.replicas, name=scenario.name)
         runner.run(scenario.events)
         yield runner
 
 
-def fuzz_runs(schema_text):
+def fuzz_runs(schema_text, runner_class=Runner):
     """Fuzz seeds 0-19 replayed, each runner before finish (its open
     transactions still open) with the fuzz outcome. 200 events, because at
     60 or 120 these seeds commit no foreign key value."""
     for seed in range(20):
         outcome = fuzz(FuzzConfig(seed=seed, events=200, schema_text=schema_text), shrink=False)
-        runner = Runner(sch.parse_schema_text(schema_text), ["r1", "r2", "r3"], lenient=True)
+        runner = runner_class(sch.parse_schema_text(schema_text), ["r1", "r2", "r3"], lenient=True)
         runner.run(outcome.trace)
         yield runner, outcome
 
@@ -379,6 +383,79 @@ class TestPointReads:
         assert snapshots > 0
 
 
+class MemoCheckingRunner(Runner):
+    """After every event, checks the audit memo at every replica: a store
+    whose version has not moved has an unchanged store_canon, and the saved
+    findings equal a fresh audit of the store."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen: dict[str, tuple[int, str]] = {}
+        self.moved = self.kept = 0
+        self.mismatches: list[str] = []
+
+    def apply(self, event):
+        super().apply(event)
+        self.check_memo(event.line)
+
+    def check_memo(self, line):
+        for rid in self.cluster.replica_ids:
+            store = self.cluster.replica(rid).store
+            canon = store_canon(store)
+            if rid in self.seen:
+                version, before = self.seen[rid]
+                if version != store.version:
+                    self.moved += 1
+                elif before == canon:
+                    self.kept += 1
+                else:
+                    self.mismatches.append(f"{self.report.name} line {line} {rid}: version kept, store changed")
+            self.seen[rid] = (store.version, canon)
+            fresh = [(f"integrity at {rid}", p) for p in integrity_violations(store, self.catalog)]
+            fresh += [(f"constraints at {rid}", p) for p in constraint_violations(store, self.catalog)]
+            if self.audited[rid] != (store.version, fresh):
+                self.mismatches.append(f"{self.report.name} line {line} {rid}: {self.audited[rid]} != {fresh}")
+
+
+class TestAudit:
+    def test_memo_is_sound_on_scenarios(self):
+        mismatches, moved, kept = [], 0, 0
+        for runner in scenario_runs(MemoCheckingRunner):
+            mismatches += runner.mismatches
+            moved, kept = moved + runner.moved, kept + runner.kept
+        assert mismatches == []
+        assert moved > 0 and kept > 0
+
+    @pytest.mark.parametrize("schema_text", [FUZZ_SCHEMA, MV_FK_SCHEMA], ids=["lww", "multi_value"])
+    def test_memo_is_sound_on_fuzz(self, schema_text):
+        mismatches, moved, kept = [], 0, 0
+        for runner, _ in fuzz_runs(schema_text, MemoCheckingRunner):
+            runner.finish()
+            runner.check_memo(0)
+            mismatches += runner.mismatches
+            moved, kept = moved + runner.moved, kept + runner.kept
+        assert mismatches == []
+        assert moved > 0 and kept > 0
+
+    def test_finding_is_reported_at_every_later_event(self):
+        # A Stars = 9 cell merged straight into r1's store bypasses the
+        # statement CHECK; begin and partition leave every store unchanged.
+        runner = Runner(sch.parse_schema_text(FUZZ_SCHEMA), ["r1", "r2"], lenient=True)
+        runner.apply(Event("txblock", {"rid": "r1", "txid": "a", "stmts": [
+            "INSERT INTO Artists VALUES ('Sam', TRUE, 1)",
+            "INSERT INTO Albums VALUES ('A1', 'Sam', 1, 'rock')",
+            "INSERT INTO Reviews VALUES (1, 'A1', 3)",
+        ]}, 1))
+        assert runner.report.ok, runner.report.failures
+        runner.cluster.replica("r1")._apply_delta(
+            RowDelta("Reviews", 1, {"Stars": LwwRegister(9, EventStamp(100, "r1"))})
+        )
+        runner.apply(Event("begin", {"rid": "r2", "txid": "b"}, 2))
+        runner.apply(Event("partition", {"groups": [["r1"], ["r2"]]}, 3))
+        finding = "constraints at r1: Reviews/1.Stars = 9 violates its check"
+        assert runner.report.failures == [f"line 2: {finding}", f"line 3: {finding}"]
+
+
 class TestFuzz:
     def test_deterministic_for_seed(self):
         a = fuzz(FuzzConfig(seed=11, events=50))
@@ -405,8 +482,6 @@ class TestFuzz:
     def test_minimize_shrinks_artificial_failure(self):
         # extend a clean trace with an assertion that cannot hold, then
         # check minimize keeps the trace failing while dropping events
-        from aqldb.sim import Event
-
         config = FuzzConfig(seed=8, events=40)
         outcome = fuzz(config)
         assert outcome.ok
@@ -432,6 +507,17 @@ class TestFuzz:
         assert still_fails(small)
         # the clean prefix is noise to this failure and should mostly go
         assert len(small) < len(bad) // 2
+
+    def test_reports_and_traces_are_pinned(self):
+        """Fuzz reports and traces of seeds 0-9 at 200 events stay exactly
+        as they were. A deliberate change to the event generator, or to
+        what a report records, updates the pin in the same change."""
+        digest = hashlib.sha256()
+        for seed in range(10):
+            outcome = fuzz(FuzzConfig(seed=seed, events=200), shrink=False)
+            digest.update(json.dumps(outcome.report.to_json(), sort_keys=True).encode())
+            digest.update(outcome.trace_text().encode())
+        assert digest.hexdigest() == "92703a950401a0943205e8f63d7a75348ceead233d6493f17e48bddff6078129"
 
     def test_fuzz_respects_replica_count(self):
         outcome = fuzz(FuzzConfig(seed=4, replicas=1, events=30))
