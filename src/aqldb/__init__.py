@@ -12,7 +12,6 @@ from .crdt import (
     EventStamp,
     LwwRegister,
     MvRegister,
-    VisibilityRegister,
     merge,
     render_scalar,
 )

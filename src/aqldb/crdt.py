@@ -144,46 +144,6 @@ class MvRegister:
         return "mv{" + "|".join(parts) + "}"
 
 
-FLAG_INSERTED = "I"
-FLAG_DELETED = "D"
-FLAG_TOUCHED = "T"
-_FLAGS = (FLAG_INSERTED, FLAG_DELETED, FLAG_TOUCHED)
-
-
-@dataclass(frozen=True)
-class VisibilityRegister:
-    """Multi-value register over the row liveness flags I, D and T."""
-
-    reg: MvRegister = field(default_factory=MvRegister)
-
-    @classmethod
-    def bottom(cls) -> "VisibilityRegister":
-        return cls()
-
-    def flags(self) -> frozenset[str]:
-        return frozenset(self.reg.values())
-
-    def max_versions(self) -> dict[str, int]:
-        return self.reg.max_versions()
-
-    def assign(
-        self,
-        flag: str,
-        observed: Mapping[str, int],
-        writer: str,
-        counter: int | None = None,
-    ) -> "VisibilityRegister":
-        if flag not in _FLAGS:
-            raise ValueError(f"unknown visibility flag {flag!r}")
-        return VisibilityRegister(self.reg.assign(flag, observed, writer, counter))
-
-    def merge(self, other: "VisibilityRegister") -> "VisibilityRegister":
-        return VisibilityRegister(self.reg.merge(other.reg))
-
-    def canon(self) -> str:
-        return "vis" + self.reg.canon()[2:]
-
-
 @dataclass
 class AdditiveCounter:
     """Counter merging concurrent deltas by summing per-replica contributions.
@@ -199,38 +159,35 @@ class AdditiveCounter:
     def bottom(cls) -> "AdditiveCounter":
         return cls()
 
+    def _like(self, incs: dict[str, int], decs: dict[str, int]) -> "AdditiveCounter":
+        """A counter of this one's kind holding incs and decs."""
+        return AdditiveCounter(incs, decs)
+
     def value(self) -> int:
         return sum(self.incs.values()) - sum(self.decs.values())
 
     def add(self, replica: str, delta: int) -> "AdditiveCounter":
-        incs = dict(self.incs)
-        decs = dict(self.decs)
+        incs, decs = self.incs, self.decs
         if delta > 0:
-            incs[replica] = incs.get(replica, 0) + delta
+            incs = {**incs, replica: incs.get(replica, 0) + delta}
         elif delta < 0:
-            decs[replica] = decs.get(replica, 0) - delta
-        return AdditiveCounter(incs, decs)
+            decs = {**decs, replica: decs.get(replica, 0) - delta}
+        return self._like(incs, decs)
 
     def slice_for(self, replica: str) -> "AdditiveCounter":
         """Partial state carrying only the components this replica writes."""
         incs = {replica: self.incs[replica]} if replica in self.incs else {}
         decs = {replica: self.decs[replica]} if replica in self.decs else {}
-        return AdditiveCounter(incs, decs)
+        return self._like(incs, decs)
 
     def merge(self, other: "AdditiveCounter") -> "AdditiveCounter":
-        return AdditiveCounter(
-            _max_map(self.incs, other.incs),
-            _max_map(self.decs, other.decs),
-        )
+        return self._like(_max_map(self.incs, other.incs), _max_map(self.decs, other.decs))
+
+    def _canon_maps(self) -> str:
+        return "+{" + _canon_map(self.incs) + "}-{" + _canon_map(self.decs) + "}"
 
     def canon(self) -> str:
-        return (
-            "add(+{"
-            + _canon_map(self.incs)
-            + "}-{"
-            + _canon_map(self.decs)
-            + "})"
-        )
+        return "add(" + self._canon_maps() + ")"
 
 
 @dataclass(frozen=True)
@@ -250,24 +207,25 @@ class Bound:
         return f"{op}{self.limit}"
 
 
-@dataclass
-class BoundedCounter:
+@dataclass(kw_only=True)
+class BoundedCounter(AdditiveCounter):
     """Escrow counter that can never cross its bound, without coordination.
 
-    Head-room against the bound is split into per-replica rights. Consuming
-    (moving toward the bound) spends local rights; moving away creates new
-    ones. Rights can be shipped between replicas. Every map entry is written
-    by exactly one replica and only grows, so merge is a pointwise maximum.
+    An additive counter of head-room against the bound: incs[r] is head-room
+    replica r created, by creating the counter or moving the value away from
+    the bound, and decs[r] is head-room r spent. A replica's rights are what
+    it created plus what others shipped it, less what it shipped; it spends
+    only those. Every entry of incs, decs and transfers is written by exactly
+    one replica (a transfer by its source) and only grows, so merge is a
+    pointwise maximum.
     """
 
     bound: Bound
-    grants: dict[str, int] = field(default_factory=dict)
     transfers: dict[tuple[str, str], int] = field(default_factory=dict)
-    used: dict[str, int] = field(default_factory=dict)
 
     @classmethod
     def bottom(cls, bound: Bound) -> "BoundedCounter":
-        return cls(bound)
+        return cls(bound=bound)
 
     @classmethod
     def create(
@@ -277,21 +235,25 @@ class BoundedCounter:
         replicas: Sequence[str],
         creator: str,
     ) -> "BoundedCounter":
-        """Allocate the initial head-room evenly, remainder to the creator."""
+        """The creator holds the initial head-room and ships an even share to
+        every other replica, keeping the remainder. Creations of the same
+        counter at several replicas write disjoint entries, so they add up."""
         if bound.direction == "lower":
             headroom = initial - bound.limit
         else:
             headroom = bound.limit - initial
         if headroom < 0:
             raise ValueError(f"initial value {initial} violates bound {bound.canon()}")
-        ids = sorted(set(replicas) | {creator})
-        share = headroom // len(ids)
-        grants = {r: share for r in ids}
-        grants[creator] += headroom - share * len(ids)
-        return cls(bound, {r: g for r, g in grants.items() if g}, {}, {})
+        others = sorted(set(replicas) - {creator})
+        share = headroom // (len(others) + 1)
+        transfers = {(creator, r): share for r in others} if share else {}
+        return cls({creator: headroom} if headroom else {}, bound=bound, transfers=transfers)
+
+    def _like(self, incs: dict[str, int], decs: dict[str, int]) -> "BoundedCounter":
+        return BoundedCounter(incs, decs, bound=self.bound, transfers=self.transfers)
 
     def rights(self, replica: str) -> int:
-        out = self.grants.get(replica, 0)
+        out = self.incs.get(replica, 0)
         for (src, dst), amount in self.transfers.items():
             if dst == replica:
                 out += amount
@@ -299,40 +261,16 @@ class BoundedCounter:
                 out -= amount
         return out
 
-    def consumed(self, replica: str) -> int:
-        return self.used.get(replica, 0)
-
     def free(self, replica: str) -> int:
-        return self.rights(replica) - self.consumed(replica)
+        return self.rights(replica) - self.decs.get(replica, 0)
 
     def total_rights(self) -> int:
-        return sum(self.grants.values())
+        return sum(self.incs.values())
 
     def value(self) -> int:
-        net = sum(self.grants.values()) - sum(self.used.values())
         if self.bound.direction == "lower":
-            return self.bound.limit + net
-        return self.bound.limit - net
-
-    def consume(self, replica: str, amount: int) -> "BoundedCounter":
-        """Spend rights at replica, moving the value toward the bound."""
-        if amount <= 0:
-            raise ValueError("consume amount must be positive")
-        if amount > self.free(replica):
-            raise InsufficientRights(
-                f"{replica} holds {self.free(replica)} free rights, needs {amount}"
-            )
-        used = dict(self.used)
-        used[replica] = used.get(replica, 0) + amount
-        return BoundedCounter(self.bound, dict(self.grants), dict(self.transfers), used)
-
-    def replenish(self, replica: str, amount: int) -> "BoundedCounter":
-        """Move the value away from the bound, creating fresh rights here."""
-        if amount <= 0:
-            raise ValueError("replenish amount must be positive")
-        grants = dict(self.grants)
-        grants[replica] = grants.get(replica, 0) + amount
-        return BoundedCounter(self.bound, grants, dict(self.transfers), dict(self.used))
+            return self.bound.limit + super().value()
+        return self.bound.limit - super().value()
 
     def transfer(self, src: str, dst: str, amount: int) -> "BoundedCounter":
         """Ship free rights from src to dst. Total rights are conserved."""
@@ -346,7 +284,7 @@ class BoundedCounter:
             )
         transfers = dict(self.transfers)
         transfers[(src, dst)] = transfers.get((src, dst), 0) + amount
-        return BoundedCounter(self.bound, dict(self.grants), transfers, dict(self.used))
+        return BoundedCounter(self.incs, self.decs, bound=self.bound, transfers=transfers)
 
     def consumption_units(self, delta: int) -> int:
         """Rights needed to apply a signed delta under this bound."""
@@ -355,45 +293,37 @@ class BoundedCounter:
         return max(0, delta)
 
     def apply_delta(self, replica: str, delta: int) -> "BoundedCounter":
-        if delta == 0:
-            return self
+        """Move the value by delta at replica. A move toward the bound spends
+        that replica's rights; a move away creates fresh rights there."""
         units = self.consumption_units(delta)
-        if units:
-            return self.consume(replica, units)
-        return self.replenish(replica, abs(delta))
+        if units and units > self.free(replica):
+            raise InsufficientRights(
+                f"{replica} holds {self.free(replica)} free rights, needs {units}"
+            )
+        return self.add(replica, delta if self.bound.direction == "lower" else -delta)
 
     def slice_for(self, replica: str) -> "BoundedCounter":
-        """Partial state carrying only components this replica writes."""
-        grants = {replica: self.grants[replica]} if replica in self.grants else {}
-        used = {replica: self.used[replica]} if replica in self.used else {}
-        transfers = {k: v for k, v in self.transfers.items() if k[0] == replica}
-        return BoundedCounter(self.bound, grants, transfers, used)
+        out = super().slice_for(replica)
+        out.transfers = {k: v for k, v in self.transfers.items() if k[0] == replica}
+        return out
 
     def merge(self, other: "BoundedCounter") -> "BoundedCounter":
         if self.bound != other.bound:
             raise KindMismatch(
                 f"cannot merge counters bounded by {self.bound.canon()} and {other.bound.canon()}"
             )
-        return BoundedCounter(
-            self.bound,
-            _max_map(self.grants, other.grants),
-            _max_map(self.transfers, other.transfers),
-            _max_map(self.used, other.used),
-        )
+        out = super().merge(other)
+        out.transfers = _max_map(self.transfers, other.transfers)
+        return out
 
     def canon(self) -> str:
         t = ",".join(
             f"{s}>{d}:{v}" for (s, d), v in sorted(self.transfers.items()) if v
         )
-        return (
-            f"bc[{self.bound.canon()}]"
-            + "(g{" + _canon_map(self.grants) + "}"
-            + "t{" + t + "}"
-            + "u{" + _canon_map(self.used) + "})"
-        )
+        return f"bc[{self.bound.canon()}](" + self._canon_maps() + "t{" + t + "})"
 
 
-MergeValue = LwwRegister | MvRegister | AdditiveCounter | BoundedCounter | VisibilityRegister
+MergeValue = LwwRegister | MvRegister | AdditiveCounter | BoundedCounter
 
 
 def merge(a: MergeValue, b: MergeValue) -> MergeValue:

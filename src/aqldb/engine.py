@@ -25,7 +25,6 @@ from .crdt import (
     MergeValue,
     MvRegister,
     Scalar,
-    VisibilityRegister,
     merge,
     render_scalar,
 )
@@ -75,7 +74,7 @@ def ref_cell(column: str) -> str:
 @dataclass
 class Row:
     cells: dict[str, MergeValue] = field(default_factory=dict)
-    visibility: VisibilityRegister = field(default_factory=VisibilityRegister)
+    visibility: MvRegister = field(default_factory=MvRegister)  # over I, D, T
     generation: int = 0
 
     def copy(self) -> "Row":
@@ -152,7 +151,7 @@ class RowView:
         if self.write is not None and self.write.flag is not None:
             return frozenset({self.write.flag[0]})
         if self.row is not None:
-            return self.row.visibility.flags()
+            return frozenset(self.row.visibility.values())
         return frozenset()
 
     def generation(self) -> int:
@@ -178,7 +177,7 @@ class RowView:
 
     def _counter_base(self, column: str) -> int:
         cell = self.row.cells.get(column) if self.row is not None else None
-        return cell.value() if isinstance(cell, (AdditiveCounter, BoundedCounter)) else 0
+        return cell.value() if isinstance(cell, AdditiveCounter) else 0
 
     def fk_refs(self, column: str) -> tuple[tuple[Scalar, int], ...]:
         return self.scalars(ref_cell(column))
@@ -320,8 +319,6 @@ class Replica:
         self.uid_counter = 0
         self.txn_counter = 0
         self.active: dict[str, Transaction] = {}
-        # (rowkey, column) -> txid -> reserved consumption units
-        self.pending_consumes: dict[tuple, dict[str, int]] = {}
 
     # -- transaction lifecycle ------------------------------------------------
 
@@ -392,8 +389,6 @@ class Replica:
     def _settle(self, tx: Transaction, status: TxStatus) -> None:
         tx.status = status
         self.locks.release_all(tx)
-        for reservations in self.pending_consumes.values():
-            reservations.pop(tx.txid, None)
         self.active.pop(tx.txid, None)
 
     # -- replication ----------------------------------------------------------
@@ -493,8 +488,8 @@ class Replica:
         cell = row.cells.get(column) if row is not None else None
         if not isinstance(cell, BoundedCounter):
             return 0
-        reserved = sum(self.pending_consumes.get(((table, pk), column), {}).values())
-        return cell.free(self.rid) - reserved
+        key = ((table, pk), column)
+        return cell.free(self.rid) - sum(tx.reserved.get(key, 0) for tx in self.active.values())
 
     def transfer_rights(self, table: str, pk: Scalar, column: str, dst: str, amount: int) -> CommitRecord:
         """Ship bounded-counter rights to dst as a standalone system commit."""
@@ -535,7 +530,7 @@ class Replica:
     def _exec_insert(self, tx: Transaction, stmt: sch.Insert):
         schema = self.catalog.table(stmt.table)
         pk = stmt.values[schema.primary_key]
-        allow_concurrent = sch.concurrent_insert_allowed(schema)
+        allow_concurrent = schema.concurrent_inserts
         assignments = [
             sch.DeltaAssign(col.name, stmt.values[col.name])
             if col.modifier is sch.Modifier.ADDITIVE
@@ -809,9 +804,7 @@ class Replica:
             return
         units = cell.consumption_units(net)
         key = (rowkey, column)
-        others = sum(
-            u for txid, u in self.pending_consumes.get(key, {}).items() if txid != tx.txid
-        )
+        others = sum(t.reserved.get(key, 0) for t in self.active.values() if t is not tx)
         free = cell.free(self.rid) - others
         if units > free:
             if not self.hooks.request_rights(self.rid, rowkey[0], rowkey[1], column, units - free):
@@ -828,11 +821,9 @@ class Replica:
                     retryable=True,
                 )
         if units > 0:
-            self.pending_consumes.setdefault(key, {})[tx.txid] = units
+            tx.reserved[key] = units
         else:
-            reservations = self.pending_consumes.get(key)
-            if reservations:
-                reservations.pop(tx.txid, None)
+            tx.reserved.pop(key, None)
 
     def _fold_row(self, rowkey: RowKey, write: RowWrite, lam: int) -> RowDelta:
         table, pk = rowkey
@@ -876,7 +867,7 @@ class Replica:
             ):
                 # Lock-guarded rows fold against the freshest committed state.
                 observed = live.visibility.max_versions()
-            visibility = VisibilityRegister().assign(flag, observed, self.rid, lam)
+            visibility = MvRegister().assign(flag, observed, self.rid, lam)
 
         return RowDelta(table, pk, cells, visibility, write.generation)
 

@@ -127,6 +127,11 @@ class TableSchema:
     def foreign_keys(self) -> list[tuple[str, ForeignKey]]:
         return [(c.name, c.foreign_key) for c in self.columns if c.foreign_key]
 
+    @cached_property
+    def concurrent_inserts(self) -> bool:
+        """concurrent_insert_allowed(self), computed once."""
+        return concurrent_insert_allowed(self)
+
     @property
     def non_pk_columns(self) -> list[ColumnDef]:
         return [c for c in self.columns if not c.is_primary_key]
@@ -158,10 +163,20 @@ class Catalog:
 
 def concurrent_insert_allowed(schema: TableSchema) -> bool:
     """Concurrent inserts of one key merge only when every non-PK column has
-    a concurrency modifier and the table is not NO_CONCURRENCY."""
+    a concurrency modifier, the table is not NO_CONCURRENCY, and no ADDITIVE
+    column is bounded at a limit other than 0. Merged concurrent creations
+    of a bounded counter sum their head-room, giving sum(v) - (n-1) * limit
+    for n inserted values v, which is the sum of the values only at limit 0."""
     if schema.row_policy is Policy.NO_CONCURRENCY:
         return False
-    return all(c.modifier is not Modifier.NONE for c in schema.non_pk_columns)
+    for c in schema.non_pk_columns:
+        if c.modifier is Modifier.NONE:
+            return False
+        if c.modifier is Modifier.ADDITIVE:
+            bound = additive_bound(c)
+            if bound is not None and bound.limit != 0:
+                return False
+    return True
 
 
 def additive_bound(col: ColumnDef) -> Bound | None:

@@ -423,7 +423,7 @@ class Runner:
         rid, table, pk = event.args["rid"], event.args["table"], event.args["pk"]
         want = set(event.args["flags"])
         row = self.cluster.replica(rid).store.row(table, pk)
-        got = set(row.visibility.flags()) if row is not None else set()
+        got = set(row.visibility.values()) if row is not None else set()
         ok = got == want
         detail = "" if ok else f"want {sorted(want)}, got {sorted(got)}"
         self.report.step(
@@ -516,7 +516,7 @@ class Runner:
             for rid in self.cluster.replica_ids:
                 row = self.cluster.replica(rid).store.row(table, pk)
                 cell = row.cells.get(col) if row is not None else None
-                if not isinstance(cell, (AdditiveCounter, BoundedCounter)):
+                if not isinstance(cell, AdditiveCounter):
                     self.report.step(
                         0, "counter ledger", False,
                         f"{table}/{render_scalar(pk)}.{col} missing at {rid}",

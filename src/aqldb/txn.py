@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Protocol
 
-from .crdt import MergeValue, VisibilityRegister, render_scalar
+from .crdt import MergeValue, MvRegister, render_scalar
 from .errors import LockUnavailable
 
 
@@ -84,6 +84,8 @@ class Transaction:
     error: Exception | None = None
     buffer: dict[tuple, RowWrite] = field(default_factory=dict)
     held: dict[str, Mode] = field(default_factory=dict)
+    # (rowkey, column) -> bounded-counter rights reserved by buffered deltas
+    reserved: dict[tuple, int] = field(default_factory=dict)
 
     def write(self, rowkey: tuple) -> RowWrite:
         if rowkey not in self.buffer:
@@ -98,7 +100,7 @@ class RowDelta:
     table: str
     pk: object
     cells: dict[str, MergeValue] = field(default_factory=dict)
-    visibility: VisibilityRegister | None = None
+    visibility: MvRegister | None = None  # over the flags I, D, T
     generation: int | None = None
 
 

@@ -11,7 +11,7 @@ import time
 import pytest
 
 import aqldb.schema as sch
-from aqldb.crdt import Bound, BoundedCounter, VisibilityRegister
+from aqldb.crdt import Bound, BoundedCounter, MvRegister
 from aqldb.engine import (
     Cause,
     Store,
@@ -137,9 +137,9 @@ def test_c03_visibility_truth_table_exhaustive():
                 flags = frozenset(combo)
                 store = Store()
                 row = store.ensure("T", "k")
-                vis = VisibilityRegister.bottom()
+                vis = MvRegister.bottom()
                 for i, f in enumerate(sorted(flags)):
-                    vis = vis.merge(VisibilityRegister.bottom().assign(f, {}, f"w{i}"))
+                    vis = vis.merge(MvRegister.bottom().assign(f, {}, f"w{i}"))
                 row.visibility = vis
                 verdict = is_visible(ViewContext(store, catalog), "T", "k")
                 if not flags:
@@ -217,14 +217,14 @@ def test_c06_bounded_counter_safety_over_seeded_schedules():
                 amount = rng.randrange(1, 8)
                 if amount > st.free(r):
                     with pytest.raises(InsufficientRights):
-                        st.consume(r, amount)
+                        st.apply_delta(r, -amount)
                     refusals += 1
                 else:
-                    states[r] = st.consume(r, amount)
+                    states[r] = st.apply_delta(r, -amount)
                     consumed += amount
             elif roll < 0.60:
                 amount = rng.randrange(1, 5)
-                states[r] = st.replenish(r, amount)
+                states[r] = st.apply_delta(r, amount)
                 replenished += amount
             elif roll < 0.80:
                 dst = rng.choice([x for x in rids if x != r])

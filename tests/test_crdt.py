@@ -9,7 +9,6 @@ from aqldb.crdt import (
     EventStamp,
     LwwRegister,
     MvRegister,
-    VisibilityRegister,
     make_version,
     merge,
     render_scalar,
@@ -96,20 +95,16 @@ class TestMv:
 
 class TestVisibility:
     def test_flags_accumulate_when_concurrent(self):
-        ins = VisibilityRegister.bottom().assign("I", {}, "r1")
+        ins = MvRegister.bottom().assign("I", {}, "r1")
         dele = ins.assign("D", ins.max_versions(), "r2")
         touch = ins.assign("T", ins.max_versions(), "r3")
         merged = dele.merge(touch)
-        assert merged.flags() == {"D", "T"}
+        assert set(merged.values()) == {"D", "T"}
 
     def test_causal_flag_replaces(self):
-        ins = VisibilityRegister.bottom().assign("I", {}, "r1")
+        ins = MvRegister.bottom().assign("I", {}, "r1")
         dele = ins.assign("D", ins.max_versions(), "r1")
-        assert dele.flags() == {"D"}
-
-    def test_rejects_unknown_flag(self):
-        with pytest.raises(ValueError):
-            VisibilityRegister.bottom().assign("X", {}, "r1")
+        assert set(dele.values()) == {"D"}
 
 
 class TestAdditive:
@@ -146,13 +141,27 @@ class TestBounded:
         assert c.value() == 10
         assert c.total_rights() == 10
 
+    def test_concurrent_creations_add_up(self):
+        # Each creator writes only its own entries, so neither creation is lost.
+        a = BoundedCounter.create(lower(0), 3, ["r1", "r2", "r3"], "r1")
+        b = BoundedCounter.create(lower(0), 2, ["r1", "r2", "r3"], "r2")
+        m = a.merge(b)
+        assert m.value() == 5
+        assert m.total_rights() == 5
+        assert sum(m.rights(r) for r in ("r1", "r2", "r3")) == 5
+
+    def test_create_is_the_creators_slice(self):
+        c = BoundedCounter.create(Bound("upper", 10), 3, ["r1", "r2", "r3"], "r2")
+        assert c.slice_for("r2") == c
+        assert c.slice_for("r1") == BoundedCounter.bottom(Bound("upper", 10))
+
     def test_create_rejects_value_past_bound(self):
         with pytest.raises(ValueError):
             BoundedCounter.create(lower(0), -1, ["r1"], "r1")
 
     def test_consume_within_rights(self):
         c = BoundedCounter.create(lower(0), 6, ["r1", "r2"], "r1")
-        c = c.consume("r1", 3)
+        c = c.apply_delta("r1", -3)
         assert c.value() == 3
         assert c.free("r1") == 0
         assert c.free("r2") == 3
@@ -160,7 +169,7 @@ class TestBounded:
     def test_over_consume_refused(self):
         c = BoundedCounter.create(lower(0), 6, ["r1", "r2"], "r1")
         with pytest.raises(InsufficientRights):
-            c.consume("r1", 4)
+            c.apply_delta("r1", -4)
 
     def test_transfer_moves_rights(self):
         c = BoundedCounter.create(lower(0), 6, ["r1", "r2"], "r1")
@@ -168,18 +177,18 @@ class TestBounded:
         assert c.free("r1") == 5
         assert c.free("r2") == 1
         assert c.total_rights() == 6
-        c = c.consume("r1", 5)
+        c = c.apply_delta("r1", -5)
         assert c.value() == 1
 
     def test_transfer_needs_free_rights(self):
         c = BoundedCounter.create(lower(0), 4, ["r1", "r2"], "r1")
-        c = c.consume("r2", 2)
+        c = c.apply_delta("r2", -2)
         with pytest.raises(InsufficientRights):
             c.transfer("r2", "r1", 1)
 
     def test_replenish_creates_rights_locally(self):
         c = BoundedCounter.create(lower(0), 2, ["r1", "r2"], "r1")
-        c = c.replenish("r2", 5)
+        c = c.apply_delta("r2", 5)
         assert c.value() == 7
         assert c.free("r2") == 6
 
@@ -202,8 +211,8 @@ class TestBounded:
 
     def test_merge_is_pointwise_max(self):
         base = BoundedCounter.create(lower(0), 8, ["r1", "r2"], "r1")
-        a = base.consume("r1", 2)
-        b = base.consume("r2", 3).transfer("r2", "r1", 1)
+        a = base.apply_delta("r1", -2)
+        b = base.apply_delta("r2", -3).transfer("r2", "r1", 1)
         m = a.merge(b)
         assert m.value() == 3
         assert m.free("r1") == 3
@@ -211,7 +220,7 @@ class TestBounded:
 
     def test_slice_round_trip(self):
         base = BoundedCounter.create(lower(0), 9, ["r1", "r2", "r3"], "r2")
-        full = base.consume("r1", 2).transfer("r1", "r3", 1)
+        full = base.apply_delta("r1", -2).transfer("r1", "r3", 1)
         part = full.slice_for("r1")
         assert part.merge(full) == full
         assert base.merge(part).free("r1") == full.free("r1")

@@ -16,7 +16,6 @@ from aqldb.crdt import (
     EventStamp,
     LwwRegister,
     MvRegister,
-    VisibilityRegister,
 )
 
 REPLICAS = ("r1", "r2", "r3")
@@ -44,8 +43,8 @@ def rand_mv(rng: random.Random) -> MvRegister:
     return out
 
 
-def rand_vis(rng: random.Random) -> VisibilityRegister:
-    reg = VisibilityRegister.bottom()
+def rand_vis(rng: random.Random) -> MvRegister:
+    reg = MvRegister.bottom()
     branches = [reg]
     for _ in range(rng.randrange(4)):
         base = rng.choice(branches)
@@ -54,7 +53,7 @@ def rand_vis(rng: random.Random) -> VisibilityRegister:
                 rng.choice("IDT"), base.max_versions(), rng.choice(REPLICAS)
             )
         )
-    out = VisibilityRegister.bottom()
+    out = MvRegister.bottom()
     for b in branches:
         out = out.merge(b)
     return out
@@ -78,10 +77,10 @@ def rand_bounded(rng: random.Random) -> BoundedCounter:
             if src != dst and rng.random() < 0.2:
                 transfers[(src, dst)] = rng.randrange(1, 4)
     return BoundedCounter(
-        bound,
         {k: v for k, v in grants.items() if v},
-        transfers,
         {k: v for k, v in used.items() if v},
+        bound=bound,
+        transfers=transfers,
     )
 
 

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import aqldb.schema as sch
-from aqldb.crdt import VisibilityRegister
+from aqldb.crdt import MvRegister
 from aqldb.engine import (
     Cause,
     Replica,
@@ -81,9 +81,9 @@ def sync(records, *reps):
 def build_flag_row(store: Store, table: str, pk, flags):
     """Give a row the exact flag set by concurrent single-flag writes."""
     row = store.ensure(table, pk)
-    vis = VisibilityRegister.bottom()
+    vis = MvRegister.bottom()
     for i, flag in enumerate(sorted(flags)):
-        one = VisibilityRegister.bottom().assign(flag, {}, f"w{i}")
+        one = MvRegister.bottom().assign(flag, {}, f"w{i}")
         vis = vis.merge(one)
     row.visibility = vis
     return row

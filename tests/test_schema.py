@@ -109,6 +109,23 @@ def test_mergeable_table_with_plain_column_blocks_concurrent_insert():
     assert not concurrent_insert_allowed(cat.table("T"))
 
 
+@pytest.mark.parametrize(
+    "column, allowed",
+    [
+        ("V INT ADDITIVE CHECK (V >= 0)", True),
+        ("V INT ADDITIVE CHECK (V <= 0)", True),
+        ("V INT LWW CHECK (V >= 1)", True),
+        ("V INT ADDITIVE CHECK (V >= 1)", False),
+        ("V INT ADDITIVE CHECK (V <= 6)", False),
+    ],
+)
+def test_bound_off_zero_blocks_concurrent_insert(column, allowed):
+    # Merged concurrent creations of a counter bounded at limit L sum to
+    # sum(v) - (n-1) * L: only L = 0 keeps the inserted values' sum.
+    cat = parse_schema_text(f"CREATE UPDATE_WINS TABLE T (K VARCHAR PRIMARY KEY, {column});")
+    assert concurrent_insert_allowed(cat.table("T")) is allowed
+
+
 def test_ddl_round_trip(catalog):
     text = catalog_to_ddl(catalog)
     again = parse_schema_text(text)

@@ -10,7 +10,7 @@ import pytest
 import aqldb.schema as sch
 from aqldb.crdt import EventStamp, LwwRegister, render_scalar
 from aqldb.engine import RowView, constraint_violations, integrity_violations, visible_rows
-from aqldb.errors import ScenarioError
+from aqldb.errors import CheckViolation, ScenarioError
 from aqldb.sim import (
     FUZZ_SCHEMA,
     Cluster,
@@ -206,6 +206,32 @@ class TestCluster:
         assert cluster.converged()
         cell = r1.store.row("Accounts", "a").cells["Balance"]
         assert cell.value() == 2
+
+    def test_reserved_rights_are_not_shipped(self):
+        cluster = self.make(("r1", "r2"))
+        r1, r2 = cluster.replica("r1"), cluster.replica("r2")
+        tx = r1.begin()
+        r1.execute(tx, "INSERT INTO Accounts VALUES ('a', 10)")
+        cluster.commit(tx)
+        cluster.deliver_all()
+        # Each side holds 5 rights; r1's open transaction reserves 4 of its 5.
+        spend = r1.begin()
+        r1.execute(spend, "UPDATE Accounts SET Balance = Balance - 4 WHERE Owner = 'a'")
+        assert r1.donatable("Accounts", "a", "Balance") == 1
+        tx2 = r2.begin()
+        with pytest.raises(CheckViolation):
+            r2.execute(tx2, "UPDATE Accounts SET Balance = Balance - 7 WHERE Owner = 'a'")
+        cluster.commit(spend)
+        cluster.deliver_all()
+        assert cluster.converged()
+        cell = r1.store.row("Accounts", "a").cells["Balance"]
+        assert (cell.value(), cell.free("r1"), cell.free("r2")) == (6, 0, 6)
+        # A reservation ends with its transaction.
+        undo = r2.begin()
+        r2.execute(undo, "UPDATE Accounts SET Balance = Balance - 6 WHERE Owner = 'a'")
+        assert r2.donatable("Accounts", "a", "Balance") == 0
+        r2.abort(undo)
+        assert r2.donatable("Accounts", "a", "Balance") == 6
 
 
 class TestOrderIndependence:
@@ -518,6 +544,14 @@ class TestFuzz:
             digest.update(json.dumps(outcome.report.to_json(), sort_keys=True).encode())
             digest.update(outcome.trace_text().encode())
         assert digest.hexdigest() == "92703a950401a0943205e8f63d7a75348ceead233d6493f17e48bddff6078129"
+
+    def test_bound_off_zero_keeps_the_ledger(self):
+        """Concurrent inserts under Plays <= 6 take the row lock instead of
+        merging into a value the committed deltas do not sum to."""
+        schema_text = FUZZ_SCHEMA.replace("Plays INT ADDITIVE\n", "Plays INT ADDITIVE CHECK (Plays <= 6)\n")
+        assert schema_text != FUZZ_SCHEMA
+        outcome = fuzz(FuzzConfig(seed=56, events=200, schema_text=schema_text), shrink=False)
+        assert outcome.ok, outcome.report.failures
 
     def test_fuzz_respects_replica_count(self):
         outcome = fuzz(FuzzConfig(seed=4, replicas=1, events=30))
