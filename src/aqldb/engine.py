@@ -693,7 +693,7 @@ class Replica:
 
     @staticmethod
     def _write_wants(
-        schema: sch.TableSchema, pk: Scalar, assignments: list[sch.SetAssign | sch.DeltaAssign]
+        schema: sch.TableSchema, pk: Scalar, assignments: Iterable[sch.SetAssign | sch.DeltaAssign]
     ) -> list[tuple[str, Mode]]:
         """Locks a write of assignments to row pk takes: each unannotated
         non-key column exclusively, and a lock-guarded parent shared."""
@@ -713,7 +713,7 @@ class Replica:
         schema: sch.TableSchema,
         pk: Scalar,
         view: RowView | None,
-        assignments: list[sch.SetAssign | sch.DeltaAssign],
+        assignments: Iterable[sch.SetAssign | sch.DeltaAssign],
     ) -> RowWrite:
         """Enforce each assignment's constraints, in order, and buffer it. A
         delta reserves bounded-counter rights; an absolute value must pass

@@ -3,14 +3,22 @@
 Covers CREATE TABLE with per-table and per-column concurrency annotations,
 plus the INSERT / UPDATE / DELETE / SELECT statement forms the engine
 executes. Keywords are case-insensitive, identifiers are case-sensitive.
+
+Parsed catalogs and statements are immutable, so they are shared:
+parse_schema_text returns one catalog per schema text, and each catalog
+keeps the statements parsed against it by text. Both caches are bounded by
+module constants and emptied when full; a text that fails to parse is never
+stored, so it raises again on every call.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from types import MappingProxyType
 
 from .crdt import Bound, Scalar
 from .errors import AqlSyntaxError, ValidationError
@@ -114,14 +122,18 @@ class TableSchema:
                 return col.name
         raise ValidationError(f"table {self.name} has no primary key")
 
+    @cached_property
+    def _by_name(self) -> dict[str, ColumnDef]:
+        return {col.name: col for col in self.columns}
+
     def column(self, name: str) -> ColumnDef:
-        for col in self.columns:
-            if col.name == name:
-                return col
-        raise ValidationError(f"table {self.name} has no column {name}")
+        col = self._by_name.get(name)
+        if col is None:
+            raise ValidationError(f"table {self.name} has no column {name}")
+        return col
 
     def has_column(self, name: str) -> bool:
-        return any(col.name == name for col in self.columns)
+        return name in self._by_name
 
     @cached_property
     def foreign_keys(self) -> list[tuple[str, ForeignKey]]:
@@ -132,7 +144,7 @@ class TableSchema:
         """concurrent_insert_allowed(self), computed once."""
         return concurrent_insert_allowed(self)
 
-    @property
+    @cached_property
     def non_pk_columns(self) -> list[ColumnDef]:
         return [c for c in self.columns if not c.is_primary_key]
 
@@ -140,25 +152,27 @@ class TableSchema:
 @dataclass
 class Catalog:
     tables: dict[str, TableSchema] = field(default_factory=dict)
-
-    def add(self, schema: TableSchema) -> None:
-        if schema.name in self.tables:
-            raise ValidationError(f"table {schema.name} defined twice")
-        self.tables[schema.name] = schema
+    # Statements parsed against this catalog, by text (see parse_statement).
+    statements: dict[str, Statement] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def table(self, name: str) -> TableSchema:
         if name not in self.tables:
             raise ValidationError(f"unknown table {name}")
         return self.tables[name]
 
-    def referencing(self, table: str) -> list[tuple[str, str, ForeignKey]]:
-        """Foreign keys pointing at table, as (child table, column, fk)."""
-        out = []
+    @cached_property
+    def _referencing(self) -> dict[str, tuple[tuple[str, str, ForeignKey], ...]]:
+        out: dict[str, list[tuple[str, str, ForeignKey]]] = {}
         for child in self.tables.values():
             for col, fk in child.foreign_keys:
-                if fk.table == table:
-                    out.append((child.name, col, fk))
-        return out
+                out.setdefault(fk.table, []).append((child.name, col, fk))
+        return {table: tuple(edges) for table, edges in out.items()}
+
+    def referencing(self, table: str) -> tuple[tuple[str, str, ForeignKey], ...]:
+        """Foreign keys pointing at table, as (child table, column, fk)."""
+        return self._referencing.get(table, ())
 
 
 def concurrent_insert_allowed(schema: TableSchema) -> bool:
@@ -195,9 +209,9 @@ def additive_bound(col: ColumnDef) -> Bound | None:
 
 
 # --------------------------------------------------------------------------
-# statements
+# statements (immutable: one parsed statement is shared by every caller)
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Where:
     column: str
     op: str
@@ -207,41 +221,41 @@ class Where:
         return self.op == "=" and self.column == schema.primary_key
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class SetAssign:
     column: str
     value: Scalar
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class DeltaAssign:
     column: str
     delta: int
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Insert:
     table: str
-    values: dict[str, Scalar]
+    values: Mapping[str, Scalar]  # read-only
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Update:
     table: str
-    assignments: list[SetAssign | DeltaAssign]
+    assignments: tuple[SetAssign | DeltaAssign, ...]
     where: Where | None
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Delete:
     table: str
     where: Where | None
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Select:
     table: str
-    columns: list[str] | None  # None means *
+    columns: tuple[str, ...] | None  # None means *
     where: Where | None
 
 
@@ -251,6 +265,8 @@ Statement = Insert | Update | Delete | Select
 # --------------------------------------------------------------------------
 # tokenizer
 
+# Every character matches one group, "bad" last, so finditer walks the text
+# without gaps.
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<string>'(?:[^']|'')*')
@@ -258,115 +274,123 @@ _TOKEN_RE = re.compile(
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<op><=|>=|<>|[<>=])
       | (?P<sym>[(),;*+\-])
+      | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
-
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    text: str
-    pos: int
+# A token is a (kind, text, offset) tuple; the last one is ("eof", "", len).
+Token = tuple[str, str, int]
 
 
 def _tokenize(text: str) -> list[Token]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise AqlSyntaxError(f"unexpected character {text[pos]!r}", pos)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind != "ws":
-            tokens.append(Token(kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(Token("eof", "", len(text)))
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise AqlSyntaxError(f"unexpected character {m.group()!r}", m.start())
+        tokens.append((kind, m.group(), m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
+
+
+def _int(tok: Token) -> int:
+    try:
+        return int(tok[1])
+    except ValueError:  # more digits than int() converts
+        raise AqlSyntaxError(f"integer literal of {len(tok[1])} digits is too long", tok[2]) from None
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.idx = 0
 
     def peek(self) -> Token:
         return self.tokens[self.idx]
 
-    def take(self) -> Token:
-        tok = self.tokens[self.idx]
-        if tok.kind != "eof":
-            self.idx += 1
-        return tok
-
     def error(self, expected: str) -> AqlSyntaxError:
-        tok = self.peek()
-        got = tok.text or "end of input"
-        return AqlSyntaxError(f"unexpected {got!r}", tok.pos, expected)
-
-    def at_keyword(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text.upper() in words
+        _, text, pos = self.tokens[self.idx]
+        got = text or "end of input"
+        return AqlSyntaxError(f"unexpected {got!r}", pos, expected)
 
     def accept_keyword(self, *words: str) -> str | None:
-        if self.at_keyword(*words):
-            return self.take().text.upper()
+        kind, text, _ = self.tokens[self.idx]
+        if kind == "ident":
+            word = text.upper()
+            if word in words:
+                self.idx += 1
+                return word
         return None
 
     def expect_keyword(self, word: str) -> None:
         if not self.accept_keyword(word):
             raise self.error(word)
 
-    def expect_sym(self, sym: str) -> None:
-        tok = self.peek()
-        if (tok.kind in ("sym", "op")) and tok.text == sym:
-            self.take()
-            return
-        raise self.error(repr(sym))
-
     def accept_sym(self, sym: str) -> bool:
-        tok = self.peek()
-        if (tok.kind in ("sym", "op")) and tok.text == sym:
-            self.take()
+        kind, text, _ = self.tokens[self.idx]
+        if text == sym and (kind == "sym" or kind == "op"):
+            self.idx += 1
             return True
         return False
 
+    def expect_sym(self, sym: str) -> None:
+        if not self.accept_sym(sym):
+            raise self.error(repr(sym))
+
     def ident(self, what: str) -> str:
-        tok = self.peek()
-        if tok.kind != "ident":
+        kind, text, _ = self.tokens[self.idx]
+        if kind != "ident":
             raise self.error(what)
-        return self.take().text
+        self.idx += 1
+        return text
 
     def literal(self) -> Scalar:
-        tok = self.peek()
-        if tok.kind == "string":
-            self.take()
-            return tok.text[1:-1].replace("''", "'")
-        if tok.kind == "int":
-            self.take()
-            return int(tok.text)
-        if tok.kind == "sym" and tok.text == "-":
-            self.take()
+        kind, text, _ = tok = self.peek()
+        if kind == "string":
+            self.idx += 1
+            return text[1:-1].replace("''", "'")
+        if kind == "int":
+            self.idx += 1
+            return _int(tok)
+        if kind == "sym" and text == "-":
+            self.idx += 1
             num = self.peek()
-            if num.kind != "int":
+            if num[0] != "int":
                 raise self.error("integer literal")
-            self.take()
-            return -int(num.text)
-        if self.at_keyword("TRUE"):
-            self.take()
+            self.idx += 1
+            return -_int(num)
+        if self.accept_keyword("TRUE"):
             return True
-        if self.at_keyword("FALSE"):
-            self.take()
+        if self.accept_keyword("FALSE"):
             return False
         raise self.error("literal")
 
     def comparison_op(self) -> str:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text in COMPARISON_OPS:
-            self.take()
-            return tok.text
+        kind, text, _ = self.tokens[self.idx]
+        if kind == "op" and text in COMPARISON_OPS:
+            self.idx += 1
+            return text
         raise self.error("comparison operator")
+
+
+# --------------------------------------------------------------------------
+# caches
+
+# Bounds on the number of parsed schema texts kept, and of statement texts
+# kept per catalog. A full cache is emptied, not evicted entry by entry.
+SCHEMA_CACHE_LIMIT = 64
+STATEMENT_CACHE_LIMIT = 2048
+
+_catalogs: dict[str, Catalog] = {}
+
+
+def _remember(cache: dict, key: str, value, limit: int) -> None:
+    if len(cache) >= limit:
+        cache.clear()
+    cache[key] = value
 
 
 # --------------------------------------------------------------------------
@@ -380,19 +404,26 @@ def parse_ddl(text: str, catalog: Catalog | None = None) -> TableSchema:
     p = _Parser(text)
     schema = _parse_create(p, catalog or Catalog())
     p.accept_sym(";")
-    if p.peek().kind != "eof":
+    if p.peek()[0] != "eof":
         raise p.error("end of statement")
     return schema
 
 
 def parse_schema_text(text: str) -> Catalog:
-    """Parse a sequence of CREATE TABLE statements into a catalog."""
-    p = _Parser(text)
-    catalog = Catalog()
-    while p.peek().kind != "eof":
-        catalog.add(_parse_create(p, catalog))
-        while p.accept_sym(";"):
-            pass
+    """Parse a sequence of CREATE TABLE statements into a catalog. The same
+    text gives the same catalog object, which must not be mutated."""
+    catalog = _catalogs.get(text)
+    if catalog is None:
+        p = _Parser(text)
+        catalog = Catalog()
+        while p.peek()[0] != "eof":
+            schema = _parse_create(p, catalog)
+            if schema.name in catalog.tables:
+                raise ValidationError(f"table {schema.name} defined twice")
+            catalog.tables[schema.name] = schema
+            while p.accept_sym(";"):
+                pass
+        _remember(_catalogs, text, catalog, SCHEMA_CACHE_LIMIT)
     return catalog
 
 
@@ -400,7 +431,7 @@ def parse_literal(text: str) -> Scalar:
     """Parse a standalone scalar literal ('Sam', 42, -3, TRUE)."""
     p = _Parser(text)
     value = p.literal()
-    if p.peek().kind != "eof":
+    if p.peek()[0] != "eof":
         raise p.error("end of literal")
     return value
 
@@ -553,6 +584,16 @@ def _validate_checks(schema: TableSchema, col: ColumnDef) -> None:
 # statements
 
 def parse_statement(text: str, catalog: Catalog) -> Statement:
+    """Parse and validate one statement against catalog. The same text under
+    the same catalog gives the same (immutable) statement object."""
+    stmt = catalog.statements.get(text)
+    if stmt is None:
+        stmt = _parse_statement(text, catalog)
+        _remember(catalog.statements, text, stmt, STATEMENT_CACHE_LIMIT)
+    return stmt
+
+
+def _parse_statement(text: str, catalog: Catalog) -> Statement:
     p = _Parser(text)
     if p.accept_keyword("INSERT"):
         stmt = _parse_insert(p, catalog)
@@ -565,7 +606,7 @@ def parse_statement(text: str, catalog: Catalog) -> Statement:
     else:
         raise p.error("INSERT, UPDATE, DELETE or SELECT")
     p.accept_sym(";")
-    if p.peek().kind != "eof":
+    if p.peek()[0] != "eof":
         raise p.error("end of statement")
     return stmt
 
@@ -605,7 +646,7 @@ def _parse_insert(p: _Parser, catalog: Catalog) -> Insert:
     missing = [c.name for c in schema.columns if c.name not in mapping]
     if missing:
         raise ValidationError(f"insert into {table} must cover columns {missing}")
-    return Insert(table, mapping)
+    return Insert(table, MappingProxyType(mapping))
 
 
 def _parse_update(p: _Parser, catalog: Catalog) -> Update:
@@ -616,7 +657,7 @@ def _parse_update(p: _Parser, catalog: Catalog) -> Update:
     while p.accept_sym(","):
         assignments.append(_parse_assignment(p, schema))
     where = _parse_where(p, schema)
-    return Update(table, assignments, where)
+    return Update(table, tuple(assignments), where)
 
 
 def _parse_assignment(p: _Parser, schema: TableSchema) -> SetAssign | DeltaAssign:
@@ -626,8 +667,8 @@ def _parse_assignment(p: _Parser, schema: TableSchema) -> SetAssign | DeltaAssig
         raise ValidationError(f"primary key column {name} cannot be assigned")
     p.expect_sym("=")
     # Delta form: col = col + k or col = col - k, only for additive columns.
-    tok = p.peek()
-    if tok.kind == "ident" and tok.text.upper() not in ("TRUE", "FALSE"):
+    kind, text, _ = p.peek()
+    if kind == "ident" and text.upper() not in ("TRUE", "FALSE"):
         ref = p.ident("column name")
         if ref != name:
             raise ValidationError(
@@ -641,12 +682,12 @@ def _parse_assignment(p: _Parser, schema: TableSchema) -> SetAssign | DeltaAssig
         else:
             raise p.error("'+' or '-'")
         amount = p.peek()
-        if amount.kind != "int":
+        if amount[0] != "int":
             raise p.error("integer literal")
-        p.take()
+        p.idx += 1
         if col.modifier is not Modifier.ADDITIVE:
             raise ValidationError(f"column {name} is not ADDITIVE, use {name} = value")
-        return DeltaAssign(name, sign * int(amount.text))
+        return DeltaAssign(name, sign * _int(amount))
     value = p.literal()
     if col.modifier is Modifier.ADDITIVE:
         raise ValidationError(
@@ -667,13 +708,12 @@ def _parse_delete(p: _Parser, catalog: Catalog) -> Delete:
 
 
 def _parse_select(p: _Parser, catalog: Catalog) -> Select:
-    columns: list[str] | None
-    if p.accept_sym("*"):
-        columns = None
-    else:
-        columns = [p.ident("column name")]
+    columns: tuple[str, ...] | None = None
+    if not p.accept_sym("*"):
+        names = [p.ident("column name")]
         while p.accept_sym(","):
-            columns.append(p.ident("column name"))
+            names.append(p.ident("column name"))
+        columns = tuple(names)
     p.expect_keyword("FROM")
     table = p.ident("table name")
     schema = catalog.table(table)
@@ -685,7 +725,8 @@ def _parse_select(p: _Parser, catalog: Catalog) -> Select:
 
 def _parse_where(p: _Parser, schema: TableSchema) -> Where | None:
     if not p.accept_keyword("WHERE"):
-        if p.peek().kind == "eof" or p.peek().text == ";":
+        kind, text, _ = p.peek()
+        if kind == "eof" or text == ";":
             return None
         raise p.error("WHERE or end of statement")
     column = p.ident("column name")

@@ -2,6 +2,8 @@
 
 import pytest
 
+import aqldb.schema as sch
+
 from aqldb.errors import AqlSyntaxError, ValidationError
 from aqldb.schema import (
     Modifier,
@@ -289,3 +291,89 @@ class TestStatements:
     def test_trailing_garbage(self, catalog):
         with pytest.raises(AqlSyntaxError):
             parse_statement("SELECT * FROM Artists garbage", catalog)
+
+
+class TestCaches:
+    """Parsed catalogs and statements are shared, so they must be immutable
+    and a cached answer must equal a fresh parse."""
+
+    def test_same_text_same_statement(self, catalog):
+        text = "UPDATE Artists SET Plays = Plays + 1 WHERE Name = 'Sam'"
+        assert parse_statement(text, catalog) is parse_statement(text, catalog)
+
+    def test_statement_cache_is_per_catalog(self):
+        two = parse_schema_text("CREATE TABLE T (K INT PRIMARY KEY, V INT);")
+        three = parse_schema_text("CREATE TABLE T (K INT PRIMARY KEY, V INT, W INT);")
+        short, long = "INSERT INTO T VALUES (1, 2)", "INSERT INTO T VALUES (1, 2, 3)"
+        for _ in range(2):
+            assert parse_statement(short, two).values == {"K": 1, "V": 2}
+            with pytest.raises(ValidationError):
+                parse_statement(short, three)
+            assert parse_statement(long, three).values == {"K": 1, "V": 2, "W": 3}
+            with pytest.raises(ValidationError):
+                parse_statement(long, two)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT * FROM Artists garbage",
+            "UPDATE Artists SET Plays = 'x' WHERE Name = 'Sam'",
+            "INSERT INTO Artists VALUES ('Sam', TRUE)",
+        ],
+        ids=["syntax", "type", "arity"],
+    )
+    def test_failing_text_fails_alike_every_call(self, catalog, text):
+        seen = set()
+        for _ in range(3):
+            with pytest.raises((AqlSyntaxError, ValidationError)) as err:
+                parse_statement(text, catalog)
+            seen.add((type(err.value), str(err.value), getattr(err.value, "position", None)))
+        assert len(seen) == 1
+        assert text not in catalog.statements
+
+    def test_statements_are_immutable(self, catalog):
+        insert = parse_statement("INSERT INTO Artists VALUES ('Sam', TRUE, 0)", catalog)
+        update = parse_statement(
+            "UPDATE Artists SET Active = FALSE, Plays = Plays + 2 WHERE Name = 'Sam'", catalog
+        )
+        select = parse_statement("SELECT Name FROM Artists", catalog)
+        with pytest.raises(AttributeError):
+            insert.table = "Albums"
+        with pytest.raises(TypeError):
+            insert.values["Name"] = "Ana"
+        with pytest.raises(AttributeError):
+            update.where.value = "Ana"
+        with pytest.raises(AttributeError):
+            update.assignments[0].value = True
+        assert isinstance(update.assignments, tuple)
+        assert select.columns == ("Name",)
+
+    def test_same_schema_text_same_catalog(self):
+        assert parse_schema_text(MUSIC) is parse_schema_text(MUSIC)
+
+    def test_statement_cache_is_bounded(self):
+        cat = parse_schema_text("CREATE TABLE Bounded (K INT PRIMARY KEY);")
+        limit = sch.STATEMENT_CACHE_LIMIT
+        for k in range(limit + 5):
+            stmt = parse_statement(f"DELETE FROM Bounded WHERE K = {k}", cat)
+            assert stmt.where.value == k
+            assert len(cat.statements) <= limit
+        assert len(cat.statements) == 5
+
+    def test_schema_cache_is_bounded(self):
+        limit = sch.SCHEMA_CACHE_LIMIT
+        for k in range(limit + 5):
+            cat = parse_schema_text(f"CREATE TABLE S{k} (K INT PRIMARY KEY);")
+            assert cat.table(f"S{k}").primary_key == "K"
+            assert len(sch._catalogs) <= limit
+
+
+def test_catalog_lookups(catalog):
+    albums = catalog.table("Albums")
+    assert albums.column("Genre") is albums.columns[3]
+    assert albums.has_column("Stock") and not albums.has_column("Nope")
+    with pytest.raises(ValidationError):
+        albums.column("Nope")
+    assert [c.name for c in albums.non_pk_columns] == ["Artist", "Stock", "Genre"]
+    assert catalog.referencing("Albums") == ()
+    assert catalog.referencing("Artists") is catalog.referencing("Artists")
