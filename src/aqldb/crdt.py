@@ -4,6 +4,11 @@ Every type here is a state-based CRDT. merge() is commutative, associative and
 idempotent, and operations return new states instead of mutating the receiver.
 Callers are responsible for issuing fresh stamps and version counters; the
 types themselves only enforce the lattice rules.
+
+No state keeps a zero entry: the incs, decs and transfers of a counter and
+the counts of a version vector are all positive. canon() drops zeros, so
+this is what makes two states equal exactly when their canon texts are, and
+lets replicas compare stores by value.
 """
 
 from __future__ import annotations

@@ -155,8 +155,36 @@ class Cluster:
         return dump_all(self.replica(rid).store, self.catalog)
 
     def converged(self) -> bool:
-        canons = {store_canon(rep.store) for rep in self.replicas.values()}
-        return len(canons) == 1
+        """Every replica's rows equal the others', compared by value: the
+        same tables, keys, cell states, flags and generations. Only
+        Store.tables counts; the children index and the version are local.
+        This equals comparing store_canon texts, which render exactly those
+        rows: no state keeps a zero entry that canon would drop, and columns
+        are typed, so True and 1 never share a cell. Dict equality stops at
+        the first difference, and cell states that replicas share by
+        identity compare at once."""
+        first, *rest = (rep.store.tables for rep in self.replicas.values())
+        return all(tables == first for tables in rest)
+
+    def divergence(self) -> str:
+        """Where the replicas differ, when converged() is False: the first
+        row, in store_canon order, that differs between the first replica
+        and another one. Store.ensure, the only place a table is added,
+        adds a row with it, so unequal stores differ in some row."""
+        base_rid, *others = self.replica_ids
+        base = self.replicas[base_rid].store.tables
+        found = []
+        for rid in others:
+            tables = self.replicas[rid].store.tables
+            for table in base.keys() | tables.keys():
+                mine, theirs = base.get(table, {}), tables.get(table, {})
+                found += [
+                    (table, render_scalar(pk), rid)
+                    for pk in mine.keys() | theirs.keys()
+                    if mine.get(pk) != theirs.get(pk)
+                ]
+        table, pk, rid = min(found)
+        return f"replica states differ at {table}/{pk} ({base_rid} vs {rid})"
 
 
 def store_canon(store: Store) -> str:
@@ -299,6 +327,8 @@ class Runner:
         self.ledger: dict[tuple, int] = {}
         # rid -> (store version, [(action, problem)]) of its last audit
         self.audited: dict[str, tuple[int, list[tuple[str, str]]]] = {}
+        # (lock table version, [problem]) of the last lock safety audit
+        self.lock_audit: tuple[int, list[str]] | None = None
 
     # ---- event dispatch
 
@@ -442,7 +472,7 @@ class Runner:
         detail = ""
         if not ok:
             dumps = {rid: self.cluster.dumps(rid) for rid in self.cluster.replica_ids}
-            detail = f"replica states differ: {dumps!r}"
+            detail = f"{self.cluster.divergence()}: {dumps!r}"
         self.report.step(event.line, "assert converged", ok, detail)
 
     def _outcome(self, txid: str, expect: str | None, action) -> tuple[bool, str]:
@@ -476,9 +506,13 @@ class Runner:
 
     def _audit(self, event: Event) -> None:
         """Report lock safety, and the integrity and check findings of every
-        replica. Those are a function of the store and the fixed catalog, so
-        a store whose version has not moved reports its saved findings."""
-        for problem in self.cluster.locks.safety_violations():
+        replica. Those are a function of the lock table, or of the store and
+        the fixed catalog, so a lock table or a store whose version has not
+        moved reports its saved findings."""
+        locks = self.cluster.locks
+        if self.lock_audit is None or self.lock_audit[0] != locks.version:
+            self.lock_audit = (locks.version, locks.safety_violations())
+        for problem in self.lock_audit[1]:
             self.report.step(event.line, "lock safety", False, problem)
         for rid in self.cluster.replica_ids:
             store = self.cluster.replica(rid).store
@@ -499,7 +533,7 @@ class Runner:
         self.cluster.quiesce()
         self._audit(Event("heal", {}, 0))
         if not self.cluster.converged():
-            self.report.step(0, "convergence after quiesce", False, "replica states differ")
+            self.report.step(0, "convergence after quiesce", False, self.cluster.divergence())
         for rid, queue in self.cluster.queues.items():
             undelivered = [r for r in queue if not self.cluster.replica(rid).delivered(r)]
             if undelivered:

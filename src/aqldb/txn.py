@@ -173,13 +173,17 @@ class LockState:
 
 
 class LockManager:
-    """Replica-level ownership plus transaction-level grants for every lock."""
+    """Replica-level ownership plus transaction-level grants for every lock.
+    acquire and release_all, the only places the lock table changes, bump
+    version first (release_all only when there is something to release), so
+    an unchanged version means an unchanged table."""
 
     def __init__(self, replica_ids: Iterable[str], hooks: ClusterHooks | None = None):
         self.replica_ids = sorted(replica_ids)
         self.hooks = hooks if hooks is not None else LocalHooks()
         self.locks: dict[str, LockState] = {}
         self.coordinator_requests = 0
+        self.version = 0
 
     @property
     def coordinator(self) -> str:
@@ -191,6 +195,8 @@ class LockManager:
         return self.locks[lock_id]
 
     def acquire(self, tx: Transaction, lock_id: str, mode: Mode) -> None:
+        # Ownership may move before a conflict raises, so bump first.
+        self.version += 1
         st = self._state(lock_id)
         replica = tx.origin
         current = tx.held.get(lock_id)
@@ -265,6 +271,8 @@ class LockManager:
                 pass  # keep stronger ownership
 
     def release_all(self, tx: Transaction) -> None:
+        if tx.held:
+            self.version += 1
         for lock_id in tx.held:
             st = self.locks.get(lock_id)
             if st is not None:

@@ -130,3 +130,54 @@ def test_merge_absorbs_earlier_state(kind):
         ab = a.merge(b)
         assert ab.merge(a) == ab
         assert ab.merge(b) == ab
+
+
+def zero_entries(state) -> list:
+    """Entries of a state that hold zero: counter incs and decs, bounded
+    counter transfers, and the counts of multi-value versions. canon()
+    drops zeros, so value equality matches canon equality only while this
+    stays empty."""
+    maps = []
+    if isinstance(state, AdditiveCounter):
+        maps += [state.incs, state.decs]
+    if isinstance(state, BoundedCounter):
+        maps.append(state.transfers)
+    if isinstance(state, MvRegister):
+        maps += [dict(version) for _, version in state.entries]
+    return [(key, value) for m in maps for key, value in m.items() if value == 0]
+
+
+def derived_states(a, b, rng: random.Random):
+    """a and b merged, plus what every operation of their kind makes of a."""
+    yield a.merge(b)
+    if isinstance(a, MvRegister):
+        for r in REPLICAS:
+            yield a.assign("v", {**a.max_versions(), "r9": 0}, r)
+    if isinstance(a, AdditiveCounter):
+        for r in REPLICAS:
+            yield a.slice_for(r)
+            for delta in range(-3, 4):
+                yield a.add(r, delta)
+    if isinstance(a, BoundedCounter):
+        for r in REPLICAS:
+            for delta in range(-3, 4):
+                if a.consumption_units(delta) <= a.free(r):
+                    yield a.apply_delta(r, delta)
+            for dst in REPLICAS:
+                if dst != r and a.free(r) > 0:
+                    yield a.transfer(r, dst, rng.randrange(1, a.free(r) + 1))
+        for bound in (Bound("lower", 0), Bound("lower", 2), Bound("upper", 6)):
+            initial = bound.limit + rng.randrange(0, 5) * (1 if bound.direction == "lower" else -1)
+            yield BoundedCounter.create(bound, initial, REPLICAS, rng.choice(REPLICAS))
+
+
+@pytest.mark.parametrize("kind", sorted(GENERATORS))
+def test_no_zero_entries(kind):
+    """No operation leaves a zero entry in a state (see crdt's docstring)."""
+    gen = GENERATORS[kind]
+    rng = random.Random(f"zero-{kind}")
+    for _ in range(500):
+        a, b = gen(rng), gen(rng)
+        assert zero_entries(a) == [] and zero_entries(b) == []
+        for state in derived_states(a, b, rng):
+            assert zero_entries(state) == [], state

@@ -8,8 +8,8 @@ import os
 import pytest
 
 import aqldb.schema as sch
-from aqldb.crdt import EventStamp, LwwRegister, render_scalar
-from aqldb.engine import RowView, constraint_violations, integrity_violations, visible_rows
+from aqldb.crdt import AdditiveCounter, BoundedCounter, EventStamp, LwwRegister, MvRegister, render_scalar
+from aqldb.engine import RowView, constraint_violations, integrity_violations, ref_cell, visible_rows
 from aqldb.errors import CheckViolation, ScenarioError
 from aqldb.sim import (
     FUZZ_SCHEMA,
@@ -110,6 +110,21 @@ class TestRunner:
         with pytest.raises(ScenarioError):
             run_scenario(scenario)
 
+    def test_divergence_is_named(self):
+        runner = Runner(sch.parse_schema_text(FUZZ_SCHEMA), ["r1", "r2"], lenient=True)
+        runner.apply(Event("txblock", {"rid": "r1", "txid": "a", "stmts": [
+            "INSERT INTO Artists VALUES ('Sam', TRUE, 1)",
+            "INSERT INTO Albums VALUES ('A1', 'Sam', 1, 'rock')",
+        ]}, 1))
+        runner.apply(Event("deliver", {"rid": None}, 2))
+        assert runner.report.ok, runner.report.failures
+        runner.cluster.replica("r2")._apply_delta(RowDelta("Albums", "A1", generation=7))
+        runner.apply(Event("assert_converged", {}, 3))
+        runner.finish()
+        where = "replica states differ at Albums/A1 (r1 vs r2)"
+        assert runner.report.failures[0].startswith(f"line 3: assert converged: {where}: {{")
+        assert runner.report.failures[1:] == [f"convergence after quiesce: {where}"]
+
     def test_expected_error_keeps_report_green(self):
         text = SIMPLE + "\ntx dup @r1 expect DuplicateKey { INSERT INTO T VALUES ('x', 1) }"
         report = run_scenario(parse_scenario(text, "expected"))
@@ -165,6 +180,86 @@ class TestCluster:
         a = store_canon(cluster.replica("r1").store)
         b = store_canon(cluster.replica("r2").store)
         assert a == b != ""
+
+    def test_rows_merged_in_different_orders_converge(self):
+        cluster = self.make()
+        r1, r2 = cluster.replica("r1"), cluster.replica("r2")
+        cluster.partition([["r1"], ["r2"], ["r3"]])
+        for rep, stmts in (
+            (r1, ["INSERT INTO Artists VALUES ('Sam', TRUE, 1)", "INSERT INTO Artists VALUES ('Ana', TRUE, 2)"]),
+            (r2, ["INSERT INTO Artists VALUES ('Ana', FALSE, 3)", "INSERT INTO Artists VALUES ('Kim', TRUE, 4)"]),
+        ):
+            tx = rep.begin()
+            for sql in stmts:
+                rep.execute(tx, sql)
+            cluster.commit(tx)
+        cluster.heal()
+        cluster.deliver_all()
+        # r1 merged r2's commit into its own and r2 the reverse, so rows and
+        # counter entries sit in different insertion orders.
+        a, b = r1.store.tables["Artists"], r2.store.tables["Artists"]
+        assert list(a) != list(b)
+        assert list(a["Ana"].cells["Plays"].incs) != list(b["Ana"].cells["Plays"].incs)
+        assert cluster.converged()
+        assert len({store_canon(rep.store) for rep in cluster.replicas.values()}) == 1
+
+    def converged_pair(self):
+        """Two replicas holding the same artist, album, review and account."""
+        cluster = self.make(("r1", "r2"))
+        r1 = cluster.replica("r1")
+        tx = r1.begin()
+        for sql in (
+            "INSERT INTO Artists VALUES ('Sam', TRUE, 1)",
+            "INSERT INTO Albums VALUES ('A1', 'Sam', 2, 'rock')",
+            "INSERT INTO Reviews VALUES (1, 'A1', 3)",
+            "INSERT INTO Accounts VALUES ('a', 10)",
+        ):
+            r1.execute(tx, sql)
+        cluster.commit(tx)
+        cluster.deliver_all()
+        assert cluster.converged()
+        return cluster
+
+    @pytest.mark.parametrize("case", [
+        "counter entry", "transfers entry", "flag", "generation", "invisible row", "reference cell",
+    ])
+    def test_one_difference_is_not_converged(self, case):
+        cluster = self.converged_pair()
+        r2 = cluster.replica("r2")
+        balance = r2.store.row("Accounts", "a").cells["Balance"]
+        delta = {
+            "counter entry": RowDelta("Artists", "Sam", {"Plays": AdditiveCounter({"r2": 1})}),
+            "transfers entry": RowDelta("Accounts", "a", {
+                "Balance": BoundedCounter(bound=balance.bound, transfers={("r2", "r1"): 1}),
+            }),
+            "flag": RowDelta("Artists", "Sam", visibility=MvRegister().assign("D", {}, "r2", 9)),
+            "generation": RowDelta("Albums", "A1", generation=7),
+            "invisible row": RowDelta("Reviews", 9),
+            "reference cell": RowDelta("Albums", "A1", {
+                ref_cell("Artist"): LwwRegister(("Sam", 2), EventStamp(9, "r2")),
+            }),
+        }[case]
+        r2._apply_delta(delta)
+        assert not cluster.converged()
+        assert store_canon(cluster.replica("r1").store) != store_canon(r2.store)
+        where = f"{delta.table}/{render_scalar(delta.pk)}"
+        assert cluster.divergence() == f"replica states differ at {where} (r1 vs r2)"
+        if case == "invisible row":
+            assert cluster.dumps("r1") == cluster.dumps("r2")
+
+    def test_divergence_names_the_first_row_in_canon_order(self):
+        cluster = self.make()
+        r1 = cluster.replica("r1")
+        tx = r1.begin()
+        r1.execute(tx, "INSERT INTO Artists VALUES ('Sam', TRUE, 1)")
+        r1.execute(tx, "INSERT INTO Albums VALUES ('A1', 'Sam', 2, 'rock')")
+        cluster.commit(tx)
+        cluster.deliver_all()
+        assert cluster.converged()
+        cluster.replica("r2")._apply_delta(RowDelta("Artists", "Sam", generation=7))
+        assert cluster.divergence() == "replica states differ at Artists/Sam (r1 vs r2)"
+        cluster.replica("r3")._apply_delta(RowDelta("Albums", "A1", generation=7))
+        assert cluster.divergence() == "replica states differ at Albums/A1 (r1 vs r3)"
 
     def test_sequential_ids_gap_free_across_replicas(self):
         cluster = self.make()
@@ -409,15 +504,27 @@ class TestPointReads:
         assert snapshots > 0
 
 
+def lock_table(locks) -> dict:
+    """Everything safety_violations reads of a lock manager, as plain values."""
+    return {
+        lock_id: (st.exclusive_owner, frozenset(st.shared_owners), dict(st.holders))
+        for lock_id, st in locks.locks.items()
+    }
+
+
 class MemoCheckingRunner(Runner):
-    """After every event, checks the audit memo at every replica: a store
+    """After every event, checks the audit memos. At every replica, a store
     whose version has not moved has an unchanged store_canon, and the saved
-    findings equal a fresh audit of the store."""
+    findings equal a fresh audit of the store. Likewise, a lock table whose
+    version has not moved is unchanged, and the saved lock findings equal a
+    fresh safety_violations()."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.seen: dict[str, tuple[int, str]] = {}
         self.moved = self.kept = 0
+        self.locks_seen: tuple[int, dict] | None = None
+        self.locks_moved = self.locks_kept = 0
         self.mismatches: list[str] = []
 
     def apply(self, event):
@@ -425,6 +532,19 @@ class MemoCheckingRunner(Runner):
         self.check_memo(event.line)
 
     def check_memo(self, line):
+        locks = self.cluster.locks
+        table = lock_table(locks)
+        if self.locks_seen is not None:
+            version, before = self.locks_seen
+            if version != locks.version:
+                self.locks_moved += 1
+            elif before == table:
+                self.locks_kept += 1
+            else:
+                self.mismatches.append(f"{self.report.name} line {line}: lock version kept, lock table changed")
+        self.locks_seen = (locks.version, table)
+        if self.lock_audit != (locks.version, locks.safety_violations()):
+            self.mismatches.append(f"{self.report.name} line {line}: {self.lock_audit} != fresh lock audit")
         for rid in self.cluster.replica_ids:
             store = self.cluster.replica(rid).store
             canon = store_canon(store)
@@ -445,23 +565,27 @@ class MemoCheckingRunner(Runner):
 
 class TestAudit:
     def test_memo_is_sound_on_scenarios(self):
-        mismatches, moved, kept = [], 0, 0
+        mismatches, moved, kept, locks_moved, locks_kept = [], 0, 0, 0, 0
         for runner in scenario_runs(MemoCheckingRunner):
             mismatches += runner.mismatches
             moved, kept = moved + runner.moved, kept + runner.kept
+            locks_moved, locks_kept = locks_moved + runner.locks_moved, locks_kept + runner.locks_kept
         assert mismatches == []
         assert moved > 0 and kept > 0
+        assert locks_moved > 0 and locks_kept > 0
 
     @pytest.mark.parametrize("schema_text", [FUZZ_SCHEMA, MV_FK_SCHEMA], ids=["lww", "multi_value"])
     def test_memo_is_sound_on_fuzz(self, schema_text):
-        mismatches, moved, kept = [], 0, 0
+        mismatches, moved, kept, locks_moved, locks_kept = [], 0, 0, 0, 0
         for runner, _ in fuzz_runs(schema_text, MemoCheckingRunner):
             runner.finish()
             runner.check_memo(0)
             mismatches += runner.mismatches
             moved, kept = moved + runner.moved, kept + runner.kept
+            locks_moved, locks_kept = locks_moved + runner.locks_moved, locks_kept + runner.locks_kept
         assert mismatches == []
         assert moved > 0 and kept > 0
+        assert locks_moved > 0 and locks_kept > 0
 
     def test_finding_is_reported_at_every_later_event(self):
         # A Stars = 9 cell merged straight into r1's store bypasses the
@@ -480,6 +604,53 @@ class TestAudit:
         runner.apply(Event("partition", {"groups": [["r1"], ["r2"]]}, 3))
         finding = "constraints at r1: Reviews/1.Stars = 9 violates its check"
         assert runner.report.failures == [f"line 2: {finding}", f"line 3: {finding}"]
+
+
+class ConvergenceCheckingRunner(Runner):
+    """After every event, checks that converged(), which compares the stores
+    by value, agrees with comparing their store_canon texts, and that a
+    failing check can name a differing row."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.verdicts = {True: 0, False: 0}
+        self.mismatches: list[str] = []
+
+    def apply(self, event):
+        super().apply(event)
+        self.check_converged(event.line)
+
+    def check_converged(self, line):
+        by_value = self.cluster.converged()
+        by_canon = len({store_canon(rep.store) for rep in self.cluster.replicas.values()}) == 1
+        self.verdicts[by_value] += 1
+        if by_value != by_canon:
+            self.mismatches.append(f"{self.report.name} line {line}: converged() is {by_value}, canon says {by_canon}")
+        if not by_value:
+            self.cluster.divergence()  # names a row, or raises
+
+
+class TestConvergence:
+    def test_agrees_with_store_canon_on_scenarios(self):
+        mismatches, verdicts = [], {True: 0, False: 0}
+        for runner in scenario_runs(ConvergenceCheckingRunner):
+            runner.finish()
+            runner.check_converged(0)
+            mismatches += runner.mismatches
+            verdicts = {v: verdicts[v] + runner.verdicts[v] for v in verdicts}
+        assert mismatches == []
+        assert verdicts[True] > 0 and verdicts[False] > 0
+
+    @pytest.mark.parametrize("schema_text", [FUZZ_SCHEMA, MV_FK_SCHEMA], ids=["lww", "multi_value"])
+    def test_agrees_with_store_canon_on_fuzz(self, schema_text):
+        mismatches, verdicts = [], {True: 0, False: 0}
+        for runner, _ in fuzz_runs(schema_text, ConvergenceCheckingRunner):
+            runner.finish()
+            runner.check_converged(0)
+            mismatches += runner.mismatches
+            verdicts = {v: verdicts[v] + runner.verdicts[v] for v in verdicts}
+        assert mismatches == []
+        assert verdicts[True] > 0 and verdicts[False] > 0
 
 
 class TestFuzz:
