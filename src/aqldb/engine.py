@@ -326,6 +326,8 @@ class Replica:
         if txid is None:
             self.txn_counter += 1
             txid = f"{self.rid}-t{self.txn_counter}"
+        if txid in self.active:
+            raise ValidationError(f"transaction {txid} is already active")
         tx = Transaction(txid, self.rid, Snapshot(self.store))
         self.active[txid] = tx
         return tx
@@ -333,9 +335,9 @@ class Replica:
     def execute(self, tx: Transaction, statement):
         if tx.status is not TxStatus.ACTIVE:
             raise ValidationError(f"transaction {tx.txid} is {tx.status.value}")
-        if isinstance(statement, str):
-            statement = sch.parse_statement(statement, self.catalog)
         try:
+            if isinstance(statement, str):
+                statement = sch.parse_statement(statement, self.catalog)
             if isinstance(statement, sch.Insert):
                 return self._exec_insert(tx, statement)
             if isinstance(statement, sch.Update):

@@ -10,6 +10,7 @@ event runner.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, field
 
 from . import schema as sch
@@ -353,12 +354,19 @@ class Runner:
             raise ScenarioError(f"line {event.line}: unknown transaction {txid}")
         return tx
 
+    def _unused_txid(self, event: Event) -> bool:
+        """Whether event names a new transaction; a used txid raises, or
+        skips the event when lenient."""
+        if event.args["txid"] not in self.txs:
+            return True
+        if self.lenient:
+            return False
+        raise ScenarioError(f"line {event.line}: transaction {event.args['txid']} already exists")
+
     def _ev_begin(self, event: Event) -> None:
         rid, txid = event.args["rid"], event.args["txid"]
-        if txid in self.txs:
-            if self.lenient:
-                return
-            raise ScenarioError(f"line {event.line}: transaction {txid} already exists")
+        if not self._unused_txid(event):
+            return
         self.txs[txid] = self.cluster.replica(rid).begin(txid)
         self.outcomes[txid] = "active"
         self.report.step(event.line, f"begin {txid} @{rid}", True)
@@ -402,6 +410,8 @@ class Runner:
 
     def _ev_txblock(self, event: Event) -> None:
         rid, txid = event.args["rid"], event.args["txid"]
+        if not self._unused_txid(event):
+            return
         rep = self.cluster.replica(rid)
         tx = rep.begin(txid)
         self.txs[txid] = tx
@@ -575,6 +585,58 @@ class Runner:
 # --------------------------------------------------------------------------
 # scenario scripts
 
+_EXPECT = r"(?:\s+expect\s+(?P<expect>\w+))?"
+_AT = r"\s+@(?P<rid>\S+)"
+_KEY = _AT + r"\s+(?P<table>\S+)\s+(?P<pk>.+?)"
+
+
+def _flags(text: str) -> list[str]:
+    flags = [f.strip() for f in text.split(",") if f.strip()]
+    bad = [f for f in flags if f not in VALID_FLAGS]
+    if bad:
+        raise ScenarioError(f"unknown flags {bad}")
+    return flags
+
+
+def _groups(text: str) -> list[list[str]]:
+    groups = [g.split() for g in text.split("|") if g.split()]
+    if len(groups) < 2:
+        raise ScenarioError("partition needs at least two groups separated by |")
+    return groups
+
+
+# Captured fields that are not kept as written.
+_CONVERT = {"pk": sch.parse_literal, "flags": _flags, "groups": _groups}
+
+# The one-line directives, by head word(s): event kind, full-line pattern,
+# usage, and the args every event of the form carries. Keywords match in any
+# case; identifiers keep the case they are written in.
+_FORMS = {
+    head: (kind, re.compile(pattern, re.IGNORECASE), usage, fixed)
+    for head, kind, pattern, usage, fixed in (
+        ("begin", "begin", r"begin\s+(?P<txid>\S+)" + _AT, "begin <txid> @<replica>", {}),
+        ("stmt", "stmt", r"stmt\s+(?P<txid>[^\s:]+)" + _EXPECT + r"\s*:\s*(?P<sql>.+?);*",
+         "stmt <txid> [expect <ErrorKind>]: <statement>", {}),
+        ("commit", "commit", r"commit\s+(?P<txid>\S+)" + _EXPECT, "commit <txid> [expect <ErrorKind>]", {}),
+        ("abort", "abort", r"abort\s+(?P<txid>\S+)", "abort <txid>", {"expect": None}),
+        ("deliver_all", "deliver", r"deliver_all", "deliver_all", {"rid": None}),
+        ("deliver", "deliver", r"deliver" + _AT, "deliver @<replica>", {}),
+        ("partition", "partition", r"partition\s+(?P<groups>.+)", "partition <replicas> | <replicas> ...", {}),
+        ("heal", "heal", r"heal", "heal", {}),
+        ("assert converged", "assert_converged", r"assert\s+converged", "assert converged", {}),
+        ("assert visible", "assert_visible", r"assert\s+visible" + _KEY,
+         "assert visible @<replica> <table> <key>", {"expected": True}),
+        ("assert invisible", "assert_visible", r"assert\s+invisible" + _KEY,
+         "assert invisible @<replica> <table> <key>", {"expected": False}),
+        ("assert flags", "assert_flags", r"assert\s+flags" + _KEY + r"\s*\{(?P<flags>[^{}]*)\}",
+         "assert flags @<replica> <table> <key> {I,D}", {}),
+        ("assert outcome", "assert_outcome", r"assert\s+outcome\s+(?P<txid>\S+)\s+(?P<outcome>\S+)",
+         "assert outcome <txid> <committed|aborted|ErrorKind>", {}),
+    )
+}
+_TX = re.compile(r"tx\s+(?P<txid>[^\s{]+)\s+@(?P<rid>[^\s{]+)" + _EXPECT + r"\s*\{(?P<body>.*)", re.IGNORECASE)
+
+
 def parse_scenario(text: str, name: str = "scenario") -> Scenario:
     lines = text.splitlines()
     replicas: list[str] | None = None
@@ -592,197 +654,71 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         legitimately contain a # character.
         """
         body = []
-        j = start
-        while j < len(lines):
+        for j in range(start, len(lines)):
             candidate = _strip_comment(lines[j]) if comments else lines[j]
             if candidate.strip() == "}":
                 return body, j + 1
             body.append(candidate)
-            j += 1
         fail(start, f"unterminated {what} block")
 
-    def replica_ref(line_no: int, word: str) -> str:
-        if not word.startswith("@"):
-            fail(line_no, f"expected @replica, got {word!r}")
-        return word[1:]
-
-    def scalar(line_no: int, text: str):
-        try:
-            return sch.parse_literal(text)
-        except AqlError as err:
-            fail(line_no, f"bad key literal {text!r}: {err}")
+    def directive(line_no: int, head: str, line: str) -> Event:
+        kind, pattern, usage, fixed = _FORMS[head]
+        match = pattern.fullmatch(line)
+        if match is None:
+            fail(line_no, f"usage: {usage}")
+        args = dict(fixed)
+        for key, value in match.groupdict().items():
+            try:
+                args[key] = _CONVERT[key](value) if key in _CONVERT else value
+            except AqlError as err:
+                fail(line_no, f"bad {key} {value!r}: {err}")
+        return Event(kind, args, line_no)
 
     while i < len(lines):
         line_no = i + 1
         stripped = _strip_comment(lines[i]).strip()
+        i += 1
         if not stripped:
-            i += 1
             continue
         words = stripped.split()
         head = words[0].lower()
+        if head == "assert" and len(words) > 1:
+            head = f"assert {words[1].lower()}"
 
         if head == "replicas":
             if len(words) < 2:
                 fail(line_no, "replicas needs at least one id")
             replicas = words[1:]
-            i += 1
         elif head == "schema":
-            if not stripped.endswith("{"):
-                fail(line_no, "schema must open a { block")
-            body, i = block(i + 1, "schema")
+            if words[1:] != ["{"]:
+                fail(line_no, "usage: schema {")
+            body, i = block(i, "schema")
             schema_text = "\n".join(body)
         elif head == "tx":
-            # tx <txid> @<replica> [expect <ErrorKind>] { ... }
             # The body may be inline on one line or span until a lone }.
-            if "{" not in stripped:
-                fail(line_no, "tx must open a { block")
-            header_text, _, tail = stripped.partition("{")
-            header = header_text.split()[1:]
-            if len(header) < 2:
-                fail(line_no, "usage: tx <txid> @<replica> [expect <ErrorKind>] {")
-            txid, rid = header[0], replica_ref(line_no, header[1])
-            expect = None
-            rest = header[2:]
-            if rest:
-                if len(rest) != 2 or rest[0].lower() != "expect":
-                    fail(line_no, "tx header takes only: expect <ErrorKind>")
-                expect = rest[1]
-            if tail.strip().endswith("}"):
-                body = [tail.strip()[:-1]]
-                i += 1
-            elif tail.strip():
+            match = _TX.fullmatch(stripped)
+            if match is None:
+                fail(line_no, "usage: tx <txid> @<replica> [expect <ErrorKind>] { ... }")
+            tail = match["body"].strip()
+            if tail.endswith("}"):
+                body = [tail[:-1]]
+            elif tail:
                 fail(line_no, "tx body must follow { on the same line or start on the next")
             else:
-                body, i = block(i + 1, "tx")
+                body, i = block(i, "tx")
             stmts = [piece for chunk in body for piece in _split_statements(chunk)]
-            events.append(
-                Event("txblock", {"rid": rid, "txid": txid, "expect": expect, "stmts": stmts}, line_no)
-            )
-        elif head == "begin":
-            if len(words) != 3:
-                fail(line_no, "usage: begin <txid> @<replica>")
-            events.append(
-                Event("begin", {"txid": words[1], "rid": replica_ref(line_no, words[2])}, line_no)
-            )
-            i += 1
-        elif head == "stmt":
-            # stmt <txid> [expect <ErrorKind>]: <statement>
-            before, sep, sql = stripped.partition(":")
-            if not sep or not sql.strip():
-                fail(line_no, "usage: stmt <txid> [expect <ErrorKind>]: <statement>")
-            fields = before.split()
-            if len(fields) == 2:
-                expect = None
-            elif len(fields) == 4 and fields[2].lower() == "expect":
-                expect = fields[3]
-            else:
-                fail(line_no, "usage: stmt <txid> [expect <ErrorKind>]: <statement>")
-            events.append(
-                Event(
-                    "stmt",
-                    {"txid": fields[1], "expect": expect, "sql": sql.strip().rstrip(";")},
-                    line_no,
-                )
-            )
-            i += 1
-        elif head in ("commit", "abort"):
-            if len(words) not in (2, 4):
-                fail(line_no, f"usage: {head} <txid> [expect <ErrorKind>]")
-            expect = None
-            if len(words) == 4:
-                if words[2].lower() != "expect":
-                    fail(line_no, f"usage: {head} <txid> [expect <ErrorKind>]")
-                expect = words[3]
-            events.append(Event(head, {"txid": words[1], "expect": expect}, line_no))
-            i += 1
-        elif head == "deliver_all":
-            events.append(Event("deliver", {"rid": None}, line_no))
-            i += 1
-        elif head == "deliver":
-            if len(words) != 2:
-                fail(line_no, "usage: deliver_all | deliver @<replica>")
-            events.append(Event("deliver", {"rid": replica_ref(line_no, words[1])}, line_no))
-            i += 1
-        elif head == "partition":
-            groups = [g.split() for g in stripped[len("partition"):].split("|")]
-            groups = [g for g in groups if g]
-            if len(groups) < 2:
-                fail(line_no, "partition needs at least two groups separated by |")
-            events.append(Event("partition", {"groups": groups}, line_no))
-            i += 1
-        elif head == "heal":
-            events.append(Event("heal", {}, line_no))
-            i += 1
-        elif head == "assert":
-            if len(words) < 2:
-                fail(line_no, "empty assert")
-            what = words[1].lower()
-            if what == "converged":
-                events.append(Event("assert_converged", {}, line_no))
-                i += 1
-            elif what == "table":
-                if len(words) != 5 or words[4] != "{":
-                    fail(line_no, "usage: assert table @<replica> <table> { ... }")
-                body, i = block(i + 1, "assert table", comments=False)
-                rows = [b.strip() for b in body if b.strip()]
-                events.append(
-                    Event(
-                        "assert_table",
-                        {"rid": replica_ref(line_no, words[2]), "table": words[3], "lines": rows},
-                        line_no,
-                    )
-                )
-            elif what in ("visible", "invisible"):
-                parts = stripped.split(None, 4)
-                if len(parts) != 5:
-                    fail(line_no, f"usage: assert {what} @<replica> <table> <key>")
-                events.append(
-                    Event(
-                        "assert_visible",
-                        {
-                            "rid": replica_ref(line_no, parts[2]),
-                            "table": parts[3],
-                            "pk": scalar(line_no, parts[4]),
-                            "expected": what == "visible",
-                        },
-                        line_no,
-                    )
-                )
-                i += 1
-            elif what == "flags":
-                parts = stripped.split(None, 4)
-                if len(parts) != 5 or "{" not in parts[4]:
-                    fail(line_no, "usage: assert flags @<replica> <table> <key> {I,D}")
-                key_text, _, flag_text = parts[4].rpartition("{")
-                flag_text = flag_text.rstrip().rstrip("}")
-                flags = [f.strip() for f in flag_text.split(",") if f.strip()]
-                bad = [f for f in flags if f not in VALID_FLAGS]
-                if bad:
-                    fail(line_no, f"unknown flags {bad}")
-                events.append(
-                    Event(
-                        "assert_flags",
-                        {
-                            "rid": replica_ref(line_no, parts[2]),
-                            "table": parts[3],
-                            "pk": scalar(line_no, key_text.strip()),
-                            "flags": flags,
-                        },
-                        line_no,
-                    )
-                )
-                i += 1
-            elif what == "outcome":
-                if len(words) != 4:
-                    fail(line_no, "usage: assert outcome <txid> <committed|aborted|ErrorKind>")
-                events.append(
-                    Event("assert_outcome", {"txid": words[2], "outcome": words[3]}, line_no)
-                )
-                i += 1
-            else:
-                fail(line_no, f"unknown assert form {what!r}")
+            args = {"rid": match["rid"], "txid": match["txid"], "expect": match["expect"], "stmts": stmts}
+            events.append(Event("txblock", args, line_no))
+        elif head == "assert table":
+            if len(words) != 5 or words[4] != "{" or not words[2].startswith("@"):
+                fail(line_no, "usage: assert table @<replica> <table> { ... }")
+            body, i = block(i, "assert table", comments=False)
+            rows = [b.strip() for b in body if b.strip()]
+            events.append(Event("assert_table", {"rid": words[2][1:], "table": words[3], "lines": rows}, line_no))
+        elif head in _FORMS:
+            events.append(directive(line_no, head, stripped))
         else:
-            fail(line_no, f"unknown directive {words[0]!r}")
+            fail(line_no, f"unknown directive {head!r}")
 
     if replicas is None:
         raise ScenarioError(f"{name}: missing replicas directive")
@@ -824,31 +760,20 @@ def _validate_scenario(scenario: Scenario) -> None:
                 ) from err
 
 
+# Runs of text outside string literals, and string literals, which may be
+# left open at the end.
+_CODE = re.compile(r"(?:[^'#]+|'[^']*'?)*")
+_STATEMENT = re.compile(r"(?:[^';]+|'[^']*'?)+")
+
+
 def _strip_comment(line: str) -> str:
-    in_string = False
-    for idx, ch in enumerate(line):
-        if ch == "'":
-            in_string = not in_string
-        elif ch == "#" and not in_string:
-            return line[:idx]
-    return line
+    """The line up to the first # outside string literals."""
+    return line[:_CODE.match(line).end()]
 
 
 def _split_statements(chunk: str) -> list[str]:
     """Split on semicolons that sit outside string literals."""
-    parts: list[str] = []
-    buf: list[str] = []
-    in_string = False
-    for ch in chunk:
-        if ch == "'":
-            in_string = not in_string
-        if ch == ";" and not in_string:
-            parts.append("".join(buf))
-            buf = []
-        else:
-            buf.append(ch)
-    parts.append("".join(buf))
-    return [p.strip() for p in parts if p.strip()]
+    return [p.strip() for p in _STATEMENT.findall(chunk) if p.strip()]
 
 
 def run_scenario(scenario: Scenario, check_invariants: bool = True) -> Report:
@@ -959,6 +884,9 @@ CREATE TABLE Accounts (
 );
 """
 
+# The fuzzer keeps at most this many transactions open at once.
+_MAX_OPEN = 4
+
 _ARTISTS = ("Sam", "Ana", "Lee", "Kim")
 _ALBUMS = ("A1", "A2", "A3", "A4")
 _GENRES = ("rock", "jazz", "folk")
@@ -972,7 +900,6 @@ class FuzzConfig:
     events: int = 60
     schema_text: str = FUZZ_SCHEMA
     check_invariants: bool = True
-    max_open: int = 4
 
 
 @dataclass
@@ -1037,7 +964,7 @@ def _gen_events(config: FuzzConfig, rng: random.Random, rids: list[str], runner:
     for _ in range(config.events):
         open_txs = [txid for txid in open_txs if runner.txs[txid].status is TxStatus.ACTIVE]
         choices: list[tuple[int, str]] = []
-        if len(open_txs) < config.max_open:
+        if len(open_txs) < _MAX_OPEN:
             choices.append((20, "begin"))
         if open_txs:
             choices.extend(((45, "stmt"), (20, "commit"), (5, "abort")))

@@ -223,6 +223,8 @@ class LockManager:
         tx.held[lock_id] = mode
 
     def _transfer_ownership(self, st: LockState, lock_id: str, tx: Transaction, mode: Mode) -> None:
+        """Give tx's replica ownership of lock_id in mode, which it lacks; so
+        it is never the exclusive owner."""
         replica = tx.origin
         if not self.hooks.reachable(replica, self.coordinator):
             raise LockUnavailable(f"coordinator {self.coordinator} unreachable from {replica}")
@@ -252,7 +254,7 @@ class LockManager:
         # Revoking ownership hands over everything the old owners committed
         # under the lock; the requester must be able to catch up to them.
         needs_catch_up = sorted(previous) if mode is Mode.EXCLUSIVE else (
-            [st.exclusive_owner] if st.exclusive_owner and st.exclusive_owner != replica else []
+            [st.exclusive_owner] if st.exclusive_owner else []
         )
         if needs_catch_up and not self.hooks.catch_up(replica, needs_catch_up):
             raise LockUnavailable(
@@ -264,11 +266,9 @@ class LockManager:
             st.shared_owners = set()
         else:
             st.shared_owners = st.shared_owners | {replica}
-            if st.exclusive_owner is not None and st.exclusive_owner != replica:
+            if st.exclusive_owner is not None:
                 st.shared_owners.add(st.exclusive_owner)
                 st.exclusive_owner = None
-            elif st.exclusive_owner == replica:
-                pass  # keep stronger ownership
 
     def release_all(self, tx: Transaction) -> None:
         if tx.held:

@@ -17,6 +17,7 @@ from aqldb.engine import (
     is_visible,
 )
 from aqldb.errors import (
+    AqlSyntaxError,
     CheckViolation,
     DuplicateKey,
     FkParentMissing,
@@ -24,7 +25,7 @@ from aqldb.errors import (
     RowNotFound,
     ValidationError,
 )
-from aqldb.txn import LockManager
+from aqldb.txn import LockManager, TxStatus
 
 MUSIC = """
 CREATE UPDATE_WINS TABLE Artists (
@@ -179,6 +180,32 @@ class TestBasicStatements:
             r1.execute(tx, "DELETE FROM Artists WHERE Name = 'Ghost'")
         with pytest.raises(ValidationError):
             r1.execute(tx, "SELECT * FROM Artists")
+
+    @pytest.mark.parametrize("statement, error", [
+        ("INSERT INTO Plain VALUES (", AqlSyntaxError),
+        ("INSERT INTO Nope VALUES (1)", ValidationError),
+    ])
+    def test_unparsable_statement_aborts_tx(self, statement, error):
+        reps, _ = make_group()
+        r1 = reps["r1"]
+        tx = r1.begin()
+        r1.execute(tx, "INSERT INTO Plain VALUES (1, 'a')")
+        assert tx.held
+        with pytest.raises(error):
+            r1.execute(tx, statement)
+        assert tx.status is TxStatus.ABORTED
+        assert tx.held == {}
+        assert not any(st.holders for st in r1.locks.locks.values())
+
+    def test_begin_rejects_an_active_txid(self):
+        reps, _ = make_group()
+        r1 = reps["r1"]
+        tx = r1.begin("a")
+        with pytest.raises(ValidationError):
+            r1.begin("a")
+        assert r1.active["a"] is tx
+        r1.commit(tx)
+        assert r1.begin("a") is not tx
 
     def test_snapshot_isolation_within_tx(self):
         reps, _ = make_group()

@@ -48,16 +48,61 @@ assert table @r2 T {
 """
 
 
+def scenario_paths():
+    return sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.aqlsim")))
+
+
+def scenario_text(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+# The shipped scenarios the parse pin covers, listed so that a new file does
+# not move the digest.
+PINNED_SCENARIOS = (
+    "bounded_counter_concurrent_create",
+    "bounded_counter_guards_partition",
+    "bounded_insert_locks_across_partition",
+    "cascade_chain_three_tables",
+    "cascade_vs_insert_delete_wins",
+    "cascade_vs_touch_update_wins",
+    "concurrent_inserts_merge_or_reject",
+    "counter_sums_across_partition",
+    "delete_vs_insert_delete_wins",
+    "delete_vs_insert_update_wins",
+    "multivalue_fk_concurrent_delete",
+    "multivalue_keeps_conflicting_writes",
+    "restrict_blocks_parent_delete",
+    "stale_reference_after_reinsert",
+    "strict_table_locks_across_partition",
+    "update_vs_delete_both_policies",
+)
+
+
+def canonical_args(event):
+    """An event's args with its flag set in the sorted order render writes."""
+    if event.kind == "assert_flags":
+        return {**event.args, "flags": sorted(event.args["flags"])}
+    return event.args
+
+
 class TestParser:
-    def test_round_trip_through_render(self):
-        scenario = parse_scenario(SIMPLE, "simple")
+    def assert_round_trip(self, text):
+        scenario = parse_scenario(text, "original")
         text = "\n".join(
             ["replicas " + " ".join(scenario.replicas), "schema {", scenario.schema_text, "}"]
             + [e.render() for e in scenario.events]
         )
         again = parse_scenario(text, "again")
         assert [e.kind for e in again.events] == [e.kind for e in scenario.events]
-        assert [e.args for e in again.events] == [e.args for e in scenario.events]
+        assert [canonical_args(e) for e in again.events] == [canonical_args(e) for e in scenario.events]
+
+    def test_round_trip_through_render(self):
+        self.assert_round_trip(SIMPLE)
+
+    @pytest.mark.parametrize("path", scenario_paths(), ids=os.path.basename)
+    def test_shipped_scenario_round_trips_through_render(self, path):
+        self.assert_round_trip(scenario_text(path))
 
     def test_comments_and_quoting(self):
         text = SIMPLE.replace(
@@ -67,6 +112,13 @@ class TestParser:
         scenario = parse_scenario(text, "quoted")
         report = run_scenario(scenario)
         assert report.ok, report.failures
+
+    def test_semicolons_and_hashes_inside_strings(self):
+        line = "tx b @r1 { INSERT INTO T VALUES ('a;''#b', 1);; INSERT INTO T VALUES ('c', 2) }  # note; 'x"
+        scenario = parse_scenario(SIMPLE + line, "quoted")
+        assert scenario.events[-1].args["stmts"] == [
+            "INSERT INTO T VALUES ('a;''#b', 1)", "INSERT INTO T VALUES ('c', 2)",
+        ]
 
     def test_missing_replicas(self):
         with pytest.raises(ScenarioError):
@@ -97,6 +149,30 @@ class TestParser:
         with pytest.raises(ScenarioError):
             parse_scenario(SIMPLE + "\nassert flags @r1 T 'x' {Z}", "broken")
 
+    @pytest.mark.parametrize("line", [
+        "heal now",
+        "deliver_all r1",
+        "assert converged x",
+        "abort a expect DuplicateKey",
+    ])
+    def test_extra_words_rejected(self, line):
+        with pytest.raises(ScenarioError, match="usage: "):
+            parse_scenario(SIMPLE + "\nbegin a @r1\n" + line, "broken")
+
+    def test_parsed_scenarios_and_reports_are_pinned(self):
+        """Events, reports and their JSON for the shipped scenarios stay
+        exactly as they were. A deliberate change to the scenario language
+        or to what a report records updates the pin in the same change."""
+        digest = hashlib.sha256()
+        for name in PINNED_SCENARIOS:
+            scenario = load_scenario(os.path.join(SCENARIO_DIR, f"{name}.aqlsim"))
+            for event in scenario.events:
+                digest.update(json.dumps([event.kind, event.args, event.line], sort_keys=True).encode())
+            report = run_scenario(scenario)
+            digest.update(report.render().encode())
+            digest.update(json.dumps(report.to_json(), sort_keys=True).encode())
+        assert digest.hexdigest() == "a359f929b4f9e8e48d25abb15e6e1dc2984795c1cf3a332d6336dbb1c2f78fbf"
+
 
 class TestRunner:
     def test_assertion_failure_reported_not_raised(self):
@@ -109,6 +185,34 @@ class TestRunner:
         scenario = parse_scenario(SIMPLE + "\ncommit ghost", "broken")
         with pytest.raises(ScenarioError):
             run_scenario(scenario)
+
+    REUSED_TXID = """
+replicas r1
+schema {
+  CREATE TABLE T (K VARCHAR PRIMARY KEY, V VARCHAR);
+}
+begin a @r1
+stmt a: INSERT INTO T VALUES ('k', 'x')
+tx a @r1 { INSERT INTO T VALUES ('j', 'y') }
+"""
+
+    def test_strict_mode_rejects_a_reused_txid(self):
+        scenario = parse_scenario(self.REUSED_TXID, "reused")
+        with pytest.raises(ScenarioError, match="transaction a already exists"):
+            run_scenario(scenario)
+
+    def test_lenient_mode_skips_a_reused_txid(self):
+        scenario = parse_scenario(self.REUSED_TXID, "reused")
+        runner = Runner(scenario.catalog(), scenario.replicas, lenient=True)
+        runner.run(scenario.events)
+        assert [step["action"] for step in runner.report.steps] == [
+            "begin a @r1", "stmt a: INSERT INTO T VALUES ('k', 'x')",
+        ]
+        runner.finish()
+        assert runner.outcomes == {"a": "aborted"}
+        assert not any(st.holders for st in runner.cluster.locks.locks.values())
+        runner.apply(Event("txblock", {"rid": "r1", "txid": "b", "stmts": ["INSERT INTO T VALUES ('k', 'z')"]}, 9))
+        assert runner.outcomes["b"] == "committed", runner.report.failures
 
     def test_divergence_is_named(self):
         runner = Runner(sch.parse_schema_text(FUZZ_SCHEMA), ["r1", "r2"], lenient=True)
@@ -132,10 +236,6 @@ class TestRunner:
         assert not report.ok  # so expecting DuplicateKey must fail
         text2 = text.replace("expect DuplicateKey ", "")
         assert run_scenario(parse_scenario(text2, "merged")).ok
-
-
-def scenario_paths():
-    return sorted(glob.glob(os.path.join(SCENARIO_DIR, "*.aqlsim")))
 
 
 def test_scenario_suite_present():
