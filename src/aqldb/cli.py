@@ -2,9 +2,12 @@
 
 Subcommands:
   run           execute scenario scripts and report assertion results
-  fuzz          seeded random schedules with invariant checking
+  fuzz          seeded random schedules
   check-schema  parse a schema and echo its normalized form
   dump          run a scenario, then print every replica's visible state
+
+run, fuzz and dump audit the invariants (lock safety, referential integrity,
+check constraints) after every event.
 
 Exit status: 0 all checks passed, 1 an assertion or invariant failed,
 2 usage or parse errors.
@@ -34,10 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run scenario scripts")
     p_run.add_argument("scripts", nargs="+", help="paths to .aqlsim files")
-    p_run.add_argument(
-        "--no-invariants", action="store_true",
-        help="skip per-event invariant auditing (faster)",
-    )
 
     p_fuzz = sub.add_parser("fuzz", help="run seeded random schedules")
     p_fuzz.add_argument("--seed", type=int, required=True, help="base seed")
@@ -59,7 +58,7 @@ def _cmd_run(args) -> int:
     reports = []
     for path in args.scripts:
         scenario = load_scenario(path)
-        reports.append(run_scenario(scenario, check_invariants=not args.no_invariants))
+        reports.append(run_scenario(scenario))
     if args.format == "machine":
         print(json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True))
     else:

@@ -107,24 +107,6 @@ class Store:
         return list(self.tables.get(table, {}))
 
 
-class Snapshot:
-    """The store as a transaction saw it at begin, read through the live
-    store. Before a commit first changes a row, Replica._apply_delta saves
-    the row's pre-image here, or None when the row did not exist yet."""
-
-    def __init__(self, store: Store):
-        self.store = store
-        self.saved: dict[RowKey, Row | None] = {}
-
-    def row(self, table: str, pk: Scalar) -> Row | None:
-        key = (table, pk)
-        return self.saved[key] if key in self.saved else self.store.row(table, pk)
-
-    def pks(self, table: str) -> list[Scalar]:
-        absent = {pk for (t, pk), row in self.saved.items() if t == table and row is None}
-        return [pk for pk in self.store.pks(table) if pk not in absent]
-
-
 class Cause(Enum):
     ALL_CLEAR = "all_clear"
     ONLY_D = "only_d"
@@ -191,27 +173,34 @@ class RowView:
 
 
 class ViewContext:
-    """Row lookup over a store, optionally overlaid with transaction writes."""
+    """Row lookup over a store, optionally as a transaction sees it. A row
+    is its saved pre-image if the transaction saved one (a snapshot read),
+    else the live row; the transaction's buffered write is laid over it."""
 
-    def __init__(self, store: Store | Snapshot, catalog: sch.Catalog, buffer: dict | None = None):
+    def __init__(
+        self, store: Store, catalog: sch.Catalog, buffer: dict | None = None, saved: dict | None = None
+    ):
         self.store = store
         self.catalog = catalog
         self.buffer = buffer if buffer is not None else {}
+        self.saved = saved if saved is not None else {}
 
     def view(self, table: str, pk: Scalar) -> RowView | None:
-        row = self.store.row(table, pk)
-        write = self.buffer.get((table, pk))
+        key = (table, pk)
+        row = self.saved[key] if key in self.saved else self.store.row(table, pk)
+        write = self.buffer.get(key)
         if row is None and (write is None or write.is_empty()):
             return None
         return RowView(row, write)
 
     def pks(self, table: str) -> list[Scalar]:
-        if not self.buffer:  # dumps and audits: no merged key set to build
-            return sorted(self.store.pks(table), key=render_scalar)
-        out = set(self.store.pks(table))
-        for (t, pk), write in self.buffer.items():
-            if t == table and not write.is_empty():
-                out.add(pk)
+        out = self.store.pks(table)
+        if self.saved:
+            absent = {pk for (t, pk), row in self.saved.items() if t == table and row is None}
+            out = [pk for pk in out if pk not in absent]
+        if self.buffer:  # dumps and audits have none: no merged key set to build
+            out = set(out)
+            out.update(pk for (t, pk), write in self.buffer.items() if t == table and not write.is_empty())
         return sorted(out, key=render_scalar)
 
 
@@ -328,7 +317,7 @@ class Replica:
             txid = f"{self.rid}-t{self.txn_counter}"
         if txid in self.active:
             raise ValidationError(f"transaction {txid} is already active")
-        tx = Transaction(txid, self.rid, Snapshot(self.store))
+        tx = Transaction(txid, self.rid)
         self.active[txid] = tx
         return tx
 
@@ -395,23 +384,11 @@ class Replica:
 
     # -- replication ----------------------------------------------------------
 
-    def ready(self, record: CommitRecord) -> bool:
-        if self.clock.get(record.origin) != record.seq - 1:
-            return False
-        return all(
-            self.clock.get(r) >= c
-            for r, c in record.clock.counts.items()
-            if r != record.origin
-        )
-
-    def delivered(self, record: CommitRecord) -> bool:
-        return self.clock.get(record.origin) >= record.seq
-
     def deliver(self, record: CommitRecord) -> bool:
         """Merge a remote commit. Duplicate delivery is a no-op."""
-        if self.delivered(record):
+        if self.clock.has(record):
             return False
-        if not self.ready(record):
+        if not self.clock.ready(record):
             raise ValidationError(
                 f"record {record.record_id} not causally ready at {self.rid}"
             )
@@ -429,9 +406,8 @@ class Replica:
         key = (delta.table, delta.pk)
         row = self.store.row(*key)
         for tx in self.active.values():
-            saved = tx.snapshot_store.saved
-            if tx.txid != committing and key not in saved:
-                saved[key] = row.copy() if row is not None else None
+            if tx.txid != committing and key not in tx.saved:
+                tx.saved[key] = row.copy() if row is not None else None
         if row is None:
             row = self.store.ensure(*key)
         for col, state in delta.cells.items():
@@ -449,7 +425,7 @@ class Replica:
     # -- contexts -------------------------------------------------------------
 
     def snap_ctx(self, tx: Transaction) -> ViewContext:
-        return ViewContext(tx.snapshot_store, self.catalog, tx.buffer)
+        return ViewContext(self.store, self.catalog, tx.buffer, tx.saved)
 
     def live_ctx(self, tx: Transaction) -> ViewContext:
         return ViewContext(self.store, self.catalog, tx.buffer)
@@ -641,10 +617,10 @@ class Replica:
                         f"{stmt.table} key {render_scalar(pk)} vanished under the lock"
                     )
 
+        # _fold_row replaces a NO_CONCURRENCY row's observed versions with
+        # the live row's, so the snapshot serves every row here.
         for table, pk in sorted(doomed, key=lambda rk: (rk[0], render_scalar(rk[1]))):
-            ts = self.catalog.table(table)
-            ctx = live if ts.row_policy is sch.Policy.NO_CONCURRENCY else snap
-            view = ctx.view(table, pk)
+            view = snap.view(table, pk)
             write = tx.write((table, pk))
             write.flag = ("D", view.visibility_versions() if view is not None else {})
         return None

@@ -105,24 +105,25 @@ class Cluster:
                 self.queues[dst].append(record)
 
     def pump(self, rid: str) -> int:
-        """Deliver every queued record rid can causally accept right now."""
+        """Deliver every queued record rid can causally accept right now, in
+        one pass over its queue. One pass is enough: the queue is a
+        subsequence of self.log in log order, and log order is causal, since
+        a commit is logged after every commit its origin had seen. So each
+        predecessor of a queued record is delivered already or comes earlier
+        in this same pass, and a record left behind waits, itself or through
+        a predecessor, on an origin rid cannot reach."""
         rep = self.replica(rid)
         delivered = 0
-        progressed = True
-        while progressed:
-            progressed = False
-            keep = []
-            for record in self.queues[rid]:
-                if rep.delivered(record):
-                    progressed = True
-                    continue
-                if self.reachable(rid, record.origin) and rep.ready(record):
-                    rep.deliver(record)
-                    delivered += 1
-                    progressed = True
-                else:
-                    keep.append(record)
-            self.queues[rid] = keep
+        keep = []
+        for record in self.queues[rid]:
+            if rep.clock.has(record):
+                continue
+            if self.reachable(rid, record.origin) and rep.clock.ready(record):
+                rep.deliver(record)
+                delivered += 1
+            else:
+                keep.append(record)
+        self.queues[rid] = keep
         self.deliveries += delivered
         return delivered
 
@@ -314,7 +315,6 @@ class Runner:
         catalog: sch.Catalog,
         replica_ids,
         name: str = "run",
-        check_invariants: bool = True,
         lenient: bool = False,
     ):
         self.cluster = Cluster(catalog, replica_ids)
@@ -322,7 +322,6 @@ class Runner:
         self.txs: dict[str, object] = {}
         self.outcomes: dict[str, str] = {}
         self.report = Report(name)
-        self.check_invariants = check_invariants
         self.lenient = lenient
         # committed delta per additive cell: (table, pk, column) -> int
         self.ledger: dict[tuple, int] = {}
@@ -338,8 +337,7 @@ class Runner:
         if handler is None:
             raise ScenarioError(f"line {event.line}: unknown event kind {event.kind}")
         handler(event)
-        if self.check_invariants:
-            self._audit(event)
+        self._audit(event)
 
     def run(self, events) -> Report:
         for event in events:
@@ -545,7 +543,7 @@ class Runner:
         if not self.cluster.converged():
             self.report.step(0, "convergence after quiesce", False, self.cluster.divergence())
         for rid, queue in self.cluster.queues.items():
-            undelivered = [r for r in queue if not self.cluster.replica(rid).delivered(r)]
+            undelivered = [r for r in queue if not self.cluster.replica(rid).clock.has(r)]
             if undelivered:
                 self.report.step(
                     0, "eventual delivery", False,
@@ -688,6 +686,8 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
         if head == "replicas":
             if len(words) < 2:
                 fail(line_no, "replicas needs at least one id")
+            if len(set(words[1:])) < len(words) - 1:
+                fail(line_no, "replica ids must be distinct")
             replicas = words[1:]
         elif head == "schema":
             if words[1:] != ["{"]:
@@ -730,24 +730,33 @@ def parse_scenario(text: str, name: str = "scenario") -> Scenario:
 
 
 def _validate_scenario(scenario: Scenario) -> None:
-    """Statements must parse and events must reference declared replicas."""
+    """Statements must parse, events must reference declared replicas and
+    tables, and an asserted key must fit its table's primary key."""
     try:
         catalog = scenario.catalog()
     except AqlError as err:
         raise ScenarioError(f"{scenario.name}: bad schema: {err}") from err
     declared = set(scenario.replicas)
+
+    def bad(event: Event, message: str) -> ScenarioError:
+        return ScenarioError(f"{scenario.name} line {event.line}: {message}")
+
     for event in scenario.events:
         rid = event.args.get("rid")
         if rid is not None and rid not in declared:
-            raise ScenarioError(
-                f"{scenario.name} line {event.line}: undeclared replica {rid}"
-            )
+            raise bad(event, f"undeclared replica {rid}")
         for g in event.args.get("groups", []):
             for member in g:
                 if member not in declared:
-                    raise ScenarioError(
-                        f"{scenario.name} line {event.line}: undeclared replica {member}"
-                    )
+                    raise bad(event, f"undeclared replica {member}")
+        table = event.args.get("table")
+        if table is not None and table not in catalog.tables:
+            raise bad(event, f"unknown table {table}")
+        if "pk" in event.args:
+            schema = catalog.tables[table]
+            key = schema.column(schema.primary_key)
+            if not key.datatype.admits(event.args["pk"]):
+                raise bad(event, f"key {event.args['pk']!r} does not match {table}.{key.name}")
         sqls = event.args["stmts"] if event.kind == "txblock" else (
             [event.args["sql"]] if event.kind == "stmt" else []
         )
@@ -755,9 +764,7 @@ def _validate_scenario(scenario: Scenario) -> None:
             try:
                 sch.parse_statement(sql, catalog)
             except AqlError as err:
-                raise ScenarioError(
-                    f"{scenario.name} line {event.line}: bad statement {sql!r}: {err}"
-                ) from err
+                raise bad(event, f"bad statement {sql!r}: {err}") from err
 
 
 # Runs of text outside string literals, and string literals, which may be
@@ -776,13 +783,8 @@ def _split_statements(chunk: str) -> list[str]:
     return [p.strip() for p in _STATEMENT.findall(chunk) if p.strip()]
 
 
-def run_scenario(scenario: Scenario, check_invariants: bool = True) -> Report:
-    runner = Runner(
-        scenario.catalog(),
-        scenario.replicas,
-        name=scenario.name,
-        check_invariants=check_invariants,
-    )
+def run_scenario(scenario: Scenario) -> Report:
+    runner = Runner(scenario.catalog(), scenario.replicas, name=scenario.name)
     runner.run(scenario.events)
     return runner.report
 
@@ -806,31 +808,23 @@ def causal_orders(records: list[CommitRecord], limit: int | None = None) -> list
     cluster log is.
     """
     recs = records[:limit] if limit is not None else list(records)
-
-    def ready(rec: CommitRecord, clock: dict[str, int]) -> bool:
-        if clock.get(rec.origin, 0) != rec.seq - 1:
-            return False
-        return all(
-            clock.get(q, 0) >= c for q, c in rec.clock.counts.items() if q != rec.origin
-        )
-
     orders: list[list[int]] = []
 
-    def walk(chosen: list[int], remaining: set[int], clock: dict[str, int]) -> None:
+    def walk(chosen: list[int], remaining: set[int], clock: CausalClock) -> None:
         if not remaining:
             orders.append(list(chosen))
             return
         for idx in sorted(remaining):
             rec = recs[idx]
-            if not ready(rec, clock):
+            if not clock.ready(rec):
                 continue
-            clock[rec.origin] = rec.seq
+            clock.tick(rec.origin)
             chosen.append(idx)
             walk(chosen, remaining - {idx}, clock)
             chosen.pop()
-            clock[rec.origin] = rec.seq - 1
+            clock.counts[rec.origin] -= 1
 
-    walk([], set(range(len(recs))), {})
+    walk([], set(range(len(recs))), CausalClock())
     return [[recs[i] for i in order] for order in orders]
 
 
@@ -899,7 +893,6 @@ class FuzzConfig:
     replicas: int = 3
     events: int = 60
     schema_text: str = FUZZ_SCHEMA
-    check_invariants: bool = True
 
 
 @dataclass
@@ -1007,9 +1000,11 @@ def _gen_events(config: FuzzConfig, rng: random.Random, rids: list[str], runner:
 
 def _fuzz_runner(config: FuzzConfig, name: str) -> tuple[Runner, list[str]]:
     """A lenient runner over config's schema, and its replica ids r1..rN."""
+    if config.replicas < 1:
+        raise ScenarioError(f"fuzzing needs at least one replica, not {config.replicas}")
     rids = [f"r{i + 1}" for i in range(config.replicas)]
     catalog = sch.parse_schema_text(config.schema_text)
-    runner = Runner(catalog, rids, name=name, check_invariants=config.check_invariants, lenient=True)
+    runner = Runner(catalog, rids, name=name, lenient=True)
     return runner, rids
 
 

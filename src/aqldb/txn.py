@@ -1,8 +1,10 @@
 """Transactions, causal clocks, commit records and the two-level lock manager.
 
-A transaction executes at one replica against a frozen snapshot, buffers its
-effects, and turns them into a single commit record at commit time. Records
-carry the origin's vector clock so receivers can enforce causal delivery.
+A transaction executes at one replica against a snapshot of the store as of
+its begin: it keeps the pre-image of every row a commit changes under it. It
+buffers its effects and turns them into a single commit record at commit time.
+Records carry the origin's vector clock; CausalClock.ready is the one rule by
+which receivers deliver them in causal order.
 
 Locks have two levels. A lock is first owned at replica granularity
 (exclusive by one replica, or shared by a set); ownership moves through a
@@ -56,6 +58,17 @@ class CausalClock:
     def dominates(self, other: "CausalClock") -> bool:
         return all(self.get(r) >= c for r, c in other.counts.items())
 
+    def has(self, record: "CommitRecord") -> bool:
+        """Whether this clock counts record already."""
+        return self.get(record.origin) >= record.seq
+
+    def ready(self, record: "CommitRecord") -> bool:
+        """Whether record can be delivered next: it is its origin's next
+        commit, and this clock counts every commit it depends on."""
+        if self.get(record.origin) != record.seq - 1:
+            return False
+        return all(self.get(r) >= c for r, c in record.clock.counts.items() if r != record.origin)
+
 
 @dataclass
 class RowWrite:
@@ -79,10 +92,12 @@ class RowWrite:
 class Transaction:
     txid: str
     origin: str
-    snapshot_store: object  # engine.Snapshot: the store as of begin, read lazily
     status: TxStatus = TxStatus.ACTIVE
     error: Exception | None = None
     buffer: dict[tuple, RowWrite] = field(default_factory=dict)
+    # rowkey -> the row as of begin (None: absent then), saved before a
+    # commit changed it; engine.ViewContext reads it over the live store
+    saved: dict[tuple, object] = field(default_factory=dict)
     held: dict[str, Mode] = field(default_factory=dict)
     # (rowkey, column) -> bounded-counter rights reserved by buffered deltas
     reserved: dict[tuple, int] = field(default_factory=dict)

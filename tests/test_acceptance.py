@@ -302,9 +302,9 @@ def test_c08_delivery_order_independence():
     catalog = sch.parse_schema_text(FUZZ_SCHEMA)
     rids = ["r1", "r2", "r3"]
     for seed in range(50):
-        config = FuzzConfig(seed=seed, events=40, check_invariants=False)
+        config = FuzzConfig(seed=seed, events=40)
         outcome = fuzz(config)
-        runner = Runner(catalog, rids, lenient=True, check_invariants=False)
+        runner = Runner(catalog, rids, lenient=True)
         runner.run(outcome.trace)
         count, dumps = enumerate_orders(runner.cluster.log[:4], catalog, rids, limit=4)
         assert len(dumps) == 1, f"seed {seed}: {count} orders disagree"

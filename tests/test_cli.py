@@ -90,6 +90,10 @@ class TestFuzz:
         assert payload[0]["seed"] == 0
         assert payload[0]["ok"]
 
+    def test_no_replicas_exit_two(self, capsys):
+        assert main(["fuzz", "--seed", "1", "--replicas", "0"]) == 2
+        assert "at least one replica" in capsys.readouterr().err
+
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["fuzz"])

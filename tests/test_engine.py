@@ -71,7 +71,7 @@ def run(rep, *statements):
 def sync(records, *reps):
     for rep in reps:
         for record in records:
-            if not rep.delivered(record):
+            if not rep.clock.has(record):
                 rep.deliver(record)
 
 
@@ -262,6 +262,18 @@ class TestBasicStatements:
         else:
             with pytest.raises(FkRestrict):
                 r2.execute(fresh, "DELETE FROM Artists WHERE Name = 'Four'")
+
+    def test_snapshot_keys_leave_out_rows_created_since_begin(self):
+        reps, _ = make_group()
+        r1, r2 = reps["r1"], reps["r2"]
+        sync([run(r1, "INSERT INTO Artists VALUES ('Old', TRUE, 0)")[0]], r2)
+        tx = r2.begin()
+        sync([run(r1, "INSERT INTO Artists VALUES ('New', TRUE, 0)")[0]], r2)
+        assert tx.saved == {("Artists", "New"): None}
+        assert r2.snap_ctx(tx).pks("Artists") == ["Old"]
+        assert r2.live_ctx(tx).pks("Artists") == ["New", "Old"]
+        r2.execute(tx, "INSERT INTO Artists VALUES ('New', FALSE, 1)")  # a concurrent insert
+        assert r2.snap_ctx(tx).pks("Artists") == ["New", "Old"]
 
     def test_own_writes_visible_in_tx(self):
         reps, _ = make_group()
@@ -479,7 +491,7 @@ class TestTwoReplicas:
         r1, r2 = reps["r1"], reps["r2"]
         rec1, _ = run(r1, "INSERT INTO Artists VALUES ('Sam', TRUE, 0)")
         rec2, _ = run(r1, "UPDATE Artists SET Plays = Plays + 1 WHERE Name = 'Sam'")
-        assert not r2.ready(rec2)  # rec1 first
+        assert not r2.clock.ready(rec2)  # rec1 first
         r2.deliver(rec1)
         assert r2.deliver(rec2)
         assert not r2.deliver(rec2)  # duplicate is a no-op

@@ -149,6 +149,24 @@ class TestParser:
         with pytest.raises(ScenarioError):
             parse_scenario(SIMPLE + "\nassert flags @r1 T 'x' {Z}", "broken")
 
+    @pytest.mark.parametrize("line, problem", [
+        ("assert table @r1 Tx {\n}", "unknown table Tx"),
+        ("assert visible @r1 Tx 'x'", "unknown table Tx"),
+        ("assert invisible @r1 Tx 'x'", "unknown table Tx"),
+        ("assert flags @r1 Tx 'x' {}", "unknown table Tx"),
+        ("assert invisible @r1 T 42", "key 42 does not match T.K"),
+        ("assert visible @r1 T TRUE", "key True does not match T.K"),
+        ("assert flags @r1 T 7 {I}", "key 7 does not match T.K"),
+    ])
+    def test_asserted_table_and_key_checked(self, line, problem):
+        line_no = len(SIMPLE.splitlines()) + 1
+        with pytest.raises(ScenarioError, match=f"^broken line {line_no}: {problem}$"):
+            parse_scenario(SIMPLE + line, "broken")
+
+    def test_duplicate_replica_rejected(self):
+        with pytest.raises(ScenarioError, match="^broken line 2: replica ids must be distinct$"):
+            parse_scenario(SIMPLE.replace("replicas r1 r2", "replicas r1 r1 r2"), "broken")
+
     @pytest.mark.parametrize("line", [
         "heal now",
         "deliver_all r1",
@@ -485,6 +503,47 @@ class TestOrderIndependence:
             count, dumps = enumerate_orders(records, catalog, rids, limit=4)
             assert count >= 1
             assert len(dumps) == 1, f"seed {seed} diverged across {count} orders"
+
+
+class TestPump:
+    """Cluster.pump delivers in one pass. After every call, in every
+    scenario and in fuzz seeds 0-19 at 200 events, each queue is in
+    Cluster.log order, and no record left in the pumped queue is both
+    reachable and causally ready at its destination."""
+
+    @pytest.fixture()
+    def checked(self, monkeypatch):
+        pump, stats = Cluster.pump, {"calls": 0, "left": 0, "problems": []}
+
+        def checking_pump(cluster, rid):
+            delivered = pump(cluster, rid)
+            stats["calls"] += 1
+            position = {id(rec): i for i, rec in enumerate(cluster.log)}
+            for dst, queue in cluster.queues.items():
+                order = [position[id(rec)] for rec in queue]
+                if order != sorted(order):
+                    stats["problems"].append(f"queue for {dst} out of log order: {order}")
+            clock = cluster.replica(rid).clock
+            for rec in cluster.queues[rid]:
+                stats["left"] += 1
+                if cluster.reachable(rid, rec.origin) and clock.ready(rec):
+                    stats["problems"].append(f"{rec.record_id} left ready at {rid}")
+            return delivered
+
+        monkeypatch.setattr(Cluster, "pump", checking_pump)
+        return stats
+
+    def test_one_pass_on_scenarios(self, checked):
+        for runner in scenario_runs():
+            runner.finish()
+        assert checked["problems"] == []
+        assert checked["calls"] > 0 and checked["left"] > 0
+
+    def test_one_pass_on_fuzz(self, checked):
+        for seed in range(20):
+            fuzz(FuzzConfig(seed=seed, events=200), shrink=False)
+        assert checked["problems"] == []
+        assert checked["calls"] > 0 and checked["left"] > 0
 
 
 # FUZZ_SCHEMA with both foreign key columns MULTI_VALUE.

@@ -5,6 +5,7 @@ import pytest
 from aqldb.errors import LockUnavailable
 from aqldb.txn import (
     CausalClock,
+    CommitRecord,
     LockManager,
     Mode,
     Transaction,
@@ -15,7 +16,7 @@ from aqldb.txn import (
 
 
 def make_tx(txid, origin):
-    return Transaction(txid, origin, snapshot_store=None)
+    return Transaction(txid, origin)
 
 
 class TestClock:
@@ -40,6 +41,21 @@ class TestClock:
         assert not small.dominates(big)
         # missing entries count as zero
         assert big.dominates(CausalClock())
+
+    def test_has_and_ready(self):
+        def record(origin, seq, counts):
+            return CommitRecord(origin, seq, f"{origin}-{seq}", CausalClock(counts), seq, [])
+
+        clock = CausalClock({"r1": 1})
+        first, second, third = (record("r1", seq, {"r1": seq}) for seq in (1, 2, 3))
+        assert clock.has(first) and not clock.has(second)
+        assert not clock.ready(first)  # already counted
+        assert clock.ready(second)
+        assert not clock.ready(third)  # second comes first
+        dependent = record("r2", 1, {"r1": 2, "r2": 1})
+        assert not clock.ready(dependent)  # it saw r1's second commit
+        clock.tick("r1")
+        assert clock.ready(dependent) and not clock.has(dependent)
 
 
 def test_lock_ids_distinguish_key_types():
