@@ -33,7 +33,9 @@ OBSERVER = "observer"
 
 
 class Cluster:
-    """Replicas, channels and partitions under one deterministic roof."""
+    """Replicas, channels and partitions under one deterministic roof. A
+    commit record waits in the queue of each destination, across partitions,
+    until that destination merges it; no copy is kept once all have."""
 
     def __init__(self, catalog: sch.Catalog, replica_ids):
         self.catalog = catalog
@@ -43,10 +45,8 @@ class Cluster:
             rid: Replica(rid, catalog, self.replica_ids, self.locks, hooks=self)
             for rid in self.replica_ids
         }
-        # Per-destination queues; messages survive partitions, delivery waits.
         self.queues: dict[str, list[CommitRecord]] = {rid: [] for rid in self.replica_ids}
         self.groups: dict[str, int] = {rid: 0 for rid in self.replica_ids}
-        self.log: list[CommitRecord] = []
         self.deliveries = 0
 
     # ---- hooks the engine and lock manager call back into
@@ -99,18 +99,16 @@ class Cluster:
         return record
 
     def _broadcast(self, record: CommitRecord) -> None:
-        self.log.append(record)
         for dst in self.replica_ids:
             if dst != record.origin:
                 self.queues[dst].append(record)
 
     def pump(self, rid: str) -> int:
-        """Deliver every queued record rid can causally accept right now, in
-        one pass over its queue. One pass is enough: the queue is a
-        subsequence of self.log in log order, and log order is causal, since
-        a commit is logged after every commit its origin had seen. So each
-        predecessor of a queued record is delivered already or comes earlier
-        in this same pass, and a record left behind waits, itself or through
+        """Deliver every queued record rid can causally accept now, in one pass.
+        One pass is enough: queues hold records in broadcast order, which is
+        causal, as a commit is broadcast after every commit its origin had seen.
+        So each predecessor of a queued record is delivered already or comes
+        earlier in this pass, and a record left behind waits, itself or through
         a predecessor, on an origin rid cannot reach."""
         rep = self.replica(rid)
         delivered = 0
@@ -745,10 +743,12 @@ def _validate_scenario(scenario: Scenario) -> None:
         rid = event.args.get("rid")
         if rid is not None and rid not in declared:
             raise bad(event, f"undeclared replica {rid}")
-        for g in event.args.get("groups", []):
-            for member in g:
-                if member not in declared:
-                    raise bad(event, f"undeclared replica {member}")
+        members = [member for g in event.args.get("groups", []) for member in g]
+        for i, member in enumerate(members):
+            if member not in declared:
+                raise bad(event, f"undeclared replica {member}")
+            if member in members[:i]:
+                raise bad(event, f"replica {member} listed twice in partition")
         table = event.args.get("table")
         if table is not None and table not in catalog.tables:
             raise bad(event, f"unknown table {table}")
@@ -804,8 +804,8 @@ def load_scenario(path: str) -> Scenario:
 def causal_orders(records: list[CommitRecord], limit: int | None = None) -> list[list[CommitRecord]]:
     """Every delivery order of the records that respects causality.
 
-    The input must be causally downward closed, which any prefix of a
-    cluster log is.
+    The input must be causally downward closed, which any prefix of the
+    records in broadcast order is.
     """
     recs = records[:limit] if limit is not None else list(records)
     orders: list[list[int]] = []

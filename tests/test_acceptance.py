@@ -285,7 +285,7 @@ def test_c07_additive_updates_conserve_sum():
     stamp(7, "additive updates converge to initial plus sum of deltas", "40 seeds")
 
 
-def test_c08_delivery_order_independence():
+def test_c08_delivery_order_independence(broadcasts):
     checked = 0
     # the shipped scenario suite
     for path in scenario_paths():
@@ -294,7 +294,7 @@ def test_c08_delivery_order_independence():
         runner.run(scenario.events)
         assert runner.report.ok, (path, runner.report.failures)
         count, dumps = enumerate_orders(
-            runner.cluster.log, scenario.catalog(), scenario.replicas, limit=4
+            broadcasts[runner.cluster], scenario.catalog(), scenario.replicas, limit=4
         )
         assert count >= 1 and len(dumps) == 1, path
         checked += 1
@@ -306,7 +306,7 @@ def test_c08_delivery_order_independence():
         outcome = fuzz(config)
         runner = Runner(catalog, rids, lenient=True)
         runner.run(outcome.trace)
-        count, dumps = enumerate_orders(runner.cluster.log[:4], catalog, rids, limit=4)
+        count, dumps = enumerate_orders(broadcasts[runner.cluster][:4], catalog, rids, limit=4)
         assert len(dumps) == 1, f"seed {seed}: {count} orders disagree"
         checked += 1
     stamp(8, "all causal delivery orders give identical dumps", f"{checked} logs")

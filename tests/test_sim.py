@@ -1,15 +1,17 @@
 """Scenario language, cluster behavior, order enumeration and fuzzing."""
 
+import gc
 import glob
 import hashlib
 import json
 import os
+import weakref
 
 import pytest
 
 import aqldb.schema as sch
 from aqldb.crdt import AdditiveCounter, BoundedCounter, EventStamp, LwwRegister, MvRegister, render_scalar
-from aqldb.engine import RowView, constraint_violations, integrity_violations, ref_cell, visible_rows
+from aqldb.engine import Replica, RowView, constraint_violations, integrity_violations, ref_cell, visible_rows
 from aqldb.errors import CheckViolation, ScenarioError
 from aqldb.sim import (
     FUZZ_SCHEMA,
@@ -161,6 +163,12 @@ class TestParser:
     def test_asserted_table_and_key_checked(self, line, problem):
         line_no = len(SIMPLE.splitlines()) + 1
         with pytest.raises(ScenarioError, match=f"^broken line {line_no}: {problem}$"):
+            parse_scenario(SIMPLE + line, "broken")
+
+    @pytest.mark.parametrize("line", ["partition r1 r1 | r2", "partition r1 | r1"])
+    def test_replica_twice_in_partition_rejected(self, line):
+        line_no = len(SIMPLE.splitlines()) + 1
+        with pytest.raises(ScenarioError, match=f"^broken line {line_no}: replica r1 listed twice in partition$"):
             parse_scenario(SIMPLE + line, "broken")
 
     def test_duplicate_replica_rejected(self):
@@ -447,8 +455,55 @@ class TestCluster:
         assert r2.donatable("Accounts", "a", "Balance") == 6
 
 
+class TestRetention:
+    """A Cluster keeps a commit record only while some destination's queue
+    holds it: nothing else in the cluster refers to a delivered record."""
+
+    @pytest.mark.parametrize("kind", ["commit", "transfer"])
+    def test_record_lives_while_queued_and_goes_once_merged(self, kind, monkeypatch):
+        cluster = Cluster(sch.parse_schema_text(FUZZ_SCHEMA), ["r1", "r2", "r3"])
+        r1, r2 = cluster.replica("r1"), cluster.replica("r2")
+        tx = r1.begin()
+        r1.execute(tx, "INSERT INTO Accounts VALUES ('a', 9)")
+        cluster.commit(tx)
+        cluster.deliver_all()
+        transfers, transfer = [], Replica.transfer_rights
+
+        def recording_transfer(rep, *args):
+            record = transfer(rep, *args)
+            transfers.append(weakref.ref(record))
+            return record
+
+        monkeypatch.setattr(Replica, "transfer_rights", recording_transfer)
+        cluster.partition([["r1", "r2"], ["r3"]])
+        # r2 holds 3 of the 9 rights; spending 5 pulls 2 from r1.
+        tx = r2.begin()
+        r2.execute(tx, "UPDATE Accounts SET Balance = Balance - 5 WHERE Owner = 'a'")
+        committed = weakref.ref(cluster.commit(tx))
+        assert len(transfers) == 1
+        held = committed if kind == "commit" else transfers[0]
+        cluster.deliver_all()
+        gc.collect()
+        assert cluster.queues["r1"] == cluster.queues["r2"] == []
+        assert held() in cluster.queues["r3"]
+        cluster.heal()
+        cluster.deliver_all()
+        gc.collect()
+        assert held() is None
+        assert cluster.converged()
+
+    def test_quiesce_empties_every_queue(self):
+        runners = list(scenario_runs()) + [runner for runner, _ in fuzz_runs(FUZZ_SCHEMA)]
+        queued = 0
+        for runner in runners:
+            queued += sum(len(queue) for queue in runner.cluster.queues.values())
+            runner.cluster.quiesce()
+            assert all(queue == [] for queue in runner.cluster.queues.values()), runner.report.name
+        assert queued > 0
+
+
 class TestOrderIndependence:
-    def scripted_log(self):
+    def scripted_log(self, broadcasts):
         text = """
         replicas r1 r2 r3
         schema {
@@ -470,10 +525,10 @@ class TestOrderIndependence:
         runner = Runner(scenario.catalog(), scenario.replicas, name="log")
         runner.run(scenario.events)
         assert runner.report.ok, runner.report.failures
-        return runner.cluster.log, scenario.catalog(), scenario.replicas
+        return broadcasts[runner.cluster], scenario.catalog(), scenario.replicas
 
-    def test_causal_orders_respect_dependencies(self):
-        records, _, _ = self.scripted_log()
+    def test_causal_orders_respect_dependencies(self, broadcasts):
+        records, _, _ = self.scripted_log(broadcasts)
         orders = causal_orders(records, limit=4)
         ids = {rec.record_id for rec in records[:4]}
         for order in orders:
@@ -484,13 +539,13 @@ class TestOrderIndependence:
                     assert not rec.happens_before(earlier)
                 seen.append(rec)
 
-    def test_all_orders_converge(self):
-        records, catalog, rids = self.scripted_log()
+    def test_all_orders_converge(self, broadcasts):
+        records, catalog, rids = self.scripted_log(broadcasts)
         count, dumps = enumerate_orders(records, catalog, rids, limit=4)
         assert count == 12  # a, b, c concurrent; d after a
         assert len(dumps) == 1
 
-    def test_fuzzed_prefixes_converge(self):
+    def test_fuzzed_prefixes_converge(self, broadcasts):
         for seed in range(10):
             config = FuzzConfig(seed=seed, events=40)
             outcome = fuzz(config)
@@ -499,7 +554,7 @@ class TestOrderIndependence:
             rids = [f"r{i + 1}" for i in range(config.replicas)]
             runner = Runner(catalog, rids, lenient=True)
             runner.run(outcome.trace)
-            records = runner.cluster.log[:4]
+            records = broadcasts[runner.cluster][:4]
             count, dumps = enumerate_orders(records, catalog, rids, limit=4)
             assert count >= 1
             assert len(dumps) == 1, f"seed {seed} diverged across {count} orders"
@@ -508,21 +563,21 @@ class TestOrderIndependence:
 class TestPump:
     """Cluster.pump delivers in one pass. After every call, in every
     scenario and in fuzz seeds 0-19 at 200 events, each queue is in
-    Cluster.log order, and no record left in the pumped queue is both
+    broadcast order, and no record left in the pumped queue is both
     reachable and causally ready at its destination."""
 
     @pytest.fixture()
-    def checked(self, monkeypatch):
+    def checked(self, monkeypatch, broadcasts):
         pump, stats = Cluster.pump, {"calls": 0, "left": 0, "problems": []}
 
         def checking_pump(cluster, rid):
             delivered = pump(cluster, rid)
             stats["calls"] += 1
-            position = {id(rec): i for i, rec in enumerate(cluster.log)}
+            position = {id(rec): i for i, rec in enumerate(broadcasts[cluster])}
             for dst, queue in cluster.queues.items():
                 order = [position[id(rec)] for rec in queue]
                 if order != sorted(order):
-                    stats["problems"].append(f"queue for {dst} out of log order: {order}")
+                    stats["problems"].append(f"queue for {dst} out of broadcast order: {order}")
             clock = cluster.replica(rid).clock
             for rec in cluster.queues[rid]:
                 stats["left"] += 1
