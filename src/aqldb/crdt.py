@@ -1,7 +1,9 @@
 """Mergeable value types: the join-semilattice algebra the row store is built on.
 
 Every type here is a state-based CRDT. merge() is commutative, associative and
-idempotent, and operations return new states instead of mutating the receiver.
+idempotent. States are immutable: operations build new states, and merge may
+return one of its inputs as is when that input already is the join, so
+replicas can share one state object.
 Callers are responsible for issuing fresh stamps and version counters; the
 types themselves only enforce the lattice rules.
 
@@ -40,8 +42,15 @@ def make_version(counts: Mapping[str, int]) -> Version:
 
 
 def version_leq(a: Version, b: Version) -> bool:
-    bc = dict(b)
-    return all(c <= bc.get(r, 0) for r, c in a)
+    return a == b or _counts_leq(a, dict(b))
+
+
+def _counts_leq(a: Version, bc: dict[str, int]) -> bool:
+    """version_leq(a, b) given bc = dict(b)."""
+    for r, c in a:
+        if c > bc.get(r, 0):
+            return False
+    return True
 
 
 def version_dominates(a: Version, b: Version) -> bool:
@@ -133,13 +142,28 @@ class MvRegister:
         return MvRegister(frozenset(kept))
 
     def merge(self, other: "MvRegister") -> "MvRegister":
-        pool = self.entries | other.entries
-        kept = {
-            e
-            for e in pool
-            if not any(version_dominates(f[1], e[1]) for f in pool)
-        }
-        return MvRegister(frozenset(kept))
+        """The entries of either side that no entry strictly dominates. When
+        that is one side's whole entry set, that side is returned."""
+        mine, theirs = self.entries, other.entries
+        if len(mine) < 2 and theirs <= mine:
+            return self  # other adds nothing, and one entry is an antichain
+        if len(theirs) == 1:
+            (_, top), = theirs
+            tc = dict(top)
+            for _, ver in mine:
+                if ver == top or not _counts_leq(ver, tc):
+                    break
+            else:
+                return other  # its one entry dominates every entry of self
+        pool = mine | theirs
+        tops = {ver: dict(ver) for _, ver in pool}
+        kept = frozenset(
+            e for e in pool
+            if not any(ver != e[1] and _counts_leq(e[1], bc) for ver, bc in tops.items())
+        )
+        if kept == mine:
+            return self
+        return other if kept == theirs else MvRegister(kept)
 
     def canon(self) -> str:
         parts = sorted(
@@ -149,7 +173,7 @@ class MvRegister:
         return "mv{" + "|".join(parts) + "}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdditiveCounter:
     """Counter merging concurrent deltas by summing per-replica contributions.
 
@@ -181,9 +205,7 @@ class AdditiveCounter:
 
     def slice_for(self, replica: str) -> "AdditiveCounter":
         """Partial state carrying only the components this replica writes."""
-        incs = {replica: self.incs[replica]} if replica in self.incs else {}
-        decs = {replica: self.decs[replica]} if replica in self.decs else {}
-        return self._like(incs, decs)
+        return self._like(_slice(self.incs, replica), _slice(self.decs, replica))
 
     def merge(self, other: "AdditiveCounter") -> "AdditiveCounter":
         return self._like(_max_map(self.incs, other.incs), _max_map(self.decs, other.decs))
@@ -212,7 +234,7 @@ class Bound:
         return f"{op}{self.limit}"
 
 
-@dataclass(kw_only=True)
+@dataclass(frozen=True, kw_only=True)
 class BoundedCounter(AdditiveCounter):
     """Escrow counter that can never cross its bound, without coordination.
 
@@ -308,18 +330,17 @@ class BoundedCounter(AdditiveCounter):
         return self.add(replica, delta if self.bound.direction == "lower" else -delta)
 
     def slice_for(self, replica: str) -> "BoundedCounter":
-        out = super().slice_for(replica)
-        out.transfers = {k: v for k, v in self.transfers.items() if k[0] == replica}
-        return out
+        incs, decs = _slice(self.incs, replica), _slice(self.decs, replica)
+        transfers = {k: v for k, v in self.transfers.items() if k[0] == replica}
+        return BoundedCounter(incs, decs, bound=self.bound, transfers=transfers)
 
     def merge(self, other: "BoundedCounter") -> "BoundedCounter":
         if self.bound != other.bound:
             raise KindMismatch(
                 f"cannot merge counters bounded by {self.bound.canon()} and {other.bound.canon()}"
             )
-        out = super().merge(other)
-        out.transfers = _max_map(self.transfers, other.transfers)
-        return out
+        incs, decs = _max_map(self.incs, other.incs), _max_map(self.decs, other.decs)
+        return BoundedCounter(incs, decs, bound=self.bound, transfers=_max_map(self.transfers, other.transfers))
 
     def canon(self) -> str:
         t = ",".join(
@@ -344,6 +365,10 @@ def _max_map(a: Mapping, b: Mapping) -> dict:
         if v > out.get(k, v - 1):
             out[k] = v
     return out
+
+
+def _slice(m: Mapping, key) -> dict:
+    return {key: m[key]} if key in m else {}
 
 
 def _canon_map(m: Mapping) -> str:

@@ -122,6 +122,11 @@ class VisibilityVerdict:
     cause: Cause
 
 
+# Verdicts are immutable, so is_visible hands out one shared object per cause.
+_VERDICTS = {cause: VisibilityVerdict(cause is Cause.ALL_CLEAR, cause) for cause in Cause}
+_VISIBLE = _VERDICTS[Cause.ALL_CLEAR]
+
+
 @dataclass
 class RowView:
     """A row as one transaction sees it: stored state plus buffered writes."""
@@ -133,7 +138,7 @@ class RowView:
         if self.write is not None and self.write.flag is not None:
             return frozenset({self.write.flag[0]})
         if self.row is not None:
-            return frozenset(self.row.visibility.values())
+            return frozenset([flag for flag, _ in self.row.visibility.entries])
         return frozenset()
 
     def generation(self) -> int:
@@ -221,28 +226,28 @@ def is_visible(
     parent's insertion generation."""
     view = ctx.view(table, pk)
     if view is None:
-        return VisibilityVerdict(False, Cause.MISSING)
+        return _VERDICTS[Cause.MISSING]
     schema = ctx.catalog.tables.get(table)
     if schema is None:
-        return VisibilityVerdict(True, Cause.ALL_CLEAR)
+        return _VISIBLE
     dead = _own_flags_dead(schema.row_policy, view.flags())
     if dead is not None:
-        return VisibilityVerdict(False, dead)
+        return _VERDICTS[dead]
+    if not schema.foreign_keys:
+        return _VISIBLE
     key = (table, pk)
     seen = _seen if _seen is not None else frozenset()
     if key in seen:
-        return VisibilityVerdict(True, Cause.ALL_CLEAR)
+        return _VISIBLE
     seen = seen | {key}
     for colname, fk in schema.foreign_keys:
         for ppk, pgen in view.fk_refs(colname):
             parent = ctx.view(fk.table, ppk)
-            if parent is None:
-                return VisibilityVerdict(False, Cause.PARENT_DELETED)
-            if not is_visible(ctx, fk.table, ppk, seen).visible:
-                return VisibilityVerdict(False, Cause.PARENT_DELETED)
+            if parent is None or not is_visible(ctx, fk.table, ppk, seen).visible:
+                return _VERDICTS[Cause.PARENT_DELETED]
             if fk.policy is sch.Policy.DELETE_WINS and parent.generation() != pgen:
-                return VisibilityVerdict(False, Cause.PARENT_VERSION_STALE)
-    return VisibilityVerdict(True, Cause.ALL_CLEAR)
+                return _VERDICTS[Cause.PARENT_VERSION_STALE]
+    return _VISIBLE
 
 
 def visible_rows(ctx: ViewContext, table: str) -> list[tuple[Scalar, RowView]]:
@@ -587,12 +592,7 @@ class Replica:
             self._cascade_closure(snap, live, doomed, locked=False)
             wants: list[tuple[str, Mode]] = []
             for table, pk in doomed:
-                ts = self.catalog.table(table)
-                noc_edges = any(
-                    fk.policy is sch.Policy.NO_CONCURRENCY
-                    for _, _, fk in self.catalog.referencing(table)
-                )
-                if ts.row_policy is sch.Policy.NO_CONCURRENCY or noc_edges:
+                if self.catalog.delete_locks_row(table):
                     wants.append((row_lock(table, pk), Mode.EXCLUSIVE))
             self._acquire(tx, wants)
             before = len(doomed)

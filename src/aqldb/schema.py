@@ -174,6 +174,17 @@ class Catalog:
         """Foreign keys pointing at table, as (child table, column, fk)."""
         return self._referencing.get(table, ())
 
+    @cached_property
+    def _row_locked_deletes(self) -> frozenset[str]:
+        noc = Policy.NO_CONCURRENCY
+        return frozenset(name for name, schema in self.tables.items() if schema.row_policy is noc
+                         or any(fk.policy is noc for _, _, fk in self.referencing(name)))
+
+    def delete_locks_row(self, table: str) -> bool:
+        """Whether deleting a row of table takes its row lock: the table is
+        NO_CONCURRENCY, or a NO_CONCURRENCY foreign key references it."""
+        return table in self._row_locked_deletes
+
 
 def concurrent_insert_allowed(schema: TableSchema) -> bool:
     """Concurrent inserts of one key merge only when every non-PK column has

@@ -65,9 +65,13 @@ class CausalClock:
     def ready(self, record: "CommitRecord") -> bool:
         """Whether record can be delivered next: it is its origin's next
         commit, and this clock counts every commit it depends on."""
-        if self.get(record.origin) != record.seq - 1:
+        counts, origin = self.counts, record.origin
+        if counts.get(origin, 0) != record.seq - 1:
             return False
-        return all(self.get(r) >= c for r, c in record.clock.counts.items() if r != record.origin)
+        for r, c in record.clock.counts.items():
+            if c > counts.get(r, 0) and r != origin:
+                return False
+        return True
 
 
 @dataclass

@@ -1,0 +1,169 @@
+"""The join and visibility fast paths against the plain rules they shortcut.
+
+MvRegister.merge, version_leq, version_dominates and CausalClock.ready take
+shortcuts on the delivery path. Each must give exactly what its plain,
+all-pairs or all-entries definition gives, on any input: registers here are
+arbitrary entry sets, not only the antichains merges build. Where merge's
+result is one of its inputs, it returns that input itself, so replicas share
+one register object.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import aqldb.schema as sch
+from aqldb.crdt import (
+    AdditiveCounter,
+    Bound,
+    BoundedCounter,
+    MvRegister,
+    make_version,
+    version_dominates,
+    version_leq,
+)
+from aqldb.engine import Row, RowView
+from aqldb.sim import FUZZ_SCHEMA, Cluster
+from aqldb.txn import CausalClock, CommitRecord
+
+REPLICAS = ("r1", "r2", "r3")
+PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=None)
+
+# Versions as make_version builds them: sorted by replica, no zero counts.
+versions = st.dictionaries(st.sampled_from(REPLICAS), st.integers(0, 3)).map(make_version)
+# Flags and column values; equal versions may carry different values.
+entries = st.tuples(st.sampled_from(["I", "D", "T", 1, "x"]), versions)
+registers = st.frozensets(entries, max_size=5).map(MvRegister)
+
+
+def ref_leq(a, b):
+    bc = dict(b)
+    return all(c <= bc.get(r, 0) for r, c in a)
+
+
+def ref_dominates(a, b):
+    return a != b and ref_leq(b, a)
+
+
+def ref_merge(a: MvRegister, b: MvRegister) -> frozenset:
+    """The all-pairs rule: keep each entry no entry strictly dominates."""
+    pool = a.entries | b.entries
+    return frozenset(e for e in pool if not any(ref_dominates(f[1], e[1]) for f in pool))
+
+
+def ref_ready(clock: CausalClock, record: CommitRecord) -> bool:
+    if clock.get(record.origin) != record.seq - 1:
+        return False
+    return all(clock.get(r) >= c for r, c in record.clock.counts.items() if r != record.origin)
+
+
+class TestReference:
+    @PROPERTY
+    @given(versions, versions)
+    def test_version_order_matches_dict_reference(self, a, b):
+        assert version_leq(a, b) == ref_leq(a, b)
+        assert version_dominates(a, b) == ref_dominates(a, b)
+
+    @PROPERTY
+    @given(registers, registers, entries)
+    def test_merge_matches_all_pairs_rule(self, a, b, entry):
+        assert a.merge(b).entries == ref_merge(a, b)
+        # The delivery path's usual shape: a one-entry delta against a row.
+        one = MvRegister(frozenset([entry]))
+        assert a.merge(one).entries == ref_merge(a, one)
+        assert one.merge(a).entries == ref_merge(one, a)
+        empty = MvRegister()
+        assert a.merge(empty).entries == empty.merge(a).entries == ref_merge(a, empty)
+        assert a.merge(a).entries == ref_merge(a, a)
+        assert RowView(Row(visibility=a)).flags() == frozenset(a.values())
+
+    @PROPERTY
+    @given(
+        st.dictionaries(st.sampled_from(REPLICAS), st.integers(0, 4)),
+        st.dictionaries(st.sampled_from(REPLICAS), st.integers(0, 4)),
+        st.sampled_from(REPLICAS),
+        st.integers(1, 5),
+    )
+    def test_ready_matches_all_entries_rule(self, mine, theirs, origin, seq):
+        record = CommitRecord(origin, seq, "t", CausalClock({**theirs, origin: seq}), 1, [])
+        clock = CausalClock(dict(mine))
+        assert clock.ready(record) == ref_ready(clock, record)
+
+
+class TestIdentity:
+    def test_merge_returns_self_when_other_adds_nothing(self):
+        a = MvRegister.bottom().assign("x", {}, "r1").merge(MvRegister.bottom().assign("y", {}, "r2"))
+        assert len(a.entries) == 2
+        for sub in (MvRegister(), MvRegister(frozenset(list(a.entries)[:1])), MvRegister(a.entries), a):
+            assert a.merge(sub) is a
+
+    def test_merge_returns_a_dominating_single_entry(self):
+        a = MvRegister.bottom().assign("x", {}, "r1").merge(MvRegister.bottom().assign("y", {}, "r2"))
+        top = MvRegister.bottom().assign("z", a.max_versions(), "r3")
+        assert a.merge(top) is top
+        assert MvRegister().merge(top) is top
+
+    def test_merge_builds_a_new_register_for_a_concurrent_entry(self):
+        a = MvRegister.bottom().assign("x", {}, "r1")
+        b = MvRegister.bottom().assign("y", {}, "r2")
+        out = a.merge(b)
+        assert out is not a and out is not b
+        assert out.entries == a.entries | b.entries
+
+    def test_delivered_update_shares_the_record_register(self, broadcasts):
+        cluster = Cluster(sch.parse_schema_text(FUZZ_SCHEMA), ["r1", "r2", "r3"])
+        r1 = cluster.replica("r1")
+        tx = r1.begin()
+        r1.execute(tx, "INSERT INTO Artists VALUES ('Sam', TRUE, 1)")
+        cluster.commit(tx)
+        cluster.deliver_all()
+        tx = r1.begin()
+        r1.execute(tx, "UPDATE Artists SET Active = FALSE WHERE Name = 'Sam'")
+        cluster.commit(tx)
+        cluster.deliver_all()
+        record = broadcasts[cluster][-1]
+        (delta,) = record.deltas
+        assert delta.visibility is not None
+        for rid in cluster.replica_ids:
+            assert cluster.replica(rid).store.row("Artists", "Sam").visibility is delta.visibility
+        assert cluster.converged()
+
+
+class TestCounters:
+    def test_counters_are_frozen(self):
+        counter = BoundedCounter.create(Bound("lower", 0), 9, REPLICAS, "r1")
+        for field in ("incs", "decs", "transfers", "bound"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(counter, field, {})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            AdditiveCounter().incs = {}
+
+    def test_slice_and_merge_leave_their_inputs_alone(self):
+        a = BoundedCounter.create(Bound("lower", 0), 9, REPLICAS, "r1").apply_delta("r1", -2)
+        b = BoundedCounter.create(Bound("lower", 0), 0, REPLICAS, "r2").apply_delta("r2", 4).transfer("r2", "r3", 1)
+        before = (a.canon(), b.canon())
+        part = a.slice_for("r1")
+        merged = a.merge(b)
+        assert (a.canon(), b.canon()) == before
+        assert part.canon() == "bc[>=0](+{r1:9}-{r1:2}t{r1>r2:3,r1>r3:3})"
+        assert merged.canon() == "bc[>=0](+{r1:9,r2:4}-{r1:2}t{r1>r2:3,r1>r3:3,r2>r3:1})"
+        assert part.transfers is not a.transfers and merged.transfers is not a.transfers
+
+
+def test_delete_locks_row_follows_the_schema():
+    catalog = sch.parse_schema_text(
+        """
+        CREATE UPDATE_WINS TABLE P (K INT PRIMARY KEY);
+        CREATE UPDATE_WINS TABLE C (
+          K INT PRIMARY KEY,
+          P INT LWW FOREIGN KEY REFERENCES P (K)
+        );
+        CREATE TABLE S (K INT PRIMARY KEY);
+        CREATE UPDATE_WINS TABLE Free (K INT PRIMARY KEY);
+        """
+    )
+    assert catalog.delete_locks_row("P")  # a NO_CONCURRENCY edge points at it
+    assert not catalog.delete_locks_row("C")
+    assert catalog.delete_locks_row("S")  # the table itself is NO_CONCURRENCY
+    assert not catalog.delete_locks_row("Free")
