@@ -335,7 +335,7 @@ class BoundedCounter(AdditiveCounter):
         return BoundedCounter(incs, decs, bound=self.bound, transfers=transfers)
 
     def merge(self, other: "BoundedCounter") -> "BoundedCounter":
-        if self.bound != other.bound:
+        if self.bound is not other.bound and self.bound != other.bound:
             raise KindMismatch(
                 f"cannot merge counters bounded by {self.bound.canon()} and {other.bound.canon()}"
             )

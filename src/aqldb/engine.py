@@ -339,8 +339,8 @@ class Replica:
             if isinstance(statement, sch.Delete):
                 return self._exec_delete(tx, statement)
             return self._exec_select(tx, statement)
-        except AqlError as err:
-            self.abort(tx, err)
+        except AqlError:
+            self.abort(tx)
             raise
 
     def commit(self, tx: Transaction) -> CommitRecord:
@@ -354,8 +354,8 @@ class Replica:
                 if write.is_empty():
                     continue
                 deltas.append(self._fold_row(rowkey, write, lam))
-        except AqlError as err:
-            self.abort(tx, err)
+        except AqlError:
+            self.abort(tx)
             raise
         record = self._seal(tx.txid, lam, deltas)
         self._settle(tx, TxStatus.COMMITTED)
@@ -376,10 +376,11 @@ class Replica:
             deltas=deltas,
         )
 
-    def abort(self, tx: Transaction, error: Exception | None = None) -> None:
+    def abort(self, tx: Transaction) -> None:
+        """Abort tx if still active. The refusal is the caller's to keep: a
+        traceback kept on tx would pin every frame in a reference cycle."""
         if tx.status is not TxStatus.ACTIVE:
             return
-        tx.error = error
         self._settle(tx, TxStatus.ABORTED)
 
     def _settle(self, tx: Transaction, status: TxStatus) -> None:
@@ -702,7 +703,7 @@ class Replica:
         for a in assignments:
             col = schema.column(a.column)
             if isinstance(a, sch.DeltaAssign):
-                bound = sch.additive_bound(col)
+                bound = col.additive_bound
                 if bound is not None:
                     self._reserve_bounded(tx, rowkey, a.column, bound, a.delta)
                 write.deltas[a.column] = write.deltas.get(a.column, 0) + a.delta
@@ -819,7 +820,7 @@ class Replica:
         for colname in sorted(write.deltas):
             delta = write.deltas[colname]
             col = schema.column(colname)
-            bound = sch.additive_bound(col)
+            bound = col.additive_bound
             live_cell = live.cells.get(colname) if live is not None else None
             if bound is None:
                 base = live_cell if isinstance(live_cell, AdditiveCounter) else AdditiveCounter()

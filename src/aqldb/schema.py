@@ -108,6 +108,19 @@ class ColumnDef:
     def check_atoms(self) -> list[CheckAtom]:
         return [a for chk in self.checks for a in chk.atoms]
 
+    @cached_property
+    def additive_bound(self) -> Bound | None:
+        if not self.check_atoms:
+            return None
+        atom = self.check_atoms[0]
+        if atom.op == ">=":
+            return Bound("lower", atom.value)
+        if atom.op == ">":
+            return Bound("lower", atom.value + 1)
+        if atom.op == "<=":
+            return Bound("upper", atom.value)
+        return Bound("upper", atom.value - 1)
+
 
 @dataclass
 class TableSchema:
@@ -198,25 +211,15 @@ def concurrent_insert_allowed(schema: TableSchema) -> bool:
         if c.modifier is Modifier.NONE:
             return False
         if c.modifier is Modifier.ADDITIVE:
-            bound = additive_bound(c)
+            bound = c.additive_bound
             if bound is not None and bound.limit != 0:
                 return False
     return True
 
 
 def additive_bound(col: ColumnDef) -> Bound | None:
-    """The single bound a check constraint puts on an additive column."""
-    atoms = col.check_atoms
-    if not atoms:
-        return None
-    atom = atoms[0]
-    if atom.op == ">=":
-        return Bound("lower", atom.value)
-    if atom.op == ">":
-        return Bound("lower", atom.value + 1)
-    if atom.op == "<=":
-        return Bound("upper", atom.value)
-    return Bound("upper", atom.value - 1)
+    """The single bound a check constraint puts on an additive column, one per column."""
+    return col.additive_bound
 
 
 # --------------------------------------------------------------------------

@@ -9,6 +9,7 @@ event runner.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass, field
@@ -330,11 +331,15 @@ class Runner:
 
     # ---- event dispatch
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._handlers = {name[4:]: getattr(cls, name) for name in dir(cls) if name.startswith("_ev_")}
+
     def apply(self, event: Event) -> None:
-        handler = getattr(self, f"_ev_{event.kind}", None)
+        handler = self._handlers.get(event.kind)
         if handler is None:
             raise ScenarioError(f"line {event.line}: unknown event kind {event.kind}")
-        handler(event)
+        handler(self, event)
         self._audit(event)
 
     def run(self, events) -> Report:
@@ -576,6 +581,9 @@ class Runner:
                             f"{table}/{render_scalar(pk)}.{col} at {rid}: "
                             f"rights spread {spread} != total {cell.total_rights()}",
                         )
+
+
+Runner.__init_subclass__()  # kind -> _ev_ handler; each subclass maps its overrides
 
 
 # --------------------------------------------------------------------------
@@ -911,30 +919,49 @@ class FuzzOutcome:
         return "\n".join(e.render() for e in events)
 
 
+# One maker per statement shape; each draws its literals after the four keys.
+_STATEMENT_MAKERS = (
+    lambda rng, artist, album, genre, account: f"INSERT INTO Artists VALUES ('{artist}', {rng.choice(('TRUE', 'FALSE'))}, {rng.randrange(4)})",
+    lambda rng, artist, album, genre, account: f"INSERT INTO Albums VALUES ('{album}', '{artist}', {rng.randrange(5)}, '{genre}')",
+    lambda rng, artist, album, genre, account: f"INSERT INTO Reviews VALUES ({rng.randrange(1, 7)}, '{album}', {rng.randrange(1, 6)})",
+    lambda rng, artist, album, genre, account: f"INSERT INTO Accounts VALUES ('{account}', {rng.randrange(11)})",
+    lambda rng, artist, album, genre, account: f"UPDATE Artists SET Active = {rng.choice(('TRUE', 'FALSE'))} WHERE Name = '{artist}'",
+    lambda rng, artist, album, genre, account: f"UPDATE Artists SET Plays = Plays + {rng.randrange(1, 5)} WHERE Name = '{artist}'",
+    lambda rng, artist, album, genre, account: f"UPDATE Albums SET Stock = Stock {rng.choice('+-')} {rng.randrange(1, 4)} WHERE Title = '{album}'",
+    lambda rng, artist, album, genre, account: f"UPDATE Albums SET Genre = '{genre}' WHERE Title = '{album}'",
+    lambda rng, artist, album, genre, account: f"UPDATE Albums SET Artist = '{artist}' WHERE Title = '{album}'",
+    lambda rng, artist, album, genre, account: f"UPDATE Reviews SET Stars = {rng.randrange(7)} WHERE Id = {rng.randrange(1, 7)}",
+    lambda rng, artist, album, genre, account: f"UPDATE Accounts SET Balance = Balance - {rng.randrange(1, 5)} WHERE Owner = '{account}'",
+    lambda rng, artist, album, genre, account: f"UPDATE Accounts SET Balance = Balance + {rng.randrange(1, 5)} WHERE Owner = '{account}'",
+    lambda rng, artist, album, genre, account: f"DELETE FROM Artists WHERE Name = '{artist}'",
+    lambda rng, artist, album, genre, account: f"DELETE FROM Albums WHERE Title = '{album}'",
+    lambda rng, artist, album, genre, account: f"DELETE FROM Reviews WHERE Id = {rng.randrange(1, 7)}",
+    lambda rng, artist, album, genre, account: f"SELECT * FROM {rng.choice(('Artists', 'Albums', 'Reviews', 'Accounts'))}",
+)
+
+
 def _gen_statement(rng: random.Random) -> str:
     artist = rng.choice(_ARTISTS)
     album = rng.choice(_ALBUMS)
     genre = rng.choice(_GENRES)
     account = rng.choice(_ACCOUNTS)
-    makers = (
-        lambda: f"INSERT INTO Artists VALUES ('{artist}', {rng.choice(('TRUE', 'FALSE'))}, {rng.randrange(4)})",
-        lambda: f"INSERT INTO Albums VALUES ('{album}', '{artist}', {rng.randrange(5)}, '{genre}')",
-        lambda: f"INSERT INTO Reviews VALUES ({rng.randrange(1, 7)}, '{album}', {rng.randrange(1, 6)})",
-        lambda: f"INSERT INTO Accounts VALUES ('{account}', {rng.randrange(11)})",
-        lambda: f"UPDATE Artists SET Active = {rng.choice(('TRUE', 'FALSE'))} WHERE Name = '{artist}'",
-        lambda: f"UPDATE Artists SET Plays = Plays + {rng.randrange(1, 5)} WHERE Name = '{artist}'",
-        lambda: f"UPDATE Albums SET Stock = Stock {rng.choice('+-')} {rng.randrange(1, 4)} WHERE Title = '{album}'",
-        lambda: f"UPDATE Albums SET Genre = '{genre}' WHERE Title = '{album}'",
-        lambda: f"UPDATE Albums SET Artist = '{artist}' WHERE Title = '{album}'",
-        lambda: f"UPDATE Reviews SET Stars = {rng.randrange(7)} WHERE Id = {rng.randrange(1, 7)}",
-        lambda: f"UPDATE Accounts SET Balance = Balance - {rng.randrange(1, 5)} WHERE Owner = '{account}'",
-        lambda: f"UPDATE Accounts SET Balance = Balance + {rng.randrange(1, 5)} WHERE Owner = '{account}'",
-        lambda: f"DELETE FROM Artists WHERE Name = '{artist}'",
-        lambda: f"DELETE FROM Albums WHERE Title = '{album}'",
-        lambda: f"DELETE FROM Reviews WHERE Id = {rng.randrange(1, 7)}",
-        lambda: f"SELECT * FROM {rng.choice(('Artists', 'Albums', 'Reviews', 'Accounts'))}",
-    )
-    return rng.choice(makers)()
+    return rng.choice(_STATEMENT_MAKERS)(rng, artist, album, genre, account)
+
+
+@functools.cache
+def _event_kinds(open_count: int, partitioned: bool, can_partition: bool) -> tuple[str, ...]:
+    """Each event kind the generator may pick in a state, repeated by weight."""
+    choices: list[tuple[int, str]] = []
+    if open_count < _MAX_OPEN:
+        choices.append((20, "begin"))
+    if open_count:
+        choices.extend(((45, "stmt"), (20, "commit"), (5, "abort")))
+    choices.append((15, "deliver"))
+    if partitioned:
+        choices.append((12, "heal"))
+    elif can_partition:
+        choices.append((6, "partition"))
+    return tuple(kind for weight, kind in choices for _ in range(weight))
 
 
 def _gen_events(config: FuzzConfig, rng: random.Random, rids: list[str], runner: Runner) -> list[Event]:
@@ -944,47 +971,26 @@ def _gen_events(config: FuzzConfig, rng: random.Random, rids: list[str], runner:
     partitioned = False
 
     def emit(kind: str, args: dict) -> None:
-        nonlocal partitioned
         event = Event(kind, args, len(trace) + 1)
         trace.append(event)
         runner.apply(event)
-        if kind == "partition":
-            partitioned = True
-        elif kind == "heal":
-            partitioned = False
 
-    open_txs: list[str] = []  # in begin order, as runner.txs has them
+    open_txs: list = []  # the active transactions, in begin order
     for _ in range(config.events):
-        open_txs = [txid for txid in open_txs if runner.txs[txid].status is TxStatus.ACTIVE]
-        choices: list[tuple[int, str]] = []
-        if len(open_txs) < _MAX_OPEN:
-            choices.append((20, "begin"))
-        if open_txs:
-            choices.extend(((45, "stmt"), (20, "commit"), (5, "abort")))
-        choices.append((15, "deliver"))
-        if partitioned:
-            choices.append((12, "heal"))
-        elif len(rids) > 1:
-            choices.append((6, "partition"))
-        total = sum(w for w, _ in choices)
-        pick = rng.randrange(total)
-        kind = "deliver"
-        for weight, candidate in choices:
-            if pick < weight:
-                kind = candidate
-                break
-            pick -= weight
+        open_txs = [tx for tx in open_txs if tx.status is TxStatus.ACTIVE]
+        kinds = _event_kinds(len(open_txs), partitioned, len(rids) > 1)
+        kind = kinds[rng.randrange(len(kinds))]
 
         if kind == "begin":
             counter += 1
             emit("begin", {"rid": rng.choice(rids), "txid": f"t{counter}"})
-            open_txs.append(f"t{counter}")
+            open_txs.append(runner.txs[f"t{counter}"])
         elif kind == "stmt":
-            emit("stmt", {"txid": rng.choice(open_txs), "sql": _gen_statement(rng), "expect": None})
+            emit("stmt", {"txid": rng.choice(open_txs).txid, "sql": _gen_statement(rng), "expect": None})
         elif kind == "commit":
-            emit("commit", {"txid": rng.choice(open_txs), "expect": None})
+            emit("commit", {"txid": rng.choice(open_txs).txid, "expect": None})
         elif kind == "abort":
-            emit("abort", {"txid": rng.choice(open_txs)})
+            emit("abort", {"txid": rng.choice(open_txs).txid})
         elif kind == "deliver":
             rid = None if rng.random() < 0.3 else rng.choice(rids)
             emit("deliver", {"rid": rid})
@@ -993,8 +999,10 @@ def _gen_events(config: FuzzConfig, rng: random.Random, rids: list[str], runner:
             shuffled = rids[:]
             rng.shuffle(shuffled)
             emit("partition", {"groups": [sorted(shuffled[:cut]), sorted(shuffled[cut:])]})
+            partitioned = True
         else:
             emit("heal", {})
+            partitioned = False
     return trace
 
 

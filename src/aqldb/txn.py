@@ -94,10 +94,12 @@ class RowWrite:
 
 @dataclass
 class Transaction:
+    """A client transaction at its origin. A settled one keeps only its
+    status, so a refused transaction is freed as soon as its client drops it."""
+
     txid: str
     origin: str
     status: TxStatus = TxStatus.ACTIVE
-    error: Exception | None = None
     buffer: dict[tuple, RowWrite] = field(default_factory=dict)
     # rowkey -> the row as of begin (None: absent then), saved before a
     # commit changed it; engine.ViewContext reads it over the live store
