@@ -326,12 +326,16 @@ class Replica:
         self.active[txid] = tx
         return tx
 
-    def execute(self, tx: Transaction, statement):
+    def execute(self, tx: Transaction, statement, params=()):
+        """Run one statement, given as text or parsed. Each `?` in the text
+        takes one of params (qmark style); see schema.parse_statement."""
         if tx.status is not TxStatus.ACTIVE:
             raise ValidationError(f"transaction {tx.txid} is {tx.status.value}")
         try:
             if isinstance(statement, str):
-                statement = sch.parse_statement(statement, self.catalog)
+                statement = sch.parse_statement(statement, self.catalog, params)
+            elif params:
+                raise ValidationError("parameters need statement text")
             if isinstance(statement, sch.Insert):
                 return self._exec_insert(tx, statement)
             if isinstance(statement, sch.Update):

@@ -6,22 +6,24 @@ executes. Keywords are case-insensitive, identifiers are case-sensitive.
 
 Parsed catalogs and statements are immutable, so they are shared:
 parse_schema_text returns one catalog per schema text, and each catalog
-keeps the statements parsed against it by text. Both caches are bounded by
-module constants and emptied when full; a text that fails to parse is never
+keeps the statements parsed against it by text, and their templates (the
+text with each literal masked as `?`) by template text, so a new text of a
+known shape only binds its literals. All caches are bounded by module
+constants and emptied when full; a text that fails to parse is never
 stored, so it raises again on every call.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
 
 from .crdt import Bound, Scalar
-from .errors import AqlSyntaxError, ValidationError
+from .errors import AqlError, AqlSyntaxError, ValidationError
 
 
 class Policy(Enum):
@@ -165,8 +167,12 @@ class TableSchema:
 @dataclass
 class Catalog:
     tables: dict[str, TableSchema] = field(default_factory=dict)
-    # Statements parsed against this catalog, by text (see parse_statement).
+    # Statements parsed against this catalog by text, templates by template
+    # text (see parse_statement).
     statements: dict[str, Statement] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    templates: dict[str, tuple[Statement, tuple[_Slot, ...]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -288,6 +294,7 @@ _TOKEN_RE = re.compile(
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<op><=|>=|<>|[<>=])
       | (?P<sym>[(),;*+\-])
+      | (?P<param>\?)
       | (?P<bad>.)
     """,
     re.VERBOSE | re.DOTALL,
@@ -297,13 +304,14 @@ _TOKEN_RE = re.compile(
 Token = tuple[str, str, int]
 
 
-def _tokenize(text: str) -> list[Token]:
+def _tokenize(text: str, params: bool = False) -> list[Token]:
+    """The tokens of text; a `?` is a "param" token only where params is set."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         if kind == "ws":
             continue
-        if kind == "bad":
+        if kind == "bad" or (kind == "param" and not params):
             raise AqlSyntaxError(f"unexpected character {m.group()!r}", m.start())
         tokens.append((kind, m.group(), m.start()))
     tokens.append(("eof", "", len(text)))
@@ -317,10 +325,26 @@ def _int(tok: Token) -> int:
         raise AqlSyntaxError(f"integer literal of {len(tok[1])} digits is too long", tok[2]) from None
 
 
+class _Slot:
+    """A `?` in a statement template. It takes the index-th value, of exactly
+    type (see _admits); an int_only one stands where only an integer token
+    may, takes an int >= 0 and multiplies it by sign."""
+
+    __slots__ = ("index", "sign", "int_only", "type")
+
+    def __init__(self, index: int, sign: int, int_only: bool):
+        self.index, self.sign, self.int_only = index, sign, int_only
+        self.type: type | None = int if int_only else None
+
+
 class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+    """Token cursor. Given a slots list, it parses a template: each `?` where
+    a literal may stand becomes a _Slot, appended to slots."""
+
+    def __init__(self, text: str, slots: list[_Slot] | None = None):
+        self.tokens = _tokenize(text, slots is not None)
         self.idx = 0
+        self.slots = slots
 
     def peek(self) -> Token:
         return self.tokens[self.idx]
@@ -361,7 +385,22 @@ class _Parser:
         self.idx += 1
         return text
 
-    def literal(self) -> Scalar:
+    def integer(self) -> Token:
+        """Consume an integer literal token, or a `?` in a template."""
+        tok = self.tokens[self.idx]
+        if tok[0] != "int" and tok[0] != "param":
+            raise self.error("integer literal")
+        self.idx += 1
+        return tok
+
+    def number(self, tok: Token, sign: int, int_only: bool = True) -> int | _Slot:
+        """sign times the integer tok, or for a `?` a new slot."""
+        if tok[0] != "param":
+            return sign * _int(tok)
+        self.slots.append(_Slot(len(self.slots), sign, int_only))
+        return self.slots[-1]
+
+    def literal(self) -> Scalar | _Slot:
         kind, text, _ = tok = self.peek()
         if kind == "string":
             self.idx += 1
@@ -369,13 +408,12 @@ class _Parser:
         if kind == "int":
             self.idx += 1
             return _int(tok)
+        if kind == "param":
+            self.idx += 1
+            return self.number(tok, 1, False)
         if kind == "sym" and text == "-":
             self.idx += 1
-            num = self.peek()
-            if num[0] != "int":
-                raise self.error("integer literal")
-            self.idx += 1
-            return -_int(num)
+            return self.number(self.integer(), -1)
         if self.accept_keyword("TRUE"):
             return True
         if self.accept_keyword("FALSE"):
@@ -394,9 +432,11 @@ class _Parser:
 # caches
 
 # Bounds on the number of parsed schema texts kept, and of statement texts
-# kept per catalog. A full cache is emptied, not evicted entry by entry.
+# and statement templates kept per catalog. A full cache is emptied, not
+# evicted entry by entry.
 SCHEMA_CACHE_LIMIT = 64
 STATEMENT_CACHE_LIMIT = 2048
+TEMPLATE_CACHE_LIMIT = 256
 
 _catalogs: dict[str, Catalog] = {}
 
@@ -597,18 +637,99 @@ def _validate_checks(schema: TableSchema, col: ColumnDef) -> None:
 # --------------------------------------------------------------------------
 # statements
 
-def parse_statement(text: str, catalog: Catalog) -> Statement:
+def parse_statement(text: str, catalog: Catalog, params: Sequence[Scalar] = ()) -> Statement:
     """Parse and validate one statement against catalog. The same text under
-    the same catalog gives the same (immutable) statement object."""
+    the same catalog gives the same (immutable) statement object. Each `?`
+    in text takes one of params, checked as a literal of it would be. Any
+    failure takes the full parse, so an error keeps its type and offset."""
+    if params:
+        return _bind(text, params, catalog) or _parse_statement(_render(text, params), catalog)
     stmt = catalog.statements.get(text)
     if stmt is None:
-        stmt = _parse_statement(text, catalog)
+        stmt = _bind_literals(text, catalog) or _parse_statement(text, catalog)
         _remember(catalog.statements, text, stmt, STATEMENT_CACHE_LIMIT)
     return stmt
 
 
-def _parse_statement(text: str, catalog: Catalog) -> Statement:
-    p = _Parser(text)
+# A string or integer literal; digits after an identifier character belong
+# to the identifier. As a capturing group, split keeps the literals.
+_LITERAL_RE = re.compile(r"('(?:[^']|'')*'|(?<![A-Za-z0-9_])\d+)")
+
+
+def _bind_literals(text: str, catalog: Catalog) -> Statement | None:
+    if "?" in text:
+        return None
+    parts = _LITERAL_RE.split(text)
+    try:
+        values = [int(lit) if lit[0] != "'" else lit[1:-1].replace("''", "'") for lit in parts[1::2]]
+        return _bind("?".join(parts[::2]), values, catalog)
+    except (ValueError, AqlError):  # a literal too long for int(), or a shape that does not parse
+        return None
+
+
+def _bind(key: str, values: Sequence, catalog: Catalog) -> Statement | None:
+    """The statement of template text key with values in its slots, or None
+    where a value does not fit. A template is kept once a bind succeeds."""
+    template = catalog.templates.get(key)
+    if template is None:
+        slots: list[_Slot] = []
+        template = _parse_statement(key, catalog, slots), tuple(slots)
+    stmt, slots = template
+    if len(values) != len(slots):
+        raise ValidationError(f"statement has {len(slots)} placeholders, {len(values)} parameters given")
+    filled = []
+    for slot, value in zip(slots, values):
+        if type(value) is not slot.type or slot.int_only and value < 0:
+            return None
+        filled.append(slot.sign * value if slot.int_only else value)
+    if key not in catalog.templates:
+        _remember(catalog.templates, key, template, TEMPLATE_CACHE_LIMIT)
+    return _fill(stmt, filled) if slots else stmt
+
+
+def _fill(stmt: Statement, values: list[Scalar]) -> Statement:
+    def get(value):
+        return values[value.index] if type(value) is _Slot else value
+    if type(stmt) is Insert:
+        return Insert(stmt.table, MappingProxyType({k: get(v) for k, v in stmt.values.items()}))
+    where = stmt.where
+    if where is not None and type(where.value) is _Slot:
+        where = Where(where.column, where.op, get(where.value))
+    if type(stmt) is Update:
+        return Update(stmt.table, tuple([
+            DeltaAssign(a.column, get(a.delta)) if type(a) is DeltaAssign
+            else SetAssign(a.column, get(a.value)) for a in stmt.assignments]), where)
+    return Delete(stmt.table, where) if type(stmt) is Delete else Select(stmt.table, stmt.columns, where)
+
+
+def _render(text: str, params: Sequence) -> str:
+    """text with each `?` replaced by the literal of its parameter."""
+    marks = [pos for kind, _, pos in _tokenize(text, True) if kind == "param"]
+    pieces, start = [], 0
+    for pos, value in zip(marks, params):
+        if not isinstance(value, (int, str)):
+            raise ValidationError(f"parameter {value!r} is not an INT, VARCHAR or BOOLEAN value")
+        try:
+            pieces += (text[start:pos], _literal_ddl(value))
+        except ValueError:  # more digits than str() converts
+            raise ValidationError(f"integer parameter of {value.bit_length()} bits is too long") from None
+        start = pos + 1
+    return "".join(pieces) + text[start:]
+
+
+def _admits(datatype: Datatype, value: Scalar | _Slot) -> bool:
+    """datatype.admits(value); a slot takes the check to its bind as an exact
+    type, or none that fits when it must be an integer and datatype is not INT."""
+    if type(value) is not _Slot:
+        return datatype.admits(value)
+    want = {Datatype.INT: int, Datatype.VARCHAR: str, Datatype.BOOLEAN: bool}[datatype]
+    value.type = want if value.type in (None, want) else None
+    return True
+
+
+def _parse_statement(text: str, catalog: Catalog, slots: list[_Slot] | None = None) -> Statement:
+    """The full parse; given a slots list, the parse of a template."""
+    p = _Parser(text, slots)
     if p.accept_keyword("INSERT"):
         stmt = _parse_insert(p, catalog)
     elif p.accept_keyword("UPDATE"):
@@ -652,7 +773,7 @@ def _parse_insert(p: _Parser, catalog: Catalog) -> Insert:
         col = schema.column(name)
         if name in mapping:
             raise ValidationError(f"column {name} listed twice")
-        if not col.datatype.admits(value):
+        if not _admits(col.datatype, value):
             raise ValidationError(
                 f"value {value!r} does not match {table}.{name} ({col.datatype.value})"
             )
@@ -695,19 +816,16 @@ def _parse_assignment(p: _Parser, schema: TableSchema) -> SetAssign | DeltaAssig
             sign = -1
         else:
             raise p.error("'+' or '-'")
-        amount = p.peek()
-        if amount[0] != "int":
-            raise p.error("integer literal")
-        p.idx += 1
+        amount = p.integer()
         if col.modifier is not Modifier.ADDITIVE:
             raise ValidationError(f"column {name} is not ADDITIVE, use {name} = value")
-        return DeltaAssign(name, sign * _int(amount))
+        return DeltaAssign(name, p.number(amount, sign))
     value = p.literal()
     if col.modifier is Modifier.ADDITIVE:
         raise ValidationError(
             f"additive column {name} must be updated as {name} = {name} + k"
         )
-    if not col.datatype.admits(value):
+    if not _admits(col.datatype, value):
         raise ValidationError(
             f"value {value!r} does not match {schema.name}.{name} ({col.datatype.value})"
         )
@@ -747,7 +865,7 @@ def _parse_where(p: _Parser, schema: TableSchema) -> Where | None:
     col = schema.column(column)
     op = p.comparison_op()
     value = p.literal()
-    if not col.datatype.admits(value):
+    if not _admits(col.datatype, value):
         raise ValidationError(
             f"where constant {value!r} does not match {schema.name}.{column}"
         )

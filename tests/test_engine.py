@@ -197,6 +197,30 @@ class TestBasicStatements:
         assert tx.held == {}
         assert not any(st.holders for st in r1.locks.locks.values())
 
+    def test_execute_binds_params(self):
+        reps, catalog = make_group()
+        r1 = reps["r1"]
+        tx = r1.begin()
+        r1.execute(tx, "INSERT INTO Artists VALUES (?, ?, ?)", ("it's", True, 3))
+        r1.execute(tx, "UPDATE Artists SET Plays = Plays - ? WHERE Name = ?", [2, "it's"])
+        assert r1.execute(tx, "SELECT Plays FROM Artists WHERE Name = ?", ("it's",)) == [{"Plays": 1}]
+        r1.commit(tx)
+        assert dump_table(r1.store, catalog, "Artists") == ["it's,true,1"]
+
+    @pytest.mark.parametrize("statement, params, error", [
+        ("DELETE FROM Plain WHERE Id = ?", (), AqlSyntaxError),
+        ("DELETE FROM Plain WHERE Id = ?", (1, 2), ValidationError),
+        ("DELETE FROM Plain WHERE Id = ?", ("1",), ValidationError),
+        (sch.Delete("Plain", None), (1,), ValidationError),
+    ], ids=["no-params", "count", "type", "parsed"])
+    def test_bad_params_abort_tx(self, statement, params, error):
+        reps, _ = make_group()
+        r1 = reps["r1"]
+        tx = r1.begin()
+        with pytest.raises(error):
+            r1.execute(tx, statement, params)
+        assert tx.status is TxStatus.ABORTED
+
     def test_begin_rejects_an_active_txid(self):
         reps, _ = make_group()
         r1 = reps["r1"]

@@ -1,12 +1,13 @@
 """Bad input to any parser raises an AqlError and never another exception."""
 
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import aqldb.schema as sch
-from aqldb.errors import AqlError, AqlSyntaxError, ScenarioError
+from aqldb.errors import AqlError, AqlSyntaxError, ScenarioError, ValidationError
 from aqldb.sim import FUZZ_SCHEMA, parse_scenario
 
 # More digits than int() converts by default (4300).
@@ -69,6 +70,111 @@ robust = settings(max_examples=300, deadline=None, derandomize=True, database=No
 def test_parse_statement_raises_only_aql_errors(text):
     try:
         sch.parse_statement(text, sch.parse_schema_text(FUZZ_SCHEMA))
+    except AqlError:
+        pass
+
+
+# ---------------------------------------------------------------------------
+# The template cache answers like the full parse, and `?` parameters like
+# the literals they stand for.
+
+# What literal_swaps puts where a literal stood: every kind, values of the
+# wrong type, a '-' before a string, digits no int() takes, Unicode digits.
+SWAPS = [
+    "'Sam'", "'A1'", "'it''s'", "''", "'?'", "'٣'", "'7'", "0", "1", "7", "42",
+    "-3", "- 5", "-0", "TRUE", "FALSE", "-'x'", "٣", "1٣", HUGE, "-" + HUGE,
+]
+LITERAL = re.compile(r"'(?:[^']|'')*'|\b\d+\b|\bTRUE\b|\bFALSE\b")
+
+
+@st.composite
+def literal_swaps(draw, seeds):
+    """A seed text with some of its literals replaced from SWAPS."""
+    text = draw(st.sampled_from(seeds))
+    return LITERAL.sub(lambda m: draw(st.sampled_from(SWAPS + [m.group()])), text)
+
+
+def outcome(parse, *args):
+    """What a parse gives: the statement, with its repr so that True and 1
+    differ, or the error's type and message (the message holds the offset)."""
+    try:
+        stmt = parse(*args)
+    except AqlError as err:
+        return type(err), str(err)
+    return stmt, repr(stmt)
+
+
+def private_catalog():
+    """The fuzz schema's tables under a catalog of its own, caches empty."""
+    return sch.Catalog(dict(sch.parse_schema_text(FUZZ_SCHEMA).tables))
+
+
+@robust
+@given(texts(STATEMENTS) | literal_swaps(STATEMENTS) | mutants(STATEMENTS))
+@example("SELECT * FROM Artists WHERE Name = -'x'")
+@example("UPDATE Artists SET Plays = Plays + 'x' WHERE Name = 'Sam'")
+@example("DELETE FROM Artists WHERE Name = 'it''s'")
+@example("INSERT INTO Reviews VALUES (٣, 'A1', 5)")
+def test_template_cache_answers_like_the_full_parse(text):
+    catalog = private_catalog()
+    expected = outcome(sch._parse_statement, text, catalog)
+    # A template miss, then a hit once the text cache is emptied.
+    assert outcome(sch.parse_statement, text, catalog) == expected
+    catalog.statements.clear()
+    assert outcome(sch.parse_statement, text, catalog) == expected
+    # The same shape with other literals first, so the template is warm.
+    other = private_catalog()
+    for seed in STATEMENTS:
+        sch.parse_statement(seed, other)
+    assert outcome(sch.parse_statement, text, other) == expected
+
+
+QSTATEMENTS = [LITERAL.sub("?", text) for text in STATEMENTS]
+
+PARAMS = st.lists(
+    st.integers() | st.text(max_size=4) | st.booleans()
+    | st.sampled_from([-1, 0, 1.5, None, b"x", "it's", "?"]),
+    max_size=5,
+)
+
+
+def literal_of(value) -> str:
+    if isinstance(value, bool):
+        return "TRUE" if value else "FALSE"
+    if isinstance(value, int):
+        return str(value)
+    return "'" + value.replace("'", "''") + "'"
+
+
+@robust
+@given(st.sampled_from(QSTATEMENTS), PARAMS)
+@example("UPDATE Albums SET Stock = Stock - ? WHERE Title = ?", [-1, "A1"])
+@example("SELECT Name, Plays FROM Artists WHERE Plays >= -?", ["x"])
+def test_params_answer_like_their_literals(text, params):
+    """Scalar parameters bind as the literal text would parse; the wrong
+    number of them, or a value of another type, is a ValidationError. With
+    no parameters a `?` is an unexpected character, as it always was."""
+    catalog = private_catalog()
+    got = outcome(sch.parse_statement, text, catalog, params)
+    pieces = text.split("?")
+    if not params:
+        assert got == outcome(sch._parse_statement, text, catalog)
+    elif len(params) != len(pieces) - 1:
+        assert got[0] is ValidationError and "placeholders" in got[1]
+    elif all(isinstance(v, (int, str)) for v in params):
+        literal = pieces[0] + "".join(literal_of(v) + p for v, p in zip(params, pieces[1:]))
+        assert got == outcome(sch._parse_statement, literal, catalog)
+    else:
+        assert got[0] is ValidationError
+
+
+@robust
+@given(texts(QSTATEMENTS) | mutants(QSTATEMENTS), PARAMS)
+@example(f"DELETE FROM Reviews WHERE Id = ? AND {HUGE}", [1])
+@example("SELECT * FROM Artists WHERE Name = ?", [10 ** 5000])
+def test_parse_statement_with_params_raises_only_aql_errors(text, params):
+    try:
+        sch.parse_statement(text, sch.parse_schema_text(FUZZ_SCHEMA), params)
     except AqlError:
         pass
 

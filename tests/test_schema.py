@@ -42,6 +42,11 @@ def catalog():
     return parse_schema_text(MUSIC)
 
 
+def private_catalog():
+    """MUSIC's tables under a catalog of their own, with empty caches."""
+    return sch.Catalog(dict(parse_schema_text(MUSIC).tables))
+
+
 def test_policies(catalog):
     assert catalog.table("Artists").row_policy is Policy.UPDATE_WINS
     assert catalog.table("Albums").row_policy is Policy.DELETE_WINS
@@ -323,6 +328,7 @@ class TestCaches:
         ids=["syntax", "type", "arity"],
     )
     def test_failing_text_fails_alike_every_call(self, catalog, text):
+        templates = dict(catalog.templates)
         seen = set()
         for _ in range(3):
             with pytest.raises((AqlSyntaxError, ValidationError)) as err:
@@ -330,6 +336,94 @@ class TestCaches:
             seen.add((type(err.value), str(err.value), getattr(err.value, "position", None)))
         assert len(seen) == 1
         assert text not in catalog.statements
+        assert catalog.templates == templates
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "DELETE FROM Plain WHERE Id = 'x'",
+            "UPDATE Artists SET Plays = Plays + 'x' WHERE Name = 'Sam'",
+            "SELECT * FROM Plain WHERE Id = -'x'",
+            "INSERT INTO Plain VALUES (1, 2)",
+            "DELETE FROM Plain WHERE Id = " + "9" * 5000,
+        ],
+        ids=["type", "delta", "minus", "insert", "huge"],
+    )
+    def test_text_that_does_not_bind_stores_no_template(self, text):
+        cat = private_catalog()
+        with pytest.raises((AqlSyntaxError, ValidationError)):
+            parse_statement(text, cat)
+        assert cat.templates == {} and cat.statements == {}
+
+    def test_one_shape_one_template(self, catalog):
+        texts = [f"UPDATE Plain SET Note = 'n{k}' WHERE Id = {k}" for k in range(50)]
+        before = set(catalog.templates)
+        for k, text in enumerate(texts):
+            stmt = parse_statement(text, catalog)
+            assert stmt == sch._parse_statement(text, catalog)
+            assert stmt.where.value == k and stmt.assignments[0].value == f"n{k}"
+        assert set(catalog.templates) - before == {"UPDATE Plain SET Note = ? WHERE Id = ?"}
+
+    def test_template_cache_is_bounded(self):
+        cat = parse_schema_text("CREATE TABLE Shapes (K INT PRIMARY KEY, V INT);")
+        limit = sch.TEMPLATE_CACHE_LIMIT
+        for k in range(limit + 5):
+            # Each run of blanks is another shape.
+            stmt = parse_statement("DELETE FROM Shapes WHERE K =" + " " * (k + 1) + str(k), cat)
+            assert stmt.where.value == k
+            assert len(cat.templates) <= limit
+        assert len(cat.templates) == 5
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "SELECT * FROM Plain WHERE Id = ٣",
+            "SELECT * FROM Plain WHERE Id = -٣",
+            "INSERT INTO Plain VALUES (1٣, 'al1234')",
+            "SELECT * FROM Plain WHERE Id = -12",
+            "SELECT * FROM Plain WHERE Id = - 12",
+            "SELECT * FROM Plain WHERE Id = -0",
+            "UPDATE Artists SET Plays = Plays - 12 WHERE Name = 'al1234'",
+            "UPDATE Artists SET Active = TRUE WHERE Name = 'it''s ٣'",
+            "SELECT * FROM Plain WHERE Note = 'Col1'",
+        ],
+    )
+    def test_edge_literals_bind_like_the_full_parse(self, text):
+        cat = private_catalog()
+        expected = sch._parse_statement(text, cat)
+        for _ in range(2):  # a template miss, then a hit
+            cat.statements.clear()
+            stmt = parse_statement(text, cat)
+            assert (stmt, repr(stmt)) == (expected, repr(expected))
+        assert cat.templates
+
+    @pytest.mark.parametrize(
+        "schema, text",
+        [
+            ("CREATE TABLE T (Col1 INT PRIMARY KEY, al1234 INT);", "SELECT al1234 FROM T WHERE Col1 = 1"),
+            ("CREATE TABLE T (K INT PRIMARY KEY, Col INT);", "SELECT Col FROM T WHERE K = 1"),
+            ("CREATE TABLE T (K VARCHAR PRIMARY KEY);", "SELECT * FROM T WHERE K = -'x'"),
+            ("CREATE TABLE T (K VARCHAR PRIMARY KEY);", "SELECT * FROM T WHERE K = -5"),
+            ("CREATE TABLE T (K INT PRIMARY KEY, Col INT);", "SELECT Col٣ FROM T"),
+            ("CREATE TABLE T (K INT PRIMARY KEY);", "SELECT * FROM T WHERE K = 1 ?"),
+            ("CREATE TABLE T (K VARCHAR PRIMARY KEY);", "SELECT * FROM T WHERE K = '?'"),
+        ],
+        ids=["digits-in-identifiers", "column", "minus-string", "minus-on-varchar",
+             "unicode-digit-after-identifier", "question-mark", "question-mark-in-string"],
+    )
+    def test_edge_shapes_answer_like_the_full_parse(self, schema, text):
+        cat = parse_schema_text(schema)
+        try:
+            expected = sch._parse_statement(text, cat)
+        except (AqlSyntaxError, ValidationError) as err:
+            expected = (type(err), str(err))
+        for _ in range(2):
+            cat.statements.clear()
+            try:
+                got = parse_statement(text, cat)
+            except (AqlSyntaxError, ValidationError) as err:
+                got = (type(err), str(err))
+            assert got == expected
 
     def test_statements_are_immutable(self, catalog):
         insert = parse_statement("INSERT INTO Artists VALUES ('Sam', TRUE, 0)", catalog)
@@ -350,6 +444,42 @@ class TestCaches:
 
     def test_same_schema_text_same_catalog(self):
         assert parse_schema_text(MUSIC) is parse_schema_text(MUSIC)
+
+    def test_params_bind_through_the_template(self, catalog):
+        text = "UPDATE Artists SET Active = ?, Plays = Plays - ? WHERE Name = ?"
+        stmt = parse_statement(text, catalog, (False, 2, "it's"))
+        assert stmt == parse_statement("UPDATE Artists SET Active = FALSE, Plays = Plays - 2 WHERE Name = 'it''s'", catalog)
+        assert text in catalog.templates and text not in catalog.statements
+        # A shape first seen as literals serves parameters too, and back.
+        literal = parse_statement("DELETE FROM Plain WHERE Id = 4", catalog)
+        assert parse_statement("DELETE FROM Plain WHERE Id = ?", catalog, [4]) == literal
+
+    @pytest.mark.parametrize(
+        "params, literal",
+        [
+            (("yes", 1, "Sam"), "UPDATE Artists SET Active = 'yes', Plays = Plays - 1 WHERE Name = 'Sam'"),
+            ((True, -1, "Sam"), "UPDATE Artists SET Active = TRUE, Plays = Plays - -1 WHERE Name = 'Sam'"),
+            ((True, "1", "Sam"), "UPDATE Artists SET Active = TRUE, Plays = Plays - '1' WHERE Name = 'Sam'"),
+            ((True, 1, 7), "UPDATE Artists SET Active = TRUE, Plays = Plays - 1 WHERE Name = 7"),
+        ],
+        ids=["set", "negative-delta", "string-delta", "where"],
+    )
+    def test_param_of_the_wrong_type_fails_as_its_literal(self, catalog, params, literal):
+        text = "UPDATE Artists SET Active = ?, Plays = Plays - ? WHERE Name = ?"
+        with pytest.raises((AqlSyntaxError, ValidationError)) as want:
+            parse_statement(literal, catalog)
+        with pytest.raises(type(want.value)) as got:
+            parse_statement(text, catalog, params)
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("params", [(1,), (1, 2, 3), (1.5, 2), (None, 2)])
+    def test_param_count_and_kind_are_validated(self, catalog, params):
+        with pytest.raises(ValidationError):
+            parse_statement("UPDATE Plain SET Note = ? WHERE Id = ?", catalog, params)
+
+    def test_question_mark_without_params_is_a_syntax_error(self, catalog):
+        with pytest.raises(AqlSyntaxError, match="unexpected character '\\?' at offset 29"):
+            parse_statement("DELETE FROM Plain WHERE Id = ?", catalog)
 
     def test_statement_cache_is_bounded(self):
         cat = parse_schema_text("CREATE TABLE Bounded (K INT PRIMARY KEY);")
