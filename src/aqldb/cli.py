@@ -21,7 +21,7 @@ import sys
 
 from . import schema as sch
 from .errors import AqlError
-from .sim import FuzzConfig, Runner, fuzz, load_scenario, render_dump, run_scenario
+from .sim import FUZZ_SCHEMA, FuzzConfig, Runner, fuzz, load_scenario, read_text, render_dump, run_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,10 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    reports = []
-    for path in args.scripts:
-        scenario = load_scenario(path)
-        reports.append(run_scenario(scenario))
+    reports = [run_scenario(load_scenario(path)) for path in args.scripts]
     if args.format == "machine":
         print(json.dumps([r.to_json() for r in reports], indent=2, sort_keys=True))
     else:
@@ -68,16 +65,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    schema_text = None
-    if args.schema:
-        with open(args.schema, "r", encoding="utf-8") as fh:
-            schema_text = fh.read()
-    outcomes = []
-    for seed in range(args.seed, args.seed + args.runs):
-        config = FuzzConfig(seed=seed, replicas=args.replicas, events=args.events)
-        if schema_text is not None:
-            config.schema_text = schema_text
-        outcomes.append(fuzz(config))
+    schema_text = read_text(args.schema) if args.schema else FUZZ_SCHEMA
+    outcomes = [fuzz(FuzzConfig(seed=seed, replicas=args.replicas, events=args.events, schema_text=schema_text))
+                for seed in range(args.seed, args.seed + args.runs)]
     if args.format == "machine":
         payload = []
         for outcome in outcomes:
@@ -102,11 +92,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_check_schema(args) -> int:
-    if args.path and args.path != "-":
-        with open(args.path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
+    text = read_text(args.path) if args.path and args.path != "-" else sys.stdin.read()
     catalog = sch.parse_schema_text(text)
     if args.format == "machine":
         tables = {
@@ -142,6 +128,8 @@ def _cmd_dump(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.command == "fuzz" and args.runs < 1:
+        parser.error(f"--runs must be at least 1, not {args.runs}")
     try:
         if args.command == "run":
             return _cmd_run(args)
@@ -151,14 +139,10 @@ def main(argv=None) -> int:
             return _cmd_check_schema(args)
         if args.command == "dump":
             return _cmd_dump(args)
-    except AqlError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (AqlError, OSError, UnicodeDecodeError) as err:  # the last: stdin that is not UTF-8
         print(f"error: {err}", file=sys.stderr)
         return 2
     parser.error("no command")
-    return 2
 
 
 if __name__ == "__main__":

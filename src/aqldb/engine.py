@@ -517,27 +517,24 @@ class Replica:
 
     def _exec_insert(self, tx: Transaction, stmt: sch.Insert):
         schema = self.catalog.table(stmt.table)
+        plan = self.catalog.coordination[stmt.table]
         pk = stmt.values[schema.primary_key]
-        allow_concurrent = schema.concurrent_inserts
+        locked = plan.insert_locked
         assignments = [
             sch.DeltaAssign(col.name, stmt.values[col.name])
             if col.modifier is sch.Modifier.ADDITIVE
             else sch.SetAssign(col.name, stmt.values[col.name])
             for col in schema.columns
         ]
-
-        wants = self._write_wants(schema, pk, assignments)
-        if not allow_concurrent:
-            wants.append((row_lock(stmt.table, pk), Mode.EXCLUSIVE))
-        self._acquire(tx, wants)
+        self._acquire(tx, self._lock_wants(plan, [pk], Mode.EXCLUSIVE if locked else None, assignments))
 
         # With the insert lock held, validation reads the freshest state the
         # lock handover shipped in; otherwise the snapshot rules.
-        ctx = self.live_ctx(tx) if not allow_concurrent else self.snap_ctx(tx)
+        ctx = self.live_ctx(tx) if locked else self.snap_ctx(tx)
         view = ctx.view(stmt.table, pk)
         verdict = is_visible(ctx, stmt.table, pk) if view is not None else None
         if verdict is not None and verdict.visible:
-            if not allow_concurrent:
+            if locked:
                 raise DuplicateKey(f"{stmt.table} already holds key {render_scalar(pk)}")
             generation = view.generation()  # merge with the live row
         elif view is None:
@@ -547,37 +544,27 @@ class Replica:
             # Re-insert over a deleted key starts a fresh generation.
             generation = view.generation() + 1 if dead is not None else view.generation()
 
-        write = self._buffer_assignments(tx, schema, pk, view, assignments)
+        write = self._buffer_assignments(tx, schema, plan, pk, view, assignments)
         write.flag = ("I", view.visibility_versions() if view is not None else {})
         write.generation = generation
         return None
 
     def _exec_update(self, tx: Transaction, stmt: sch.Update):
         schema = self.catalog.table(stmt.table)
+        plan = self.catalog.coordination[stmt.table]
         snap = self.snap_ctx(tx)
         matched = self._match_rows(snap, schema, stmt.where)
         if not matched:
             raise RowNotFound(f"no visible {stmt.table} row matches")
 
-        noc_row = schema.row_policy is sch.Policy.NO_CONCURRENCY
-        wants: list[tuple[str, Mode]] = []
-        for pk in matched:
-            if noc_row:
-                wants.append((row_lock(stmt.table, pk), Mode.SHARED))
-            wants.extend(self._write_wants(schema, pk, stmt.assignments))
-        self._acquire(tx, wants)
-
-        if noc_row:
-            live = self.live_ctx(tx)
-            for pk in matched:
-                if not is_visible(live, stmt.table, pk).visible:
-                    raise RowNotFound(
-                        f"{stmt.table} key {render_scalar(pk)} was deleted under the lock"
-                    )
+        row_mode = Mode.SHARED if plan.row_guarded else None
+        self._acquire(tx, self._lock_wants(plan, matched, row_mode, stmt.assignments))
+        if plan.row_guarded:
+            self._require_live(self.live_ctx(tx), stmt.table, matched, "was deleted")
 
         for pk in matched:
             view = snap.view(stmt.table, pk)
-            write = self._buffer_assignments(tx, schema, pk, view, stmt.assignments)
+            write = self._buffer_assignments(tx, schema, plan, pk, view, stmt.assignments)
             if write.flag is None:
                 write.flag = ("I", view.visibility_versions())
             elif write.flag[0] == "T":
@@ -591,46 +578,46 @@ class Replica:
         if not matched:
             raise RowNotFound(f"no visible {stmt.table} row matches")
 
+        plans = self.catalog.coordination
         doomed: set[RowKey] = {(stmt.table, pk) for pk in matched}
         live = self.live_ctx(tx)
         while True:
-            self._cascade_closure(snap, live, doomed, locked=False)
+            self._cascade_closure(snap, snap, doomed)
             wants: list[tuple[str, Mode]] = []
             for table, pk in doomed:
-                if self.catalog.delete_locks_row(table):
-                    wants.append((row_lock(table, pk), Mode.EXCLUSIVE))
+                if plans[table].delete_locked:
+                    wants += self._lock_wants(plans[table], [pk], Mode.EXCLUSIVE)
             self._acquire(tx, wants)
             before = len(doomed)
-            self._cascade_closure(snap, live, doomed, locked=True)
+            self._cascade_closure(snap, live, doomed)
             if len(doomed) == before:
                 break
 
         # Restrict: a visible child that is not itself being deleted blocks us.
         for table, pk in sorted(doomed, key=lambda rk: (rk[0], render_scalar(rk[1]))):
             for child_table, colname, fk in self.catalog.referencing(table):
-                ctx = live if fk.policy is sch.Policy.NO_CONCURRENCY else snap
+                ctx = live if colname in plans[child_table].locked_parents else snap
                 for cpk in self._children(ctx, child_table, colname, pk):
                     if (child_table, cpk) not in doomed and not fk.cascade:
                         raise FkRestrict(
                             f"{table} key {render_scalar(pk)} still referenced by {child_table}"
                         )
 
-        if schema.row_policy is sch.Policy.NO_CONCURRENCY:
-            for pk in matched:
-                if not is_visible(live, stmt.table, pk).visible:
-                    raise RowNotFound(
-                        f"{stmt.table} key {render_scalar(pk)} vanished under the lock"
-                    )
+        if plans[stmt.table].row_guarded:
+            self._require_live(live, stmt.table, matched, "vanished")
 
-        # _fold_row replaces a NO_CONCURRENCY row's observed versions with
-        # the live row's, so the snapshot serves every row here.
+        # _fold_row replaces a guarded row's observed versions with the live
+        # row's, so the snapshot serves every row here.
         for table, pk in sorted(doomed, key=lambda rk: (rk[0], render_scalar(rk[1]))):
             view = snap.view(table, pk)
             write = tx.write((table, pk))
             write.flag = ("D", view.visibility_versions() if view is not None else {})
         return None
 
-    def _cascade_closure(self, snap, live, doomed: set[RowKey], locked: bool) -> None:
+    def _cascade_closure(self, snap, live, doomed: set[RowKey]) -> None:
+        """Add each row a cascade reaches to doomed; a locked edge reads live
+        (the caller passes snap as live until it holds the locks)."""
+        plans = self.catalog.coordination
         changed = True
         while changed:
             changed = False
@@ -638,8 +625,7 @@ class Replica:
                 for child_table, colname, fk in self.catalog.referencing(table):
                     if not fk.cascade:
                         continue
-                    use_live = locked and fk.policy is sch.Policy.NO_CONCURRENCY
-                    ctx = live if use_live else snap
+                    ctx = live if colname in plans[child_table].locked_parents else snap
                     for cpk in self._children(ctx, child_table, colname, pk):
                         if (child_table, cpk) not in doomed:
                             doomed.add((child_table, cpk))
@@ -675,25 +661,34 @@ class Replica:
     # -- shared helpers -------------------------------------------------------
 
     @staticmethod
-    def _write_wants(
-        schema: sch.TableSchema, pk: Scalar, assignments: Iterable[sch.SetAssign | sch.DeltaAssign]
-    ) -> list[tuple[str, Mode]]:
-        """Locks a write of assignments to row pk takes: each unannotated
-        non-key column exclusively, and a lock-guarded parent shared."""
-        wants: list[tuple[str, Mode]] = []
-        for a in assignments:
-            col = schema.column(a.column)
-            if col.modifier is sch.Modifier.NONE and not col.is_primary_key:
-                wants.append((column_lock(schema.name, pk, a.column), Mode.EXCLUSIVE))
-            fk = col.foreign_key
-            if isinstance(a, sch.SetAssign) and fk is not None and fk.policy is sch.Policy.NO_CONCURRENCY:
-                wants.append((row_lock(fk.table, a.value), Mode.SHARED))
+    def _lock_wants(plan: sch.Coordination, pks: list, row_mode: Mode | None, assignments=()) -> list:
+        """The locks plan prescribes for writing assignments to rows pks: the
+        row lock in row_mode, if any, then per assignment its column lock and
+        its parent's row lock (a foreign key column only takes a SetAssign)."""
+        wants = []
+        for pk in pks:
+            if row_mode is not None:
+                wants.append((row_lock(plan.table, pk), row_mode))
+            for a in assignments:
+                if a.column in plan.locked_columns:
+                    wants.append((column_lock(plan.table, pk, a.column), Mode.EXCLUSIVE))
+                parent = plan.locked_parents.get(a.column)
+                if parent is not None:
+                    wants.append((row_lock(parent, a.value), Mode.SHARED))
         return wants
+
+    @staticmethod
+    def _require_live(live: ViewContext, table: str, pks: list[Scalar], fate: str) -> None:
+        """A guarded row must still be visible once its lock is held."""
+        for pk in pks:
+            if not is_visible(live, table, pk).visible:
+                raise RowNotFound(f"{table} key {render_scalar(pk)} {fate} under the lock")
 
     def _buffer_assignments(
         self,
         tx: Transaction,
         schema: sch.TableSchema,
+        plan: sch.Coordination,
         pk: Scalar,
         view: RowView | None,
         assignments: Iterable[sch.SetAssign | sch.DeltaAssign],
@@ -716,18 +711,19 @@ class Replica:
             if atoms and not check_eval(atoms, a.value):
                 raise CheckViolation(f"{schema.name}.{a.column} = {a.value!r} fails its check")
             if col.foreign_key is not None:
-                ref = self._check_fk_parent(tx, schema.name, a.column, col.foreign_key, a.value)
+                live = a.column in plan.locked_parents
+                ref = self._check_fk_parent(tx, schema.name, a.column, col.foreign_key, a.value, live)
                 _buffer_set(write, view, col, ref_cell(a.column), ref)
             _buffer_set(write, view, col, a.column, a.value)
         return write
 
     def _check_fk_parent(
-        self, tx: Transaction, table: str, column: str, fk: sch.ForeignKey, ppk: Scalar
+        self, tx: Transaction, table: str, column: str, fk: sch.ForeignKey, ppk: Scalar, live: bool
     ) -> tuple[Scalar, int]:
-        """Require the referenced parent to be visible; return the reference
-        to record, the parent's key and generation. An update-wins edge also
-        touches the parent and its ancestors."""
-        ctx = self.live_ctx(tx) if fk.policy is sch.Policy.NO_CONCURRENCY else self.snap_ctx(tx)
+        """Require the referenced parent to be visible (live, if so); return
+        the reference to record, the parent's key and generation. An
+        update-wins edge also touches the parent and its ancestors."""
+        ctx = self.live_ctx(tx) if live else self.snap_ctx(tx)
         parent = ctx.view(fk.table, ppk)
         if parent is None or not is_visible(ctx, fk.table, ppk).visible:
             raise FkParentMissing(
@@ -843,11 +839,7 @@ class Replica:
         visibility = None
         if write.flag is not None:
             flag, observed = write.flag
-            if (
-                schema is not None
-                and schema.row_policy is sch.Policy.NO_CONCURRENCY
-                and live is not None
-            ):
+            if live is not None and self.catalog.coordination[table].row_guarded:
                 # Lock-guarded rows fold against the freshest committed state.
                 observed = live.visibility.max_versions()
             visibility = MvRegister().assign(flag, observed, self.rid, lam)

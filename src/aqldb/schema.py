@@ -155,11 +155,6 @@ class TableSchema:
         return [(c.name, c.foreign_key) for c in self.columns if c.foreign_key]
 
     @cached_property
-    def concurrent_inserts(self) -> bool:
-        """concurrent_insert_allowed(self), computed once."""
-        return concurrent_insert_allowed(self)
-
-    @cached_property
     def non_pk_columns(self) -> list[ColumnDef]:
         return [c for c in self.columns if not c.is_primary_key]
 
@@ -194,15 +189,38 @@ class Catalog:
         return self._referencing.get(table, ())
 
     @cached_property
-    def _row_locked_deletes(self) -> frozenset[str]:
-        noc = Policy.NO_CONCURRENCY
-        return frozenset(name for name, schema in self.tables.items() if schema.row_policy is noc
-                         or any(fk.policy is noc for _, _, fk in self.referencing(name)))
+    def coordination(self) -> Mapping[str, Coordination]:
+        """Each table's Coordination record, worked out once."""
+        noc, out = Policy.NO_CONCURRENCY, {}
+        for name, t in self.tables.items():
+            guarded = t.row_policy is noc
+            out[name] = Coordination(
+                name, not concurrent_insert_allowed(t), guarded,
+                guarded or any(fk.policy is noc for _, _, fk in self.referencing(name)),
+                frozenset(c.name for c in t.non_pk_columns if c.modifier is Modifier.NONE),
+                MappingProxyType({col: fk.table for col, fk in t.foreign_keys if fk.policy is noc}))
+        return MappingProxyType(out)
 
-    def delete_locks_row(self, table: str) -> bool:
-        """Whether deleting a row of table takes its row lock: the table is
-        NO_CONCURRENCY, or a NO_CONCURRENCY foreign key references it."""
-        return table in self._row_locked_deletes
+
+@dataclass(frozen=True)
+class Coordination:
+    """Which writes to one table coordinate, decided once from the schema;
+    all others merge lock-free. insert_locked (not concurrent_insert_allowed):
+    an insert locks the row exclusively and validates live. row_guarded
+    (NO_CONCURRENCY): an update shares the row lock, update and delete
+    re-check the row live, and the commit fold observes its live flags.
+    delete_locked: a delete locks the row exclusively. locked_columns: each
+    takes an exclusive column lock when written. locked_parents: each
+    NO_CONCURRENCY foreign key column -> its parent table; a write shares the
+    parent's row lock and checks it live, and cascades and restricts follow
+    the edge live once the lock is held."""
+
+    table: str
+    insert_locked: bool
+    row_guarded: bool
+    delete_locked: bool
+    locked_columns: frozenset[str]
+    locked_parents: Mapping[str, str]
 
 
 def concurrent_insert_allowed(schema: TableSchema) -> bool:
@@ -450,9 +468,6 @@ def _remember(cache: dict, key: str, value, limit: int) -> None:
 # --------------------------------------------------------------------------
 # DDL
 
-_POLICY_WORDS = ("UPDATE_WINS", "DELETE_WINS")
-
-
 def parse_ddl(text: str, catalog: Catalog | None = None) -> TableSchema:
     """Parse one CREATE TABLE statement and validate it against catalog."""
     p = _Parser(text)
@@ -492,10 +507,7 @@ def parse_literal(text: str) -> Scalar:
 
 def _parse_create(p: _Parser, catalog: Catalog) -> TableSchema:
     p.expect_keyword("CREATE")
-    policy = Policy.NO_CONCURRENCY
-    word = p.accept_keyword(*_POLICY_WORDS)
-    if word:
-        policy = Policy(word)
+    policy = _parse_policy(p)
     p.expect_keyword("TABLE")
     name = p.ident("table name")
     p.expect_sym("(")
@@ -549,11 +561,14 @@ def _parse_check_atom(p: _Parser) -> CheckAtom:
     return CheckAtom(column, op, value)
 
 
+def _parse_policy(p: _Parser) -> Policy:
+    """An optional policy word: a table or foreign key without one is NO_CONCURRENCY."""
+    word = p.accept_keyword("UPDATE_WINS", "DELETE_WINS")
+    return Policy(word) if word else Policy.NO_CONCURRENCY
+
+
 def _parse_foreign_key(p: _Parser) -> ForeignKey:
-    policy = Policy.NO_CONCURRENCY
-    word = p.accept_keyword(*_POLICY_WORDS)
-    if word:
-        policy = Policy(word)
+    policy = _parse_policy(p)
     p.expect_keyword("REFERENCES")
     table = p.ident("table name")
     p.expect_sym("(")
@@ -882,7 +897,7 @@ def to_ddl(schema: TableSchema) -> str:
 
 
 def catalog_to_ddl(catalog: Catalog) -> str:
-    return ";\n".join(to_ddl(t) for t in catalog.tables.values()) + ";"
+    return ";\n".join(to_ddl(t) for t in catalog.tables.values()) + ";" if catalog.tables else ""
 
 
 def _column_ddl(col: ColumnDef) -> str:

@@ -797,9 +797,17 @@ def run_scenario(scenario: Scenario) -> Report:
     return runner.report
 
 
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file; one that is not raises ScenarioError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise ScenarioError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
+
+
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     name = path.replace("\\", "/").rsplit("/", 1)[-1]
     if name.endswith(".aqlsim"):
         name = name[: -len(".aqlsim")]

@@ -19,7 +19,7 @@ from aqldb.engine import (
     dump_all,
     is_visible,
 )
-from aqldb.errors import InsufficientRights, LockUnavailable
+from aqldb.errors import FkRestrict, InsufficientRights, LockUnavailable
 from aqldb.sim import (
     FUZZ_SCHEMA,
     Cluster,
@@ -29,6 +29,8 @@ from aqldb.sim import (
     fuzz,
     load_scenario,
 )
+
+from aqldb.txn import Mode, column_lock, row_lock
 
 from test_crdt_laws import GENERATORS
 from test_sim import scenario_paths
@@ -371,3 +373,86 @@ def test_c11_identifier_generation():
             seen.add(rep.next_unique_id())
     assert len(seen) == 30_000
     stamp(11, "sequential ids gap-free, prefixed ids collision-free", "30060 ids")
+
+
+def expected_coordination(row_policy, column, edge, kind):
+    """The locks (lock id -> mode) a statement on C takes by the README's
+    "What coordinates" rules. C's row policy is row_policy ("" for none),
+    its column V carries column, and its column F, if edge is not None, is
+    a foreign key to P with policy word edge ("" for none)."""
+    strict_row, plain, noc_edge = row_policy == "", column == "", edge == ""
+    want = {}
+    if kind == "insert":
+        if strict_row or plain or column.endswith("<= 6)"):  # a bound off 0 does not merge
+            want[row_lock("C", 2)] = Mode.EXCLUSIVE
+        if plain:
+            want[column_lock("C", 2, "V")] = Mode.EXCLUSIVE
+        if noc_edge:
+            want[row_lock("P", 1)] = Mode.SHARED
+    elif kind == "update column":
+        if strict_row:
+            want[row_lock("C", 1)] = Mode.SHARED
+        if plain:
+            want[column_lock("C", 1, "V")] = Mode.EXCLUSIVE
+    elif kind == "update fk":
+        if strict_row:
+            want[row_lock("C", 1)] = Mode.SHARED
+        if noc_edge:
+            want[row_lock("P", 2)] = Mode.SHARED
+    elif kind == "delete row":
+        if strict_row:
+            want[row_lock("C", 1)] = Mode.EXCLUSIVE
+    elif noc_edge:  # delete parent
+        want[row_lock("P", 1)] = Mode.EXCLUSIVE
+    return want
+
+
+def test_c12_coordination_truth_table():
+    row_policies = ("", "UPDATE_WINS", "DELETE_WINS")
+    columns = ("", "LWW", "MULTI_VALUE", "ADDITIVE", "ADDITIVE CHECK (V >= 0)", "ADDITIVE CHECK (V <= 6)")
+    edges = (None, "", "UPDATE_WINS", "DELETE_WINS")
+    kinds = ("insert", "update column", "update fk", "delete row", "delete parent")
+    checked = 0
+    for row_policy, column, edge, kind in itertools.product(row_policies, columns, edges, kinds):
+        if edge is None and kind == "update fk":
+            continue
+        fk = "" if edge is None else f", F INT LWW FOREIGN KEY {edge} REFERENCES P (K)"
+        catalog = sch.parse_schema_text(
+            "CREATE UPDATE_WINS TABLE P (K INT PRIMARY KEY);\n"
+            f"CREATE {row_policy} TABLE C (K INT PRIMARY KEY, V INT {column}{fk});"
+        )
+        cluster = Cluster(catalog, ["r1"])
+        ref = "" if edge is None else ", 1"
+        one_tx(cluster, "r1", "INSERT INTO P VALUES (1)", "INSERT INTO P VALUES (2)",
+               f"INSERT INTO C VALUES (1, 3{ref})")
+        statement = {
+            "insert": f"INSERT INTO C VALUES (2, 3{ref})",
+            "update column": "UPDATE C SET V = V + 1 WHERE K = 1" if "ADDITIVE" in column
+            else "UPDATE C SET V = 5 WHERE K = 1",
+            "update fk": "UPDATE C SET F = 2 WHERE K = 1",
+            "delete row": "DELETE FROM C WHERE K = 1",
+            "delete parent": "DELETE FROM P WHERE K = 1",
+        }[kind]
+
+        # Record every acquisition: a refused statement releases its locks.
+        calls = []
+
+        def recording(tx, lock_id, mode, acquire=cluster.locks.acquire):
+            calls.append((lock_id, mode))
+            acquire(tx, lock_id, mode)
+
+        cluster.locks.acquire = recording
+        case = (row_policy or "none", column or "plain", edge, kind)
+        r1 = cluster.replica("r1")
+        tx = r1.begin()
+        if kind == "delete parent" and edge is not None:
+            with pytest.raises(FkRestrict):
+                r1.execute(tx, statement)
+        else:
+            r1.execute(tx, statement)
+            cluster.commit(tx)
+        assert len(calls) == len(set(calls)), case
+        assert dict(calls) == expected_coordination(row_policy, column, edge, kind), case
+        checked += 1
+    assert checked == 342
+    stamp(12, "each statement takes the locks its schema rules prescribe", f"{checked} cases")

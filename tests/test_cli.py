@@ -35,6 +35,20 @@ CREATE UPDATE_WINS TABLE T (
 
 
 @pytest.fixture()
+def latin1_file(tmp_path):
+    """A file whose bytes are not UTF-8 text."""
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("replicas r1\n# caf\u00e9\n".encode("latin-1"))
+    return str(path)
+
+
+def assert_input_error(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err and "not UTF-8" in err
+    assert "Traceback" not in err
+
+
+@pytest.fixture()
 def passing_script(tmp_path):
     path = tmp_path / "pass.aqlsim"
     path.write_text(PASSING)
@@ -77,6 +91,10 @@ class TestRun:
         assert main(["run", "/nonexistent/x.aqlsim"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_file_exit_two(self, latin1_file, capsys):
+        assert main(["run", latin1_file]) == 2
+        assert_input_error(capsys, latin1_file)
+
 
 class TestFuzz:
     def test_clean_seeds(self, capsys):
@@ -93,6 +111,17 @@ class TestFuzz:
     def test_no_replicas_exit_two(self, capsys):
         assert main(["fuzz", "--seed", "1", "--replicas", "0"]) == 2
         assert "at least one replica" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("runs", ["0", "-2"])
+    def test_runs_below_one_is_a_usage_error(self, runs, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["fuzz", "--seed", "1", "--runs", runs])
+        assert err.value.code == 2
+        assert "--runs must be at least 1" in capsys.readouterr().err
+
+    def test_non_utf8_schema_exit_two(self, latin1_file, capsys):
+        assert main(["fuzz", "--seed", "1", "--schema", latin1_file]) == 2
+        assert_input_error(capsys, latin1_file)
 
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -129,6 +158,15 @@ class TestCheckSchema:
         assert payload["T"]["primary_key"] == "K"
         assert payload["T"]["policy"] == "UPDATE_WINS"
 
+    def test_non_utf8_schema_exit_two(self, latin1_file, capsys):
+        assert main(["check-schema", latin1_file]) == 2
+        assert_input_error(capsys, latin1_file)
+
+    def test_empty_schema_prints_no_ddl(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert main(["check-schema"]) == 0
+        assert capsys.readouterr().out.strip() == ""
+
     def test_dash_reads_stdin(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO(SCHEMA))
         assert main(["check-schema", "-"]) == 0
@@ -141,6 +179,10 @@ class TestDump:
         out = capsys.readouterr().out
         assert "replica r1" in out and "replica r2" in out
         assert out.count("x,3") == 2
+
+    def test_non_utf8_file_exit_two(self, latin1_file, capsys):
+        assert main(["dump", latin1_file]) == 2
+        assert_input_error(capsys, latin1_file)
 
     def test_machine_format(self, passing_script, capsys):
         assert main(["--format", "machine", "dump", passing_script]) == 0

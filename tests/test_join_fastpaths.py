@@ -163,7 +163,8 @@ def test_delete_locks_row_follows_the_schema():
         CREATE UPDATE_WINS TABLE Free (K INT PRIMARY KEY);
         """
     )
-    assert catalog.delete_locks_row("P")  # a NO_CONCURRENCY edge points at it
-    assert not catalog.delete_locks_row("C")
-    assert catalog.delete_locks_row("S")  # the table itself is NO_CONCURRENCY
-    assert not catalog.delete_locks_row("Free")
+    plans = catalog.coordination
+    assert plans["P"].delete_locked  # a NO_CONCURRENCY edge points at it
+    assert not plans["C"].delete_locked
+    assert plans["S"].delete_locked  # the table itself is NO_CONCURRENCY
+    assert not plans["Free"].delete_locked

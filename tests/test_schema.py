@@ -139,6 +139,7 @@ def test_ddl_round_trip(catalog):
     assert catalog_to_ddl(again) == text
     for name in catalog.tables:
         assert to_ddl(catalog.table(name)) == to_ddl(again.table(name))
+    assert catalog_to_ddl(parse_schema_text("")) == ""  # not a lone ";"
 
 
 def test_parse_literal():

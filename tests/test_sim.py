@@ -1,5 +1,6 @@
 """Scenario language, cluster behavior, order enumeration and fuzzing."""
 
+import collections
 import gc
 import glob
 import hashlib
@@ -12,7 +13,7 @@ import pytest
 import aqldb.schema as sch
 from aqldb.crdt import AdditiveCounter, BoundedCounter, EventStamp, LwwRegister, MvRegister, render_scalar
 from aqldb.engine import Replica, RowView, constraint_violations, integrity_violations, ref_cell, visible_rows
-from aqldb.errors import CheckViolation, ScenarioError
+from aqldb.errors import AqlError, CheckViolation, ScenarioError
 from aqldb.sim import (
     FUZZ_SCHEMA,
     Cluster,
@@ -29,7 +30,7 @@ from aqldb.sim import (
     run_scenario,
     store_canon,
 )
-from aqldb.txn import RowDelta
+from aqldb.txn import LockManager, Mode, RowDelta, column_lock, row_lock
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -974,3 +975,75 @@ class TestFuzz:
         assert outcome.ok
         for event in outcome.trace:
             assert event.kind != "partition"
+
+
+def prescribed_locks(catalog, stmt):
+    """The locks (lock id -> mode) the table's coordination record
+    prescribes for an INSERT or a point UPDATE."""
+    plan, schema = catalog.coordination[stmt.table], catalog.table(stmt.table)
+    if isinstance(stmt, sch.Insert):
+        pk, row_mode, values = stmt.values[schema.primary_key], Mode.EXCLUSIVE, dict(stmt.values)
+        locked = plan.insert_locked
+    else:
+        assert stmt.where.is_pk_lookup(schema), stmt
+        pk, row_mode, locked = stmt.where.value, Mode.SHARED, plan.row_guarded
+        values = {a.column: getattr(a, "value", None) for a in stmt.assignments}
+    want = {row_lock(stmt.table, pk): row_mode} if locked else {}
+    for column, value in values.items():
+        if column in plan.locked_columns:
+            want[column_lock(stmt.table, pk, column)] = Mode.EXCLUSIVE
+        parent = plan.locked_parents.get(column)
+        if parent is not None and want.get(row_lock(parent, value)) is not Mode.EXCLUSIVE:
+            want[row_lock(parent, value)] = Mode.SHARED
+    return want
+
+
+def test_engine_takes_the_locks_its_coordination_record_prescribes(monkeypatch):
+    """Over every shipped scenario and fuzz seeds 0-9: each INSERT and
+    UPDATE that succeeds takes exactly the locks its table's record
+    prescribes for its row and assigned columns, and each DELETE takes only
+    exclusive row locks, on tables whose record says a delete takes one."""
+    calls, seen = [], collections.Counter()
+    acquire, execute = LockManager.acquire, Replica.execute
+
+    def recording(manager, tx, lock_id, mode):
+        calls.append((lock_id, mode))
+        acquire(manager, tx, lock_id, mode)
+
+    def checked(replica, tx, statement, params=()):
+        try:
+            stmt = sch.parse_statement(statement, replica.catalog, params)
+        except AqlError:
+            return execute(replica, tx, statement, params)
+        start = len(calls)
+        try:
+            result = execute(replica, tx, statement, params)
+        finally:
+            got = calls[start:]
+            if isinstance(stmt, sch.Delete):
+                for lock_id, mode in got:
+                    kind, table, _ = lock_id.split("/", 2)
+                    assert kind == "row" and mode is Mode.EXCLUSIVE, (statement, lock_id)
+                    assert replica.catalog.coordination[table].delete_locked, (statement, lock_id)
+                seen["delete locks"] += len(got)
+        if isinstance(stmt, (sch.Insert, sch.Update)):
+            want = prescribed_locks(replica.catalog, stmt)
+            assert len(got) == len(set(got)) and dict(got) == want, statement
+            seen["parent locks"] += sum(lock_id.split("/")[1] != stmt.table for lock_id in want)
+            seen["writes"] += 1
+        return result
+
+    monkeypatch.setattr(LockManager, "acquire", recording)
+    monkeypatch.setattr(Replica, "execute", checked)
+    for path in scenario_paths():
+        run_scenario(load_scenario(path))
+    for seed in range(10):
+        fuzz(FuzzConfig(seed=seed, events=200), shrink=False)
+    assert seen["writes"] > 100 and seen["delete locks"] > 0 and seen["parent locks"] > 0, seen
+
+
+def test_load_scenario_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.aqlsim"
+    path.write_bytes("replicas r1\n# caf\u00e9\n".encode("latin-1"))
+    with pytest.raises(ScenarioError, match="latin1.aqlsim is not UTF-8 text"):
+        load_scenario(str(path))
