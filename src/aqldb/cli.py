@@ -20,8 +20,9 @@ import json
 import sys
 
 from . import schema as sch
+from .engine import render_dump
 from .errors import AqlError
-from .sim import FUZZ_SCHEMA, FuzzConfig, Runner, fuzz, load_scenario, read_text, render_dump, run_scenario
+from .sim import FUZZ_SCHEMA, FuzzConfig, Runner, fuzz, load_scenario, read_text, run_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,7 +93,7 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_check_schema(args) -> int:
-    text = read_text(args.path) if args.path and args.path != "-" else sys.stdin.read()
+    text = read_text(args.path if args.path and args.path != "-" else None)
     catalog = sch.parse_schema_text(text)
     if args.format == "machine":
         tables = {
@@ -128,8 +129,10 @@ def _cmd_dump(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "fuzz" and args.runs < 1:
-        parser.error(f"--runs must be at least 1, not {args.runs}")
+    if args.command == "fuzz":
+        for flag, value in (("--runs", args.runs), ("--events", args.events)):
+            if value < 1:
+                parser.error(f"{flag} must be at least 1, not {value}")
     try:
         if args.command == "run":
             return _cmd_run(args)
@@ -139,7 +142,7 @@ def main(argv=None) -> int:
             return _cmd_check_schema(args)
         if args.command == "dump":
             return _cmd_dump(args)
-    except (AqlError, OSError, UnicodeDecodeError) as err:  # the last: stdin that is not UTF-8
+    except (AqlError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     parser.error("no command")

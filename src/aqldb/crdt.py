@@ -16,7 +16,7 @@ lets replicas compare stores by value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InsufficientRights, KindMismatch
 
@@ -51,11 +51,6 @@ def _counts_leq(a: Version, bc: dict[str, int]) -> bool:
         if c > bc.get(r, 0):
             return False
     return True
-
-
-def version_dominates(a: Version, b: Version) -> bool:
-    """True when a strictly dominates b."""
-    return a != b and version_leq(b, a)
 
 
 @dataclass(frozen=True, order=True)

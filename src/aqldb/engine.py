@@ -59,6 +59,12 @@ SEQ_COLUMN = "value"
 
 RowKey = tuple[str, Scalar]
 
+
+def _rowkey_order(rowkey: RowKey) -> tuple[str, str]:
+    """Sort key giving row keys one deterministic order."""
+    return rowkey[0], render_scalar(rowkey[1])
+
+
 # The stamp of a last-writer-wins register that was never written.
 _UNWRITTEN = EventStamp(0, "")
 _REF = "ref."
@@ -96,6 +102,10 @@ class Store:
 
     def row(self, table: str, pk: Scalar) -> Row | None:
         return self.tables.get(table, {}).get(pk)
+
+    def cell(self, table: str, pk: Scalar, column: str) -> MergeValue | None:
+        row = self.row(table, pk)
+        return row.cells.get(column) if row is not None else None
 
     def ensure(self, table: str, pk: Scalar) -> Row:
         rows = self.tables.setdefault(table, {})
@@ -353,7 +363,7 @@ class Replica:
         try:
             lam = self.lamport + 1
             deltas = []
-            for rowkey in sorted(tx.buffer, key=lambda k: (k[0], render_scalar(k[1]))):
+            for rowkey in sorted(tx.buffer, key=_rowkey_order):
                 write = tx.buffer[rowkey]
                 if write.is_empty():
                     continue
@@ -440,9 +450,6 @@ class Replica:
     def live_ctx(self, tx: Transaction) -> ViewContext:
         return ViewContext(self.store, self.catalog, tx.buffer)
 
-    def committed_ctx(self) -> ViewContext:
-        return ViewContext(self.store, self.catalog)
-
     # -- ids ------------------------------------------------------------------
 
     def next_unique_id(self) -> str:
@@ -462,8 +469,7 @@ class Replica:
         if write is not None and SEQ_COLUMN in write.sets:
             current = write.sets[SEQ_COLUMN][0]
         else:
-            row = self.store.row(SEQ_TABLE, name)
-            cell = row.cells.get(SEQ_COLUMN) if row is not None else None
+            cell = self.store.cell(SEQ_TABLE, name, SEQ_COLUMN)
             current = cell.value if isinstance(cell, LwwRegister) and cell.value is not None else 0
         value = current + 1
         tx.write(rowkey).sets[SEQ_COLUMN] = (value, None)
@@ -472,8 +478,7 @@ class Replica:
     # -- rights movement ------------------------------------------------------
 
     def donatable(self, table: str, pk: Scalar, column: str) -> int:
-        row = self.store.row(table, pk)
-        cell = row.cells.get(column) if row is not None else None
+        cell = self.store.cell(table, pk, column)
         if not isinstance(cell, BoundedCounter):
             return 0
         key = ((table, pk), column)
@@ -481,8 +486,7 @@ class Replica:
 
     def transfer_rights(self, table: str, pk: Scalar, column: str, dst: str, amount: int) -> CommitRecord:
         """Ship bounded-counter rights to dst as a standalone system commit."""
-        row = self.store.row(table, pk)
-        cell = row.cells.get(column) if row is not None else None
+        cell = self.store.cell(table, pk, column)
         if not isinstance(cell, BoundedCounter):
             raise InsufficientRights(f"{table}.{column} holds no bounded counter here")
         moved = cell.transfer(self.rid, dst, amount)
@@ -594,7 +598,7 @@ class Replica:
                 break
 
         # Restrict: a visible child that is not itself being deleted blocks us.
-        for table, pk in sorted(doomed, key=lambda rk: (rk[0], render_scalar(rk[1]))):
+        for table, pk in sorted(doomed, key=_rowkey_order):
             for child_table, colname, fk in self.catalog.referencing(table):
                 ctx = live if colname in plans[child_table].locked_parents else snap
                 for cpk in self._children(ctx, child_table, colname, pk):
@@ -608,7 +612,7 @@ class Replica:
 
         # _fold_row replaces a guarded row's observed versions with the live
         # row's, so the snapshot serves every row here.
-        for table, pk in sorted(doomed, key=lambda rk: (rk[0], render_scalar(rk[1]))):
+        for table, pk in sorted(doomed, key=_rowkey_order):
             view = snap.view(table, pk)
             write = tx.write((table, pk))
             write.flag = ("D", view.visibility_versions() if view is not None else {})
@@ -772,8 +776,7 @@ class Replica:
         """Claim rights at statement time so commits cannot overdraw."""
         prior = tx.buffer.get(rowkey).deltas.get(column, 0) if rowkey in tx.buffer else 0
         net = prior + delta
-        row = self.store.row(*rowkey)
-        cell = row.cells.get(column) if row is not None else None
+        cell = self.store.cell(*rowkey, column)
         if not isinstance(cell, BoundedCounter):
             # Creating the counter: the initial value itself must sit in bound.
             if not bound.admits(net):
@@ -791,8 +794,7 @@ class Replica:
                     f"{rowkey[0]}.{column} lacks rights for {net:+d} (bound {bound.canon()})",
                     retryable=True,
                 )
-            row = self.store.row(*rowkey)
-            cell = row.cells.get(column)
+            cell = self.store.cell(*rowkey, column)
             free = cell.free(self.rid) - others
             if units > free:
                 raise CheckViolation(

@@ -2,9 +2,8 @@
 
 A Cluster wires several replicas to one lock coordinator and a set of
 reliable but arbitrarily delayed channels. Everything is driven from a
-single thread, so runs are reproducible: scripted scenarios, exhaustive
-delivery-order enumeration, and a seeded fuzzer all build on the same
-event runner.
+single thread, so runs are reproducible: scripted scenarios and a seeded
+fuzzer both build on the same event runner.
 """
 
 from __future__ import annotations
@@ -12,7 +11,8 @@ from __future__ import annotations
 import functools
 import random
 import re
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field
 
 from . import schema as sch
 from .crdt import AdditiveCounter, BoundedCounter, render_scalar
@@ -25,12 +25,9 @@ from .engine import (
     dump_table,
     integrity_violations,
     is_visible,
-    render_dump,
 )
 from .errors import AqlError, ScenarioError
 from .txn import CausalClock, CommitRecord, LockManager, TxStatus
-
-OBSERVER = "observer"
 
 
 class Cluster:
@@ -217,13 +214,12 @@ class Event:
 
     def render(self) -> str:
         a = self.args
+        expect = f" expect {a['expect']}" if a.get("expect") else ""
         if self.kind == "begin":
             return f"begin {a['txid']} @{a['rid']}"
         if self.kind == "stmt":
-            expect = f" expect {a['expect']}" if a.get("expect") else ""
             return f"stmt {a['txid']}{expect}: {a['sql']}"
         if self.kind in ("commit", "abort"):
-            expect = f" expect {a['expect']}" if a.get("expect") else ""
             return f"{self.kind} {a['txid']}{expect}"
         if self.kind == "deliver":
             return "deliver_all" if a.get("rid") is None else f"deliver @{a['rid']}"
@@ -232,7 +228,6 @@ class Event:
         if self.kind == "heal":
             return "heal"
         if self.kind == "txblock":
-            expect = f" expect {a['expect']}" if a.get("expect") else ""
             head = f"tx {a['txid']} @{a['rid']}{expect} {{"
             return "\n".join([head] + [f"  {s}" for s in a["stmts"]] + ["}"])
         if self.kind == "assert_table":
@@ -295,15 +290,7 @@ class Report:
         return "\n".join(lines)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "steps": self.steps,
-            "failures": self.failures,
-            "commits": self.commits,
-            "aborts": self.aborts,
-            "deliveries": self.deliveries,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 class Runner:
@@ -372,12 +359,19 @@ class Runner:
         self.outcomes[txid] = "active"
         self.report.step(event.line, f"begin {txid} @{rid}", True)
 
-    def _ev_stmt(self, event: Event) -> None:
+    def _active_tx(self, event: Event):
+        """The event's transaction if active; else raise, or None when lenient."""
         tx = self._tx(event)
         if tx is None or tx.status is not TxStatus.ACTIVE:
             if self.lenient:
-                return
+                return None
             raise ScenarioError(f"line {event.line}: transaction not active")
+        return tx
+
+    def _ev_stmt(self, event: Event) -> None:
+        tx = self._active_tx(event)
+        if tx is None:
+            return
         sql = event.args["sql"]
         ok, detail = self._outcome(
             tx.txid, event.args.get("expect"), lambda: self.cluster.replica(tx.origin).execute(tx, sql)
@@ -385,11 +379,9 @@ class Runner:
         self.report.step(event.line, f"stmt {tx.txid}: {sql}", ok or self.lenient, detail)
 
     def _ev_commit(self, event: Event) -> None:
-        tx = self._tx(event)
-        if tx is None or tx.status is not TxStatus.ACTIVE:
-            if self.lenient:
-                return
-            raise ScenarioError(f"line {event.line}: transaction not active")
+        tx = self._active_tx(event)
+        if tx is None:
+            return
         ok, detail = self._outcome(tx.txid, event.args.get("expect"), lambda: self._commit(tx))
         self.report.step(event.line, f"commit {tx.txid}", ok or self.lenient, detail)
 
@@ -559,8 +551,7 @@ class Runner:
     def _check_ledger(self) -> None:
         for (table, pk, col), expected in sorted(self.ledger.items()):
             for rid in self.cluster.replica_ids:
-                row = self.cluster.replica(rid).store.row(table, pk)
-                cell = row.cells.get(col) if row is not None else None
+                cell = self.cluster.replica(rid).store.cell(table, pk, col)
                 if not isinstance(cell, AdditiveCounter):
                     self.report.step(
                         0, "counter ledger", False,
@@ -797,13 +788,19 @@ def run_scenario(scenario: Scenario) -> Report:
     return runner.report
 
 
-def read_text(path: str) -> str:
-    """The text of a UTF-8 file; one that is not raises ScenarioError."""
+def read_text(path: str | None) -> str:
+    """The text of a UTF-8 file, or of stdin when path is None, with line
+    ends read as in text mode. Input that is not UTF-8 raises ScenarioError."""
+    if path is None:
+        name, data = "stdin", sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            name, data = path, fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        text = data.decode("utf-8")
     except UnicodeDecodeError as err:
-        raise ScenarioError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
+        raise ScenarioError(f"{name} is not UTF-8 text: {err.reason} at byte {err.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def load_scenario(path: str) -> Scenario:
@@ -812,60 +809,6 @@ def load_scenario(path: str) -> Scenario:
     if name.endswith(".aqlsim"):
         name = name[: -len(".aqlsim")]
     return parse_scenario(text, name)
-
-
-# --------------------------------------------------------------------------
-# delivery-order independence
-
-def causal_orders(records: list[CommitRecord], limit: int | None = None) -> list[list[CommitRecord]]:
-    """Every delivery order of the records that respects causality.
-
-    The input must be causally downward closed, which any prefix of the
-    records in broadcast order is.
-    """
-    recs = records[:limit] if limit is not None else list(records)
-    orders: list[list[int]] = []
-
-    def walk(chosen: list[int], remaining: set[int], clock: CausalClock) -> None:
-        if not remaining:
-            orders.append(list(chosen))
-            return
-        for idx in sorted(remaining):
-            rec = recs[idx]
-            if not clock.ready(rec):
-                continue
-            clock.tick(rec.origin)
-            chosen.append(idx)
-            walk(chosen, remaining - {idx}, clock)
-            chosen.pop()
-            clock.counts[rec.origin] -= 1
-
-    walk([], set(range(len(recs))), CausalClock())
-    return [[recs[i] for i in order] for order in orders]
-
-
-def replay_records(records, catalog: sch.Catalog, replica_ids) -> Replica:
-    """Apply commit records, in the given order, to a fresh observer."""
-    observer = Replica(OBSERVER, catalog, replica_ids, LockManager(replica_ids))
-    for record in records:
-        observer.deliver(record)
-    return observer
-
-
-def enumerate_orders(
-    records, catalog: sch.Catalog, replica_ids, limit: int | None = 4
-) -> tuple[int, set[str]]:
-    """Replay every causal order of a log prefix at an observer replica.
-
-    Returns (number of orders, set of distinct canonical dumps); order
-    independence holds when the set has exactly one element.
-    """
-    dumps: set[str] = set()
-    orders = causal_orders(records, limit)
-    for order in orders:
-        observer = replay_records(order, catalog, replica_ids)
-        dumps.add(render_dump(dump_all(observer.store, catalog)))
-    return len(orders), dumps
 
 
 # --------------------------------------------------------------------------

@@ -25,13 +25,13 @@ from aqldb.sim import (
     Cluster,
     FuzzConfig,
     Runner,
-    enumerate_orders,
     fuzz,
     load_scenario,
 )
 
 from aqldb.txn import Mode, column_lock, row_lock
 
+from delivery_orders import enumerate_orders
 from test_crdt_laws import GENERATORS
 from test_sim import scenario_paths
 

@@ -42,6 +42,11 @@ def latin1_file(tmp_path):
     return str(path)
 
 
+def stdin_of(data: bytes, errors: str = "strict") -> io.TextIOWrapper:
+    """A text stdin over the given bytes, as the interpreter builds one."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
+
+
 def assert_input_error(capsys, path):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and path in err and "not UTF-8" in err
@@ -119,6 +124,13 @@ class TestFuzz:
         assert err.value.code == 2
         assert "--runs must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("events", ["0", "-3"])
+    def test_events_below_one_is_a_usage_error(self, events, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["fuzz", "--seed", "1", "--events", events])
+        assert err.value.code == 2
+        assert "--events must be at least 1" in capsys.readouterr().err
+
     def test_non_utf8_schema_exit_two(self, latin1_file, capsys):
         assert main(["fuzz", "--seed", "1", "--schema", latin1_file]) == 2
         assert_input_error(capsys, latin1_file)
@@ -163,14 +175,21 @@ class TestCheckSchema:
         assert_input_error(capsys, latin1_file)
 
     def test_empty_schema_prints_no_ddl(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        monkeypatch.setattr("sys.stdin", stdin_of(b""))
         assert main(["check-schema"]) == 0
         assert capsys.readouterr().out.strip() == ""
 
     def test_dash_reads_stdin(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO(SCHEMA))
+        monkeypatch.setattr("sys.stdin", stdin_of(SCHEMA.encode()))
         assert main(["check-schema", "-"]) == 0
         assert "CREATE UPDATE_WINS TABLE T" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("errors", ["surrogateescape", "strict"])
+    def test_non_utf8_stdin_exit_two(self, errors, monkeypatch, capsys):
+        # surrogateescape is what a C locale gives sys.stdin
+        monkeypatch.setattr("sys.stdin", stdin_of(b"\xff", errors))
+        assert main(["check-schema"]) == 2
+        assert_input_error(capsys, "stdin")
 
 
 class TestDump:

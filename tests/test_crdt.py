@@ -12,10 +12,13 @@ from aqldb.crdt import (
     make_version,
     merge,
     render_scalar,
-    version_dominates,
     version_leq,
 )
 from aqldb.errors import InsufficientRights, KindMismatch
+
+
+def version_dominates(a, b):
+    return a != b and version_leq(b, a)
 
 
 def test_render_scalar():

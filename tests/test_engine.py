@@ -163,7 +163,7 @@ class TestBasicStatements:
         run(r1, "INSERT INTO Artists VALUES ('Sam', TRUE, 0)")
         run(r1, "DELETE FROM Artists WHERE Name = 'Sam'")
         assert dump_table(r1.store, catalog, "Artists") == []
-        assert not is_visible(r1.committed_ctx(), "Artists", "Sam").visible
+        assert not is_visible(ViewContext(r1.store, r1.catalog), "Artists", "Sam").visible
 
     def test_update_without_match(self):
         reps, _ = make_group()
@@ -336,7 +336,7 @@ class TestInsertSemantics:
         run(r1, "DELETE FROM Artists WHERE Name = 'Sam'")
         run(r1, "INSERT INTO Artists VALUES ('Sam', FALSE, 0)")
         assert r1.store.row("Artists", "Sam").generation == 2
-        assert is_visible(r1.committed_ctx(), "Artists", "Sam").visible
+        assert is_visible(ViewContext(r1.store, r1.catalog), "Artists", "Sam").visible
 
     def test_insert_missing_parent(self):
         reps, _ = make_group()
@@ -545,8 +545,8 @@ class TestTwoReplicas:
         sync([c], r1)
 
         for rep in (r1, r2):
-            assert is_visible(rep.committed_ctx(), "P", "p").visible
-            verdict = is_visible(rep.committed_ctx(), "C", "c")
+            assert is_visible(ViewContext(rep.store, rep.catalog), "P", "p").visible
+            verdict = is_visible(ViewContext(rep.store, rep.catalog), "C", "c")
             assert not verdict.visible
             assert verdict.cause is Cause.PARENT_VERSION_STALE
             assert dump_table(rep.store, catalog, "C") == []
@@ -565,7 +565,7 @@ class TestTwoReplicas:
         sync([rec], r2)
         c, _ = run(r2, "INSERT INTO C VALUES ('c', 'p')")
         sync([c], r1)
-        assert is_visible(r1.committed_ctx(), "C", "c").visible
+        assert is_visible(ViewContext(r1.store, r1.catalog), "C", "c").visible
 
     def test_multivalue_fk_keeps_concurrent_references(self):
         text = """

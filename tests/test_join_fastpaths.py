@@ -1,9 +1,9 @@
 """The join and visibility fast paths against the plain rules they shortcut.
 
-MvRegister.merge, version_leq, version_dominates and CausalClock.ready take
-shortcuts on the delivery path. Each must give exactly what its plain,
-all-pairs or all-entries definition gives, on any input: registers here are
-arbitrary entry sets, not only the antichains merges build. Where merge's
+MvRegister.merge, version_leq and CausalClock.ready take shortcuts on the
+delivery path. Each must give exactly what its plain, all-pairs or
+all-entries definition gives, on any input: registers here are arbitrary
+entry sets, not only the antichains merges build. Where merge's
 result is one of its inputs, it returns that input itself, so replicas share
 one register object.
 """
@@ -20,7 +20,6 @@ from aqldb.crdt import (
     BoundedCounter,
     MvRegister,
     make_version,
-    version_dominates,
     version_leq,
 )
 from aqldb.engine import Row, RowView
@@ -35,6 +34,10 @@ versions = st.dictionaries(st.sampled_from(REPLICAS), st.integers(0, 3)).map(mak
 # Flags and column values; equal versions may carry different values.
 entries = st.tuples(st.sampled_from(["I", "D", "T", 1, "x"]), versions)
 registers = st.frozensets(entries, max_size=5).map(MvRegister)
+
+
+def version_dominates(a, b):
+    return a != b and version_leq(b, a)
 
 
 def ref_leq(a, b):

@@ -12,7 +12,7 @@ import pytest
 
 import aqldb.schema as sch
 from aqldb.crdt import AdditiveCounter, BoundedCounter, EventStamp, LwwRegister, MvRegister, render_scalar
-from aqldb.engine import Replica, RowView, constraint_violations, integrity_violations, ref_cell, visible_rows
+from aqldb.engine import Replica, RowView, ViewContext, constraint_violations, integrity_violations, ref_cell, visible_rows
 from aqldb.errors import AqlError, CheckViolation, ScenarioError
 from aqldb.sim import (
     FUZZ_SCHEMA,
@@ -20,8 +20,6 @@ from aqldb.sim import (
     Event,
     FuzzConfig,
     Runner,
-    causal_orders,
-    enumerate_orders,
     fuzz,
     load_scenario,
     minimize,
@@ -31,6 +29,8 @@ from aqldb.sim import (
     store_canon,
 )
 from aqldb.txn import LockManager, Mode, RowDelta, column_lock, row_lock
+
+from delivery_orders import causal_orders, enumerate_orders
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
@@ -672,7 +672,7 @@ def check_point_reads(runner, mismatches) -> tuple[int, int]:
     children = snapshots = 0
     for rid in runner.cluster.replica_ids:
         rep = runner.cluster.replica(rid)
-        contexts = [("committed", rep.committed_ctx())]
+        contexts = [("committed", ViewContext(rep.store, rep.catalog))]
         contexts += [(tx.txid, rep.snap_ctx(tx)) for tx in rep.active.values()]
         snapshots += len(contexts) - 1
         for name, ctx in contexts:
