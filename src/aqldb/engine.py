@@ -1,9 +1,8 @@
 """Per-replica relational state and statement execution.
 
 Rows are bundles of mergeable cells plus a visibility register and an
-insertion generation counter. Beside each foreign key column sits a reference
-cell that remembers which parent (and which generation of it) the column
-referenced; it is written and merged in lockstep with the column. Statements
+insertion generation counter. A foreign key column's cell holds its reference:
+the parent's key and the generation of the parent the writer saw. Statements
 run inside a transaction: they validate against the transaction's snapshot,
 grab whatever locks the schema's concurrency annotations demand, and buffer
 effects that the commit fold turns into stamped mergeable states.
@@ -67,14 +66,6 @@ def _rowkey_order(rowkey: RowKey) -> tuple[str, str]:
 
 # The stamp of a last-writer-wins register that was never written.
 _UNWRITTEN = EventStamp(0, "")
-_REF = "ref."
-
-
-def ref_cell(column: str) -> str:
-    """Name of the cell holding a foreign key column's (parent pk, parent
-    generation) reference. Identifiers cannot contain a dot, so it never
-    collides with a column."""
-    return _REF + column
 
 
 @dataclass
@@ -157,7 +148,19 @@ class RowView:
         return self.row.generation if self.row is not None else 0
 
     def scalars(self, column: str) -> tuple:
-        """Current value(s) of a cell; several for concurrent MV writes."""
+        """Current value(s) of a column; several for concurrent MV writes,
+        in render order. A foreign key column gives its parent keys."""
+        values = self.fk_refs(column)
+        # A Scalar is never a tuple, so a tuple value is a reference.
+        if not values or type(values[0]) is not tuple:
+            return values
+        if len(values) == 1:
+            return (values[0][0],)
+        return tuple(sorted([ref[0] for ref in values], key=render_scalar))
+
+    def fk_refs(self, column: str) -> tuple:
+        """The column's value(s) as stored: for a foreign key column, its
+        references (parent key, parent generation)."""
         if self.write is not None:
             if column in self.write.sets:
                 return (self.write.sets[column][0],)
@@ -175,9 +178,6 @@ class RowView:
     def _counter_base(self, column: str) -> int:
         cell = self.row.cells.get(column) if self.row is not None else None
         return cell.value() if isinstance(cell, AdditiveCounter) else 0
-
-    def fk_refs(self, column: str) -> tuple[tuple[Scalar, int], ...]:
-        return self.scalars(ref_cell(column))
 
     def visibility_versions(self) -> dict[str, int]:
         return self.row.visibility.max_versions() if self.row is not None else {}
@@ -295,15 +295,6 @@ def compare(left: Scalar, op: str, right: Scalar) -> bool:
 def check_eval(atoms: Iterable[sch.CheckAtom], value: Scalar) -> bool:
     """A conjunction of single-column comparisons against one value."""
     return all(compare(value, atom.op, atom.value) for atom in atoms)
-
-
-def _buffer_set(write: RowWrite, view: RowView | None, col: sch.ColumnDef, name: str, value) -> None:
-    """Buffer an absolute write to cell name, which holds column col or its
-    reference. A multi-value write remembers the versions it observed."""
-    if col.modifier is sch.Modifier.MULTI_VALUE:
-        write.sets[name] = (value, view.cell_versions(name) if view is not None else {})
-    else:
-        write.sets[name] = (value, None)
 
 
 class Replica:
@@ -433,10 +424,14 @@ class Replica:
         for col, state in delta.cells.items():
             cur = row.cells.get(col)
             row.cells[col] = state if cur is None else merge(cur, state)
-            if col.startswith(_REF):
-                refs = [state.value] if isinstance(state, LwwRegister) else state.values()
-                for ppk, _ in refs:
-                    self.store.children.setdefault((delta.table, col[len(_REF):], ppk), set()).add(delta.pk)
+        schema = self.catalog.tables.get(delta.table)  # None for sequences
+        if schema is not None:
+            for col, _ in schema.foreign_keys:
+                state = delta.cells.get(col)
+                if state is not None:
+                    refs = [state.value] if isinstance(state, LwwRegister) else state.values()
+                    for ppk, _ in refs:
+                        self.store.children.setdefault((delta.table, col, ppk), set()).add(delta.pk)
         if delta.visibility is not None:
             row.visibility = row.visibility.merge(delta.visibility)
         if delta.generation is not None and delta.generation > row.generation:
@@ -700,7 +695,7 @@ class Replica:
         """Enforce each assignment's constraints, in order, and buffer it. A
         delta reserves bounded-counter rights; an absolute value must pass
         its checks and, for a foreign key, the parent check, whose reference
-        is buffered beside the value. The first failure raises."""
+        is buffered in its place. The first failure raises."""
         rowkey = (schema.name, pk)
         write = tx.write(rowkey)
         for a in assignments:
@@ -714,11 +709,14 @@ class Replica:
             atoms = col.check_atoms
             if atoms and not check_eval(atoms, a.value):
                 raise CheckViolation(f"{schema.name}.{a.column} = {a.value!r} fails its check")
+            value = a.value
             if col.foreign_key is not None:
                 live = a.column in plan.locked_parents
-                ref = self._check_fk_parent(tx, schema.name, a.column, col.foreign_key, a.value, live)
-                _buffer_set(write, view, col, ref_cell(a.column), ref)
-            _buffer_set(write, view, col, a.column, a.value)
+                value = self._check_fk_parent(tx, schema.name, a.column, col.foreign_key, a.value, live)
+            observed = None
+            if col.modifier is sch.Modifier.MULTI_VALUE:
+                observed = view.cell_versions(a.column) if view is not None else {}
+            write.sets[a.column] = (value, observed)
         return write
 
     def _check_fk_parent(

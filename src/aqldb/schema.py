@@ -63,16 +63,6 @@ class CheckAtom:
 
 
 @dataclass(frozen=True)
-class PrimaryKey:
-    pass
-
-
-@dataclass(frozen=True)
-class Check:
-    atoms: tuple[CheckAtom, ...]
-
-
-@dataclass(frozen=True)
 class ForeignKey:
     table: str
     column: str
@@ -80,35 +70,18 @@ class ForeignKey:
     cascade: bool = False
 
 
-ConstraintDef = PrimaryKey | Check | ForeignKey
-
-
 # A parsed column or table is never mutated, so derived properties are cached.
 @dataclass
 class ColumnDef:
+    """One column; _parse_column sets each constraint field once. Several
+    CHECK clauses are one conjunction, check_atoms."""
+
     name: str
     datatype: Datatype
     modifier: Modifier = Modifier.NONE
-    constraints: tuple[ConstraintDef, ...] = ()
-
-    @property
-    def is_primary_key(self) -> bool:
-        return any(isinstance(c, PrimaryKey) for c in self.constraints)
-
-    @property
-    def checks(self) -> list[Check]:
-        return [c for c in self.constraints if isinstance(c, Check)]
-
-    @cached_property
-    def foreign_key(self) -> ForeignKey | None:
-        for c in self.constraints:
-            if isinstance(c, ForeignKey):
-                return c
-        return None
-
-    @cached_property
-    def check_atoms(self) -> list[CheckAtom]:
-        return [a for chk in self.checks for a in chk.atoms]
+    is_primary_key: bool = False
+    foreign_key: ForeignKey | None = None
+    check_atoms: tuple[CheckAtom, ...] = ()
 
     @cached_property
     def additive_bound(self) -> Bound | None:
@@ -468,16 +441,6 @@ def _remember(cache: dict, key: str, value, limit: int) -> None:
 # --------------------------------------------------------------------------
 # DDL
 
-def parse_ddl(text: str, catalog: Catalog | None = None) -> TableSchema:
-    """Parse one CREATE TABLE statement and validate it against catalog."""
-    p = _Parser(text)
-    schema = _parse_create(p, catalog or Catalog())
-    p.accept_sym(";")
-    if p.peek()[0] != "eof":
-        raise p.error("end of statement")
-    return schema
-
-
 def parse_schema_text(text: str) -> Catalog:
     """Parse a sequence of CREATE TABLE statements into a catalog. The same
     text gives the same catalog object, which must not be mutated."""
@@ -525,33 +488,34 @@ def _parse_column(p: _Parser) -> ColumnDef:
     dt = p.accept_keyword("INT", "VARCHAR", "BOOLEAN")
     if not dt:
         raise p.error("datatype")
-    datatype = Datatype(dt)
-    modifier = Modifier.NONE
+    col = ColumnDef(name, Datatype(dt))
     word = p.accept_keyword("LWW", "MULTI_VALUE", "ADDITIVE")
     if word:
-        modifier = Modifier(word)
-    constraints: list[ConstraintDef] = []
+        col.modifier = Modifier(word)
     while True:
         if p.accept_keyword("PRIMARY"):
             p.expect_keyword("KEY")
-            constraints.append(PrimaryKey())
+            if col.is_primary_key:
+                raise ValidationError(f"column {name} has two PRIMARY KEY clauses")
+            col.is_primary_key = True
         elif p.accept_keyword("CHECK"):
-            constraints.append(_parse_check(p))
+            col.check_atoms += _parse_check(p)
         elif p.accept_keyword("FOREIGN"):
             p.expect_keyword("KEY")
-            constraints.append(_parse_foreign_key(p))
+            if col.foreign_key is not None:
+                raise ValidationError(f"column {name} has two FOREIGN KEY clauses")
+            col.foreign_key = _parse_foreign_key(p)
         else:
-            break
-    return ColumnDef(name, datatype, modifier, tuple(constraints))
+            return col
 
 
-def _parse_check(p: _Parser) -> Check:
+def _parse_check(p: _Parser) -> tuple[CheckAtom, ...]:
     p.expect_sym("(")
     atoms = [_parse_check_atom(p)]
     while p.accept_keyword("AND"):
         atoms.append(_parse_check_atom(p))
     p.expect_sym(")")
-    return Check(tuple(atoms))
+    return tuple(atoms)
 
 
 def _parse_check_atom(p: _Parser) -> CheckAtom:
@@ -904,18 +868,16 @@ def _column_ddl(col: ColumnDef) -> str:
     parts = [col.name, col.datatype.value]
     if col.modifier is not Modifier.NONE:
         parts.append(col.modifier.value)
-    for c in col.constraints:
-        if isinstance(c, PrimaryKey):
-            parts.append("PRIMARY KEY")
-        elif isinstance(c, Check):
-            cond = " AND ".join(
-                f"{a.column} {a.op} {_literal_ddl(a.value)}" for a in c.atoms
-            )
-            parts.append(f"CHECK ({cond})")
-        elif isinstance(c, ForeignKey):
-            fkp = "" if c.policy is Policy.NO_CONCURRENCY else c.policy.value + " "
-            suffix = " ON DELETE CASCADE" if c.cascade else ""
-            parts.append(f"FOREIGN KEY {fkp}REFERENCES {c.table} ({c.column}){suffix}")
+    if col.is_primary_key:
+        parts.append("PRIMARY KEY")
+    if col.check_atoms:
+        cond = " AND ".join(f"{a.column} {a.op} {_literal_ddl(a.value)}" for a in col.check_atoms)
+        parts.append(f"CHECK ({cond})")
+    fk = col.foreign_key
+    if fk is not None:
+        fkp = "" if fk.policy is Policy.NO_CONCURRENCY else fk.policy.value + " "
+        suffix = " ON DELETE CASCADE" if fk.cascade else ""
+        parts.append(f"FOREIGN KEY {fkp}REFERENCES {fk.table} ({fk.column}){suffix}")
     return " ".join(parts)
 
 

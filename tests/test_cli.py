@@ -162,6 +162,18 @@ class TestCheckSchema:
         assert main(["check-schema", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_foreign_key_clause_given_twice_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "schema.aql"
+        path.write_text(
+            "CREATE TABLE A (K INT PRIMARY KEY);\n"
+            "CREATE TABLE B (K INT PRIMARY KEY, P INT FOREIGN KEY REFERENCES A (K)"
+            " FOREIGN KEY REFERENCES Nope (X) ON DELETE CASCADE)"
+        )
+        assert main(["check-schema", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "column P has two FOREIGN KEY clauses" in captured.err
+        assert captured.out == ""
+
     def test_machine_format(self, tmp_path, capsys):
         path = tmp_path / "schema.aql"
         path.write_text(SCHEMA)

@@ -9,6 +9,8 @@ from aqldb.crdt import MvRegister
 from aqldb.engine import (
     Cause,
     Replica,
+    Row,
+    RowView,
     Store,
     ViewContext,
     dump_all,
@@ -347,6 +349,13 @@ class TestInsertSemantics:
 
 
 class TestReferences:
+    def test_multi_value_keys_come_in_key_render_order(self):
+        # The references render as '(A B,1)' < '(A,1)'; their keys as 'A' < 'A B'.
+        cell = MvRegister().assign(("A B", 1), {}, "r1", 1).merge(MvRegister().assign(("A", 1), {}, "r2", 1))
+        view = RowView(Row({"Artist": cell}))
+        assert view.fk_refs("Artist") == (("A B", 1), ("A", 1))
+        assert view.scalars("Artist") == ("A", "A B")
+
     def test_cascade_depth_two(self):
         reps, catalog = make_group()
         r1 = reps["r1"]

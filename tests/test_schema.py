@@ -11,7 +11,6 @@ from aqldb.schema import (
     additive_bound,
     catalog_to_ddl,
     concurrent_insert_allowed,
-    parse_ddl,
     parse_literal,
     parse_schema_text,
     parse_statement,
@@ -151,39 +150,45 @@ def test_parse_literal():
         parse_literal("'a' 'b'")
 
 
+def one_table(text):
+    """The one table a single CREATE TABLE statement defines."""
+    (table,) = parse_schema_text(text).tables.values()
+    return table
+
+
 class TestValidation:
     def plain(self, body):
         return f"CREATE TABLE T (\n{body}\n)"
 
     def test_needs_exactly_one_pk(self):
         with pytest.raises(ValidationError):
-            parse_ddl(self.plain("A INT, B INT"))
+            one_table(self.plain("A INT, B INT"))
         with pytest.raises(ValidationError):
-            parse_ddl(self.plain("A INT PRIMARY KEY, B INT PRIMARY KEY"))
+            one_table(self.plain("A INT PRIMARY KEY, B INT PRIMARY KEY"))
 
     def test_pk_cannot_merge(self):
         with pytest.raises(ValidationError):
-            parse_ddl(self.plain("A INT LWW PRIMARY KEY"))
+            one_table(self.plain("A INT LWW PRIMARY KEY"))
 
     def test_additive_requires_int(self):
         with pytest.raises(ValidationError):
-            parse_ddl(self.plain("A INT PRIMARY KEY, B VARCHAR ADDITIVE"))
+            one_table(self.plain("A INT PRIMARY KEY, B VARCHAR ADDITIVE"))
 
     def test_duplicate_column(self):
         with pytest.raises(ValidationError):
-            parse_ddl(self.plain("A INT PRIMARY KEY, A INT"))
+            one_table(self.plain("A INT PRIMARY KEY, A INT"))
 
     def test_check_constrains_own_column_only(self):
         with pytest.raises(ValidationError):
-            parse_ddl(self.plain("A INT PRIMARY KEY, B INT CHECK (A > 0)"))
+            one_table(self.plain("A INT PRIMARY KEY, B INT CHECK (A > 0)"))
 
     def test_check_constant_type(self):
         with pytest.raises(ValidationError):
-            parse_ddl(self.plain("A INT PRIMARY KEY, B INT CHECK (B > 'x')"))
+            one_table(self.plain("A INT PRIMARY KEY, B INT CHECK (B > 'x')"))
 
     def test_additive_check_one_sided(self):
         with pytest.raises(ValidationError):
-            parse_ddl(
+            one_table(
                 self.plain("A INT PRIMARY KEY, B INT ADDITIVE CHECK (B > 0 AND B < 9)")
             )
 
@@ -213,16 +218,41 @@ class TestValidation:
 
     def test_fk_unknown_table(self):
         with pytest.raises(ValidationError):
-            parse_ddl(self.plain("A INT PRIMARY KEY, B INT FOREIGN KEY REFERENCES Nope (X)"))
+            one_table(self.plain("A INT PRIMARY KEY, B INT FOREIGN KEY REFERENCES Nope (X)"))
+
+    @pytest.mark.parametrize("columns, message", [
+        ("K INT PRIMARY KEY PRIMARY KEY", "column K has two PRIMARY KEY clauses"),
+        ("K INT PRIMARY KEY CHECK (K > 0) PRIMARY KEY", "column K has two PRIMARY KEY clauses"),
+        ("K INT PRIMARY KEY, P INT FOREIGN KEY REFERENCES A (K) FOREIGN KEY REFERENCES A (K)",
+         "column P has two FOREIGN KEY clauses"),
+        ("K INT PRIMARY KEY, P INT FOREIGN KEY REFERENCES A (K) FOREIGN KEY REFERENCES Nope (X)",
+         "column P has two FOREIGN KEY clauses"),
+    ])
+    def test_clause_given_twice_is_rejected(self, columns, message):
+        with pytest.raises(ValidationError, match=message):
+            parse_schema_text(f"CREATE TABLE A (K INT PRIMARY KEY); CREATE TABLE B ({columns})")
+
+    def test_several_checks_are_one_conjunction(self):
+        catalog = parse_schema_text(
+            "CREATE TABLE A (K INT PRIMARY KEY);"
+            "CREATE TABLE B (K INT CHECK (K > 0) PRIMARY KEY,"
+            " V INT FOREIGN KEY REFERENCES A (K) CHECK (V >= 0) CHECK (V < 9 AND V <> 5))"
+        )
+        v = catalog.table("B").column("V")
+        assert [(a.op, a.value) for a in v.check_atoms] == [(">=", 0), ("<", 9), ("<>", 5)]
+        # Printed in one order: PRIMARY KEY, CHECK, FOREIGN KEY.
+        assert to_ddl(catalog.table("B")) == (
+            "CREATE TABLE B (K INT PRIMARY KEY CHECK (K > 0),"
+            " V INT CHECK (V >= 0 AND V < 9 AND V <> 5) FOREIGN KEY REFERENCES A (K))"
+        )
 
     def test_dotted_column_name_is_reserved(self):
-        # The engine keeps foreign key references in cells named ref.<column>.
         with pytest.raises(AqlSyntaxError):
-            parse_ddl(self.plain("A INT PRIMARY KEY, ref.X INT"))
+            one_table(self.plain("A INT PRIMARY KEY, ref.X INT"))
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(AqlSyntaxError) as err:
-            parse_ddl("CREATE TABLE T (A INT PRIMARY KEY,,)")
+            one_table("CREATE TABLE T (A INT PRIMARY KEY,,)")
         assert err.value.position is not None
 
 

@@ -12,7 +12,9 @@ import pytest
 
 import aqldb.schema as sch
 from aqldb.crdt import AdditiveCounter, BoundedCounter, EventStamp, LwwRegister, MvRegister, render_scalar
-from aqldb.engine import Replica, RowView, ViewContext, constraint_violations, integrity_violations, ref_cell, visible_rows
+from aqldb.engine import (
+    SEQ_COLUMN, SEQ_TABLE, Replica, RowView, ViewContext, constraint_violations, integrity_violations, visible_rows,
+)
 from aqldb.errors import AqlError, CheckViolation, ScenarioError
 from aqldb.sim import (
     FUZZ_SCHEMA,
@@ -363,7 +365,7 @@ class TestCluster:
             "generation": RowDelta("Albums", "A1", generation=7),
             "invisible row": RowDelta("Reviews", 9),
             "reference cell": RowDelta("Albums", "A1", {
-                ref_cell("Artist"): LwwRegister(("Sam", 2), EventStamp(9, "r2")),
+                "Artist": LwwRegister(("Sam", 2), EventStamp(9, "r2")),
             }),
         }[case]
         r2._apply_delta(delta)
@@ -607,24 +609,6 @@ MV_FK_SCHEMA = FUZZ_SCHEMA.replace("VARCHAR LWW FOREIGN KEY", "VARCHAR MULTI_VAL
 assert MV_FK_SCHEMA.count("MULTI_VALUE FOREIGN KEY") == 2
 
 
-def check_fk_refs(runner, mismatches) -> int:
-    """Compare every foreign key column with its reference cell, on every
-    row at every replica; return how many written columns were compared."""
-    compared = 0
-    for rid in runner.cluster.replica_ids:
-        store = runner.cluster.replica(rid).store
-        for table, schema in runner.catalog.tables.items():
-            for pk, row in store.tables.get(table, {}).items():
-                view = RowView(row)
-                for col, _ in schema.foreign_keys:
-                    refs = sorted(ppk for ppk, _ in view.fk_refs(col))
-                    values = sorted(view.scalars(col))
-                    compared += bool(values)
-                    if refs != values:
-                        mismatches.append(f"{rid} {table}/{pk}.{col}: refs {refs}, values {values}")
-    return compared
-
-
 def scenario_runs(runner_class=Runner):
     """A runner per scenario in scenarios/, after its events ran."""
     for path in scenario_paths():
@@ -645,23 +629,52 @@ def fuzz_runs(schema_text, runner_class=Runner):
         yield runner, outcome
 
 
-class TestReferenceCells:
-    def test_scenarios_keep_references_in_lockstep(self):
-        mismatches, compared = [], 0
+def check_stored_cells(runner, problems) -> int:
+    """At every replica, every stored row holds only cells named after its
+    table's columns, and each foreign key cell holds (parent key, int
+    generation) references whose keys scalars gives, in render order;
+    return how many written foreign key cells were checked."""
+    checked = 0
+    columns = {name: {c.name for c in t.columns} for name, t in runner.catalog.tables.items()}
+    columns[SEQ_TABLE] = {SEQ_COLUMN}
+    for rid in runner.cluster.replica_ids:
+        for table, rows in runner.cluster.replica(rid).store.tables.items():
+            fks = runner.catalog.tables[table].foreign_keys if table in runner.catalog.tables else []
+            for pk, row in rows.items():
+                where = f"{rid} {table}/{render_scalar(pk)}"
+                if not set(row.cells) <= columns[table]:
+                    problems.append(f"{where}: cells {sorted(row.cells)}")
+                view = RowView(row)
+                for col, _ in fks:
+                    refs = view.fk_refs(col)
+                    checked += bool(refs)
+                    if not all(type(ref) is tuple and len(ref) == 2 and type(ref[1]) is int for ref in refs):
+                        problems.append(f"{where}.{col}: references {refs}")
+                    elif view.scalars(col) != tuple(sorted([ref[0] for ref in refs], key=render_scalar)):
+                        problems.append(f"{where}.{col}: scalars {view.scalars(col)}, references {refs}")
+    return checked
+
+
+class TestStoredCells:
+    """One cell per column: a foreign key column's cell is its reference."""
+
+    def test_scenarios(self):
+        problems, checked = [], 0
         for runner in scenario_runs():
-            compared += check_fk_refs(runner, mismatches)
-        assert mismatches == []
-        assert compared > 0
+            runner.finish()
+            checked += check_stored_cells(runner, problems)
+        assert problems == []
+        assert checked > 0
 
     @pytest.mark.parametrize("schema_text", [FUZZ_SCHEMA, MV_FK_SCHEMA], ids=["lww", "multi_value"])
-    def test_fuzz_keeps_references_in_lockstep(self, schema_text):
-        mismatches, compared = [], 0
+    def test_fuzz(self, schema_text):
+        problems, checked = [], 0
         for runner, outcome in fuzz_runs(schema_text):
             runner.finish()
             assert runner.report.to_json()["steps"] == outcome.report.to_json()["steps"]
-            compared += check_fk_refs(runner, mismatches)
-        assert mismatches == []
-        assert compared > 0
+            checked += check_stored_cells(runner, problems)
+        assert problems == []
+        assert checked > 0
 
 
 def check_point_reads(runner, mismatches) -> tuple[int, int]:
@@ -960,7 +973,7 @@ class TestFuzz:
                 canon = store_canon(runner.cluster.replica(rid).store)
                 digest.update(f"{runner.report.name} {rid}\n{canon}\n".encode())
         assert runs == 26
-        assert digest.hexdigest() == "bc19ceafb1927ea3efc927205b5934dcb84e0028a063666792cd6f2d29f21e44"
+        assert digest.hexdigest() == "91dc53afc879249f24ca8bb6a6364c62126f7472a1e4bd393ae391432604b130"
 
     def test_bound_off_zero_keeps_the_ledger(self):
         """Concurrent inserts under Plays <= 6 take the row lock instead of
