@@ -68,23 +68,25 @@ def _rowkey_order(rowkey: RowKey) -> tuple[str, str]:
 _UNWRITTEN = EventStamp(0, "")
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class Row:
+    """A stored row, immutable down to its cells dict: a change stores a new
+    Row, so the old one stays readable as a pre-image and replicas share rows."""
+
     cells: dict[str, MergeValue] = field(default_factory=dict)
     visibility: MvRegister = field(default_factory=MvRegister)  # over I, D, T
     generation: int = 0
 
-    def copy(self) -> "Row":
-        # Cell states are never mutated in place, so sharing them is safe.
-        return Row(dict(self.cells), self.visibility, self.generation)
+
+_NO_ROW = Row()  # what a delta merges into when its row is not stored yet
 
 
 class Store:
     """All rows of one replica, keyed by table then primary key, and a
     reverse foreign key index (child table, fk column, parent pk) -> child
     pks. Entries are never removed: readers re-check every candidate.
-    Replica._apply_delta, the only place rows change, bumps version first,
-    so an unchanged version means an unchanged store."""
+    Replica._apply_delta, the only place a row is stored, bumps version
+    first, so an unchanged version means an unchanged store."""
 
     def __init__(self):
         self.tables: dict[str, dict[Scalar, Row]] = {}
@@ -97,12 +99,6 @@ class Store:
     def cell(self, table: str, pk: Scalar, column: str) -> MergeValue | None:
         row = self.row(table, pk)
         return row.cells.get(column) if row is not None else None
-
-    def ensure(self, table: str, pk: Scalar) -> Row:
-        rows = self.tables.setdefault(table, {})
-        if pk not in rows:
-            rows[pk] = Row()
-        return rows[pk]
 
     def pks(self, table: str) -> list[Scalar]:
         return list(self.tables.get(table, {}))
@@ -396,10 +392,11 @@ class Replica:
     # -- replication ----------------------------------------------------------
 
     def deliver(self, record: CommitRecord) -> bool:
-        """Merge a remote commit. Duplicate delivery is a no-op."""
-        if self.clock.has(record):
-            return False
+        """Merge a remote commit. Duplicate delivery is a no-op. A ready
+        record is never one the clock has, so has is asked only of the rest."""
         if not self.clock.ready(record):
+            if self.clock.has(record):
+                return False
             raise ValidationError(
                 f"record {record.record_id} not causally ready at {self.rid}"
             )
@@ -411,19 +408,32 @@ class Replica:
         return True
 
     def _apply_delta(self, delta: RowDelta, committing: str | None = None) -> None:
-        """Merge one row's delta: the only place stored rows change. Each open
-        transaction but the committing one first saves the row's pre-image."""
+        """Store the row that merging one row's delta builds: the only place
+        rows change. Each open transaction but the committing one first keeps
+        the replaced row as its pre-image. The origin records on the delta the
+        row it merged into and the row it built; a receiver whose row is that
+        base, or equal to it, stores the built row, which merging would only
+        rebuild. The equal case lets replicas share rows again after a
+        concurrent write has left each its own merged copy."""
         self.store.version += 1
         key = (delta.table, delta.pk)
-        row = self.store.row(*key)
+        rows = self.store.tables.setdefault(delta.table, {})
+        row = rows.get(delta.pk)
         for tx in self.active.values():
             if tx.txid != committing and key not in tx.saved:
-                tx.saved[key] = row.copy() if row is not None else None
-        if row is None:
-            row = self.store.ensure(*key)
-        for col, state in delta.cells.items():
-            cur = row.cells.get(col)
-            row.cells[col] = state if cur is None else merge(cur, state)
+                tx.saved[key] = row
+        new = delta.result
+        if new is None or (row is not delta.base and row != delta.base):
+            old = row if row is not None else _NO_ROW
+            cells = dict(old.cells)
+            for col, state in delta.cells.items():
+                cur = cells.get(col)
+                cells[col] = state if cur is None else merge(cur, state)
+            visibility = old.visibility if delta.visibility is None else old.visibility.merge(delta.visibility)
+            new = Row(cells, visibility, max(old.generation, delta.generation or 0))
+            if committing is not None:
+                delta.base, delta.result = row, new
+        rows[delta.pk] = new
         schema = self.catalog.tables.get(delta.table)  # None for sequences
         if schema is not None:
             for col, _ in schema.foreign_keys:
@@ -432,10 +442,6 @@ class Replica:
                     refs = [state.value] if isinstance(state, LwwRegister) else state.values()
                     for ppk, _ in refs:
                         self.store.children.setdefault((delta.table, col, ppk), set()).add(delta.pk)
-        if delta.visibility is not None:
-            row.visibility = row.visibility.merge(delta.visibility)
-        if delta.generation is not None and delta.generation > row.generation:
-            row.generation = delta.generation
 
     # -- contexts -------------------------------------------------------------
 

@@ -107,17 +107,16 @@ class Cluster:
         causal, as a commit is broadcast after every commit its origin had seen.
         So each predecessor of a queued record is delivered already or comes
         earlier in this pass, and a record left behind waits, itself or through
-        a predecessor, on an origin rid cannot reach."""
+        a predecessor, on an origin rid cannot reach. A ready record is never
+        one rid has, so has is asked only of the rest: those rid has go."""
         rep = self.replica(rid)
         delivered = 0
         keep = []
         for record in self.queues[rid]:
-            if rep.clock.has(record):
-                continue
             if self.reachable(rid, record.origin) and rep.clock.ready(record):
                 rep.deliver(record)
                 delivered += 1
-            else:
+            elif not rep.clock.has(record):
                 keep.append(record)
         self.queues[rid] = keep
         self.deliveries += delivered
@@ -159,16 +158,18 @@ class Cluster:
         This equals comparing store_canon texts, which render exactly those
         rows: no state keeps a zero entry that canon would drop, and columns
         are typed, so True and 1 never share a cell. Dict equality stops at
-        the first difference, and cell states that replicas share by
-        identity compare at once."""
+        the first difference, and rows and cell states that replicas share
+        by identity compare at once: a receiver holding the row a record's
+        origin merged into, or an equal one, stores the origin's merged Row
+        itself."""
         first, *rest = (rep.store.tables for rep in self.replicas.values())
         return all(tables == first for tables in rest)
 
     def divergence(self) -> str:
         """Where the replicas differ, when converged() is False: the first
         row, in store_canon order, that differs between the first replica
-        and another one. Store.ensure, the only place a table is added,
-        adds a row with it, so unequal stores differ in some row."""
+        and another one. Replica._apply_delta, the only place a table is
+        added, stores a row in it, so unequal stores differ in some row."""
         base_rid, *others = self.replica_ids
         base = self.replicas[base_rid].store.tables
         found = []

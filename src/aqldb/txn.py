@@ -101,8 +101,8 @@ class Transaction:
     origin: str
     status: TxStatus = TxStatus.ACTIVE
     buffer: dict[tuple, RowWrite] = field(default_factory=dict)
-    # rowkey -> the row as of begin (None: absent then), saved before a
-    # commit changed it; engine.ViewContext reads it over the live store
+    # rowkey -> the stored row as of begin (None: absent then), kept when a
+    # commit replaced it; engine.ViewContext reads it over the live store
     saved: dict[tuple, object] = field(default_factory=dict)
     held: dict[str, Mode] = field(default_factory=dict)
     # (rowkey, column) -> bounded-counter rights reserved by buffered deltas
@@ -116,13 +116,17 @@ class Transaction:
 
 @dataclass
 class RowDelta:
-    """Stamped mergeable effects for one row, carried by a commit record."""
+    """Stamped mergeable effects for one row, carried by a commit record.
+    The origin sets base, the stored row it merged into (None: absent), and
+    result, the row it built: a receiver whose row equals base stores it."""
 
     table: str
     pk: object
     cells: dict[str, MergeValue] = field(default_factory=dict)
     visibility: MvRegister | None = None  # over the flags I, D, T
     generation: int | None = None
+    base: object = field(default=None, compare=False, repr=False)
+    result: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass

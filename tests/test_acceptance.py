@@ -14,6 +14,7 @@ import aqldb.schema as sch
 from aqldb.crdt import Bound, BoundedCounter, MvRegister
 from aqldb.engine import (
     Cause,
+    Row,
     Store,
     ViewContext,
     dump_all,
@@ -138,11 +139,10 @@ def test_c03_visibility_truth_table_exhaustive():
             for combo in itertools.combinations("IDT", n):
                 flags = frozenset(combo)
                 store = Store()
-                row = store.ensure("T", "k")
                 vis = MvRegister.bottom()
                 for i, f in enumerate(sorted(flags)):
                     vis = vis.merge(MvRegister.bottom().assign(f, {}, f"w{i}"))
-                row.visibility = vis
+                store.tables["T"] = {"k": Row(visibility=vis)}
                 verdict = is_visible(ViewContext(store, catalog), "T", "k")
                 if not flags:
                     expected = False

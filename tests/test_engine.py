@@ -82,14 +82,12 @@ def sync(records, *reps):
 
 
 def build_flag_row(store: Store, table: str, pk, flags):
-    """Give a row the exact flag set by concurrent single-flag writes."""
-    row = store.ensure(table, pk)
+    """Store a row with the exact flag set by concurrent single-flag writes."""
     vis = MvRegister.bottom()
     for i, flag in enumerate(sorted(flags)):
         one = MvRegister.bottom().assign(flag, {}, f"w{i}")
         vis = vis.merge(one)
-    row.visibility = vis
-    return row
+    store.tables.setdefault(table, {})[pk] = Row(visibility=vis)
 
 
 POLICY_TABLES = {

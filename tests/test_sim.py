@@ -10,6 +10,7 @@ import weakref
 
 import pytest
 
+import aqldb.engine as engine
 import aqldb.schema as sch
 from aqldb.crdt import AdditiveCounter, BoundedCounter, EventStamp, LwwRegister, MvRegister, render_scalar
 from aqldb.engine import (
@@ -879,6 +880,141 @@ class TestConvergence:
             verdicts = {v: verdicts[v] + runner.verdicts[v] for v in verdicts}
         assert mismatches == []
         assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def row_text(row) -> str:
+    """A stored row as store_canon renders it, without its key."""
+    cells = [f"{col}={row.cells[col].canon()}" for col in sorted(row.cells)]
+    return " ".join(cells + [f"vis={row.visibility.canon()}", f"gen={row.generation}"])
+
+
+class RowValueCheckingRunner(Runner):
+    """After every event, renders every Row reachable from a store or from
+    an open transaction's saved map, and checks that a Row object seen
+    before renders as it did then. Each Row seen is kept, so that no id is
+    reused."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.seen: dict[int, tuple[object, str]] = {}
+        self.rechecked = self.saved = 0
+        self.mismatches: list[str] = []
+
+    def apply(self, event):
+        super().apply(event)
+        self.check_rows(event.line)
+
+    def check_rows(self, line):
+        rows = {}
+        for rep in self.cluster.replicas.values():
+            for table in rep.store.tables.values():
+                rows.update((id(row), row) for row in table.values())
+            for tx in rep.active.values():
+                kept = [row for row in tx.saved.values() if row is not None]
+                self.saved += len(kept)
+                rows.update((id(row), row) for row in kept)
+        for key, row in rows.items():
+            text = row_text(row)
+            if key not in self.seen:
+                self.seen[key] = (row, text)
+            elif self.seen[key][1] == text:
+                self.rechecked += 1
+            else:
+                self.mismatches.append(f"{self.report.name} line {line}: {self.seen[key][1]} became {text}")
+
+
+class TestRowValues:
+    """A stored Row is never altered: a change stores a new one."""
+
+    def test_rows_keep_their_value_on_scenarios(self):
+        mismatches, rechecked = [], 0
+        for runner in scenario_runs(RowValueCheckingRunner):
+            runner.finish()
+            runner.check_rows(0)
+            mismatches += runner.mismatches
+            rechecked += runner.rechecked
+        assert mismatches == []
+        assert rechecked > 0
+
+    @pytest.mark.parametrize("schema_text", [FUZZ_SCHEMA, MV_FK_SCHEMA], ids=["lww", "multi_value"])
+    def test_rows_keep_their_value_on_fuzz(self, schema_text):
+        mismatches, rechecked, saved = [], 0, 0
+        for runner, _ in fuzz_runs(schema_text, RowValueCheckingRunner):
+            runner.finish()
+            runner.check_rows(0)
+            mismatches += runner.mismatches
+            rechecked, saved = rechecked + runner.rechecked, saved + runner.saved
+        assert mismatches == []
+        assert rechecked > 0 and saved > 0
+
+    @pytest.fixture()
+    def merges(self, monkeypatch):
+        """engine.merge calls, counted."""
+        merge, calls = engine.merge, collections.Counter()
+
+        def counting(a, b):
+            calls["merge"] += 1
+            return merge(a, b)
+
+        monkeypatch.setattr(engine, "merge", counting)
+        return calls
+
+    def test_receivers_store_the_origin_row(self, merges):
+        cluster = Cluster(sch.parse_schema_text(FUZZ_SCHEMA), ["r1", "r2", "r3"])
+        r1, r2 = cluster.replica("r1"), cluster.replica("r2")
+        tx = r1.begin()
+        r1.execute(tx, "INSERT INTO Artists VALUES ('Sam', TRUE, 0)")
+        cluster.commit(tx)
+        cluster.deliver_all()
+        before = r2.store.row("Artists", "Sam")
+        reader = r2.begin()
+        tx = r1.begin()
+        r1.execute(tx, "UPDATE Artists SET Plays = Plays + 2 WHERE Name = 'Sam'")
+        merges.clear()
+        cluster.commit(tx)
+        assert merges["merge"] > 0  # the origin merged into its stored row
+        merges.clear()
+        cluster.deliver_all()
+        assert merges["merge"] == 0
+        row = r1.store.row("Artists", "Sam")
+        assert all(rep.store.row("Artists", "Sam") is row for rep in cluster.replicas.values())
+        assert reader.saved[("Artists", "Sam")] is before
+        assert r2.execute(reader, "SELECT Plays FROM Artists WHERE Name = 'Sam'") == [{"Plays": 0}]
+        assert cluster.converged()
+
+    def test_receivers_merge_concurrent_updates(self, merges):
+        cluster = Cluster(sch.parse_schema_text(FUZZ_SCHEMA), ["r1", "r2", "r3"])
+        r1, r2 = cluster.replica("r1"), cluster.replica("r2")
+        tx = r1.begin()
+        r1.execute(tx, "INSERT INTO Artists VALUES ('Sam', TRUE, 0)")
+        cluster.commit(tx)
+        cluster.deliver_all()
+        cluster.partition([["r1"], ["r2", "r3"]])
+        for rep, sql in ((r1, "UPDATE Artists SET Plays = Plays + 2 WHERE Name = 'Sam'"),
+                         (r2, "UPDATE Artists SET Active = FALSE WHERE Name = 'Sam'")):
+            tx = rep.begin()
+            rep.execute(tx, sql)
+            cluster.commit(tx)
+        cluster.deliver_all()
+        cluster.heal()
+        merges.clear()
+        cluster.deliver_all()
+        assert merges["merge"] > 0
+        assert cluster.converged()
+        assert cluster.dumps("r3")["Artists"] == ["Sam,false,2"]
+        rows = [rep.store.row("Artists", "Sam") for rep in cluster.replicas.values()]
+        assert len({id(row) for row in rows}) == 3  # equal rows, each merged apart
+
+        # Each receiver's row equals the base of r1's next record, so each
+        # takes r1's row without merging, and the replicas share it again.
+        tx = r1.begin()
+        r1.execute(tx, "UPDATE Artists SET Plays = Plays + 1 WHERE Name = 'Sam'")
+        cluster.commit(tx)
+        merges.clear()
+        cluster.deliver_all()
+        assert merges["merge"] == 0
+        row = r1.store.row("Artists", "Sam")
+        assert all(rep.store.row("Artists", "Sam") is row for rep in cluster.replicas.values())
 
 
 class TestFuzz:
