@@ -5,7 +5,9 @@ idempotent. States are immutable: operations build new states, and merge may
 return one of its inputs as is when that input already is the join, so
 replicas can share one state object.
 Callers are responsible for issuing fresh stamps and version counters; the
-types themselves only enforce the lattice rules.
+types themselves only enforce the lattice rules. A stamp is a plain
+(counter, replica) tuple, so stamps order lexicographically and the cyclic
+garbage collector stops tracking them after one pass.
 
 No state keeps a zero entry: the incs, decs and transfers of a counter and
 the counts of a version vector are all positive. canon() drops zeros, so
@@ -53,23 +55,16 @@ def _counts_leq(a: Version, bc: dict[str, int]) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=True)
-class EventStamp:
-    """Logical timestamp ordered lexicographically by (counter, replica)."""
-
-    counter: int
-    replica: str
-
-    def canon(self) -> str:
-        return f"{self.counter}.{self.replica}"
+# A logical timestamp: (counter, replica).
+EventStamp = tuple[int, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LwwRegister:
     """Register keeping the single value with the greatest stamp."""
 
     value: object = None
-    stamp: EventStamp = EventStamp(0, "")
+    stamp: EventStamp = (0, "")
 
     @classmethod
     def bottom(cls) -> "LwwRegister":
@@ -89,10 +84,11 @@ class LwwRegister:
         return self if render_scalar(self.value) >= render_scalar(other.value) else other
 
     def canon(self) -> str:
-        return f"lww({render_scalar(self.value)}@{self.stamp.canon()})"
+        counter, replica = self.stamp
+        return f"lww({render_scalar(self.value)}@{counter}.{replica})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MvRegister:
     """Multi-value register: an antichain of (value, version) entries.
 
@@ -168,7 +164,7 @@ class MvRegister:
         return "mv{" + "|".join(parts) + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdditiveCounter:
     """Counter merging concurrent deltas by summing per-replica contributions.
 
@@ -212,7 +208,7 @@ class AdditiveCounter:
         return "add(" + self._canon_maps() + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bound:
     """One-sided numeric bound: value stays >= limit (lower) or <= limit (upper)."""
 
@@ -229,7 +225,7 @@ class Bound:
         return f"{op}{self.limit}"
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, slots=True)
 class BoundedCounter(AdditiveCounter):
     """Escrow counter that can never cross its bound, without coordination.
 
@@ -290,9 +286,11 @@ class BoundedCounter(AdditiveCounter):
         return sum(self.incs.values())
 
     def value(self) -> int:
+        # Not super(): slots=True builds a new class, which the
+        # zero-argument form does not see.
         if self.bound.direction == "lower":
-            return self.bound.limit + super().value()
-        return self.bound.limit - super().value()
+            return self.bound.limit + AdditiveCounter.value(self)
+        return self.bound.limit - AdditiveCounter.value(self)
 
     def transfer(self, src: str, dst: str, amount: int) -> "BoundedCounter":
         """Ship free rights from src to dst. Total rights are conserved."""

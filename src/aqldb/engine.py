@@ -19,7 +19,6 @@ from .crdt import (
     AdditiveCounter,
     Bound,
     BoundedCounter,
-    EventStamp,
     LwwRegister,
     MergeValue,
     MvRegister,
@@ -65,7 +64,7 @@ def _rowkey_order(rowkey: RowKey) -> tuple[str, str]:
 
 
 # The stamp of a last-writer-wins register that was never written.
-_UNWRITTEN = EventStamp(0, "")
+_UNWRITTEN = (0, "")
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,7 +112,7 @@ class Cause(Enum):
     PARENT_VERSION_STALE = "parent_version_stale"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VisibilityVerdict:
     visible: bool
     cause: Cause
@@ -124,7 +123,7 @@ _VERDICTS = {cause: VisibilityVerdict(cause is Cause.ALL_CLEAR, cause) for cause
 _VISIBLE = _VERDICTS[Cause.ALL_CLEAR]
 
 
-@dataclass
+@dataclass(slots=True)
 class RowView:
     """A row as one transaction sees it: stored state plus buffered writes."""
 
@@ -814,7 +813,7 @@ class Replica:
         table, pk = rowkey
         schema = self.catalog.tables.get(table)
         live = self.store.row(table, pk)
-        stamp = EventStamp(lam, self.rid)
+        stamp = (lam, self.rid)
 
         cells: dict[str, MergeValue] = {}
         for name in sorted(write.sets):

@@ -6,11 +6,12 @@ executes. Keywords are case-insensitive, identifiers are case-sensitive.
 
 Parsed catalogs and statements are immutable, so they are shared:
 parse_schema_text returns one catalog per schema text, and each catalog
-keeps the statements parsed against it by text, and their templates (the
-text with each literal masked as `?`) by template text, so a new text of a
-known shape only binds its literals. All caches are bounded by module
-constants and emptied when full; a text that fails to parse is never
-stored, so it raises again on every call.
+keeps the statements parsed against it by text once a text repeats (a text
+seen once is only noted), and their templates (the text with each literal
+masked as `?`) by template text, so a new text of a known shape only binds
+its literals. All caches are bounded by module constants and emptied when
+full; a text that fails to parse is never stored, so it raises again on
+every call.
 """
 
 from __future__ import annotations
@@ -135,11 +136,12 @@ class TableSchema:
 @dataclass
 class Catalog:
     tables: dict[str, TableSchema] = field(default_factory=dict)
-    # Statements parsed against this catalog by text, templates by template
-    # text (see parse_statement).
+    # Statements parsed against this catalog by text, the texts parsed once
+    # so far, and templates by template text (see parse_statement).
     statements: dict[str, Statement] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    seen: dict[str, None] = field(default_factory=dict, init=False, repr=False, compare=False)
     templates: dict[str, tuple[Statement, tuple[_Slot, ...]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -422,9 +424,9 @@ class _Parser:
 # --------------------------------------------------------------------------
 # caches
 
-# Bounds on the number of parsed schema texts kept, and of statement texts
-# and statement templates kept per catalog. A full cache is emptied, not
-# evicted entry by entry.
+# Bounds on the number of parsed schema texts kept, and of statement texts,
+# texts seen once and statement templates kept per catalog. A full cache is
+# emptied, not evicted entry by entry.
 SCHEMA_CACHE_LIMIT = 64
 STATEMENT_CACHE_LIMIT = 2048
 TEMPLATE_CACHE_LIMIT = 256
@@ -617,16 +619,21 @@ def _validate_checks(schema: TableSchema, col: ColumnDef) -> None:
 # statements
 
 def parse_statement(text: str, catalog: Catalog, params: Sequence[Scalar] = ()) -> Statement:
-    """Parse and validate one statement against catalog. The same text under
-    the same catalog gives the same (immutable) statement object. Each `?`
-    in text takes one of params, checked as a literal of it would be. Any
-    failure takes the full parse, so an error keeps its type and offset."""
+    """Parse and validate one statement against catalog. From its second
+    parse on, the same text under the same catalog gives the same (immutable)
+    statement object: a text is kept only once it repeats, so one-off texts
+    leave no statement behind. Each `?` in text takes one of params, checked
+    as a literal of it would be. Any failure takes the full parse, so an
+    error keeps its type and offset."""
     if params:
         return _bind(text, params, catalog) or _parse_statement(_render(text, params), catalog)
     stmt = catalog.statements.get(text)
     if stmt is None:
         stmt = _bind_literals(text, catalog) or _parse_statement(text, catalog)
-        _remember(catalog.statements, text, stmt, STATEMENT_CACHE_LIMIT)
+        if text in catalog.seen:
+            _remember(catalog.statements, text, stmt, STATEMENT_CACHE_LIMIT)
+        else:
+            _remember(catalog.seen, text, None, STATEMENT_CACHE_LIMIT)
     return stmt
 
 

@@ -207,7 +207,7 @@ def store_canon(store: Store) -> str:
 VALID_FLAGS = {"I", "D", "T"}
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     kind: str
     args: dict
@@ -247,7 +247,7 @@ class Event:
         raise ScenarioError(f"cannot render event kind {self.kind}")
 
 
-@dataclass
+@dataclass(slots=True)
 class Scenario:
     name: str
     replicas: list[str]
@@ -258,7 +258,7 @@ class Scenario:
         return sch.parse_schema_text(self.schema_text)
 
 
-@dataclass
+@dataclass(slots=True)
 class Report:
     name: str
     steps: list[dict] = field(default_factory=list)
@@ -847,7 +847,7 @@ _GENRES = ("rock", "jazz", "folk")
 _ACCOUNTS = ("acct1", "acct2")
 
 
-@dataclass
+@dataclass(slots=True)
 class FuzzConfig:
     seed: int = 0
     replicas: int = 3
@@ -855,7 +855,7 @@ class FuzzConfig:
     schema_text: str = FUZZ_SCHEMA
 
 
-@dataclass
+@dataclass(slots=True)
 class FuzzOutcome:
     config: FuzzConfig
     trace: list[Event]

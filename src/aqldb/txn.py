@@ -35,7 +35,7 @@ class TxStatus(Enum):
     ABORTED = "aborted"
 
 
-@dataclass
+@dataclass(slots=True)
 class CausalClock:
     """Vector clock counting commits per origin replica."""
 
@@ -74,7 +74,7 @@ class CausalClock:
         return True
 
 
-@dataclass
+@dataclass(slots=True)
 class RowWrite:
     """Buffered, not yet stamped effects of one transaction on one row.
 
@@ -92,7 +92,7 @@ class RowWrite:
         return not (self.sets or self.deltas or self.flag)
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     """A client transaction at its origin. A settled one keeps only its
     status, so a refused transaction is freed as soon as its client drops it."""
@@ -114,7 +114,7 @@ class Transaction:
         return self.buffer[rowkey]
 
 
-@dataclass
+@dataclass(slots=True)
 class RowDelta:
     """Stamped mergeable effects for one row, carried by a commit record.
     The origin sets base, the stored row it merged into (None: absent), and
@@ -129,6 +129,8 @@ class RowDelta:
     result: object = field(default=None, compare=False, repr=False)
 
 
+# Not slotted, so that a record can be weakly referenced (weakref_slot needs
+# Python 3.11).
 @dataclass
 class CommitRecord:
     origin: str
@@ -189,7 +191,7 @@ class LocalHooks:
         return False
 
 
-@dataclass
+@dataclass(slots=True)
 class LockState:
     exclusive_owner: str | None = None
     shared_owners: set[str] = field(default_factory=set)

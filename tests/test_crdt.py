@@ -6,7 +6,6 @@ from aqldb.crdt import (
     AdditiveCounter,
     Bound,
     BoundedCounter,
-    EventStamp,
     LwwRegister,
     MvRegister,
     make_version,
@@ -44,25 +43,25 @@ def test_version_order():
 class TestLww:
     def test_later_stamp_wins(self):
         r = LwwRegister.bottom()
-        r = r.assign("old", EventStamp(1, "r1"))
-        r = r.assign("new", EventStamp(2, "r1"))
+        r = r.assign("old", (1, "r1"))
+        r = r.assign("new", (2, "r1"))
         assert r.value == "new"
 
     def test_merge_picks_higher_stamp(self):
-        a = LwwRegister.bottom().assign("a", EventStamp(3, "r1"))
-        b = LwwRegister.bottom().assign("b", EventStamp(2, "r2"))
+        a = LwwRegister.bottom().assign("a", (3, "r1"))
+        b = LwwRegister.bottom().assign("b", (2, "r2"))
         assert a.merge(b).value == "a"
         assert b.merge(a).value == "a"
 
     def test_equal_counter_breaks_tie_on_replica(self):
-        a = LwwRegister.bottom().assign("a", EventStamp(2, "r1"))
-        b = LwwRegister.bottom().assign("b", EventStamp(2, "r2"))
+        a = LwwRegister.bottom().assign("a", (2, "r1"))
+        b = LwwRegister.bottom().assign("b", (2, "r2"))
         # (2, r2) > (2, r1) lexicographically
         assert a.merge(b).value == "b"
         assert b.merge(a).value == "b"
 
     def test_bottom_is_identity(self):
-        a = LwwRegister.bottom().assign("a", EventStamp(1, "r1"))
+        a = LwwRegister.bottom().assign("a", (1, "r1"))
         assert a.merge(LwwRegister.bottom()) == a
         assert LwwRegister.bottom().merge(a) == a
 

@@ -13,7 +13,6 @@ from aqldb.crdt import (
     AdditiveCounter,
     Bound,
     BoundedCounter,
-    EventStamp,
     LwwRegister,
     MvRegister,
 )
@@ -25,7 +24,7 @@ CASES_PER_KIND = 2500  # x5 kinds -> >= 10^4 cases per law
 def rand_lww(rng: random.Random) -> LwwRegister:
     if rng.random() < 0.1:
         return LwwRegister.bottom()
-    stamp = EventStamp(rng.randrange(1, 5), rng.choice(REPLICAS))
+    stamp = (rng.randrange(1, 5), rng.choice(REPLICAS))
     return LwwRegister.bottom().assign(rng.choice("abcd"), stamp)
 
 

@@ -333,9 +333,14 @@ class TestCaches:
     """Parsed catalogs and statements are shared, so they must be immutable
     and a cached answer must equal a fresh parse."""
 
-    def test_same_text_same_statement(self, catalog):
+    def test_same_text_same_statement(self):
+        cat = private_catalog()
         text = "UPDATE Artists SET Plays = Plays + 1 WHERE Name = 'Sam'"
-        assert parse_statement(text, catalog) is parse_statement(text, catalog)
+        parse_statement(text, cat)
+        assert text not in cat.statements and text in cat.seen  # a text seen once is only noted
+        second = parse_statement(text, cat)
+        assert cat.statements[text] is second
+        assert parse_statement(text, cat) is second
 
     def test_statement_cache_is_per_catalog(self):
         two = parse_schema_text("CREATE TABLE T (K INT PRIMARY KEY, V INT);")
@@ -366,7 +371,7 @@ class TestCaches:
                 parse_statement(text, catalog)
             seen.add((type(err.value), str(err.value), getattr(err.value, "position", None)))
         assert len(seen) == 1
-        assert text not in catalog.statements
+        assert text not in catalog.statements and text not in catalog.seen
         assert catalog.templates == templates
 
     @pytest.mark.parametrize(
@@ -384,7 +389,7 @@ class TestCaches:
         cat = private_catalog()
         with pytest.raises((AqlSyntaxError, ValidationError)):
             parse_statement(text, cat)
-        assert cat.templates == {} and cat.statements == {}
+        assert cat.templates == {} and cat.statements == {} and cat.seen == {}
 
     def test_one_shape_one_template(self, catalog):
         texts = [f"UPDATE Plain SET Note = 'n{k}' WHERE Id = {k}" for k in range(50)]
@@ -422,8 +427,7 @@ class TestCaches:
     def test_edge_literals_bind_like_the_full_parse(self, text):
         cat = private_catalog()
         expected = sch._parse_statement(text, cat)
-        for _ in range(2):  # a template miss, then a hit
-            cat.statements.clear()
+        for _ in range(3):  # a template miss, a template hit, then a text cache hit
             stmt = parse_statement(text, cat)
             assert (stmt, repr(stmt)) == (expected, repr(expected))
         assert cat.templates
@@ -448,8 +452,7 @@ class TestCaches:
             expected = sch._parse_statement(text, cat)
         except (AqlSyntaxError, ValidationError) as err:
             expected = (type(err), str(err))
-        for _ in range(2):
-            cat.statements.clear()
+        for _ in range(3):  # as in test_edge_literals_bind_like_the_full_parse
             try:
                 got = parse_statement(text, cat)
             except (AqlSyntaxError, ValidationError) as err:
@@ -516,9 +519,10 @@ class TestCaches:
         cat = parse_schema_text("CREATE TABLE Bounded (K INT PRIMARY KEY);")
         limit = sch.STATEMENT_CACHE_LIMIT
         for k in range(limit + 5):
-            stmt = parse_statement(f"DELETE FROM Bounded WHERE K = {k}", cat)
-            assert stmt.where.value == k
-            assert len(cat.statements) <= limit
+            for _ in range(2):  # a text is kept on its second parse
+                stmt = parse_statement(f"DELETE FROM Bounded WHERE K = {k}", cat)
+                assert stmt.where.value == k
+                assert len(cat.statements) <= limit and len(cat.seen) <= limit
         assert len(cat.statements) == 5
 
     def test_schema_cache_is_bounded(self):

@@ -1,6 +1,7 @@
 """Scenario language, cluster behavior, order enumeration and fuzzing."""
 
 import collections
+import dataclasses
 import gc
 import glob
 import hashlib
@@ -10,11 +11,15 @@ import weakref
 
 import pytest
 
+import aqldb.crdt as crdt
 import aqldb.engine as engine
 import aqldb.schema as sch
-from aqldb.crdt import AdditiveCounter, BoundedCounter, EventStamp, LwwRegister, MvRegister, render_scalar
+import aqldb.sim as sim
+import aqldb.txn as txn
+from aqldb.crdt import AdditiveCounter, Bound, BoundedCounter, LwwRegister, MvRegister, render_scalar
 from aqldb.engine import (
-    SEQ_COLUMN, SEQ_TABLE, Replica, RowView, ViewContext, constraint_violations, integrity_violations, visible_rows,
+    SEQ_COLUMN, SEQ_TABLE, Cause, Replica, Row, RowView, ViewContext, VisibilityVerdict, constraint_violations,
+    integrity_violations, visible_rows,
 )
 from aqldb.errors import AqlError, CheckViolation, ScenarioError
 from aqldb.sim import (
@@ -22,7 +27,10 @@ from aqldb.sim import (
     Cluster,
     Event,
     FuzzConfig,
+    FuzzOutcome,
+    Report,
     Runner,
+    Scenario,
     fuzz,
     load_scenario,
     minimize,
@@ -31,7 +39,9 @@ from aqldb.sim import (
     run_scenario,
     store_canon,
 )
-from aqldb.txn import LockManager, Mode, RowDelta, column_lock, row_lock
+from aqldb.txn import (
+    CausalClock, LockManager, LockState, Mode, RowDelta, RowWrite, Transaction, column_lock, row_lock,
+)
 
 from delivery_orders import causal_orders, enumerate_orders
 
@@ -366,7 +376,7 @@ class TestCluster:
             "generation": RowDelta("Albums", "A1", generation=7),
             "invisible row": RowDelta("Reviews", 9),
             "reference cell": RowDelta("Albums", "A1", {
-                "Artist": LwwRegister(("Sam", 2), EventStamp(9, "r2")),
+                "Artist": LwwRegister(("Sam", 2), (9, "r2")),
             }),
         }[case]
         r2._apply_delta(delta)
@@ -827,7 +837,7 @@ class TestAudit:
         ]}, 1))
         assert runner.report.ok, runner.report.failures
         runner.cluster.replica("r1")._apply_delta(
-            RowDelta("Reviews", 1, {"Stars": LwwRegister(9, EventStamp(100, "r1"))})
+            RowDelta("Reviews", 1, {"Stars": LwwRegister(9, (100, "r1"))})
         )
         runner.apply(Event("begin", {"rid": "r2", "txid": "b"}, 2))
         runner.apply(Event("partition", {"groups": [["r1"], ["r2"]]}, 3))
@@ -927,14 +937,14 @@ class TestRowValues:
     """A stored Row is never altered: a change stores a new one."""
 
     def test_rows_keep_their_value_on_scenarios(self):
-        mismatches, rechecked = [], 0
+        mismatches, rechecked, saved = [], 0, 0
         for runner in scenario_runs(RowValueCheckingRunner):
             runner.finish()
             runner.check_rows(0)
             mismatches += runner.mismatches
-            rechecked += runner.rechecked
+            rechecked, saved = rechecked + runner.rechecked, saved + runner.saved
         assert mismatches == []
-        assert rechecked > 0
+        assert rechecked > 0 and saved > 0
 
     @pytest.mark.parametrize("schema_text", [FUZZ_SCHEMA, MV_FK_SCHEMA], ids=["lww", "multi_value"])
     def test_rows_keep_their_value_on_fuzz(self, schema_text):
@@ -1015,6 +1025,45 @@ class TestRowValues:
         assert merges["merge"] == 0
         row = r1.store.row("Artists", "Sam")
         assert all(rep.store.row("Artists", "Sam") is row for rep in cluster.replicas.values())
+
+
+class TestObjectShapes:
+    """Stored state is many small objects that the cyclic garbage collector
+    walks on every full collection, so each is one slotted block and a
+    stamp is a tuple it stops tracking."""
+
+    def test_dataclass_instances_have_no_dict(self):
+        report = Report("r")
+        instances = [
+            LwwRegister(), MvRegister(), AdditiveCounter(), Bound("lower", 0),
+            BoundedCounter(bound=Bound("lower", 0)),
+            Row(), VisibilityVerdict(True, Cause.ALL_CLEAR), RowView(None),
+            CausalClock(), RowWrite(), Transaction("t", "r1"), RowDelta("T", 1), LockState(),
+            Event("heal", {}), Scenario("s", [], "", []), report, FuzzConfig(),
+            FuzzOutcome(FuzzConfig(), [], report),
+        ]
+        for obj in instances:
+            assert not hasattr(obj, "__dict__"), type(obj).__name__
+        # CommitRecord is not slotted: records are weakly referenced.
+        declared = {
+            cls for module in (crdt, engine, txn, sim) for cls in vars(module).values()
+            if isinstance(cls, type) and dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+        }
+        assert declared - {type(obj) for obj in instances} == {txn.CommitRecord}
+
+    def test_stored_stamps_are_untracked_tuples(self):
+        cluster = Cluster(sch.parse_schema_text(FUZZ_SCHEMA), ["r1", "r2"])
+        r1 = cluster.replica("r1")
+        for sql in ("INSERT INTO Artists VALUES ('Sam', TRUE, 0)", "UPDATE Artists SET Active = FALSE WHERE Name = 'Sam'"):
+            tx = r1.begin()
+            r1.execute(tx, sql)
+            cluster.commit(tx)
+            cluster.deliver_all()
+        gc.collect()
+        for rid in ("r1", "r2"):
+            cell = cluster.replica(rid).store.cell("Artists", "Sam", "Active")
+            assert cell.value is False
+            assert type(cell.stamp) is tuple and not gc.is_tracked(cell.stamp)
 
 
 class TestFuzz:
