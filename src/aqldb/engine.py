@@ -223,13 +223,12 @@ def _own_flags_dead(policy: sch.Policy, flags: frozenset[str]) -> Cause | None:
     return Cause.ANY_D if "D" in flags else None
 
 
-def is_visible(
-    ctx: ViewContext, table: str, pk: Scalar, _seen: frozenset | None = None
-) -> VisibilityVerdict:
-    """Full visibility: own flags per row policy, then every recorded parent
+def is_visible(ctx: ViewContext, table: str, view: RowView | None) -> VisibilityVerdict:
+    """Full visibility of view, a row of table as ctx.view gave it (None for
+    a missing row): own flags per row policy, then every recorded parent
     must itself be visible; delete-wins references additionally pin the
-    parent's insertion generation."""
-    view = ctx.view(table, pk)
+    parent's insertion generation. A foreign key always references an
+    earlier table (schema._validate_schema), so the recursion ends."""
     if view is None:
         return _VERDICTS[Cause.MISSING]
     schema = ctx.catalog.tables.get(table)
@@ -238,17 +237,10 @@ def is_visible(
     dead = _own_flags_dead(schema.row_policy, view.flags())
     if dead is not None:
         return _VERDICTS[dead]
-    if not schema.foreign_keys:
-        return _VISIBLE
-    key = (table, pk)
-    seen = _seen if _seen is not None else frozenset()
-    if key in seen:
-        return _VISIBLE
-    seen = seen | {key}
     for colname, fk in schema.foreign_keys:
         for ppk, pgen in view.fk_refs(colname):
             parent = ctx.view(fk.table, ppk)
-            if parent is None or not is_visible(ctx, fk.table, ppk, seen).visible:
+            if parent is None or not is_visible(ctx, fk.table, parent).visible:
                 return _VERDICTS[Cause.PARENT_DELETED]
             if fk.policy is sch.Policy.DELETE_WINS and parent.generation() != pgen:
                 return _VERDICTS[Cause.PARENT_VERSION_STALE]
@@ -256,14 +248,16 @@ def is_visible(
 
 
 def visible_rows(ctx: ViewContext, table: str) -> list[tuple[Scalar, RowView]]:
-    """Every visible row of table as (pk, view), in key order. The one table
-    scan: statements, cascades, dumps and audits all read rows through it.
-    It builds a list, not a generator: the per-event audit scans mostly
-    empty tables, where setting up a generator costs more than the scan."""
+    """Every visible row of table as (pk, view), in key order, with the view
+    each verdict judged. The one table scan: statements, cascades, dumps and
+    audits all read rows through it. It builds a list, not a generator: the
+    per-event audit scans mostly empty tables, where setting up a generator
+    costs more than the scan."""
     out = []
     for pk in ctx.pks(table):
-        if is_visible(ctx, table, pk).visible:
-            out.append((pk, ctx.view(table, pk)))
+        view = ctx.view(table, pk)
+        if is_visible(ctx, table, view).visible:
+            out.append((pk, view))
     return out
 
 
@@ -507,7 +501,7 @@ class Replica:
     def _match_rows(self, ctx: ViewContext, schema: sch.TableSchema, where: sch.Where | None) -> list[Scalar]:
         if where is not None and where.is_pk_lookup(schema):
             pk, view = where.value, ctx.view(schema.name, where.value)
-            hit = view is not None and is_visible(ctx, schema.name, pk).visible and any(
+            hit = view is not None and is_visible(ctx, schema.name, view).visible and any(
                 compare(v, where.op, pk) for v in view.scalars(where.column))
             return [pk] if hit else []
         out = []
@@ -536,7 +530,7 @@ class Replica:
         # lock handover shipped in; otherwise the snapshot rules.
         ctx = self.live_ctx(tx) if locked else self.snap_ctx(tx)
         view = ctx.view(stmt.table, pk)
-        verdict = is_visible(ctx, stmt.table, pk) if view is not None else None
+        verdict = is_visible(ctx, stmt.table, view) if view is not None else None
         if verdict is not None and verdict.visible:
             if locked:
                 raise DuplicateKey(f"{stmt.table} already holds key {render_scalar(pk)}")
@@ -644,7 +638,7 @@ class Replica:
         out = []
         for cpk in sorted(candidates, key=render_scalar):
             view = ctx.view(child_table, cpk)
-            if view is not None and parent_pk in view.scalars(colname) and is_visible(ctx, child_table, cpk).visible:
+            if view is not None and parent_pk in view.scalars(colname) and is_visible(ctx, child_table, view).visible:
                 out.append(cpk)
         return out
 
@@ -685,7 +679,7 @@ class Replica:
     def _require_live(live: ViewContext, table: str, pks: list[Scalar], fate: str) -> None:
         """A guarded row must still be visible once its lock is held."""
         for pk in pks:
-            if not is_visible(live, table, pk).visible:
+            if not is_visible(live, table, live.view(table, pk)).visible:
                 raise RowNotFound(f"{table} key {render_scalar(pk)} {fate} under the lock")
 
     def _buffer_assignments(
@@ -732,7 +726,7 @@ class Replica:
         update-wins edge also touches the parent and its ancestors."""
         ctx = self.live_ctx(tx) if live else self.snap_ctx(tx)
         parent = ctx.view(fk.table, ppk)
-        if parent is None or not is_visible(ctx, fk.table, ppk).visible:
+        if parent is None or not is_visible(ctx, fk.table, parent).visible:
             raise FkParentMissing(
                 f"{table}.{column} references missing {fk.table} key {render_scalar(ppk)}"
             )
@@ -903,7 +897,7 @@ def integrity_violations(store: Store, catalog: sch.Catalog) -> list[str]:
                     parent = ctx.view(fk.table, ppk)
                     if parent is None:
                         out.append(f"{table}/{render_scalar(pk)}: parent {fk.table}/{render_scalar(ppk)} missing")
-                    elif not is_visible(ctx, fk.table, ppk).visible:
+                    elif not is_visible(ctx, fk.table, parent).visible:
                         out.append(f"{table}/{render_scalar(pk)}: parent {fk.table}/{render_scalar(ppk)} not visible")
                     elif fk.policy is sch.Policy.DELETE_WINS and parent.generation() != pgen:
                         out.append(

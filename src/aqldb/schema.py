@@ -578,7 +578,12 @@ def _validate_schema(schema: TableSchema, catalog: Catalog) -> None:
                 raise ValidationError(
                     f"foreign key column {schema.name}.{col.name} cannot be ADDITIVE"
                 )
-            target = catalog.table(fk.table) if fk.table != schema.name else schema
+            if fk.table == schema.name:  # an insert needs every column, and there is no NULL
+                raise ValidationError(
+                    f"foreign key {schema.name}.{col.name} references its own table, whose first row "
+                    "could reference no parent"
+                )
+            target = catalog.table(fk.table)
             if not target.has_column(fk.column):
                 raise ValidationError(
                     f"foreign key target {fk.table}.{fk.column} does not exist"

@@ -18,7 +18,6 @@ from aqldb.engine import (
     Store,
     ViewContext,
     dump_all,
-    is_visible,
 )
 from aqldb.errors import FkRestrict, InsufficientRights, LockUnavailable
 from aqldb.sim import (
@@ -34,6 +33,7 @@ from aqldb.txn import Mode, column_lock, row_lock
 
 from delivery_orders import enumerate_orders
 from test_crdt_laws import GENERATORS
+from test_engine import verdict_of
 from test_sim import scenario_paths
 
 
@@ -118,7 +118,7 @@ def test_c02_cascading_delete_vs_concurrent_insert():
             got = dump_all(cluster.replica(rid).store, cluster.catalog)
             assert got == expected, (policy, rid, got)
             # A0 was caught by the cascade in both variants
-            assert not is_visible(
+            assert not verdict_of(
                 ViewContext(cluster.replica(rid).store, cluster.catalog),
                 "Albums", "A0",
             ).visible
@@ -143,7 +143,7 @@ def test_c03_visibility_truth_table_exhaustive():
                 for i, f in enumerate(sorted(flags)):
                     vis = vis.merge(MvRegister.bottom().assign(f, {}, f"w{i}"))
                 store.tables["T"] = {"k": Row(visibility=vis)}
-                verdict = is_visible(ViewContext(store, catalog), "T", "k")
+                verdict = verdict_of(ViewContext(store, catalog), "T", "k")
                 if not flags:
                     expected = False
                 elif policy == "UPDATE_WINS":
@@ -178,8 +178,8 @@ def test_c04_stale_parent_generation_hides_child():
     for rid in ("r1", "r2", "r3"):
         ctx = ViewContext(cluster.replica(rid).store, cluster.catalog)
         assert cluster.replica(rid).store.row("P", "p").generation == 2
-        assert is_visible(ctx, "P", "p").visible
-        verdict = is_visible(ctx, "C", "c")
+        assert verdict_of(ctx, "P", "p").visible
+        verdict = verdict_of(ctx, "C", "c")
         assert not verdict.visible, rid
         assert verdict.cause is Cause.PARENT_VERSION_STALE
     stamp(4, "stale parent generation hides child at every replica")

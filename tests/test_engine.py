@@ -1,6 +1,7 @@
 """Replica engine: visibility, statements, constraints, folding, ids."""
 
 import itertools
+import operator
 
 import pytest
 
@@ -77,6 +78,11 @@ def sync(records, *reps):
                 rep.deliver(record)
 
 
+def verdict_of(ctx, table, pk):
+    """The verdict on the row of table that ctx shows for pk."""
+    return is_visible(ctx, table, ctx.view(table, pk))
+
+
 # ---------------------------------------------------------------------------
 # visibility truth table over all flag subsets and row policies
 
@@ -107,7 +113,7 @@ def test_visibility_truth_table(policy, flags):
     catalog = sch.parse_schema_text(POLICY_TABLES[policy])
     store = Store()
     build_flag_row(store, "T", "k", flags)
-    verdict = is_visible(ViewContext(store, catalog), "T", "k")
+    verdict = verdict_of(ViewContext(store, catalog), "T", "k")
 
     # independent statement of the rule: a row lives unless it has no
     # flags at all, or the deletes win over what else it has
@@ -126,12 +132,38 @@ def test_visibility_cause_distinguishes_delete_kinds():
     catalog = sch.parse_schema_text(POLICY_TABLES[sch.Policy.UPDATE_WINS])
     store = Store()
     build_flag_row(store, "T", "k", {"D"})
-    assert is_visible(ViewContext(store, catalog), "T", "k").cause is Cause.ONLY_D
+    assert verdict_of(ViewContext(store, catalog), "T", "k").cause is Cause.ONLY_D
 
     catalog = sch.parse_schema_text(POLICY_TABLES[sch.Policy.DELETE_WINS])
     store = Store()
     build_flag_row(store, "T", "k", {"I", "D"})
-    assert is_visible(ViewContext(store, catalog), "T", "k").cause is Cause.ANY_D
+    assert verdict_of(ViewContext(store, catalog), "T", "k").cause is Cause.ANY_D
+
+
+def test_dump_looks_each_row_up_once_per_verdict(monkeypatch):
+    """A scan looks up each stored row once, and a verdict then looks up
+    only the parents it follows, each once: is_visible judges the view its
+    caller holds."""
+    reps, catalog = make_group()
+    r1 = reps["r1"]
+    run(
+        r1,
+        "INSERT INTO Artists VALUES ('Sam', TRUE, 0)",
+        "INSERT INTO Artists VALUES ('Ana', TRUE, 0)",
+        "INSERT INTO Albums VALUES ('A1', 'Sam', 'rock')",
+        "INSERT INTO Albums VALUES ('A2', 'Ana', 'jazz')",
+        "INSERT INTO Reviews VALUES (1, 'A1', 5)",
+        "INSERT INTO Reviews VALUES (2, 'A2', 4)",
+        "INSERT INTO Reviews VALUES (3, 'A1', 3)",
+    )
+    run(r1, "DELETE FROM Reviews WHERE Id = 3")
+    lookups, view = [], ViewContext.view
+    monkeypatch.setattr(ViewContext, "view", lambda ctx, table, pk: lookups.append(pk) or view(ctx, table, pk))
+    dumps = dump_all(r1.store, catalog)
+    assert [len(dumps[t]) for t in ("Artists", "Albums", "Reviews")] == [2, 2, 2]
+    scanned = 7
+    followed = 2 * 1 + 2 * 2  # album -> artist; live review -> album -> artist
+    assert len(lookups) == scanned + followed
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +195,7 @@ class TestBasicStatements:
         run(r1, "INSERT INTO Artists VALUES ('Sam', TRUE, 0)")
         run(r1, "DELETE FROM Artists WHERE Name = 'Sam'")
         assert dump_table(r1.store, catalog, "Artists") == []
-        assert not is_visible(ViewContext(r1.store, r1.catalog), "Artists", "Sam").visible
+        assert not verdict_of(ViewContext(r1.store, r1.catalog), "Artists", "Sam").visible
 
     def test_update_without_match(self):
         reps, _ = make_group()
@@ -309,6 +341,40 @@ class TestBasicStatements:
         assert rows == [{"Plays": 3}]
 
 
+OPERATORS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+SCAN_ROWS = {1: 3, 2: 1, 3: 4, 4: 1, 5: 5}  # K -> V
+
+
+@pytest.mark.parametrize("kind", ["SELECT", "UPDATE", "DELETE"])
+@pytest.mark.parametrize("column, op", [("V", op) for op in OPERATORS] + [("K", op) for op in OPERATORS if op != "="])
+def test_where_scan_matches_a_python_filter(kind, column, op):
+    """A WHERE other than key equality scans the table. Each operator picks
+    the rows a Python filter picks; an update or delete that picks none
+    raises RowNotFound."""
+    for pivot in (0, 3, 6):
+        reps, catalog = make_group("CREATE UPDATE_WINS TABLE T (K INT PRIMARY KEY, V INT LWW, M INT LWW)", ("r1",))
+        r1 = reps["r1"]
+        run(r1, *[f"INSERT INTO T VALUES ({k}, {v}, 0)" for k, v in SCAN_ROWS.items()])
+        want = [k for k, v in SCAN_ROWS.items() if OPERATORS[op](v if column == "V" else k, pivot)]
+        where = f"WHERE {column} {op} {pivot}"
+        if kind == "SELECT":
+            _, rows = run(r1, f"SELECT K FROM T {where}")
+            assert sorted(row["K"] for row in rows) == want, pivot
+            continue
+        statement = f"UPDATE T SET M = 1 {where}" if kind == "UPDATE" else f"DELETE FROM T {where}"
+        if not want:
+            with pytest.raises(RowNotFound):
+                run(r1, statement)
+            continue
+        run(r1, statement)
+        lines = [line.split(",") for line in dump_table(r1.store, catalog, "T")]
+        if kind == "UPDATE":
+            got = [int(k) for k, _, m in lines if m == "1"]
+        else:
+            got = sorted(set(SCAN_ROWS) - {int(k) for k, _, _ in lines})
+        assert got == want, pivot
+
+
 class TestInsertSemantics:
     def test_duplicate_on_strict_table(self):
         reps, _ = make_group()
@@ -336,7 +402,7 @@ class TestInsertSemantics:
         run(r1, "DELETE FROM Artists WHERE Name = 'Sam'")
         run(r1, "INSERT INTO Artists VALUES ('Sam', FALSE, 0)")
         assert r1.store.row("Artists", "Sam").generation == 2
-        assert is_visible(ViewContext(r1.store, r1.catalog), "Artists", "Sam").visible
+        assert verdict_of(ViewContext(r1.store, r1.catalog), "Artists", "Sam").visible
 
     def test_insert_missing_parent(self):
         reps, _ = make_group()
@@ -552,8 +618,8 @@ class TestTwoReplicas:
         sync([c], r1)
 
         for rep in (r1, r2):
-            assert is_visible(ViewContext(rep.store, rep.catalog), "P", "p").visible
-            verdict = is_visible(ViewContext(rep.store, rep.catalog), "C", "c")
+            assert verdict_of(ViewContext(rep.store, rep.catalog), "P", "p").visible
+            verdict = verdict_of(ViewContext(rep.store, rep.catalog), "C", "c")
             assert not verdict.visible
             assert verdict.cause is Cause.PARENT_VERSION_STALE
             assert dump_table(rep.store, catalog, "C") == []
@@ -572,7 +638,7 @@ class TestTwoReplicas:
         sync([rec], r2)
         c, _ = run(r2, "INSERT INTO C VALUES ('c', 'p')")
         sync([c], r1)
-        assert is_visible(ViewContext(r1.store, r1.catalog), "C", "c").visible
+        assert verdict_of(ViewContext(r1.store, r1.catalog), "C", "c").visible
 
     def test_multivalue_fk_keeps_concurrent_references(self):
         text = """

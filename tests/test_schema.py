@@ -220,6 +220,12 @@ class TestValidation:
         with pytest.raises(ValidationError):
             one_table(self.plain("A INT PRIMARY KEY, B INT FOREIGN KEY REFERENCES Nope (X)"))
 
+    def test_fk_to_own_table_is_rejected(self):
+        # Every column needs a value and there is no NULL, so the first row
+        # could reference no parent: such a table could never hold a row.
+        with pytest.raises(ValidationError, match="T.B references its own table"):
+            one_table("CREATE UPDATE_WINS TABLE T (A INT PRIMARY KEY, B INT LWW FOREIGN KEY UPDATE_WINS REFERENCES T (A))")
+
     @pytest.mark.parametrize("columns, message", [
         ("K INT PRIMARY KEY PRIMARY KEY", "column K has two PRIMARY KEY clauses"),
         ("K INT PRIMARY KEY CHECK (K > 0) PRIMARY KEY", "column K has two PRIMARY KEY clauses"),

@@ -40,7 +40,7 @@ from aqldb.sim import (
     store_canon,
 )
 from aqldb.txn import (
-    CausalClock, LockManager, LockState, Mode, RowDelta, RowWrite, Transaction, column_lock, row_lock,
+    CausalClock, CommitRecord, LockManager, LockState, Mode, RowDelta, RowWrite, Transaction, column_lock, row_lock,
 )
 
 from delivery_orders import causal_orders, enumerate_orders
@@ -307,6 +307,18 @@ class TestCluster:
         cluster.deliver_all()
         assert cluster.replica("r2").store.row("Artists", "Sam") is not None
         assert cluster.converged()
+
+    def test_partition_isolates_replicas_no_group_names(self):
+        cluster = self.make(("r1", "r2", "r3", "r4"))
+        cluster.partition([["r1"], ["r2"]])
+        reach = {(a, b) for a in cluster.replica_ids for b in cluster.replica_ids if cluster.reachable(a, b)}
+        assert reach == {(rid, rid) for rid in cluster.replica_ids}
+        r1 = cluster.replica("r1")
+        tx = r1.begin()
+        r1.execute(tx, "INSERT INTO Artists VALUES ('Sam', TRUE, 0)")
+        cluster.commit(tx)
+        cluster.deliver_all()
+        assert [cluster.replica(rid).store.row("Artists", "Sam") is None for rid in ("r3", "r4")] == [True, True]
 
     def test_store_canon_detects_divergence(self):
         cluster = self.make(("r1", "r2"))
@@ -843,6 +855,88 @@ class TestAudit:
         runner.apply(Event("partition", {"groups": [["r1"], ["r2"]]}, 3))
         finding = "constraints at r1: Reviews/1.Stars = 9 violates its check"
         assert runner.report.failures == [f"line 2: {finding}", f"line 3: {finding}"]
+
+    def test_integrity_findings_fire_when_visibility_ignores_parents(self, monkeypatch):
+        """integrity_violations re-derives every edge, so a visibility rule
+        that judges a row by its own flags only, the regression the check is
+        there to catch, makes each of its three findings."""
+        runner = Runner(sch.parse_schema_text(FUZZ_SCHEMA), ["r1"])
+        runner.apply(Event("txblock", {"rid": "r1", "txid": "a", "stmts": [
+            "INSERT INTO Artists VALUES ('Sam', TRUE, 1)",
+            "INSERT INTO Artists VALUES ('Ana', TRUE, 1)",
+            "INSERT INTO Albums VALUES ('A1', 'Sam', 1, 'rock')",
+            "INSERT INTO Albums VALUES ('A2', 'Ana', 1, 'rock')",
+            "INSERT INTO Reviews VALUES (1, 'A2', 3)",
+        ]}, 1))
+        rep = runner.cluster.replica("r1")
+
+        def flag(table, pk, value, generation=None):
+            observed = rep.store.row(table, pk).visibility.max_versions()
+            rep._apply_delta(RowDelta(table, pk, {}, MvRegister().assign(value, observed, "r1"), generation))
+
+        flag("Artists", "Sam", "D")  # A1's parent is deleted
+        flag("Albums", "A2", "I", generation=2)  # re-inserted under review 1's delete-wins reference
+        orphan = {"Album": LwwRegister(("Nope", 1), (100, "r1")), "Stars": LwwRegister(2, (100, "r1"))}
+        rep._apply_delta(RowDelta("Reviews", 2, orphan, MvRegister().assign("I", {}, "r1"), 1))
+        assert integrity_violations(rep.store, runner.catalog) == []
+
+        def own_flags_only(ctx, table, view):
+            flags = view.flags() if view is not None else frozenset()
+            if ctx.catalog.table(table).row_policy is sch.Policy.UPDATE_WINS:
+                alive = bool(flags) and flags != {"D"}
+            else:
+                alive = bool(flags) and "D" not in flags
+            return VisibilityVerdict(alive, Cause.ALL_CLEAR if alive else Cause.ANY_D)
+
+        monkeypatch.setattr(engine, "is_visible", own_flags_only)
+        assert integrity_violations(rep.store, runner.catalog) == [
+            "Albums/A1: parent Artists/Sam not visible",
+            "Reviews/1: parent Albums/A2 reinserted",
+            "Reviews/2: parent Albums/Nope missing",
+        ]
+
+    @pytest.mark.parametrize("state, problem", [
+        (LockState("r1", set(), {"t1": ("r1", Mode.EXCLUSIVE), "t2": ("r1", Mode.SHARED)}),
+         "exclusive holder coexists with others"),
+        (LockState("r1", {"r2"}), "owned exclusive and shared at once"),
+        (LockState("r1", set(), {"t1": ("r2", Mode.SHARED)}), "holder t1 outside owner replica"),
+        (LockState(None, {"r1"}, {"t1": ("r2", Mode.SHARED)}), "holder t1 at non-owner replica"),
+        (LockState(None, set(), {"t1": ("r1", Mode.EXCLUSIVE)}), "exclusive hold without exclusive ownership"),
+    ])
+    def test_lock_safety_finding_is_reported(self, state, problem):
+        runner = Runner(sch.parse_schema_text(FUZZ_SCHEMA), ["r1", "r2"])
+        runner.apply(Event("heal", {}, 1))
+        locks = runner.cluster.locks
+        locks.locks[row_lock("Artists", "Sam")] = state
+        locks.version += 1  # as every change to the lock table does
+        runner.apply(Event("heal", {}, 2))
+        assert runner.report.failures == [f"line 2: lock safety: {row_lock('Artists', 'Sam')}: {problem}"]
+
+    def test_finish_reports_each_planted_fault(self):
+        runner = Runner(sch.parse_schema_text(FUZZ_SCHEMA), ["r1", "r2"])
+        runner.apply(Event("txblock", {"rid": "r1", "txid": "a", "stmts": [
+            "INSERT INTO Artists VALUES ('Sam', TRUE, 1)",
+            "INSERT INTO Albums VALUES ('A1', 'Sam', 4, 'rock')",
+        ]}, 1))
+        runner.apply(Event("deliver", {"rid": None}, 2))
+        assert runner.report.ok, runner.report.failures
+        runner.ledger[("Artists", "Sam", "Plays")] += 1
+        runner.ledger[("Artists", "Ghost", "Plays")] = 1
+        r1 = runner.cluster.replica("r1")
+        moved = r1.store.cell("Albums", "A1", "Stock").transfer("r1", "r9", 1)  # r9 is no replica
+        for rep in runner.cluster.replicas.values():
+            rep._apply_delta(RowDelta("Albums", "A1", {"Stock": moved.slice_for("r1")}))
+        seq = r1.clock.get("r1") + 2  # one commit of r1 never sent
+        runner.cluster.queues["r2"].append(CommitRecord("r1", seq, "lost", CausalClock({"r1": seq}), 99, []))
+        assert runner.finish().failures == [
+            "eventual delivery: 1 records still queued for r2",
+            "rights conservation: Albums/A1.Stock at r1: rights spread 3 != total 4",
+            "rights conservation: Albums/A1.Stock at r2: rights spread 3 != total 4",
+            "counter ledger: Artists/Ghost.Plays missing at r1",
+            "counter ledger: Artists/Ghost.Plays missing at r2",
+            "counter ledger: Artists/Sam.Plays at r1: value 1, committed deltas sum to 2",
+            "counter ledger: Artists/Sam.Plays at r2: value 1, committed deltas sum to 2",
+        ]
 
 
 class ConvergenceCheckingRunner(Runner):
