@@ -214,15 +214,6 @@ class ViewContext:
         return sorted(out, key=render_scalar)
 
 
-def _own_flags_dead(policy: sch.Policy, flags: frozenset[str]) -> Cause | None:
-    if not flags:
-        return Cause.MISSING
-    if policy is sch.Policy.UPDATE_WINS:
-        # A concurrent touch or insert outweighs the delete.
-        return Cause.ONLY_D if flags == {"D"} else None
-    return Cause.ANY_D if "D" in flags else None
-
-
 def is_visible(ctx: ViewContext, table: str, view: RowView | None) -> VisibilityVerdict:
     """Full visibility of view, a row of table as ctx.view gave it (None for
     a missing row): own flags per row policy, then every recorded parent
@@ -234,9 +225,15 @@ def is_visible(ctx: ViewContext, table: str, view: RowView | None) -> Visibility
     schema = ctx.catalog.tables.get(table)
     if schema is None:
         return _VISIBLE
-    dead = _own_flags_dead(schema.row_policy, view.flags())
-    if dead is not None:
-        return _VERDICTS[dead]
+    flags = view.flags()
+    if not flags:
+        return _VERDICTS[Cause.MISSING]
+    if schema.row_policy is sch.Policy.UPDATE_WINS:
+        # A concurrent touch or insert outweighs the delete.
+        if flags == {"D"}:
+            return _VERDICTS[Cause.ONLY_D]
+    elif "D" in flags:
+        return _VERDICTS[Cause.ANY_D]
     for colname, fk in schema.foreign_keys:
         for ppk, pgen in view.fk_refs(colname):
             parent = ctx.view(fk.table, ppk)
@@ -498,20 +495,25 @@ class Replica:
         for lock_id in sorted(strongest):
             self.locks.acquire(tx, lock_id, strongest[lock_id])
 
-    def _match_rows(self, ctx: ViewContext, schema: sch.TableSchema, where: sch.Where | None) -> list[Scalar]:
+    def _match_rows(
+        self, ctx: ViewContext, schema: sch.TableSchema, where: sch.Where | None
+    ) -> list[tuple[Scalar, RowView]]:
+        """Visible rows of schema's table that where admits, as (pk, view) in
+        key order like visible_rows: the statement reads and writes these
+        views and looks no matched row up again. A pk lookup judges one row,
+        else the table is scanned; either way visibility first, then where."""
         if where is not None and where.is_pk_lookup(schema):
-            pk, view = where.value, ctx.view(schema.name, where.value)
-            hit = view is not None and is_visible(ctx, schema.name, view).visible and any(
-                compare(v, where.op, pk) for v in view.scalars(where.column))
-            return [pk] if hit else []
-        out = []
-        for pk, view in visible_rows(ctx, schema.name):
-            if where is not None:
-                values = view.scalars(where.column)
-                if not any(compare(v, where.op, where.value) for v in values):
-                    continue
-            out.append(pk)
-        return out
+            view = ctx.view(schema.name, where.value)
+            hit = view is not None and is_visible(ctx, schema.name, view).visible
+            rows = [(where.value, view)] if hit else []
+        else:
+            rows = visible_rows(ctx, schema.name)
+        if where is None:
+            return rows
+        return [
+            (pk, view) for pk, view in rows
+            if any(compare(v, where.op, where.value) for v in view.scalars(where.column))
+        ]
 
     def _exec_insert(self, tx: Transaction, stmt: sch.Insert):
         schema = self.catalog.table(stmt.table)
@@ -531,16 +533,16 @@ class Replica:
         ctx = self.live_ctx(tx) if locked else self.snap_ctx(tx)
         view = ctx.view(stmt.table, pk)
         verdict = is_visible(ctx, stmt.table, view) if view is not None else None
-        if verdict is not None and verdict.visible:
+        if verdict is None:
+            generation = 1
+        elif verdict.visible:
             if locked:
                 raise DuplicateKey(f"{stmt.table} already holds key {render_scalar(pk)}")
             generation = view.generation()  # merge with the live row
-        elif view is None:
-            generation = 1
+        elif verdict.cause in (Cause.PARENT_DELETED, Cause.PARENT_VERSION_STALE):
+            generation = view.generation()  # its own flags are live: the same row
         else:
-            dead = _own_flags_dead(schema.row_policy, view.flags())
-            # Re-insert over a deleted key starts a fresh generation.
-            generation = view.generation() + 1 if dead is not None else view.generation()
+            generation = view.generation() + 1  # re-insert over a deleted key
 
         write = self._buffer_assignments(tx, schema, plan, pk, view, assignments)
         write.flag = ("I", view.visibility_versions() if view is not None else {})
@@ -555,13 +557,15 @@ class Replica:
         if not matched:
             raise RowNotFound(f"no visible {stmt.table} row matches")
 
+        pks = [pk for pk, _ in matched]
         row_mode = Mode.SHARED if plan.row_guarded else None
-        self._acquire(tx, self._lock_wants(plan, matched, row_mode, stmt.assignments))
+        self._acquire(tx, self._lock_wants(plan, pks, row_mode, stmt.assignments))
         if plan.row_guarded:
-            self._require_live(self.live_ctx(tx), stmt.table, matched, "was deleted")
+            self._require_live(self.live_ctx(tx), stmt.table, pks, "was deleted")
 
-        for pk in matched:
-            view = snap.view(stmt.table, pk)
+        # A commit delivered under _acquire saves the replaced row to tx.saved
+        # first, so each matched view still shows the snapshot's row.
+        for pk, view in matched:
             write = self._buffer_assignments(tx, schema, plan, pk, view, stmt.assignments)
             if write.flag is None:
                 write.flag = ("I", view.visibility_versions())
@@ -572,7 +576,7 @@ class Replica:
     def _exec_delete(self, tx: Transaction, stmt: sch.Delete):
         schema = self.catalog.table(stmt.table)
         snap = self.snap_ctx(tx)
-        matched = self._match_rows(snap, schema, stmt.where)
+        matched = [pk for pk, _ in self._match_rows(snap, schema, stmt.where)]
         if not matched:
             raise RowNotFound(f"no visible {stmt.table} row matches")
 
@@ -647,8 +651,7 @@ class Replica:
         ctx = self.snap_ctx(tx)
         names = stmt.columns if stmt.columns is not None else [c.name for c in schema.columns]
         rows = []
-        for pk in self._match_rows(ctx, schema, stmt.where):
-            view = ctx.view(stmt.table, pk)
+        for _, view in self._match_rows(ctx, schema, stmt.where):
             out = {}
             for name in names:
                 values = view.scalars(name)
@@ -730,44 +733,33 @@ class Replica:
             raise FkParentMissing(
                 f"{table}.{column} references missing {fk.table} key {render_scalar(ppk)}"
             )
-        ref = (ppk, parent.generation())
         if fk.policy is sch.Policy.UPDATE_WINS:
-            self._buffer_touches(tx, self._touch_targets(ctx, fk.table, ppk))
-        return ref
+            self._touch_chain(tx, ctx, fk.table, ppk, parent)
+        return ppk, parent.generation()
 
-    def _touch_targets(self, ctx: ViewContext, table: str, pk: Scalar) -> list[RowKey]:
-        """The parent and, through update-wins edges, its ancestors.
-
-        Touching the whole chain keeps every row this insert depends on alive
-        against concurrent deletes.
-        """
-        targets: list[RowKey] = []
+    def _touch_chain(self, tx: Transaction, ctx: ViewContext, table: str, pk: Scalar, view: RowView) -> None:
+        """Flag T on a parent row, whose view the caller holds, and through
+        update-wins edges on its ancestors, each looked up once; a row the
+        transaction inserted or deleted keeps its flag. Touching the chain
+        keeps every row this write depends on alive against concurrent
+        deletes. ctx, the snapshot (an update-wins edge is never locked), shows
+        the visible parent's ancestors; a touch sets no cells, so flagging a
+        row first leaves the references the walk follows unchanged."""
         seen: set[RowKey] = set()
-        stack: list[RowKey] = [(table, pk)]
+        stack: list[tuple[str, Scalar, RowView | None]] = [(table, pk, view)]
         while stack:
-            t, p = stack.pop()
+            t, p, view = stack.pop()
             if (t, p) in seen:
                 continue
             seen.add((t, p))
-            targets.append((t, p))
-            view = ctx.view(t, p)
-            schema = self.catalog.tables.get(t)
-            if view is None or schema is None:
-                continue
-            for colname, fk in schema.foreign_keys:
+            if view is None:  # an ancestor, looked up once reached
+                view = ctx.view(t, p)
+            write = tx.write((t, p))
+            if write.flag is None:
+                write.flag = ("T", view.visibility_versions())
+            for colname, fk in self.catalog.tables[t].foreign_keys:
                 if fk.policy is sch.Policy.UPDATE_WINS:
-                    for ppk, _ in view.fk_refs(colname):
-                        stack.append((fk.table, ppk))
-        return targets
-
-    def _buffer_touches(self, tx: Transaction, targets: list[RowKey]) -> None:
-        snap = self.snap_ctx(tx)
-        for table, pk in targets:
-            write = tx.write((table, pk))
-            if write.flag is not None:
-                continue  # the transaction already inserted or deleted it
-            view = snap.view(table, pk)
-            write.flag = ("T", view.visibility_versions() if view is not None else {})
+                    stack.extend((fk.table, ppk, None) for ppk, _ in view.fk_refs(colname))
 
     def _reserve_bounded(self, tx: Transaction, rowkey: RowKey, column: str, bound: Bound, delta: int) -> None:
         """Claim rights at statement time so commits cannot overdraw."""

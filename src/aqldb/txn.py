@@ -236,16 +236,16 @@ class LockManager:
             else (replica in st.shared_owners or st.exclusive_owner == replica)
         )
         if not owned:
-            self._transfer_ownership(st, lock_id, tx, mode)
-
-        # Transaction-level grant within the owning replica set.
-        for txid, (_, held_mode) in st.holders.items():
-            if txid == tx.txid:
-                continue
-            if mode is Mode.EXCLUSIVE or held_mode is Mode.EXCLUSIVE:
-                raise LockUnavailable(
-                    f"{lock_id} is held {held_mode.value} by transaction {txid}"
-                )
+            self._transfer_ownership(st, lock_id, tx, mode)  # checks the other holders
+        else:
+            # Transaction-level grant within the owning replica set.
+            for txid, (_, held_mode) in st.holders.items():
+                if txid == tx.txid:
+                    continue
+                if mode is Mode.EXCLUSIVE or held_mode is Mode.EXCLUSIVE:
+                    raise LockUnavailable(
+                        f"{lock_id} is held {held_mode.value} by transaction {txid}"
+                    )
         st.holders[tx.txid] = (replica, mode)
         tx.held[lock_id] = mode
 

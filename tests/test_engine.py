@@ -166,6 +166,41 @@ def test_dump_looks_each_row_up_once_per_verdict(monkeypatch):
     assert len(lookups) == scanned + followed
 
 
+@pytest.mark.parametrize(
+    "statement, want",
+    [
+        # the album, then its artist for the album's verdict
+        ("SELECT * FROM Albums WHERE Title = 'A1'", ["A1", "Sam"]),
+        ("UPDATE Albums SET Genre = 'pop' WHERE Title = 'A1'", ["A1", "Sam"]),
+        # a scan judges both albums; the write goes to the view matched
+        ("UPDATE Albums SET Genre = 'pop' WHERE Genre = 'rock'", ["A1", "Sam", "A2", "Ana"]),
+        # the new key, then the artist: its verdict and its touch share one view
+        ("INSERT INTO Albums VALUES ('A3', 'Sam', 'jazz')", ["A3", "Sam"]),
+        # the album's verdict follows its artist; the touch walk then looks
+        # up only the ancestor
+        ("INSERT INTO Reviews VALUES (9, 'A1', 4)", [9, "A1", "Sam", "Sam"]),
+    ],
+)
+def test_statement_looks_each_row_up_once(monkeypatch, statement, want):
+    """A statement reads and writes the views it matched, and the touch walk
+    starts from the parent view the reference check judged: neither row is
+    looked up again."""
+    reps, _ = make_group()
+    r1 = reps["r1"]
+    run(
+        r1,
+        "INSERT INTO Artists VALUES ('Sam', TRUE, 0)",
+        "INSERT INTO Artists VALUES ('Ana', TRUE, 0)",
+        "INSERT INTO Albums VALUES ('A1', 'Sam', 'rock')",
+        "INSERT INTO Albums VALUES ('A2', 'Ana', 'jazz')",
+    )
+    tx = r1.begin()
+    lookups, view = [], ViewContext.view
+    monkeypatch.setattr(ViewContext, "view", lambda ctx, table, pk: lookups.append(pk) or view(ctx, table, pk))
+    r1.execute(tx, statement)
+    assert lookups == want
+
+
 # ---------------------------------------------------------------------------
 # statement execution on a single replica
 
@@ -623,6 +658,33 @@ class TestTwoReplicas:
             assert not verdict.visible
             assert verdict.cause is Cause.PARENT_VERSION_STALE
             assert dump_table(rep.store, catalog, "C") == []
+
+    def test_reinsert_under_stale_parent_keeps_generation(self):
+        """A row hidden only by its parent is not deleted: inserting its key
+        again keeps the row's generation, where a re-insert over a deleted
+        key starts a fresh one."""
+        text = """
+        CREATE UPDATE_WINS TABLE P (K VARCHAR PRIMARY KEY, V INT LWW);
+        CREATE UPDATE_WINS TABLE C (
+          K VARCHAR PRIMARY KEY,
+          R VARCHAR LWW FOREIGN KEY DELETE_WINS REFERENCES P (K)
+        );
+        """
+        reps, catalog = make_group(text)
+        r1, r2 = reps["r1"], reps["r2"]
+        rec, _ = run(r1, "INSERT INTO P VALUES ('p', 1)")
+        sync([rec], r2)
+        c, _ = run(r2, "INSERT INTO C VALUES ('c', 'p')")
+        run(r1, "DELETE FROM P WHERE K = 'p'", "INSERT INTO P VALUES ('p', 2)")
+        sync([c], r1)
+        assert r1.store.row("P", "p").generation == 2
+        assert r1.store.row("C", "c").generation == 1
+        assert verdict_of(ViewContext(r1.store, r1.catalog), "C", "c").cause is Cause.PARENT_VERSION_STALE
+
+        run(r1, "INSERT INTO C VALUES ('c', 'p')")
+        assert r1.store.row("C", "c").generation == 1
+        assert verdict_of(ViewContext(r1.store, r1.catalog), "C", "c").visible
+        assert dump_table(r1.store, catalog, "C") == ["c,p"]
 
     def test_matching_generation_keeps_child(self):
         text = """

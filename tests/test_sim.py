@@ -715,7 +715,7 @@ def check_point_reads(runner, mismatches) -> tuple[int, int]:
             for table, schema in runner.catalog.tables.items():
                 rows = visible_rows(ctx, table)
                 for pk in sorted(set(rep.store.pks(table)) | set(ctx.pks(table)), key=render_scalar):
-                    got = rep._match_rows(ctx, schema, sch.Where(schema.primary_key, "=", pk))
+                    got = [p for p, _ in rep._match_rows(ctx, schema, sch.Where(schema.primary_key, "=", pk))]
                     want = [p for p, view in rows if pk in view.scalars(schema.primary_key)]
                     if got != want:
                         mismatches.append(f"{rid} {name} {table} pk {pk}: {got} != {want}")
