@@ -574,76 +574,65 @@ class Replica:
         return None
 
     def _exec_delete(self, tx: Transaction, stmt: sch.Delete):
+        """Delete the matched rows and every row their cascades reach, walked
+        wave by wave from the matched rows: lock the wave's rows whose table
+        a delete locks, then follow each cascade edge of each row once, an
+        edge in locked_parents live under the parent lock just taken, any
+        other in the snapshot. The rows reached form the next wave. A visible
+        child on a restrict edge refuses the delete; else each doomed row is
+        flagged D over the view that judged it (live, if reached live), and
+        no row is looked up again."""
         schema = self.catalog.table(stmt.table)
         snap = self.snap_ctx(tx)
-        matched = [pk for pk, _ in self._match_rows(snap, schema, stmt.where)]
+        matched = self._match_rows(snap, schema, stmt.where)
         if not matched:
             raise RowNotFound(f"no visible {stmt.table} row matches")
 
         plans = self.catalog.coordination
-        doomed: set[RowKey] = {(stmt.table, pk) for pk in matched}
         live = self.live_ctx(tx)
-        while True:
-            self._cascade_closure(snap, snap, doomed)
-            wants: list[tuple[str, Mode]] = []
-            for table, pk in doomed:
-                if plans[table].delete_locked:
-                    wants += self._lock_wants(plans[table], [pk], Mode.EXCLUSIVE)
-            self._acquire(tx, wants)
-            before = len(doomed)
-            self._cascade_closure(snap, live, doomed)
-            if len(doomed) == before:
-                break
+        doomed: dict[RowKey, RowView] = {(stmt.table, pk): view for pk, view in matched}
+        wave = list(doomed)
+        while wave:
+            self._acquire(tx, [(row_lock(t, pk), Mode.EXCLUSIVE) for t, pk in wave if plans[t].delete_locked])
+            reached = []
+            for table, pk in wave:
+                for child_table, colname, fk in self.catalog.referencing(table):
+                    if fk.cascade:
+                        ctx = live if colname in plans[child_table].locked_parents else snap
+                        for cpk, view in self._children(ctx, child_table, colname, pk):
+                            if (child_table, cpk) not in doomed:
+                                doomed[(child_table, cpk)] = view
+                                reached.append((child_table, cpk))
+            wave = reached
 
-        # Restrict: a visible child that is not itself being deleted blocks us.
         for table, pk in sorted(doomed, key=_rowkey_order):
             for child_table, colname, fk in self.catalog.referencing(table):
-                ctx = live if colname in plans[child_table].locked_parents else snap
-                for cpk in self._children(ctx, child_table, colname, pk):
-                    if (child_table, cpk) not in doomed and not fk.cascade:
-                        raise FkRestrict(
-                            f"{table} key {render_scalar(pk)} still referenced by {child_table}"
-                        )
+                if not fk.cascade:
+                    ctx = live if colname in plans[child_table].locked_parents else snap
+                    children = self._children(ctx, child_table, colname, pk)
+                    if any((child_table, cpk) not in doomed for cpk, _ in children):
+                        raise FkRestrict(f"{table} key {render_scalar(pk)} still referenced by {child_table}")
 
         if plans[stmt.table].row_guarded:
-            self._require_live(live, stmt.table, matched, "vanished")
-
-        # _fold_row replaces a guarded row's observed versions with the live
-        # row's, so the snapshot serves every row here.
-        for table, pk in sorted(doomed, key=_rowkey_order):
-            view = snap.view(table, pk)
-            write = tx.write((table, pk))
-            write.flag = ("D", view.visibility_versions() if view is not None else {})
+            self._require_live(live, stmt.table, [pk for pk, _ in matched], "vanished")
+        for rowkey, view in doomed.items():
+            tx.write(rowkey).flag = ("D", view.visibility_versions())
         return None
 
-    def _cascade_closure(self, snap, live, doomed: set[RowKey]) -> None:
-        """Add each row a cascade reaches to doomed; a locked edge reads live
-        (the caller passes snap as live until it holds the locks)."""
-        plans = self.catalog.coordination
-        changed = True
-        while changed:
-            changed = False
-            for table, pk in list(doomed):
-                for child_table, colname, fk in self.catalog.referencing(table):
-                    if not fk.cascade:
-                        continue
-                    ctx = live if colname in plans[child_table].locked_parents else snap
-                    for cpk in self._children(ctx, child_table, colname, pk):
-                        if (child_table, cpk) not in doomed:
-                            doomed.add((child_table, cpk))
-                            changed = True
-
-    def _children(self, ctx: ViewContext, child_table: str, colname: str, parent_pk: Scalar) -> list[Scalar]:
-        """Visible rows of child_table whose colname holds parent_pk, in key
-        order. Candidates come from the reverse index and the transaction's
-        own writes; each is re-checked in ctx, visibility last."""
+    def _children(
+        self, ctx: ViewContext, child_table: str, colname: str, parent_pk: Scalar
+    ) -> list[tuple[Scalar, RowView]]:
+        """Visible rows of child_table whose colname holds parent_pk, as (pk,
+        view) in key order like visible_rows. Candidates come from the reverse
+        index and the transaction's own writes; each is re-checked in ctx,
+        visibility last."""
         candidates = set(self.store.children.get((child_table, colname, parent_pk), ()))
         candidates.update(pk for t, pk in ctx.buffer if t == child_table)
         out = []
         for cpk in sorted(candidates, key=render_scalar):
             view = ctx.view(child_table, cpk)
             if view is not None and parent_pk in view.scalars(colname) and is_visible(ctx, child_table, view).visible:
-                out.append(cpk)
+                out.append((cpk, view))
         return out
 
     def _exec_select(self, tx: Transaction, stmt: sch.Select):

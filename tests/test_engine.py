@@ -179,12 +179,19 @@ def test_dump_looks_each_row_up_once_per_verdict(monkeypatch):
         # the album's verdict follows its artist; the touch walk then looks
         # up only the ancestor
         ("INSERT INTO Reviews VALUES (9, 'A1', 4)", [9, "A1", "Sam", "Sam"]),
+        # the review, whose verdict follows its album and artist; its flag
+        # observes the view matched
+        ("DELETE FROM Reviews WHERE Id = 1", [1, "A1", "Sam"]),
+        # the album, then the review its cascade reaches, each judged once
+        ("DELETE FROM Albums WHERE Title = 'A1'", ["A1", "Sam", 1, "A1", "Sam"]),
+        ("DELETE FROM Artists WHERE Name = 'Sam'", ["Sam", "A1", "Sam", 1, "A1", "Sam"]),
     ],
 )
 def test_statement_looks_each_row_up_once(monkeypatch, statement, want):
-    """A statement reads and writes the views it matched, and the touch walk
-    starts from the parent view the reference check judged: neither row is
-    looked up again."""
+    """A statement reads and writes the views it matched, the touch walk
+    starts from the parent view the reference check judged, and a delete
+    flags each row its cascade reaches from the view that judged it: no row
+    is looked up again."""
     reps, _ = make_group()
     r1 = reps["r1"]
     run(
@@ -193,6 +200,7 @@ def test_statement_looks_each_row_up_once(monkeypatch, statement, want):
         "INSERT INTO Artists VALUES ('Ana', TRUE, 0)",
         "INSERT INTO Albums VALUES ('A1', 'Sam', 'rock')",
         "INSERT INTO Albums VALUES ('A2', 'Ana', 'jazz')",
+        "INSERT INTO Reviews VALUES (1, 'A1', 5)",
     )
     tx = r1.begin()
     lookups, view = [], ViewContext.view

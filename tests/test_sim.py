@@ -631,6 +631,20 @@ class TestPump:
 MV_FK_SCHEMA = FUZZ_SCHEMA.replace("VARCHAR LWW FOREIGN KEY", "VARCHAR MULTI_VALUE FOREIGN KEY")
 assert MV_FK_SCHEMA.count("MULTI_VALUE FOREIGN KEY") == 2
 
+# FUZZ_SCHEMA with no policy word on either foreign key, so both are
+# NO_CONCURRENCY and take parent locks, and Albums.Artist cascading too, so
+# a delete locks rows a cascade reaches.
+STRICT_FK_SCHEMA = (
+    FUZZ_SCHEMA.replace("FOREIGN KEY UPDATE_WINS", "FOREIGN KEY")
+    .replace("FOREIGN KEY DELETE_WINS", "FOREIGN KEY")
+    .replace("REFERENCES Artists (Name)", "REFERENCES Artists (Name) ON DELETE CASCADE")
+)
+assert STRICT_FK_SCHEMA.count("FOREIGN KEY REFERENCES") == STRICT_FK_SCHEMA.count("ON DELETE CASCADE") == 2
+
+fuzz_schemas = pytest.mark.parametrize(
+    "schema_text", [FUZZ_SCHEMA, MV_FK_SCHEMA, STRICT_FK_SCHEMA], ids=["lww", "multi_value", "strict_fk"]
+)
+
 
 def scenario_runs(runner_class=Runner):
     """A runner per scenario in scenarios/, after its events ran."""
@@ -689,7 +703,7 @@ class TestStoredCells:
         assert problems == []
         assert checked > 0
 
-    @pytest.mark.parametrize("schema_text", [FUZZ_SCHEMA, MV_FK_SCHEMA], ids=["lww", "multi_value"])
+    @fuzz_schemas
     def test_fuzz(self, schema_text):
         problems, checked = [], 0
         for runner, outcome in fuzz_runs(schema_text):
@@ -723,7 +737,7 @@ def check_point_reads(runner, mismatches) -> tuple[int, int]:
                 for child, col, _ in runner.catalog.referencing(parent):
                     rows = visible_rows(ctx, child)
                     for ppk in rep.store.pks(parent):
-                        got = rep._children(ctx, child, col, ppk)
+                        got = [c for c, _ in rep._children(ctx, child, col, ppk)]
                         want = [c for c, view in rows if ppk in view.scalars(col)]
                         children += len(want)
                         if got != want:
@@ -742,7 +756,7 @@ class TestPointReads:
         assert mismatches == []
         assert children > 0
 
-    @pytest.mark.parametrize("schema_text", [FUZZ_SCHEMA, MV_FK_SCHEMA], ids=["lww", "multi_value"])
+    @fuzz_schemas
     def test_fuzz_agrees_with_scans(self, schema_text):
         mismatches, children, snapshots = [], 0, 0
         for runner, _ in fuzz_runs(schema_text):
@@ -825,7 +839,7 @@ class TestAudit:
         assert moved > 0 and kept > 0
         assert locks_moved > 0 and locks_kept > 0
 
-    @pytest.mark.parametrize("schema_text", [FUZZ_SCHEMA, MV_FK_SCHEMA], ids=["lww", "multi_value"])
+    @fuzz_schemas
     def test_memo_is_sound_on_fuzz(self, schema_text):
         mismatches, moved, kept, locks_moved, locks_kept = [], 0, 0, 0, 0
         for runner, _ in fuzz_runs(schema_text, MemoCheckingRunner):
@@ -974,7 +988,7 @@ class TestConvergence:
         assert mismatches == []
         assert verdicts[True] > 0 and verdicts[False] > 0
 
-    @pytest.mark.parametrize("schema_text", [FUZZ_SCHEMA, MV_FK_SCHEMA], ids=["lww", "multi_value"])
+    @fuzz_schemas
     def test_agrees_with_store_canon_on_fuzz(self, schema_text):
         mismatches, verdicts = [], {True: 0, False: 0}
         for runner, _ in fuzz_runs(schema_text, ConvergenceCheckingRunner):
@@ -1040,7 +1054,7 @@ class TestRowValues:
         assert mismatches == []
         assert rechecked > 0 and saved > 0
 
-    @pytest.mark.parametrize("schema_text", [FUZZ_SCHEMA, MV_FK_SCHEMA], ids=["lww", "multi_value"])
+    @fuzz_schemas
     def test_rows_keep_their_value_on_fuzz(self, schema_text):
         mismatches, rechecked, saved = [], 0, 0
         for runner, _ in fuzz_runs(schema_text, RowValueCheckingRunner):
@@ -1291,10 +1305,12 @@ def prescribed_locks(catalog, stmt):
 
 
 def test_engine_takes_the_locks_its_coordination_record_prescribes(monkeypatch):
-    """Over every shipped scenario and fuzz seeds 0-9: each INSERT and
-    UPDATE that succeeds takes exactly the locks its table's record
-    prescribes for its row and assigned columns, and each DELETE takes only
-    exclusive row locks, on tables whose record says a delete takes one."""
+    """Over every shipped scenario and fuzz seeds 0-9 on FUZZ_SCHEMA and
+    STRICT_FK_SCHEMA: each INSERT and UPDATE that succeeds takes exactly the
+    locks its table's record prescribes for its row and assigned columns,
+    and each DELETE takes only exclusive row locks, on tables whose record
+    says a delete takes one. The fuzz runs take delete and parent locks of
+    their own."""
     calls, seen = [], collections.Counter()
     acquire, execute = LockManager.acquire, Replica.execute
 
@@ -1329,9 +1345,13 @@ def test_engine_takes_the_locks_its_coordination_record_prescribes(monkeypatch):
     monkeypatch.setattr(Replica, "execute", checked)
     for path in scenario_paths():
         run_scenario(load_scenario(path))
-    for seed in range(10):
-        fuzz(FuzzConfig(seed=seed, events=200), shrink=False)
-    assert seen["writes"] > 100 and seen["delete locks"] > 0 and seen["parent locks"] > 0, seen
+    from_scenarios = seen.copy()
+    for schema_text in (FUZZ_SCHEMA, STRICT_FK_SCHEMA):
+        for seed in range(10):
+            fuzz(FuzzConfig(seed=seed, events=200, schema_text=schema_text), shrink=False)
+    assert seen["writes"] > 100, seen
+    assert seen["delete locks"] > from_scenarios["delete locks"] > 0, seen
+    assert seen["parent locks"] > from_scenarios["parent locks"] > 0, seen
 
 
 def test_load_scenario_names_a_file_that_is_not_utf8(tmp_path):
