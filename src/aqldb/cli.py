@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
 from . import schema as sch
 from .engine import render_dump
-from .errors import AqlError
-from .sim import FUZZ_SCHEMA, FuzzConfig, Runner, fuzz, load_scenario, read_text, run_scenario
+from .errors import AqlError, ValidationError
+from .sim import _STATEMENT_MAKERS, FUZZ_SCHEMA, FuzzConfig, Runner, fuzz, load_scenario, read_text, run_scenario
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,7 +67,18 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    schema_text = read_text(args.schema) if args.schema else FUZZ_SCHEMA
+    schema_text = FUZZ_SCHEMA
+    if args.schema:
+        schema_text = read_text(args.schema)
+        # The fuzzer writes FUZZ_SCHEMA's tables: a schema that refuses one of
+        # its statements would pass every seed having checked nothing.
+        catalog = sch.parse_schema_text(schema_text)
+        for make in _STATEMENT_MAKERS:
+            sql = make(random.Random(0), "Sam", "A1", "rock", "acct1")
+            try:
+                sch.parse_statement(sql, catalog)
+            except AqlError as err:
+                raise ValidationError(f"the fuzzer cannot write this schema: {sql}: {err}") from err
     outcomes = [fuzz(FuzzConfig(seed=seed, replicas=args.replicas, events=args.events, schema_text=schema_text))
                 for seed in range(args.seed, args.seed + args.runs)]
     if args.format == "machine":

@@ -66,14 +66,6 @@ class LwwRegister:
     value: object = None
     stamp: EventStamp = (0, "")
 
-    @classmethod
-    def bottom(cls) -> "LwwRegister":
-        return cls()
-
-    def assign(self, value, stamp: EventStamp) -> "LwwRegister":
-        # The caller guarantees the stamp is fresh (greater than any it issued).
-        return LwwRegister(value, stamp)
-
     def merge(self, other: "LwwRegister") -> "LwwRegister":
         if other.stamp > self.stamp:
             return other
@@ -97,10 +89,6 @@ class MvRegister:
     """
 
     entries: frozenset[tuple[object, Version]] = frozenset()
-
-    @classmethod
-    def bottom(cls) -> "MvRegister":
-        return cls()
 
     def values(self) -> list:
         return sorted((e[0] for e in self.entries), key=render_scalar)
@@ -175,10 +163,6 @@ class AdditiveCounter:
     incs: dict[str, int] = field(default_factory=dict)
     decs: dict[str, int] = field(default_factory=dict)
 
-    @classmethod
-    def bottom(cls) -> "AdditiveCounter":
-        return cls()
-
     def _like(self, incs: dict[str, int], decs: dict[str, int]) -> "AdditiveCounter":
         """A counter of this one's kind holding incs and decs."""
         return AdditiveCounter(incs, decs)
@@ -240,10 +224,6 @@ class BoundedCounter(AdditiveCounter):
 
     bound: Bound
     transfers: dict[tuple[str, str], int] = field(default_factory=dict)
-
-    @classmethod
-    def bottom(cls, bound: Bound) -> "BoundedCounter":
-        return cls(bound=bound)
 
     @classmethod
     def create(

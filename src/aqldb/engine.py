@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import schema as sch
 from .crdt import (
@@ -104,6 +104,9 @@ class Store:
 
 
 class Cause(Enum):
+    """The verdict of is_visible: why a row is visible or not. Its visible
+    attribute is true for ALL_CLEAR only."""
+
     ALL_CLEAR = "all_clear"
     ONLY_D = "only_d"
     ANY_D = "any_d"
@@ -111,16 +114,12 @@ class Cause(Enum):
     PARENT_DELETED = "parent_deleted"
     PARENT_VERSION_STALE = "parent_version_stale"
 
-
-@dataclass(frozen=True, slots=True)
-class VisibilityVerdict:
-    visible: bool
-    cause: Cause
+    def __init__(self, value: str):
+        self.visible = value == "all_clear"
 
 
-# Verdicts are immutable, so is_visible hands out one shared object per cause.
-_VERDICTS = {cause: VisibilityVerdict(cause is Cause.ALL_CLEAR, cause) for cause in Cause}
-_VISIBLE = _VERDICTS[Cause.ALL_CLEAR]
+# is_visible returns these names: a global reads faster than a class attribute.
+_ALL_CLEAR, _ONLY_D, _ANY_D, _MISSING, _PARENT_DELETED, _PARENT_VERSION_STALE = Cause
 
 
 @dataclass(slots=True)
@@ -214,34 +213,35 @@ class ViewContext:
         return sorted(out, key=render_scalar)
 
 
-def is_visible(ctx: ViewContext, table: str, view: RowView | None) -> VisibilityVerdict:
-    """Full visibility of view, a row of table as ctx.view gave it (None for
-    a missing row): own flags per row policy, then every recorded parent
-    must itself be visible; delete-wins references additionally pin the
-    parent's insertion generation. A foreign key always references an
-    earlier table (schema._validate_schema), so the recursion ends."""
+def is_visible(ctx: ViewContext, table: str, view: RowView | None) -> Cause:
+    """The Cause that judges view, a row of table as ctx.view gave it (None
+    for a missing row): ALL_CLEAR if it is visible, else why not. Own flags
+    per row policy, then every recorded parent must itself be visible;
+    delete-wins references additionally pin the parent's insertion
+    generation. A foreign key always references an earlier table
+    (schema._validate_schema), so the recursion ends."""
     if view is None:
-        return _VERDICTS[Cause.MISSING]
+        return _MISSING
     schema = ctx.catalog.tables.get(table)
     if schema is None:
-        return _VISIBLE
+        return _ALL_CLEAR
     flags = view.flags()
     if not flags:
-        return _VERDICTS[Cause.MISSING]
+        return _MISSING
     if schema.row_policy is sch.Policy.UPDATE_WINS:
         # A concurrent touch or insert outweighs the delete.
         if flags == {"D"}:
-            return _VERDICTS[Cause.ONLY_D]
+            return _ONLY_D
     elif "D" in flags:
-        return _VERDICTS[Cause.ANY_D]
+        return _ANY_D
     for colname, fk in schema.foreign_keys:
         for ppk, pgen in view.fk_refs(colname):
             parent = ctx.view(fk.table, ppk)
             if parent is None or not is_visible(ctx, fk.table, parent).visible:
-                return _VERDICTS[Cause.PARENT_DELETED]
+                return _PARENT_DELETED
             if fk.policy is sch.Policy.DELETE_WINS and parent.generation() != pgen:
-                return _VERDICTS[Cause.PARENT_VERSION_STALE]
-    return _VISIBLE
+                return _PARENT_VERSION_STALE
+    return _ALL_CLEAR
 
 
 def visible_rows(ctx: ViewContext, table: str) -> list[tuple[Scalar, RowView]]:
@@ -539,7 +539,7 @@ class Replica:
             if locked:
                 raise DuplicateKey(f"{stmt.table} already holds key {render_scalar(pk)}")
             generation = view.generation()  # merge with the live row
-        elif verdict.cause in (Cause.PARENT_DELETED, Cause.PARENT_VERSION_STALE):
+        elif verdict in (Cause.PARENT_DELETED, Cause.PARENT_VERSION_STALE):
             generation = view.generation()  # its own flags are live: the same row
         else:
             generation = view.generation() + 1  # re-insert over a deleted key
@@ -621,19 +621,18 @@ class Replica:
 
     def _children(
         self, ctx: ViewContext, child_table: str, colname: str, parent_pk: Scalar
-    ) -> list[tuple[Scalar, RowView]]:
-        """Visible rows of child_table whose colname holds parent_pk, as (pk,
-        view) in key order like visible_rows. Candidates come from the reverse
-        index and the transaction's own writes; each is re-checked in ctx,
-        visibility last."""
+    ) -> Iterator[tuple[Scalar, RowView]]:
+        """Yield the visible rows of child_table whose colname holds
+        parent_pk, as (pk, view) in key order like visible_rows, so that a
+        restrict check stops at its first offending child. Candidates come
+        from the reverse index and the transaction's own writes; each is
+        re-checked in ctx, visibility last."""
         candidates = set(self.store.children.get((child_table, colname, parent_pk), ()))
         candidates.update(pk for t, pk in ctx.buffer if t == child_table)
-        out = []
         for cpk in sorted(candidates, key=render_scalar):
             view = ctx.view(child_table, cpk)
             if view is not None and parent_pk in view.scalars(colname) and is_visible(ctx, child_table, view).visible:
-                out.append((cpk, view))
-        return out
+                yield cpk, view
 
     def _exec_select(self, tx: Transaction, stmt: sch.Select):
         schema = self.catalog.table(stmt.table)

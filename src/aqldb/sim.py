@@ -293,7 +293,9 @@ class Report:
 
 
 class Runner:
-    """Applies events to a cluster and audits invariants after each one."""
+    """Applies events to a cluster and audits invariants after each one. Its
+    txs, each transaction it began by txid, is the run's one history: an
+    outcome, and the counter ledger checked at finish, are read off it."""
 
     def __init__(
         self,
@@ -305,11 +307,10 @@ class Runner:
         self.cluster = Cluster(catalog, replica_ids)
         self.catalog = catalog
         self.txs: dict[str, object] = {}
-        self.outcomes: dict[str, str] = {}
+        # txid -> the kind of the AqlError that refused it
+        self.refusals: dict[str, str] = {}
         self.report = Report(name)
         self.lenient = lenient
-        # committed delta per additive cell: (table, pk, column) -> int
-        self.ledger: dict[tuple, int] = {}
         # rid -> (store version, [(action, problem)]) of its last audit
         self.audited: dict[str, tuple[int, list[tuple[str, str]]]] = {}
         # (lock table version, [problem]) of the last lock safety audit
@@ -317,15 +318,11 @@ class Runner:
 
     # ---- event dispatch
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._handlers = {name[4:]: getattr(cls, name) for name in dir(cls) if name.startswith("_ev_")}
-
     def apply(self, event: Event) -> None:
-        handler = self._handlers.get(event.kind)
+        handler = getattr(self, f"_ev_{event.kind}", None)
         if handler is None:
             raise ScenarioError(f"line {event.line}: unknown event kind {event.kind}")
-        handler(self, event)
+        handler(event)
         self._audit(event)
 
     def run(self, events) -> Report:
@@ -355,7 +352,6 @@ class Runner:
         if not self._unused_txid(event):
             return
         self.txs[txid] = self.cluster.replica(rid).begin(txid)
-        self.outcomes[txid] = "active"
         self.report.step(event.line, f"begin {txid} @{rid}", True)
 
     def _active_tx(self, event: Event):
@@ -390,15 +386,12 @@ class Runner:
             return
         if tx.status is TxStatus.ACTIVE:
             self.cluster.replica(tx.origin).abort(tx)
-            self.outcomes[tx.txid] = "aborted"
             self.report.aborts += 1
         self.report.step(event.line, f"abort {tx.txid}", True)
 
     def _commit(self, tx) -> None:
         self.cluster.commit(tx)
-        self.outcomes[tx.txid] = "committed"
         self.report.commits += 1
-        self._record_ledger(tx)
 
     def _ev_txblock(self, event: Event) -> None:
         rid, txid = event.args["rid"], event.args["txid"]
@@ -444,7 +437,7 @@ class Runner:
         verdict = is_visible(ctx, table, ctx.view(table, pk))
         ok = verdict.visible == expected
         detail = "" if ok else (
-            f"want visible={expected}, got {verdict.visible} ({verdict.cause.value})"
+            f"want visible={expected}, got {verdict.visible} ({verdict.value})"
         )
         word = "visible" if expected else "invisible"
         self.report.step(
@@ -464,7 +457,7 @@ class Runner:
 
     def _ev_assert_outcome(self, event: Event) -> None:
         txid, want = event.args["txid"], event.args["outcome"]
-        got = self.outcomes.get(txid, "unknown transaction")
+        got = self.outcome(txid)
         ok = got == want
         detail = "" if ok else f"want {want}, got {got}"
         self.report.step(event.line, f"assert outcome {txid}", ok, detail)
@@ -477,13 +470,20 @@ class Runner:
             detail = f"{self.cluster.divergence()}: {dumps!r}"
         self.report.step(event.line, "assert converged", ok, detail)
 
+    def outcome(self, txid: str) -> str:
+        """The kind of the refusal that ended txid, else its status."""
+        if txid in self.refusals:
+            return self.refusals[txid]
+        tx = self.txs.get(txid)
+        return tx.status.value if tx is not None else "unknown transaction"
+
     def _outcome(self, txid: str, expect: str | None, action) -> tuple[bool, str]:
         """Run action on transaction txid; record what it raised as the
-        transaction's outcome and compare it against the expected kind."""
+        transaction's refusal and compare it against the expected kind."""
         try:
             action()
         except AqlError as err:
-            self.outcomes[txid] = err.kind
+            self.refusals[txid] = err.kind
             self.report.aborts += 1
             if expect is None:
                 return False, f"unexpected {err.kind}: {err}"
@@ -495,16 +495,6 @@ class Runner:
         return True, ""
 
     # ---- invariants
-
-    def _record_ledger(self, tx) -> None:
-        for (table, pk), write in tx.buffer.items():
-            schema = self.catalog.tables.get(table)
-            if schema is None:
-                continue
-            for col, delta in write.deltas.items():
-                if schema.column(col).modifier is sch.Modifier.ADDITIVE:
-                    key = (table, pk, col)
-                    self.ledger[key] = self.ledger.get(key, 0) + delta
 
     def _audit(self, event: Event) -> None:
         """Report lock safety, and the integrity and check findings of every
@@ -528,10 +518,8 @@ class Runner:
 
     def finish(self) -> Report:
         """Abort leftovers, heal, deliver everything, check convergence."""
-        for tx in list(self.txs.values()):
-            if tx.status is TxStatus.ACTIVE:
-                self.cluster.replica(tx.origin).abort(tx)
-                self.outcomes[tx.txid] = "aborted"
+        for tx in self.txs.values():
+            self.cluster.replica(tx.origin).abort(tx)
         self.cluster.quiesce()
         self._audit(Event("heal", {}, 0))
         if not self.cluster.converged():
@@ -548,7 +536,17 @@ class Runner:
         return self.report
 
     def _check_ledger(self) -> None:
-        for (table, pk, col), expected in sorted(self.ledger.items()):
+        """Each additive cell must equal, at every replica, the sum of the
+        deltas the committed transactions buffered for it."""
+        ledger: dict[tuple, int] = {}
+        for tx in self.txs.values():
+            if tx.status is TxStatus.COMMITTED:
+                for (table, pk), write in tx.buffer.items():
+                    schema = self.catalog.tables.get(table)
+                    for col, delta in write.deltas.items():
+                        if schema is not None and schema.column(col).modifier is sch.Modifier.ADDITIVE:
+                            ledger[(table, pk, col)] = ledger.get((table, pk, col), 0) + delta
+        for (table, pk, col), expected in sorted(ledger.items()):
             for rid in self.cluster.replica_ids:
                 cell = self.cluster.replica(rid).store.cell(table, pk, col)
                 if not isinstance(cell, AdditiveCounter):
@@ -571,9 +569,6 @@ class Runner:
                             f"{table}/{render_scalar(pk)}.{col} at {rid}: "
                             f"rights spread {spread} != total {cell.total_rights()}",
                         )
-
-
-Runner.__init_subclass__()  # kind -> _ev_ handler; each subclass maps its overrides
 
 
 # --------------------------------------------------------------------------

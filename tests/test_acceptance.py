@@ -139,9 +139,9 @@ def test_c03_visibility_truth_table_exhaustive():
             for combo in itertools.combinations("IDT", n):
                 flags = frozenset(combo)
                 store = Store()
-                vis = MvRegister.bottom()
+                vis = MvRegister()
                 for i, f in enumerate(sorted(flags)):
-                    vis = vis.merge(MvRegister.bottom().assign(f, {}, f"w{i}"))
+                    vis = vis.merge(MvRegister().assign(f, {}, f"w{i}"))
                 store.tables["T"] = {"k": Row(visibility=vis)}
                 verdict = verdict_of(ViewContext(store, catalog), "T", "k")
                 if not flags:
@@ -181,7 +181,7 @@ def test_c04_stale_parent_generation_hides_child():
         assert verdict_of(ctx, "P", "p").visible
         verdict = verdict_of(ctx, "C", "c")
         assert not verdict.visible, rid
-        assert verdict.cause is Cause.PARENT_VERSION_STALE
+        assert verdict is Cause.PARENT_VERSION_STALE
     stamp(4, "stale parent generation hides child at every replica")
 
 

@@ -7,6 +7,7 @@ import os
 import pytest
 
 from aqldb.cli import main
+from aqldb.sim import FUZZ_SCHEMA
 
 PASSING = """
 replicas r1 r2
@@ -142,9 +143,18 @@ class TestFuzz:
 
     def test_custom_schema(self, tmp_path, capsys):
         path = tmp_path / "schema.aql"
-        path.write_text(SCHEMA)
+        path.write_text(FUZZ_SCHEMA.replace("VARCHAR LWW FOREIGN KEY", "VARCHAR MULTI_VALUE FOREIGN KEY"))
         code = main(["fuzz", "--seed", "1", "--events", "20", "--schema", str(path)])
         assert code == 0
+
+    def test_schema_the_fuzzer_cannot_write_exits_two(self, tmp_path, capsys):
+        """The fuzzer's statements name FUZZ_SCHEMA's tables; on any other
+        schema every one would be refused and every seed would pass."""
+        path = tmp_path / "schema.aql"
+        path.write_text("CREATE TABLE T (K INT PRIMARY KEY, V INT LWW)")
+        code = main(["fuzz", "--seed", "1", "--events", "20", "--schema", str(path)])
+        assert code == 2
+        assert "unknown table Artists" in capsys.readouterr().err
 
 
 class TestCheckSchema:

@@ -42,39 +42,38 @@ def test_version_order():
 
 class TestLww:
     def test_later_stamp_wins(self):
-        r = LwwRegister.bottom()
-        r = r.assign("old", (1, "r1"))
-        r = r.assign("new", (2, "r1"))
-        assert r.value == "new"
+        old, new = LwwRegister("old", (1, "r1")), LwwRegister("new", (2, "r1"))
+        assert old.merge(new).value == "new"
+        assert new.merge(old).value == "new"
 
     def test_merge_picks_higher_stamp(self):
-        a = LwwRegister.bottom().assign("a", (3, "r1"))
-        b = LwwRegister.bottom().assign("b", (2, "r2"))
+        a = LwwRegister("a", (3, "r1"))
+        b = LwwRegister("b", (2, "r2"))
         assert a.merge(b).value == "a"
         assert b.merge(a).value == "a"
 
     def test_equal_counter_breaks_tie_on_replica(self):
-        a = LwwRegister.bottom().assign("a", (2, "r1"))
-        b = LwwRegister.bottom().assign("b", (2, "r2"))
+        a = LwwRegister("a", (2, "r1"))
+        b = LwwRegister("b", (2, "r2"))
         # (2, r2) > (2, r1) lexicographically
         assert a.merge(b).value == "b"
         assert b.merge(a).value == "b"
 
     def test_bottom_is_identity(self):
-        a = LwwRegister.bottom().assign("a", (1, "r1"))
-        assert a.merge(LwwRegister.bottom()) == a
-        assert LwwRegister.bottom().merge(a) == a
+        a = LwwRegister("a", (1, "r1"))
+        assert a.merge(LwwRegister()) == a
+        assert LwwRegister().merge(a) == a
 
 
 class TestMv:
     def test_sequential_assign_replaces(self):
-        r = MvRegister.bottom()
+        r = MvRegister()
         r = r.assign("a", r.max_versions(), "r1")
         r = r.assign("b", r.max_versions(), "r1")
         assert r.values() == ["b"]
 
     def test_concurrent_assigns_both_survive(self):
-        base = MvRegister.bottom().assign("seed", {}, "r1")
+        base = MvRegister().assign("seed", {}, "r1")
         left = base.assign("x", base.max_versions(), "r1")
         right = base.assign("y", base.max_versions(), "r2")
         merged = left.merge(right)
@@ -84,46 +83,46 @@ class TestMv:
         assert final.values() == ["z"]
 
     def test_observed_subset_keeps_unseen_entry(self):
-        base = MvRegister.bottom().assign("seed", {}, "r1")
+        base = MvRegister().assign("seed", {}, "r1")
         unseen = base.assign("x", base.max_versions(), "r2")
         # writer saw only the seed, not x
         late = base.assign("y", base.max_versions(), "r3")
         assert unseen.merge(late).values() == ["x", "y"]
 
     def test_explicit_counter(self):
-        r = MvRegister.bottom().assign("a", {}, "r1", counter=5)
+        r = MvRegister().assign("a", {}, "r1", counter=5)
         assert r.max_versions() == {"r1": 5}
 
 
 class TestVisibility:
     def test_flags_accumulate_when_concurrent(self):
-        ins = MvRegister.bottom().assign("I", {}, "r1")
+        ins = MvRegister().assign("I", {}, "r1")
         dele = ins.assign("D", ins.max_versions(), "r2")
         touch = ins.assign("T", ins.max_versions(), "r3")
         merged = dele.merge(touch)
         assert set(merged.values()) == {"D", "T"}
 
     def test_causal_flag_replaces(self):
-        ins = MvRegister.bottom().assign("I", {}, "r1")
+        ins = MvRegister().assign("I", {}, "r1")
         dele = ins.assign("D", ins.max_versions(), "r1")
         assert set(dele.values()) == {"D"}
 
 
 class TestAdditive:
     def test_adds_and_merges(self):
-        a = AdditiveCounter.bottom().add("r1", 5).add("r1", -2)
-        b = AdditiveCounter.bottom().add("r2", 10)
+        a = AdditiveCounter().add("r1", 5).add("r1", -2)
+        b = AdditiveCounter().add("r2", 10)
         assert a.value() == 3
         assert a.merge(b).value() == 13
 
     def test_concurrent_initial_values_sum(self):
         # both replicas start the counter independently; merge keeps both
-        a = AdditiveCounter.bottom().add("r1", 3)
-        b = AdditiveCounter.bottom().add("r2", 4)
+        a = AdditiveCounter().add("r1", 3)
+        b = AdditiveCounter().add("r2", 4)
         assert a.merge(b).value() == 7
 
     def test_slice_carries_only_own_share(self):
-        full = AdditiveCounter.bottom().add("r1", 5).add("r2", 7)
+        full = AdditiveCounter().add("r1", 5).add("r2", 7)
         part = full.slice_for("r1")
         assert part.value() == 5
         assert part.merge(full) == full
@@ -155,7 +154,7 @@ class TestBounded:
     def test_create_is_the_creators_slice(self):
         c = BoundedCounter.create(Bound("upper", 10), 3, ["r1", "r2", "r3"], "r2")
         assert c.slice_for("r2") == c
-        assert c.slice_for("r1") == BoundedCounter.bottom(Bound("upper", 10))
+        assert c.slice_for("r1") == BoundedCounter(bound=Bound("upper", 10))
 
     def test_create_rejects_value_past_bound(self):
         with pytest.raises(ValueError):
@@ -236,12 +235,12 @@ class TestBounded:
 
 def test_merge_rejects_kind_mismatch():
     with pytest.raises(KindMismatch):
-        merge(LwwRegister.bottom(), MvRegister.bottom())
+        merge(LwwRegister(), MvRegister())
 
 
 def test_canon_distinguishes_states():
-    a = AdditiveCounter.bottom().add("r1", 5)
-    b = AdditiveCounter.bottom().add("r1", 6).add("r1", -1)
+    a = AdditiveCounter().add("r1", 5)
+    b = AdditiveCounter().add("r1", 6).add("r1", -1)
     assert a.value() == b.value() == 5
     # same value, different histories: canon reflects the history
     assert a.canon() != b.canon()

@@ -23,27 +23,27 @@ CASES_PER_KIND = 2500  # x5 kinds -> >= 10^4 cases per law
 
 def rand_lww(rng: random.Random) -> LwwRegister:
     if rng.random() < 0.1:
-        return LwwRegister.bottom()
+        return LwwRegister()
     stamp = (rng.randrange(1, 5), rng.choice(REPLICAS))
-    return LwwRegister.bottom().assign(rng.choice("abcd"), stamp)
+    return LwwRegister(rng.choice("abcd"), stamp)
 
 
 def rand_mv(rng: random.Random) -> MvRegister:
-    reg = MvRegister.bottom()
+    reg = MvRegister()
     branches = [reg]
     for _ in range(rng.randrange(4)):
         base = rng.choice(branches)
         branches.append(
             base.assign(rng.choice("wxyz"), base.max_versions(), rng.choice(REPLICAS))
         )
-    out = MvRegister.bottom()
+    out = MvRegister()
     for b in branches:
         out = out.merge(b)
     return out
 
 
 def rand_vis(rng: random.Random) -> MvRegister:
-    reg = MvRegister.bottom()
+    reg = MvRegister()
     branches = [reg]
     for _ in range(rng.randrange(4)):
         base = rng.choice(branches)
@@ -52,14 +52,14 @@ def rand_vis(rng: random.Random) -> MvRegister:
                 rng.choice("IDT"), base.max_versions(), rng.choice(REPLICAS)
             )
         )
-    out = MvRegister.bottom()
+    out = MvRegister()
     for b in branches:
         out = out.merge(b)
     return out
 
 
 def rand_additive(rng: random.Random) -> AdditiveCounter:
-    c = AdditiveCounter.bottom()
+    c = AdditiveCounter()
     for _ in range(rng.randrange(5)):
         c = c.add(rng.choice(REPLICAS), rng.randrange(-6, 7) or 1)
     return c

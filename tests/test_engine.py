@@ -89,9 +89,9 @@ def verdict_of(ctx, table, pk):
 
 def build_flag_row(store: Store, table: str, pk, flags):
     """Store a row with the exact flag set by concurrent single-flag writes."""
-    vis = MvRegister.bottom()
+    vis = MvRegister()
     for i, flag in enumerate(sorted(flags)):
-        one = MvRegister.bottom().assign(flag, {}, f"w{i}")
+        one = MvRegister().assign(flag, {}, f"w{i}")
         vis = vis.merge(one)
     store.tables.setdefault(table, {})[pk] = Row(visibility=vis)
 
@@ -125,19 +125,19 @@ def test_visibility_truth_table(policy, flags):
         expected = "D" not in flags
     assert verdict.visible == expected, (policy, set(flags), verdict)
     if not flags:
-        assert verdict.cause is Cause.MISSING
+        assert verdict is Cause.MISSING
 
 
 def test_visibility_cause_distinguishes_delete_kinds():
     catalog = sch.parse_schema_text(POLICY_TABLES[sch.Policy.UPDATE_WINS])
     store = Store()
     build_flag_row(store, "T", "k", {"D"})
-    assert verdict_of(ViewContext(store, catalog), "T", "k").cause is Cause.ONLY_D
+    assert verdict_of(ViewContext(store, catalog), "T", "k") is Cause.ONLY_D
 
     catalog = sch.parse_schema_text(POLICY_TABLES[sch.Policy.DELETE_WINS])
     store = Store()
     build_flag_row(store, "T", "k", {"I", "D"})
-    assert verdict_of(ViewContext(store, catalog), "T", "k").cause is Cause.ANY_D
+    assert verdict_of(ViewContext(store, catalog), "T", "k") is Cause.ANY_D
 
 
 def test_dump_looks_each_row_up_once_per_verdict(monkeypatch):
@@ -664,7 +664,7 @@ class TestTwoReplicas:
             assert verdict_of(ViewContext(rep.store, rep.catalog), "P", "p").visible
             verdict = verdict_of(ViewContext(rep.store, rep.catalog), "C", "c")
             assert not verdict.visible
-            assert verdict.cause is Cause.PARENT_VERSION_STALE
+            assert verdict is Cause.PARENT_VERSION_STALE
             assert dump_table(rep.store, catalog, "C") == []
 
     def test_reinsert_under_stale_parent_keeps_generation(self):
@@ -687,7 +687,7 @@ class TestTwoReplicas:
         sync([c], r1)
         assert r1.store.row("P", "p").generation == 2
         assert r1.store.row("C", "c").generation == 1
-        assert verdict_of(ViewContext(r1.store, r1.catalog), "C", "c").cause is Cause.PARENT_VERSION_STALE
+        assert verdict_of(ViewContext(r1.store, r1.catalog), "C", "c") is Cause.PARENT_VERSION_STALE
 
         run(r1, "INSERT INTO C VALUES ('c', 'p')")
         assert r1.store.row("C", "c").generation == 1

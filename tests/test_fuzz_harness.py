@@ -141,7 +141,7 @@ class TestDispatch:
         runner.apply(Event("begin", {"rid": "r1", "txid": "a"}, 1))
         runner.apply(Event("deliver", {"rid": None}, 2))
         assert seen == [2]
-        assert runner.outcomes == {"a": "active"}
+        assert list(runner.txs) == ["a"] and runner.outcome("a") == "active"
         assert [s["action"] for s in runner.report.steps] == ["begin a @r1", "deliver_all"]
 
 

@@ -96,20 +96,20 @@ class TestReference:
 
 class TestIdentity:
     def test_merge_returns_self_when_other_adds_nothing(self):
-        a = MvRegister.bottom().assign("x", {}, "r1").merge(MvRegister.bottom().assign("y", {}, "r2"))
+        a = MvRegister().assign("x", {}, "r1").merge(MvRegister().assign("y", {}, "r2"))
         assert len(a.entries) == 2
         for sub in (MvRegister(), MvRegister(frozenset(list(a.entries)[:1])), MvRegister(a.entries), a):
             assert a.merge(sub) is a
 
     def test_merge_returns_a_dominating_single_entry(self):
-        a = MvRegister.bottom().assign("x", {}, "r1").merge(MvRegister.bottom().assign("y", {}, "r2"))
-        top = MvRegister.bottom().assign("z", a.max_versions(), "r3")
+        a = MvRegister().assign("x", {}, "r1").merge(MvRegister().assign("y", {}, "r2"))
+        top = MvRegister().assign("z", a.max_versions(), "r3")
         assert a.merge(top) is top
         assert MvRegister().merge(top) is top
 
     def test_merge_builds_a_new_register_for_a_concurrent_entry(self):
-        a = MvRegister.bottom().assign("x", {}, "r1")
-        b = MvRegister.bottom().assign("y", {}, "r2")
+        a = MvRegister().assign("x", {}, "r1")
+        b = MvRegister().assign("y", {}, "r2")
         out = a.merge(b)
         assert out is not a and out is not b
         assert out.entries == a.entries | b.entries

@@ -8,6 +8,7 @@ import hashlib
 import json
 import os
 import weakref
+from types import MappingProxyType
 
 import pytest
 
@@ -18,7 +19,7 @@ import aqldb.sim as sim
 import aqldb.txn as txn
 from aqldb.crdt import AdditiveCounter, Bound, BoundedCounter, LwwRegister, MvRegister, render_scalar
 from aqldb.engine import (
-    SEQ_COLUMN, SEQ_TABLE, Cause, Replica, Row, RowView, ViewContext, VisibilityVerdict, constraint_violations,
+    SEQ_COLUMN, SEQ_TABLE, Cause, Replica, Row, RowView, ViewContext, constraint_violations,
     integrity_violations, visible_rows,
 )
 from aqldb.errors import AqlError, CheckViolation, ScenarioError
@@ -249,10 +250,10 @@ tx a @r1 { INSERT INTO T VALUES ('j', 'y') }
             "begin a @r1", "stmt a: INSERT INTO T VALUES ('k', 'x')",
         ]
         runner.finish()
-        assert runner.outcomes == {"a": "aborted"}
+        assert list(runner.txs) == ["a"] and runner.outcome("a") == "aborted"
         assert not any(st.holders for st in runner.cluster.locks.locks.values())
         runner.apply(Event("txblock", {"rid": "r1", "txid": "b", "stmts": ["INSERT INTO T VALUES ('k', 'z')"]}, 9))
-        assert runner.outcomes["b"] == "committed", runner.report.failures
+        assert runner.outcome("b") == "committed", runner.report.failures
 
     def test_divergence_is_named(self):
         runner = Runner(sch.parse_schema_text(FUZZ_SCHEMA), ["r1", "r2"], lenient=True)
@@ -287,6 +288,41 @@ def test_scenario_suite_passes(path):
     scenario = load_scenario(path)
     report = run_scenario(scenario)
     assert report.ok, report.failures
+
+
+# The scenarios written for coordination defects that no fuzz seed catches.
+GUARD_SCENARIOS = (
+    "strict_update_waits_for_delete", "unmodified_column_serializes_writes", "strict_delete_waits_for_delete",
+)
+
+
+@pytest.mark.parametrize("plant, caught_by, failure", [
+    ({"row_guarded": False}, ("strict_update_waits_for_delete", "strict_delete_waits_for_delete"),
+     "line 21: tx upd @r2: expected RowNotFound, nothing raised"),
+    ({"locked_columns": frozenset()}, ("unmodified_column_serializes_writes",),
+     "line 30: assert table @r1 Docs: want ['1,z,1'], got ['1,y2,1']"),
+    ("vanished", ("strict_delete_waits_for_delete",), "line 17: tx b @r2: expected RowNotFound, nothing raised"),
+], ids=["row_guarded", "locked_columns", "vanished"])
+def test_planted_coordination_defect_fails_its_scenario(monkeypatch, plant, caught_by, failure):
+    """Each planted defect fails the scenarios caught_by, the first of them
+    first on a semantic line, and no other guard scenario. A
+    dict plant switches fields of every Coordination record; "vanished"
+    skips only a delete's live re-check. Dropping row_guarded drops that
+    re-check too, so it fails the delete scenario as well."""
+    scenarios = [load_scenario(os.path.join(SCENARIO_DIR, f"{name}.aqlsim")) for name in GUARD_SCENARIOS]
+    if plant == "vanished":
+        require_live = Replica._require_live
+        monkeypatch.setattr(Replica, "_require_live", staticmethod(
+            lambda live, table, pks, fate: None if fate == "vanished" else require_live(live, table, pks, fate)
+        ))
+    else:
+        for scenario in scenarios:  # catalogs are shared per schema text: undo on teardown
+            catalog = scenario.catalog()
+            records = {t: dataclasses.replace(c, **plant) for t, c in catalog.coordination.items()}
+            monkeypatch.setitem(catalog.__dict__, "coordination", MappingProxyType(records))
+    failures = {scenario.name: run_scenario(scenario).failures for scenario in scenarios}
+    assert {name for name, found in failures.items() if found} == set(caught_by)
+    assert failures[caught_by[0]][0] == failure
 
 
 class TestCluster:
@@ -900,7 +936,7 @@ class TestAudit:
                 alive = bool(flags) and flags != {"D"}
             else:
                 alive = bool(flags) and "D" not in flags
-            return VisibilityVerdict(alive, Cause.ALL_CLEAR if alive else Cause.ANY_D)
+            return Cause.ALL_CLEAR if alive else Cause.ANY_D
 
         monkeypatch.setattr(engine, "is_visible", own_flags_only)
         assert integrity_violations(rep.store, runner.catalog) == [
@@ -934,8 +970,9 @@ class TestAudit:
         ]}, 1))
         runner.apply(Event("deliver", {"rid": None}, 2))
         assert runner.report.ok, runner.report.failures
-        runner.ledger[("Artists", "Sam", "Plays")] += 1
-        runner.ledger[("Artists", "Ghost", "Plays")] = 1
+        committed = runner.txs["a"]
+        committed.buffer[("Artists", "Sam")].deltas["Plays"] += 1
+        committed.write(("Artists", "Ghost")).deltas["Plays"] = 1
         r1 = runner.cluster.replica("r1")
         moved = r1.store.cell("Albums", "A1", "Stock").transfer("r1", "r9", 1)  # r9 is no replica
         for rep in runner.cluster.replicas.values():
@@ -1145,7 +1182,7 @@ class TestObjectShapes:
         instances = [
             LwwRegister(), MvRegister(), AdditiveCounter(), Bound("lower", 0),
             BoundedCounter(bound=Bound("lower", 0)),
-            Row(), VisibilityVerdict(True, Cause.ALL_CLEAR), RowView(None),
+            Row(), RowView(None),
             CausalClock(), RowWrite(), Transaction("t", "r1"), RowDelta("T", 1), LockState(),
             Event("heal", {}), Scenario("s", [], "", []), report, FuzzConfig(),
             FuzzOutcome(FuzzConfig(), [], report),
