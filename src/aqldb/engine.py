@@ -198,7 +198,7 @@ class ViewContext:
         key = (table, pk)
         row = self.saved[key] if key in self.saved else self.store.row(table, pk)
         write = self.buffer.get(key)
-        if row is None and (write is None or write.is_empty()):
+        if row is None and write is None:
             return None
         return RowView(row, write)
 
@@ -209,7 +209,7 @@ class ViewContext:
             out = [pk for pk in out if pk not in absent]
         if self.buffer:  # dumps and audits have none: no merged key set to build
             out = set(out)
-            out.update(pk for (t, pk), write in self.buffer.items() if t == table and not write.is_empty())
+            out.update(pk for t, pk in self.buffer if t == table)
         return sorted(out, key=render_scalar)
 
 
@@ -222,9 +222,7 @@ def is_visible(ctx: ViewContext, table: str, view: RowView | None) -> Cause:
     (schema._validate_schema), so the recursion ends."""
     if view is None:
         return _MISSING
-    schema = ctx.catalog.tables.get(table)
-    if schema is None:
-        return _ALL_CLEAR
+    schema = ctx.catalog.tables[table]
     flags = view.flags()
     if not flags:
         return _MISSING
@@ -339,12 +337,9 @@ class Replica:
             raise ValidationError(f"transaction {tx.txid} is {tx.status.value}")
         try:
             lam = self.lamport + 1
-            deltas = []
-            for rowkey in sorted(tx.buffer, key=_rowkey_order):
-                write = tx.buffer[rowkey]
-                if write.is_empty():
-                    continue
-                deltas.append(self._fold_row(rowkey, write, lam))
+            deltas = [
+                self._fold_row(rowkey, tx.buffer[rowkey], lam) for rowkey in sorted(tx.buffer, key=_rowkey_order)
+            ]
         except AqlError:
             self.abort(tx)
             raise
@@ -763,17 +758,14 @@ class Replica:
             return
         units = cell.consumption_units(net)
         key = (rowkey, column)
-        others = sum(t.reserved.get(key, 0) for t in self.active.values() if t is not tx)
-        free = cell.free(self.rid) - others
+        free = self.donatable(*rowkey, column) + tx.reserved.get(key, 0)
         if units > free:
             if not self.hooks.request_rights(self.rid, rowkey[0], rowkey[1], column, units - free):
                 raise CheckViolation(
                     f"{rowkey[0]}.{column} lacks rights for {net:+d} (bound {bound.canon()})",
                     retryable=True,
                 )
-            cell = self.store.cell(*rowkey, column)
-            free = cell.free(self.rid) - others
-            if units > free:
+            if units > self.donatable(*rowkey, column) + tx.reserved.get(key, 0):
                 raise CheckViolation(
                     f"{rowkey[0]}.{column} lacks rights for {net:+d} after transfer",
                     retryable=True,

@@ -63,18 +63,18 @@ class Cluster:
         return self.replicas[rid].clock.dominates(target)
 
     def request_rights(self, rid: str, table: str, pk, column: str, needed: int) -> bool:
-        """Pull bounded-counter rights toward rid from reachable donors."""
+        """Pull bounded-counter rights toward rid from reachable donors, the
+        richest first. Each donor's rights are read once: a transfer is sealed
+        at its donor, and rid merges none before the loop ends."""
         remaining = needed
-        donors = sorted(
-            (d for d in self.replica_ids if d != rid and self.reachable(rid, d)),
-            key=lambda d: (-self.replicas[d].donatable(table, pk, column), d),
+        offers = sorted(
+            ((self.replicas[d].donatable(table, pk, column), d)
+             for d in self.replica_ids if d != rid and self.reachable(rid, d)),
+            key=lambda offer: (-offer[0], offer[1]),
         )
-        for donor in donors:
-            if remaining <= 0:
+        for available, donor in offers:
+            if remaining <= 0 or available <= 0:
                 break
-            available = self.replicas[donor].donatable(table, pk, column)
-            if available <= 0:
-                continue
             amount = min(available, remaining)
             record = self.replicas[donor].transfer_rights(table, pk, column, rid, amount)
             self._broadcast(record)

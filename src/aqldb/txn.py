@@ -6,12 +6,14 @@ buffers its effects and turns them into a single commit record at commit time.
 Records carry the origin's vector clock; CausalClock.ready is the one rule by
 which receivers deliver them in causal order.
 
-Locks have two levels. A lock is first owned at replica granularity
-(exclusive by one replica, or shared by a set); ownership moves through a
-coordinator and is cached until somebody else needs it. Within an owning
-replica, individual transactions then hold the lock in shared or exclusive
-mode. Acquisition is fail-fast: a conflicting active holder or an unreachable
-coordinator raises LockUnavailable instead of blocking the event loop.
+Locks have two levels. A lock is first owned at replica granularity, by a
+set of replicas in one mode (an exclusive owner is alone); ownership moves
+through a coordinator and is cached until somebody else needs it. A move that
+grants exclusive ownership, or ends it, first catches the new owner up to
+every previous owner. Within an owning replica, individual transactions then
+hold the lock in shared or exclusive mode. Acquisition is fail-fast: a
+conflicting active holder or an unreachable coordinator raises
+LockUnavailable instead of blocking the event loop.
 """
 
 from __future__ import annotations
@@ -87,9 +89,6 @@ class RowWrite:
     deltas: dict[str, int] = field(default_factory=dict)
     flag: tuple[str, dict[str, int]] | None = None
     generation: int | None = None
-
-    def is_empty(self) -> bool:
-        return not (self.sets or self.deltas or self.flag)
 
 
 @dataclass(slots=True)
@@ -193,10 +192,22 @@ class LocalHooks:
 
 @dataclass(slots=True)
 class LockState:
-    exclusive_owner: str | None = None
-    shared_owners: set[str] = field(default_factory=set)
-    # txid -> (replica, mode)
+    """One lock's entry: owners, the replicas that own it, all in one mode
+    (an exclusive owner is alone), and holders, txid -> (replica, mode) for
+    each transaction that holds it."""
+
+    owners: set[str] = field(default_factory=set)
+    exclusive: bool = False
     holders: dict[str, tuple[str, Mode]] = field(default_factory=dict)
+
+
+def _blocker(st: LockState, tx: Transaction, mode: Mode) -> tuple[str, Mode] | None:
+    """The first holder other than tx that keeps tx from holding st in mode:
+    any, for an exclusive grant; an exclusive one, for a shared grant."""
+    for txid, (_, held_mode) in st.holders.items():
+        if txid != tx.txid and (mode is Mode.EXCLUSIVE or held_mode is Mode.EXCLUSIVE):
+            return txid, held_mode
+    return None
 
 
 class LockManager:
@@ -206,15 +217,11 @@ class LockManager:
     an unchanged version means an unchanged table."""
 
     def __init__(self, replica_ids: Iterable[str], hooks: ClusterHooks | None = None):
-        self.replica_ids = sorted(replica_ids)
+        self.coordinator = min(replica_ids)
         self.hooks = hooks if hooks is not None else LocalHooks()
         self.locks: dict[str, LockState] = {}
         self.coordinator_requests = 0
         self.version = 0
-
-    @property
-    def coordinator(self) -> str:
-        return self.replica_ids[0]
 
     def _state(self, lock_id: str) -> LockState:
         if lock_id not in self.locks:
@@ -230,72 +237,45 @@ class LockManager:
         if current is Mode.EXCLUSIVE or current is mode:
             return  # already held strongly enough
 
-        owned = (
-            st.exclusive_owner == replica
-            if mode is Mode.EXCLUSIVE
-            else (replica in st.shared_owners or st.exclusive_owner == replica)
-        )
-        if not owned:
-            self._transfer_ownership(st, lock_id, tx, mode)  # checks the other holders
+        if replica in st.owners and (st.exclusive or mode is Mode.SHARED):
+            blocker = _blocker(st, tx, mode)
+            if blocker is not None:
+                txid, held_mode = blocker
+                raise LockUnavailable(f"{lock_id} is held {held_mode.value} by transaction {txid}")
         else:
-            # Transaction-level grant within the owning replica set.
-            for txid, (_, held_mode) in st.holders.items():
-                if txid == tx.txid:
-                    continue
-                if mode is Mode.EXCLUSIVE or held_mode is Mode.EXCLUSIVE:
-                    raise LockUnavailable(
-                        f"{lock_id} is held {held_mode.value} by transaction {txid}"
-                    )
+            self._transfer_ownership(st, lock_id, tx, mode)
         st.holders[tx.txid] = (replica, mode)
         tx.held[lock_id] = mode
 
     def _transfer_ownership(self, st: LockState, lock_id: str, tx: Transaction, mode: Mode) -> None:
-        """Give tx's replica ownership of lock_id in mode, which it lacks; so
-        it is never the exclusive owner."""
+        """Give tx's replica ownership of lock_id in mode, which it lacks,
+        through the coordinator. An exclusive grant, or any grant after an
+        exclusive owner, hands over what the previous owners committed under
+        the lock, so the requester must catch up to them first."""
         replica = tx.origin
         if not self.hooks.reachable(replica, self.coordinator):
             raise LockUnavailable(f"coordinator {self.coordinator} unreachable from {replica}")
         self.coordinator_requests += 1
 
-        # Any active holder elsewhere blocks an exclusive grant; an active
-        # exclusive holder blocks everything.
-        for txid, (_, held_mode) in st.holders.items():
-            if txid == tx.txid:
-                continue
-            if mode is Mode.EXCLUSIVE or held_mode is Mode.EXCLUSIVE:
-                raise LockUnavailable(
-                    f"{lock_id} has an active {held_mode.value} holder, transaction {txid}"
-                )
+        blocker = _blocker(st, tx, mode)
+        if blocker is not None:
+            txid, held_mode = blocker
+            raise LockUnavailable(f"{lock_id} has an active {held_mode.value} holder, transaction {txid}")
 
-        previous = set(st.shared_owners)
-        if st.exclusive_owner is not None:
-            previous.add(st.exclusive_owner)
-        previous.discard(replica)
-
-        for owner in sorted(previous):
+        previous = sorted(st.owners - {replica})
+        for owner in previous:
             if not self.hooks.reachable(self.coordinator, owner):
                 raise LockUnavailable(
                     f"owner {owner} of {lock_id} unreachable from coordinator"
                 )
-
-        # Revoking ownership hands over everything the old owners committed
-        # under the lock; the requester must be able to catch up to them.
-        needs_catch_up = sorted(previous) if mode is Mode.EXCLUSIVE else (
-            [st.exclusive_owner] if st.exclusive_owner else []
-        )
-        if needs_catch_up and not self.hooks.catch_up(replica, needs_catch_up):
+        hands_over = mode is Mode.EXCLUSIVE or st.exclusive
+        if previous and hands_over and not self.hooks.catch_up(replica, previous):
             raise LockUnavailable(
                 f"{replica} cannot catch up to previous owners of {lock_id}"
             )
 
-        if mode is Mode.EXCLUSIVE:
-            st.exclusive_owner = replica
-            st.shared_owners = set()
-        else:
-            st.shared_owners = st.shared_owners | {replica}
-            if st.exclusive_owner is not None:
-                st.shared_owners.add(st.exclusive_owner)
-                st.exclusive_owner = None
+        st.owners = {replica} if mode is Mode.EXCLUSIVE else st.owners | {replica}
+        st.exclusive = mode is Mode.EXCLUSIVE
 
     def release_all(self, tx: Transaction) -> None:
         if tx.held:
@@ -307,19 +287,19 @@ class LockManager:
         tx.held = {}
 
     def safety_violations(self) -> list[str]:
-        """Invariant: an exclusive hold never coexists with any other hold."""
+        """Invariant: an exclusive hold never coexists with any other hold,
+        exclusive ownership is one replica's, and every holder sits at an
+        owner, owning exclusively if it holds exclusively."""
         out = []
         for lock_id, st in sorted(self.locks.items()):
             modes = list(st.holders.values())
             if any(m is Mode.EXCLUSIVE for _, m in modes) and len(modes) > 1:
                 out.append(f"{lock_id}: exclusive holder coexists with others")
-            if st.exclusive_owner is not None and st.shared_owners:
-                out.append(f"{lock_id}: owned exclusive and shared at once")
+            if st.exclusive and len(st.owners) != 1:
+                out.append(f"{lock_id}: owned exclusive by {len(st.owners)} replicas")
             for txid, (replica, mode) in st.holders.items():
-                if st.exclusive_owner is not None and replica != st.exclusive_owner:
-                    out.append(f"{lock_id}: holder {txid} outside owner replica")
-                if st.exclusive_owner is None and st.shared_owners and replica not in st.shared_owners:
+                if replica not in st.owners:
                     out.append(f"{lock_id}: holder {txid} at non-owner replica")
-                if mode is Mode.EXCLUSIVE and st.exclusive_owner != replica:
+                if mode is Mode.EXCLUSIVE and not st.exclusive:
                     out.append(f"{lock_id}: exclusive hold without exclusive ownership")
         return out

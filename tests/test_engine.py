@@ -559,6 +559,19 @@ class TestReferences:
         assert tx.buffer[("Albums", "A1")].flag[0] == "T"
         assert tx.buffer[("Artists", "Sam")].flag[0] == "T"
 
+    def test_update_of_a_touched_row_flags_it_inserted(self):
+        reps, _ = make_group()
+        r1 = reps["r1"]
+        run(r1, "INSERT INTO Artists VALUES ('Sam', TRUE, 0)")
+        tx = r1.begin()
+        r1.execute(tx, "INSERT INTO Albums VALUES ('A1', 'Sam', 'rock')")
+        assert tx.buffer[("Artists", "Sam")].flag[0] == "T"
+        r1.execute(tx, "UPDATE Artists SET Active = FALSE WHERE Name = 'Sam'")
+        # the update's own flag replaces the touch, over the versions it saw
+        assert tx.buffer[("Artists", "Sam")].flag[0] == "I"
+        r1.commit(tx)
+        assert RowView(r1.store.row("Artists", "Sam"), None).flags() == {"I"}
+
 
 class TestChecks:
     def test_static_check_on_insert(self):
@@ -798,6 +811,16 @@ class TestIds:
             got.append(r1.next_sequential_id(tx, "order"))
             r1.commit(tx)
         assert got == [1, 2, 3, 4, 5]
+
+    def test_sequential_ids_twice_in_one_transaction(self):
+        reps, _ = make_group()
+        r1 = reps["r1"]
+        tx = r1.begin()
+        # the second read takes the transaction's own buffered value
+        assert [r1.next_sequential_id(tx, "order") for _ in range(2)] == [1, 2]
+        r1.commit(tx)
+        tx = r1.begin()
+        assert r1.next_sequential_id(tx, "order") == 3
 
     def test_sequential_ids_roll_back_with_abort(self):
         reps, _ = make_group()

@@ -293,6 +293,7 @@ def test_scenario_suite_passes(path):
 # The scenarios written for coordination defects that no fuzz seed catches.
 GUARD_SCENARIOS = (
     "strict_update_waits_for_delete", "unmodified_column_serializes_writes", "strict_delete_waits_for_delete",
+    "exclusive_catches_up_every_reader",
 )
 
 
@@ -302,15 +303,24 @@ GUARD_SCENARIOS = (
     ({"locked_columns": frozenset()}, ("unmodified_column_serializes_writes",),
      "line 30: assert table @r1 Docs: want ['1,z,1'], got ['1,y2,1']"),
     ("vanished", ("strict_delete_waits_for_delete",), "line 17: tx b @r2: expected RowNotFound, nothing raised"),
-], ids=["row_guarded", "locked_columns", "vanished"])
+    ("partial_catch_up", ("exclusive_catches_up_every_reader",),
+     "line 23: tx drop @r3: expected LockUnavailable, nothing raised"),
+], ids=["row_guarded", "locked_columns", "vanished", "partial_catch_up"])
 def test_planted_coordination_defect_fails_its_scenario(monkeypatch, plant, caught_by, failure):
     """Each planted defect fails the scenarios caught_by, the first of them
     first on a semantic line, and no other guard scenario. A
     dict plant switches fields of every Coordination record; "vanished"
-    skips only a delete's live re-check. Dropping row_guarded drops that
-    re-check too, so it fails the delete scenario as well."""
+    skips only a delete's live re-check; "partial_catch_up" catches a
+    lock's new owner up to the first previous owner only. Dropping
+    row_guarded drops the re-check too, so it fails the delete scenario as
+    well."""
     scenarios = [load_scenario(os.path.join(SCENARIO_DIR, f"{name}.aqlsim")) for name in GUARD_SCENARIOS]
-    if plant == "vanished":
+    if plant == "partial_catch_up":
+        catch_up = Cluster.catch_up
+        monkeypatch.setattr(
+            Cluster, "catch_up", lambda cluster, rid, sources: catch_up(cluster, rid, list(sources)[:1])
+        )
+    elif plant == "vanished":
         require_live = Replica._require_live
         monkeypatch.setattr(Replica, "_require_live", staticmethod(
             lambda live, table, pks, fate: None if fate == "vanished" else require_live(live, table, pks, fate)
@@ -808,7 +818,7 @@ class TestPointReads:
 def lock_table(locks) -> dict:
     """Everything safety_violations reads of a lock manager, as plain values."""
     return {
-        lock_id: (st.exclusive_owner, frozenset(st.shared_owners), dict(st.holders))
+        lock_id: (frozenset(st.owners), st.exclusive, dict(st.holders))
         for lock_id, st in locks.locks.items()
     }
 
@@ -862,6 +872,34 @@ class MemoCheckingRunner(Runner):
             fresh += [(f"constraints at {rid}", p) for p in constraint_violations(store, self.catalog)]
             if self.audited[rid] != (store.version, fresh):
                 self.mismatches.append(f"{self.report.name} line {line} {rid}: {self.audited[rid]} != {fresh}")
+
+
+class EmptyWriteRunner(Runner):
+    """After every event, records each buffered write of an active
+    transaction that has no sets, no deltas and no flag. The views and the
+    commit fold take every buffered write to be an effect."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.writes = 0
+        self.empty: list[str] = []
+
+    def apply(self, event):
+        super().apply(event)
+        for rid in self.cluster.replica_ids:
+            for tx in self.cluster.replica(rid).active.values():
+                for rowkey, write in tx.buffer.items():
+                    self.writes += 1
+                    if not (write.sets or write.deltas or write.flag):
+                        self.empty.append(f"{self.report.name} line {event.line}: {tx.txid} {rowkey}")
+
+
+def test_no_active_transaction_buffers_an_empty_write():
+    runners = list(scenario_runs(EmptyWriteRunner))
+    for schema_text in (FUZZ_SCHEMA, MV_FK_SCHEMA, STRICT_FK_SCHEMA):
+        runners += [runner for runner, _ in fuzz_runs(schema_text, EmptyWriteRunner)]
+    assert [line for runner in runners for line in runner.empty] == []
+    assert sum(runner.writes for runner in runners) > 1000
 
 
 class TestAudit:
@@ -946,12 +984,13 @@ class TestAudit:
         ]
 
     @pytest.mark.parametrize("state, problem", [
-        (LockState("r1", set(), {"t1": ("r1", Mode.EXCLUSIVE), "t2": ("r1", Mode.SHARED)}),
+        (LockState({"r1"}, True, {"t1": ("r1", Mode.EXCLUSIVE), "t2": ("r1", Mode.SHARED)}),
          "exclusive holder coexists with others"),
-        (LockState("r1", {"r2"}), "owned exclusive and shared at once"),
-        (LockState("r1", set(), {"t1": ("r2", Mode.SHARED)}), "holder t1 outside owner replica"),
-        (LockState(None, {"r1"}, {"t1": ("r2", Mode.SHARED)}), "holder t1 at non-owner replica"),
-        (LockState(None, set(), {"t1": ("r1", Mode.EXCLUSIVE)}), "exclusive hold without exclusive ownership"),
+        (LockState({"r1", "r2"}, True), "owned exclusive by 2 replicas"),
+        (LockState({"r1"}, True, {"t1": ("r2", Mode.SHARED)}), "holder t1 at non-owner replica"),
+        (LockState({"r1"}, False, {"t1": ("r2", Mode.SHARED)}), "holder t1 at non-owner replica"),
+        (LockState({"r1"}, False, {"t1": ("r1", Mode.EXCLUSIVE)}), "exclusive hold without exclusive ownership"),
+        (LockState(set(), True), "owned exclusive by 0 replicas"),
     ])
     def test_lock_safety_finding_is_reported(self, state, problem):
         runner = Runner(sch.parse_schema_text(FUZZ_SCHEMA), ["r1", "r2"])

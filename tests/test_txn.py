@@ -150,7 +150,8 @@ class TestLocks:
             lm.acquire(t2, row_lock("T", "k"), Mode.EXCLUSIVE)
         lm.release_all(t1)
         lm.acquire(t2, row_lock("T", "k"), Mode.EXCLUSIVE)
-        assert lm.locks[row_lock("T", "k")].exclusive_owner == "r2"
+        st = lm.locks[row_lock("T", "k")]
+        assert st.owners == {"r2"} and st.exclusive
 
     def test_shared_ownership_denotes_no_catch_up_between_readers(self):
         calls = []
@@ -184,8 +185,8 @@ class TestLocks:
         t3 = make_tx("t3", "r3")
         lm.acquire(t3, row_lock("T", "k"), Mode.EXCLUSIVE)
         assert calls == [("r3", ("r1", "r2"))]
-        assert lm.locks[row_lock("T", "k")].exclusive_owner == "r3"
-        assert lm.locks[row_lock("T", "k")].shared_owners == set()
+        st = lm.locks[row_lock("T", "k")]
+        assert st.owners == {"r3"} and st.exclusive
 
     def test_failed_catch_up_blocks(self):
         class NoSync(Net):
