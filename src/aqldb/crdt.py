@@ -40,7 +40,7 @@ def render_scalar(value) -> str:
 
 
 def make_version(counts: Mapping[str, int]) -> Version:
-    return tuple(sorted((r, int(c)) for r, c in counts.items() if c))
+    return tuple(sorted([(r, int(c)) for r, c in counts.items() if c]))
 
 
 def version_leq(a: Version, b: Version) -> bool:
@@ -115,9 +115,11 @@ class MvRegister:
         """
         counts = dict(observed)
         counts[writer] = counter if counter is not None else counts.get(writer, 0) + 1
-        version = make_version(counts)
-        kept = {e for e in self.entries if not version_leq(e[1], version)}
-        kept.add((value, version))
+        entry = (value, make_version(counts))
+        if not self.entries:
+            return MvRegister(frozenset((entry,)))
+        kept = {e for e in self.entries if not version_leq(e[1], entry[1])}
+        kept.add(entry)
         return MvRegister(frozenset(kept))
 
     def merge(self, other: "MvRegister") -> "MvRegister":

@@ -77,7 +77,7 @@ class Row:
     generation: int = 0
 
 
-_NO_ROW = Row()  # what a delta merges into when its row is not stored yet
+_NO_ROW = Row()  # what a fold builds over, or a delta merges into, when no row is stored
 
 
 class Store:
@@ -118,8 +118,12 @@ class Cause(Enum):
         self.visible = value == "all_clear"
 
 
-# is_visible returns these names: a global reads faster than a class attribute.
+# Hot paths read these names: a global reads faster than a class attribute.
 _ALL_CLEAR, _ONLY_D, _ANY_D, _MISSING, _PARENT_DELETED, _PARENT_VERSION_STALE = Cause
+_ACTIVE, _COMMITTED, _ABORTED = TxStatus
+_SHARED, _EXCLUSIVE = Mode
+_UPDATE_WINS, _DELETE_WINS = sch.Policy.UPDATE_WINS, sch.Policy.DELETE_WINS
+_ADDITIVE, _MULTI_VALUE = sch.Modifier.ADDITIVE, sch.Modifier.MULTI_VALUE
 
 
 @dataclass(slots=True)
@@ -129,12 +133,12 @@ class RowView:
     row: Row | None
     write: RowWrite | None = None
 
-    def flags(self) -> frozenset[str]:
+    def flags(self) -> set[str]:
         if self.write is not None and self.write.flag is not None:
-            return frozenset({self.write.flag[0]})
+            return {self.write.flag[0]}
         if self.row is not None:
-            return frozenset([flag for flag, _ in self.row.visibility.entries])
-        return frozenset()
+            return {flag for flag, _ in self.row.visibility.entries}
+        return set()
 
     def generation(self) -> int:
         if self.write is not None and self.write.generation is not None:
@@ -226,7 +230,7 @@ def is_visible(ctx: ViewContext, table: str, view: RowView | None) -> Cause:
     flags = view.flags()
     if not flags:
         return _MISSING
-    if schema.row_policy is sch.Policy.UPDATE_WINS:
+    if schema.row_policy is _UPDATE_WINS:
         # A concurrent touch or insert outweighs the delete.
         if flags == {"D"}:
             return _ONLY_D
@@ -237,7 +241,7 @@ def is_visible(ctx: ViewContext, table: str, view: RowView | None) -> Cause:
             parent = ctx.view(fk.table, ppk)
             if parent is None or not is_visible(ctx, fk.table, parent).visible:
                 return _PARENT_DELETED
-            if fk.policy is sch.Policy.DELETE_WINS and parent.generation() != pgen:
+            if fk.policy is _DELETE_WINS and parent.generation() != pgen:
                 return _PARENT_VERSION_STALE
     return _ALL_CLEAR
 
@@ -314,7 +318,7 @@ class Replica:
     def execute(self, tx: Transaction, statement, params=()):
         """Run one statement, given as text or parsed. Each `?` in the text
         takes one of params (qmark style); see schema.parse_statement."""
-        if tx.status is not TxStatus.ACTIVE:
+        if tx.status is not _ACTIVE:
             raise ValidationError(f"transaction {tx.txid} is {tx.status.value}")
         try:
             if isinstance(statement, str):
@@ -333,7 +337,7 @@ class Replica:
             raise
 
     def commit(self, tx: Transaction) -> CommitRecord:
-        if tx.status is not TxStatus.ACTIVE:
+        if tx.status is not _ACTIVE:
             raise ValidationError(f"transaction {tx.txid} is {tx.status.value}")
         try:
             lam = self.lamport + 1
@@ -344,7 +348,7 @@ class Replica:
             self.abort(tx)
             raise
         record = self._seal(tx.txid, lam, deltas)
-        self._settle(tx, TxStatus.COMMITTED)
+        self._settle(tx, _COMMITTED)
         return record
 
     def _seal(self, txid: str, lam: int, deltas: list[RowDelta]) -> CommitRecord:
@@ -365,9 +369,9 @@ class Replica:
     def abort(self, tx: Transaction) -> None:
         """Abort tx if still active. The refusal is the caller's to keep: a
         traceback kept on tx would pin every frame in a reference cycle."""
-        if tx.status is not TxStatus.ACTIVE:
+        if tx.status is not _ACTIVE:
             return
-        self._settle(tx, TxStatus.ABORTED)
+        self._settle(tx, _ABORTED)
 
     def _settle(self, tx: Transaction, status: TxStatus) -> None:
         tx.status = status
@@ -395,11 +399,11 @@ class Replica:
     def _apply_delta(self, delta: RowDelta, committing: str | None = None) -> None:
         """Store the row that merging one row's delta builds: the only place
         rows change. Each open transaction but the committing one first keeps
-        the replaced row as its pre-image. The origin records on the delta the
-        row it merged into and the row it built; a receiver whose row is that
-        base, or equal to it, stores the built row, which merging would only
-        rebuild. The equal case lets replicas share rows again after a
-        concurrent write has left each its own merged copy."""
+        the replaced row as its pre-image. The commit fold built that row over
+        the delta's base, so a replica whose row is that base, or equal to it,
+        stores it, and any other merges. The origin holds the base; the equal
+        case lets replicas share rows again after a concurrent write has left
+        each its own merged copy."""
         self.store.version += 1
         key = (delta.table, delta.pk)
         rows = self.store.tables.setdefault(delta.table, {})
@@ -416,8 +420,6 @@ class Replica:
                 cells[col] = state if cur is None else merge(cur, state)
             visibility = old.visibility if delta.visibility is None else old.visibility.merge(delta.visibility)
             new = Row(cells, visibility, max(old.generation, delta.generation or 0))
-            if committing is not None:
-                delta.base, delta.result = row, new
         rows[delta.pk] = new
         schema = self.catalog.tables.get(delta.table)  # None for sequences
         if schema is not None:
@@ -449,7 +451,7 @@ class Replica:
         The lock handover ships the previous owner's commits, so the read
         below always sees the latest committed value.
         """
-        self._acquire(tx, [(sequence_lock(name), Mode.EXCLUSIVE)])
+        self._acquire(tx, [(sequence_lock(name), _EXCLUSIVE)])
         rowkey = (SEQ_TABLE, name)
         write = tx.buffer.get(rowkey)
         if write is not None and SEQ_COLUMN in write.sets:
@@ -472,20 +474,24 @@ class Replica:
 
     def transfer_rights(self, table: str, pk: Scalar, column: str, dst: str, amount: int) -> CommitRecord:
         """Ship bounded-counter rights to dst as a standalone system commit."""
-        cell = self.store.cell(table, pk, column)
+        row = self.store.row(table, pk)
+        cell = row.cells.get(column) if row is not None else None
         if not isinstance(cell, BoundedCounter):
             raise InsufficientRights(f"{table}.{column} holds no bounded counter here")
-        moved = cell.transfer(self.rid, dst, amount)
-        delta = RowDelta(table, pk, {column: moved.slice_for(self.rid)})
+        moved = cell.transfer(self.rid, dst, amount)  # equals cell merged with its slice
+        result = Row({**row.cells, column: moved}, row.visibility, row.generation)
+        delta = RowDelta(table, pk, {column: moved.slice_for(self.rid)}, base=row, result=result)
         self.txn_counter += 1
         return self._seal(f"{self.rid}-rights{self.txn_counter}", self.lamport + 1, [delta])
 
     # -- statement execution --------------------------------------------------
 
     def _acquire(self, tx: Transaction, wants: list[tuple[str, Mode]]) -> None:
+        if not wants:
+            return
         strongest: dict[str, Mode] = {}
         for lock_id, mode in wants:
-            if mode is Mode.EXCLUSIVE or lock_id not in strongest:
+            if mode is _EXCLUSIVE or lock_id not in strongest:
                 strongest[lock_id] = mode
         for lock_id in sorted(strongest):
             self.locks.acquire(tx, lock_id, strongest[lock_id])
@@ -495,14 +501,13 @@ class Replica:
     ) -> list[tuple[Scalar, RowView]]:
         """Visible rows of schema's table that where admits, as (pk, view) in
         key order like visible_rows: the statement reads and writes these
-        views and looks no matched row up again. A pk lookup judges one row,
-        else the table is scanned; either way visibility first, then where."""
+        views and looks no matched row up again. A pk lookup judges the one
+        row its key (typed at parse) finds; a scan, visibility then where."""
         if where is not None and where.is_pk_lookup(schema):
             view = ctx.view(schema.name, where.value)
             hit = view is not None and is_visible(ctx, schema.name, view).visible
-            rows = [(where.value, view)] if hit else []
-        else:
-            rows = visible_rows(ctx, schema.name)
+            return [(where.value, view)] if hit else []
+        rows = visible_rows(ctx, schema.name)
         if where is None:
             return rows
         return [
@@ -517,11 +522,11 @@ class Replica:
         locked = plan.insert_locked
         assignments = [
             sch.DeltaAssign(col.name, stmt.values[col.name])
-            if col.modifier is sch.Modifier.ADDITIVE
+            if col.modifier is _ADDITIVE
             else sch.SetAssign(col.name, stmt.values[col.name])
             for col in schema.columns
         ]
-        self._acquire(tx, self._lock_wants(plan, [pk], Mode.EXCLUSIVE if locked else None, assignments))
+        self._acquire(tx, self._lock_wants(plan, [pk], _EXCLUSIVE if locked else None, assignments))
 
         # With the insert lock held, validation reads the freshest state the
         # lock handover shipped in; otherwise the snapshot rules.
@@ -534,7 +539,7 @@ class Replica:
             if locked:
                 raise DuplicateKey(f"{stmt.table} already holds key {render_scalar(pk)}")
             generation = view.generation()  # merge with the live row
-        elif verdict in (Cause.PARENT_DELETED, Cause.PARENT_VERSION_STALE):
+        elif verdict in (_PARENT_DELETED, _PARENT_VERSION_STALE):
             generation = view.generation()  # its own flags are live: the same row
         else:
             generation = view.generation() + 1  # re-insert over a deleted key
@@ -553,7 +558,7 @@ class Replica:
             raise RowNotFound(f"no visible {stmt.table} row matches")
 
         pks = [pk for pk, _ in matched]
-        row_mode = Mode.SHARED if plan.row_guarded else None
+        row_mode = _SHARED if plan.row_guarded else None
         self._acquire(tx, self._lock_wants(plan, pks, row_mode, stmt.assignments))
         if plan.row_guarded:
             self._require_live(self.live_ctx(tx), stmt.table, pks, "was deleted")
@@ -588,7 +593,7 @@ class Replica:
         doomed: dict[RowKey, RowView] = {(stmt.table, pk): view for pk, view in matched}
         wave = list(doomed)
         while wave:
-            self._acquire(tx, [(row_lock(t, pk), Mode.EXCLUSIVE) for t, pk in wave if plans[t].delete_locked])
+            self._acquire(tx, [(row_lock(t, pk), _EXCLUSIVE) for t, pk in wave if plans[t].delete_locked])
             reached = []
             for table, pk in wave:
                 for child_table, colname, fk in self.catalog.referencing(table):
@@ -632,7 +637,7 @@ class Replica:
     def _exec_select(self, tx: Transaction, stmt: sch.Select):
         schema = self.catalog.table(stmt.table)
         ctx = self.snap_ctx(tx)
-        names = stmt.columns if stmt.columns is not None else [c.name for c in schema.columns]
+        names = stmt.columns if stmt.columns is not None else schema.column_names
         rows = []
         for _, view in self._match_rows(ctx, schema, stmt.where):
             out = {}
@@ -655,10 +660,10 @@ class Replica:
                 wants.append((row_lock(plan.table, pk), row_mode))
             for a in assignments:
                 if a.column in plan.locked_columns:
-                    wants.append((column_lock(plan.table, pk, a.column), Mode.EXCLUSIVE))
+                    wants.append((column_lock(plan.table, pk, a.column), _EXCLUSIVE))
                 parent = plan.locked_parents.get(a.column)
                 if parent is not None:
-                    wants.append((row_lock(parent, a.value), Mode.SHARED))
+                    wants.append((row_lock(parent, a.value), _SHARED))
         return wants
 
     @staticmethod
@@ -699,7 +704,7 @@ class Replica:
                 live = a.column in plan.locked_parents
                 value = self._check_fk_parent(tx, schema.name, a.column, col.foreign_key, a.value, live)
             observed = None
-            if col.modifier is sch.Modifier.MULTI_VALUE:
+            if col.modifier is _MULTI_VALUE:
                 observed = view.cell_versions(a.column) if view is not None else {}
             write.sets[a.column] = (value, observed)
         return write
@@ -716,7 +721,7 @@ class Replica:
             raise FkParentMissing(
                 f"{table}.{column} references missing {fk.table} key {render_scalar(ppk)}"
             )
-        if fk.policy is sch.Policy.UPDATE_WINS:
+        if fk.policy is _UPDATE_WINS:
             self._touch_chain(tx, ctx, fk.table, ppk, parent)
         return ppk, parent.generation()
 
@@ -741,7 +746,7 @@ class Replica:
             if write.flag is None:
                 write.flag = ("T", view.visibility_versions())
             for colname, fk in self.catalog.tables[t].foreign_keys:
-                if fk.policy is sch.Policy.UPDATE_WINS:
+                if fk.policy is _UPDATE_WINS:
                     stack.extend((fk.table, ppk, None) for ppk, _ in view.fk_refs(colname))
 
     def _reserve_bounded(self, tx: Transaction, rowkey: RowKey, column: str, bound: Bound, delta: int) -> None:
@@ -776,36 +781,43 @@ class Replica:
             tx.reserved.pop(key, None)
 
     def _fold_row(self, rowkey: RowKey, write: RowWrite, lam: int) -> RowDelta:
+        """The delta one row's buffered write ships: this writer's slice of
+        each written cell, and as result the row it builds over the live row,
+        its base. That row holds each cell's whole new state, which equals the
+        live cell merged with the slice: the stamp (lam, rid) tops every stamp
+        held here, and a counter step grows only this replica's entries."""
         table, pk = rowkey
         schema = self.catalog.tables.get(table)
         live = self.store.row(table, pk)
+        old = live if live is not None else _NO_ROW
         stamp = (lam, self.rid)
 
-        cells: dict[str, MergeValue] = {}
-        for name in sorted(write.sets):
-            value, observed = write.sets[name]
+        shipped: dict[str, MergeValue] = {}
+        cells = dict(old.cells)
+        for name, (value, observed) in sorted(write.sets.items()):
             if observed is None:
-                cells[name] = LwwRegister(value, stamp)
+                cells[name] = shipped[name] = LwwRegister(value, stamp)
             else:
-                cells[name] = MvRegister().assign(value, observed, self.rid, lam)
-        for colname in sorted(write.deltas):
-            delta = write.deltas[colname]
-            col = schema.column(colname)
-            bound = col.additive_bound
-            live_cell = live.cells.get(colname) if live is not None else None
+                state = shipped[name] = MvRegister().assign(value, observed, self.rid, lam)
+                cells[name] = cells[name].merge(state) if name in cells else state
+        for colname, delta in sorted(write.deltas.items()):
+            bound = schema.column(colname).additive_bound
+            live_cell = old.cells.get(colname)
             if bound is None:
                 base = live_cell if isinstance(live_cell, AdditiveCounter) else AdditiveCounter()
-                cells[colname] = base.add(self.rid, delta).slice_for(self.rid)
+                state = base.add(self.rid, delta)
             elif isinstance(live_cell, BoundedCounter):
                 try:
-                    cells[colname] = live_cell.apply_delta(self.rid, delta).slice_for(self.rid)
+                    state = live_cell.apply_delta(self.rid, delta)
                 except InsufficientRights as err:
                     raise CheckViolation(str(err), retryable=True) from err
             else:
                 try:
-                    cells[colname] = BoundedCounter.create(bound, delta, self.replica_ids, self.rid)
+                    state = BoundedCounter.create(bound, delta, self.replica_ids, self.rid)
                 except ValueError as err:
                     raise CheckViolation(str(err)) from err
+            cells[colname] = state
+            shipped[colname] = state if live_cell is None else state.slice_for(self.rid)  # a new one is its slice
 
         visibility = None
         if write.flag is not None:
@@ -815,7 +827,9 @@ class Replica:
                 observed = live.visibility.max_versions()
             visibility = MvRegister().assign(flag, observed, self.rid, lam)
 
-        return RowDelta(table, pk, cells, visibility, write.generation)
+        flags = old.visibility if visibility is None else old.visibility.merge(visibility)
+        built = Row(cells, flags, max(old.generation, write.generation or 0))
+        return RowDelta(table, pk, shipped, visibility, write.generation, base=live, result=built)
 
 
 # --------------------------------------------------------------------------
@@ -871,7 +885,7 @@ def integrity_violations(store: Store, catalog: sch.Catalog) -> list[str]:
                         out.append(f"{table}/{render_scalar(pk)}: parent {fk.table}/{render_scalar(ppk)} missing")
                     elif not is_visible(ctx, fk.table, parent).visible:
                         out.append(f"{table}/{render_scalar(pk)}: parent {fk.table}/{render_scalar(ppk)} not visible")
-                    elif fk.policy is sch.Policy.DELETE_WINS and parent.generation() != pgen:
+                    elif fk.policy is _DELETE_WINS and parent.generation() != pgen:
                         out.append(
                             f"{table}/{render_scalar(pk)}: parent {fk.table}/{render_scalar(ppk)} reinserted"
                         )

@@ -125,6 +125,10 @@ class TableSchema:
         return name in self._by_name
 
     @cached_property
+    def column_names(self) -> tuple[str, ...]:
+        return tuple([c.name for c in self.columns])
+
+    @cached_property
     def foreign_keys(self) -> list[tuple[str, ForeignKey]]:
         return [(c.name, c.foreign_key) for c in self.columns if c.foreign_key]
 
@@ -754,7 +758,7 @@ def _parse_insert(p: _Parser, catalog: Catalog) -> Insert:
         values.append(p.literal())
     p.expect_sym(")")
 
-    names = columns if columns is not None else [c.name for c in schema.columns]
+    names = columns if columns is not None else schema.column_names
     if len(names) != len(values):
         raise ValidationError(
             f"insert into {table} lists {len(names)} columns but {len(values)} values"

@@ -157,8 +157,8 @@ class Cluster:
         rows: no state keeps a zero entry that canon would drop, and columns
         are typed, so True and 1 never share a cell. Dict equality stops at
         the first difference, and rows and cell states that replicas share
-        by identity compare at once: a receiver holding the row a record's
-        origin merged into, or an equal one, stores the origin's merged Row
+        by identity compare at once: a replica holding the row a record's
+        commit fold read, or an equal one, stores the Row the fold built
         itself."""
         first, *rest = (rep.store.tables for rep in self.replicas.values())
         return all(tables == first for tables in rest)

@@ -116,8 +116,8 @@ class Transaction:
 @dataclass(slots=True)
 class RowDelta:
     """Stamped mergeable effects for one row, carried by a commit record.
-    The origin sets base, the stored row it merged into (None: absent), and
-    result, the row it built: a receiver whose row equals base stores it."""
+    The commit fold sets base, the stored row it read (None: absent), and
+    result, the row it built: a replica whose row is or equals base stores it."""
 
     table: str
     pk: object

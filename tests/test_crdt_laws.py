@@ -5,9 +5,11 @@ associative and idempotent. These laws are what make replica state
 independent of delivery order, so they get hammered hard here.
 """
 
+import functools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from aqldb.crdt import (
     AdditiveCounter,
@@ -180,3 +182,75 @@ def test_no_zero_entries(kind):
         assert zero_entries(a) == [] and zero_entries(b) == []
         for state in derived_states(a, b, rng):
             assert zero_entries(state) == [], state
+
+
+# ---------------------------------------------------------------------------
+# A writer's own step is its old state merged with the step's slice: the
+# delta-mutator law m(X) = X join m_delta(X). The commit fold relies on it to
+# store each written cell's new state at the origin without merging. A
+# register write needs a stamp or writer counter above every one held.
+
+STEP = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+HELD = 6  # every stamp counter and version count held is at most this
+
+replicas = st.sampled_from(REPLICAS)
+counts = st.dictionaries(replicas, st.integers(1, HELD))
+held_lww = st.builds(LwwRegister, st.sampled_from("abcd"), st.tuples(st.integers(0, HELD), replicas))
+# Antichains, as merges build them: each entry one write's version.
+held_mv = st.lists(
+    st.tuples(st.sampled_from("IDTxy"), counts).map(lambda e: MvRegister().assign(e[0], e[1], "w")),
+    max_size=4,
+).map(lambda regs: functools.reduce(MvRegister.merge, regs, MvRegister()))
+bounds = st.sampled_from([Bound("lower", 0), Bound("lower", 3), Bound("upper", 9)])
+pairs = st.permutations(REPLICAS).map(lambda order: tuple(order[:2]))  # two distinct replicas
+held_bounded = st.builds(
+    lambda incs, decs, transfers, bound: BoundedCounter(incs, decs, bound=bound, transfers=transfers),
+    counts, counts, st.dictionaries(pairs, st.integers(1, HELD)), bounds,
+)
+
+
+@STEP
+@given(held_lww, st.sampled_from("abcd"), replicas)
+def test_a_fresh_lww_write_is_its_merge(held, value, writer):
+    step = LwwRegister(value, (HELD + 1, writer))
+    assert held.merge(step) is step
+
+
+@STEP
+@given(held_mv, st.sampled_from("IDTxy"), st.dictionaries(replicas, st.integers(0, HELD)), replicas)
+def test_a_fresh_mv_assign_is_its_merge(held, value, observed, writer):
+    step = held.assign(value, observed, writer, HELD + 1)
+    assert step == held.merge(MvRegister().assign(value, observed, writer, HELD + 1))
+
+
+@STEP
+@given(counts, counts, replicas, st.integers(-5, 5))
+def test_an_additive_step_is_its_merge(incs, decs, writer, delta):
+    held = AdditiveCounter(incs, decs)
+    step = held.add(writer, delta)
+    assert step == held.merge(step.slice_for(writer))
+
+
+@STEP
+@given(held_bounded, replicas, st.integers(-5, 5))
+def test_a_bounded_step_is_its_merge(held, writer, delta):
+    assume(held.consumption_units(delta) <= held.free(writer))
+    step = held.apply_delta(writer, delta)
+    assert step == held.merge(step.slice_for(writer))
+
+
+@STEP
+@given(held_bounded, pairs, st.integers(1, 3))
+def test_a_transfer_is_its_merge(held, pair, amount):
+    src, dst = pair
+    assume(amount <= held.free(src))
+    step = held.transfer(src, dst, amount)
+    assert step == held.merge(step.slice_for(src))
+
+
+@STEP
+@given(bounds, st.integers(0, 8), replicas)
+def test_a_creation_is_its_slice(bound, headroom, creator):
+    initial = bound.limit + headroom if bound.direction == "lower" else bound.limit - headroom
+    step = BoundedCounter.create(bound, initial, REPLICAS, creator)
+    assert step == BoundedCounter(bound=bound).merge(step.slice_for(creator))

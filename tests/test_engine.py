@@ -166,34 +166,34 @@ def test_dump_looks_each_row_up_once_per_verdict(monkeypatch):
     assert len(lookups) == scanned + followed
 
 
-@pytest.mark.parametrize(
-    "statement, want",
-    [
-        # the album, then its artist for the album's verdict
-        ("SELECT * FROM Albums WHERE Title = 'A1'", ["A1", "Sam"]),
-        ("UPDATE Albums SET Genre = 'pop' WHERE Title = 'A1'", ["A1", "Sam"]),
-        # a scan judges both albums; the write goes to the view matched
-        ("UPDATE Albums SET Genre = 'pop' WHERE Genre = 'rock'", ["A1", "Sam", "A2", "Ana"]),
-        # the new key, then the artist: its verdict and its touch share one view
-        ("INSERT INTO Albums VALUES ('A3', 'Sam', 'jazz')", ["A3", "Sam"]),
-        # the album's verdict follows its artist; the touch walk then looks
-        # up only the ancestor
-        ("INSERT INTO Reviews VALUES (9, 'A1', 4)", [9, "A1", "Sam", "Sam"]),
-        # the review, whose verdict follows its album and artist; its flag
-        # observes the view matched
-        ("DELETE FROM Reviews WHERE Id = 1", [1, "A1", "Sam"]),
-        # the album, then the review its cascade reaches, each judged once
-        ("DELETE FROM Albums WHERE Title = 'A1'", ["A1", "Sam", 1, "A1", "Sam"]),
-        ("DELETE FROM Artists WHERE Name = 'Sam'", ["Sam", "A1", "Sam", 1, "A1", "Sam"]),
-    ],
-)
-def test_statement_looks_each_row_up_once(monkeypatch, statement, want):
-    """A statement reads and writes the views it matched, the touch walk
-    starts from the parent view the reference check judged, and a delete
-    flags each row its cascade reaches from the view that judged it: no row
-    is looked up again."""
+# A scan judges both albums; the write goes to the view matched.
+SCAN_CASE = ("UPDATE Albums SET Genre = 'pop' WHERE Genre = 'rock'", ["A1", "Sam", "A2", "Ana"])
+LOOKUP_CASES = [
+    # the album, then its artist for the album's verdict
+    ("SELECT * FROM Albums WHERE Title = 'A1'", ["A1", "Sam"]),
+    ("UPDATE Albums SET Genre = 'pop' WHERE Title = 'A1'", ["A1", "Sam"]),
+    SCAN_CASE,
+    # the new key, then the artist: its verdict and its touch share one view
+    ("INSERT INTO Albums VALUES ('A3', 'Sam', 'jazz')", ["A3", "Sam"]),
+    # the album's verdict follows its artist; the touch walk then looks
+    # up only the ancestor
+    ("INSERT INTO Reviews VALUES (9, 'A1', 4)", [9, "A1", "Sam", "Sam"]),
+    # the review, whose verdict follows its album and artist; its flag
+    # observes the view matched
+    ("DELETE FROM Reviews WHERE Id = 1", [1, "A1", "Sam"]),
+    # the album, then the review its cascade reaches, each judged once
+    ("DELETE FROM Albums WHERE Title = 'A1'", ["A1", "Sam", 1, "A1", "Sam"]),
+    ("DELETE FROM Artists WHERE Name = 'Sam'", ["Sam", "A1", "Sam", 1, "A1", "Sam"]),
+]
+
+
+def statement_lookups(monkeypatch, statement, padding=()) -> list:
+    """The keys r1 looks up while it runs statement over a store holding the
+    padding records' rows and a few rows of its own."""
     reps, _ = make_group()
     r1 = reps["r1"]
+    for record in padding:
+        r1.deliver(record)
     run(
         r1,
         "INSERT INTO Artists VALUES ('Sam', TRUE, 0)",
@@ -206,7 +206,46 @@ def test_statement_looks_each_row_up_once(monkeypatch, statement, want):
     lookups, view = [], ViewContext.view
     monkeypatch.setattr(ViewContext, "view", lambda ctx, table, pk: lookups.append(pk) or view(ctx, table, pk))
     r1.execute(tx, statement)
-    assert lookups == want
+    return lookups
+
+
+@pytest.mark.parametrize("statement, want", LOOKUP_CASES)
+def test_statement_looks_each_row_up_once(monkeypatch, statement, want):
+    """A statement reads and writes the views it matched, the touch walk
+    starts from the parent view the reference check judged, and a delete
+    flags each row its cascade reaches from the view that judged it: no row
+    is looked up again."""
+    assert statement_lookups(monkeypatch, statement) == want
+
+
+@pytest.fixture(scope="module")
+def padding():
+    """Commit records of 2,000 rows per table that no case reads: each
+    references only other padding rows."""
+    reps, _ = make_group()
+    r2, n = reps["r2"], 2000
+    inserts = [
+        ("INSERT INTO Artists VALUES (?, TRUE, 0)", [(f"p{i}",) for i in range(n)]),
+        ("INSERT INTO Albums VALUES (?, ?, 'rock')", [(f"pa{i}", f"p{i}") for i in range(n)]),
+        ("INSERT INTO Reviews VALUES (?, ?, 3)", [(100 + i, f"pa{i}") for i in range(n)]),
+        ("INSERT INTO Accounts VALUES (?, 5)", [(f"pacct{i}",) for i in range(n)]),
+        ("INSERT INTO Plain VALUES (?, 'note')", [(100 + i,) for i in range(n)]),
+    ]
+    records = []
+    for text, rows in inserts:
+        tx = r2.begin()
+        for params in rows:
+            r2.execute(tx, text, params)
+        records.append(r2.commit(tx))
+    return records
+
+
+@pytest.mark.parametrize("statement, want", [case for case in LOOKUP_CASES if case is not SCAN_CASE])
+def test_point_statement_lookups_ignore_table_size(monkeypatch, padding, statement, want):
+    """Over a store padded with 2,000 unrelated rows per table, each point
+    statement looks up the very keys it does over the small store. Only a
+    scan, which judges every row by design, grows with the table."""
+    assert statement_lookups(monkeypatch, statement, padding) == want
 
 
 # ---------------------------------------------------------------------------

@@ -330,6 +330,22 @@ class TestStatements:
         with pytest.raises(ValidationError):
             parse_statement("INSERT INTO Artists VALUES ('Sam', 'yes', 0)", catalog)
 
+    @pytest.mark.parametrize("text, params", [
+        (f"{head} WHERE {key} = {slot}", params)
+        for key, heads, literal, value in (
+            ("Id", ("SELECT * FROM Plain", "UPDATE Plain SET Note = 'n'", "DELETE FROM Plain"), "TRUE", True),
+            ("Id", ("SELECT * FROM Plain", "UPDATE Plain SET Note = 'n'", "DELETE FROM Plain"), "'x'", "x"),
+            ("Name", ("SELECT * FROM Artists", "UPDATE Artists SET Active = TRUE", "DELETE FROM Artists"), "1", 1),
+        )
+        for head in heads
+        for slot, params in ((literal, ()), ("?", (value,)))
+    ])
+    def test_type_checked_key_lookups(self, catalog, text, params):
+        """A key lookup finds its row by the parsed key alone, and a dict
+        finds key 1 under True, so parse must refuse a key of the wrong type."""
+        with pytest.raises(ValidationError):
+            parse_statement(text, catalog, params)
+
     def test_trailing_garbage(self, catalog):
         with pytest.raises(AqlSyntaxError):
             parse_statement("SELECT * FROM Artists garbage", catalog)

@@ -1165,15 +1165,32 @@ class TestRowValues:
         tx = r1.begin()
         r1.execute(tx, "UPDATE Artists SET Plays = Plays + 2 WHERE Name = 'Sam'")
         merges.clear()
-        cluster.commit(tx)
-        assert merges["merge"] > 0  # the origin merged into its stored row
-        merges.clear()
+        record = cluster.commit(tx)
+        assert merges["merge"] == 0  # the origin stores the row its fold built
+        row = r1.store.row("Artists", "Sam")
+        assert row is record.deltas[0].result
         cluster.deliver_all()
         assert merges["merge"] == 0
-        row = r1.store.row("Artists", "Sam")
         assert all(rep.store.row("Artists", "Sam") is row for rep in cluster.replicas.values())
         assert reader.saved[("Artists", "Sam")] is before
         assert r2.execute(reader, "SELECT Plays FROM Artists WHERE Name = 'Sam'") == [{"Plays": 0}]
+        assert cluster.converged()
+
+    def test_receivers_store_the_donor_row(self, merges):
+        cluster = Cluster(sch.parse_schema_text(FUZZ_SCHEMA), ["r1", "r2", "r3"])
+        r1 = cluster.replica("r1")
+        tx = r1.begin()
+        r1.execute(tx, "INSERT INTO Accounts VALUES ('acct1', 9)")
+        cluster.commit(tx)
+        cluster.deliver_all()
+        before = r1.store.row("Accounts", "acct1")
+        merges.clear()
+        assert cluster.request_rights("r2", "Accounts", "acct1", "Balance", 2)  # r1 donates
+        cluster.deliver_all()
+        assert merges["merge"] == 0
+        row = r1.store.row("Accounts", "acct1")
+        assert row is not before and row.cells["Balance"].free("r2") == 5
+        assert all(rep.store.row("Accounts", "acct1") is row for rep in cluster.replicas.values())
         assert cluster.converged()
 
     def test_receivers_merge_concurrent_updates(self, merges):
