@@ -85,12 +85,16 @@ class Store:
     reverse foreign key index (child table, fk column, parent pk) -> child
     pks. Entries are never removed: readers re-check every candidate.
     Replica._apply_delta, the only place a row is stored, bumps version
-    first, so an unchanged version means an unchanged store."""
+    first, so an unchanged version means an unchanged store. When an auditor
+    gives the store a change set, changed, _apply_delta also adds each stored
+    row's key to it, for the auditor to re-judge and clear. A store nothing
+    audits carries none."""
 
     def __init__(self):
         self.tables: dict[str, dict[Scalar, Row]] = {}
         self.children: dict[tuple[str, str, Scalar], set[Scalar]] = {}
         self.version = 0
+        self.changed: set[RowKey] | None = None
 
     def row(self, table: str, pk: Scalar) -> Row | None:
         return self.tables.get(table, {}).get(pk)
@@ -315,16 +319,17 @@ class Replica:
         self.active[txid] = tx
         return tx
 
-    def execute(self, tx: Transaction, statement, params=()):
-        """Run one statement, given as text or parsed. Each `?` in the text
-        takes one of params (qmark style); see schema.parse_statement."""
+    def execute(self, tx: Transaction, statement: str, params=()):
+        """Run one statement, given as text. Each `?` in it takes one of
+        params (qmark style); see schema.parse_statement. Only text is
+        accepted: parsing types every key and literal, which execution
+        trusts."""
         if tx.status is not _ACTIVE:
             raise ValidationError(f"transaction {tx.txid} is {tx.status.value}")
         try:
-            if isinstance(statement, str):
-                statement = sch.parse_statement(statement, self.catalog, params)
-            elif params:
-                raise ValidationError("parameters need statement text")
+            if not isinstance(statement, str):
+                raise ValidationError(f"a statement is given as text, not {type(statement).__name__}")
+            statement = sch.parse_statement(statement, self.catalog, params)
             if isinstance(statement, sch.Insert):
                 return self._exec_insert(tx, statement)
             if isinstance(statement, sch.Update):
@@ -403,10 +408,14 @@ class Replica:
         the delta's base, so a replica whose row is that base, or equal to it,
         stores it, and any other merges. The origin holds the base; the equal
         case lets replicas share rows again after a concurrent write has left
-        each its own merged copy."""
-        self.store.version += 1
+        each its own merged copy. The row's key joins the store's change set,
+        if an auditor gave it one."""
+        store = self.store
+        store.version += 1
         key = (delta.table, delta.pk)
-        rows = self.store.tables.setdefault(delta.table, {})
+        if store.changed is not None:
+            store.changed.add(key)
+        rows = store.tables.setdefault(delta.table, {})
         row = rows.get(delta.pk)
         for tx in self.active.values():
             if tx.txid != committing and key not in tx.saved:
@@ -428,7 +437,7 @@ class Replica:
                 if state is not None:
                     refs = [state.value] if isinstance(state, LwwRegister) else state.values()
                     for ppk, _ in refs:
-                        self.store.children.setdefault((delta.table, col, ppk), set()).add(delta.pk)
+                        store.children.setdefault((delta.table, col, ppk), set()).add(delta.pk)
 
     # -- contexts -------------------------------------------------------------
 
@@ -866,6 +875,37 @@ def render_dump(dumps: dict[str, list[str]]) -> str:
     return "\n".join(out)
 
 
+def _edge_findings(ctx: ViewContext, schema: sch.TableSchema, pk: Scalar, view: RowView) -> list[str]:
+    """The integrity rule for one visible row: each parent its foreign keys
+    record is stored, visible and, over a delete-wins edge, of the recorded
+    generation."""
+    out = []
+    for colname, fk in schema.foreign_keys:
+        for ppk, pgen in view.fk_refs(colname):
+            parent = ctx.view(fk.table, ppk)
+            if parent is None:
+                problem = "missing"
+            elif not is_visible(ctx, fk.table, parent).visible:
+                problem = "not visible"
+            elif fk.policy is _DELETE_WINS and parent.generation() != pgen:
+                problem = "reinserted"
+            else:
+                continue
+            out.append(f"{schema.name}/{render_scalar(pk)}: parent {fk.table}/{render_scalar(ppk)} {problem}")
+    return out
+
+
+def _check_findings(schema: sch.TableSchema, pk: Scalar, view: RowView) -> list[str]:
+    """The CHECK rule for one visible row: every value of a checked column
+    passes its check."""
+    return [
+        f"{schema.name}/{render_scalar(pk)}.{name} = {value!r} violates its check"
+        for name, atoms in schema.checked_columns
+        for value in view.scalars(name)
+        if not check_eval(atoms, value)
+    ]
+
+
 def integrity_violations(store: Store, catalog: sch.Catalog) -> list[str]:
     """Every visible child must point at a visible parent of the recorded
     generation. is_visible already demands that on every edge kind before it
@@ -874,21 +914,10 @@ def integrity_violations(store: Store, catalog: sch.Catalog) -> list[str]:
     ctx = ViewContext(store, catalog)
     out = []
     for table in sorted(catalog.tables):
-        schema = catalog.table(table)
-        if not schema.foreign_keys:
-            continue
-        for pk, view in visible_rows(ctx, table):
-            for colname, fk in schema.foreign_keys:
-                for ppk, pgen in view.fk_refs(colname):
-                    parent = ctx.view(fk.table, ppk)
-                    if parent is None:
-                        out.append(f"{table}/{render_scalar(pk)}: parent {fk.table}/{render_scalar(ppk)} missing")
-                    elif not is_visible(ctx, fk.table, parent).visible:
-                        out.append(f"{table}/{render_scalar(pk)}: parent {fk.table}/{render_scalar(ppk)} not visible")
-                    elif fk.policy is _DELETE_WINS and parent.generation() != pgen:
-                        out.append(
-                            f"{table}/{render_scalar(pk)}: parent {fk.table}/{render_scalar(ppk)} reinserted"
-                        )
+        schema = catalog.tables[table]
+        if schema.foreign_keys:
+            for pk, view in visible_rows(ctx, table):
+                out += _edge_findings(ctx, schema, pk, view)
     return out
 
 
@@ -897,12 +926,50 @@ def constraint_violations(store: Store, catalog: sch.Catalog) -> list[str]:
     ctx = ViewContext(store, catalog)
     out = []
     for table in sorted(catalog.tables):
-        checked = [(col.name, col.check_atoms) for col in catalog.table(table).columns if col.check_atoms]
-        if not checked:
-            continue
-        for pk, view in visible_rows(ctx, table):
-            for name, atoms in checked:
-                for value in view.scalars(name):
-                    if not check_eval(atoms, value):
-                        out.append(f"{table}/{render_scalar(pk)}.{name} = {value!r} violates its check")
+        schema = catalog.tables[table]
+        if schema.checked_columns:
+            for pk, view in visible_rows(ctx, table):
+                out += _check_findings(schema, pk, view)
     return out
+
+
+def rejudge(
+    store: Store, catalog: sch.Catalog, keys: Iterable[RowKey], found: dict[RowKey, tuple[list[str], list[str]]]
+) -> tuple[list[str], list[str]]:
+    """Bring found, a store's findings by row key, up to date once the rows
+    in keys have changed, and return every finding as integrity_violations
+    and constraint_violations would list them. A row's findings read only
+    the row and its foreign key ancestors, so the rows re-judged are keys
+    and every row below one of them, reached through Store.children, whose
+    candidates are a superset of the real children. found holds a row only
+    while it has a finding, as (integrity findings, check findings)."""
+    tables, children = catalog.tables, store.children
+    ctx = ViewContext(store, catalog)
+    todo = list(keys)
+    seen = set(todo)
+    while todo:
+        key = todo.pop()
+        table, pk = key
+        schema = tables.get(table)
+        if schema is None:  # a sequence
+            continue
+        for child, col, _ in catalog.referencing(table):
+            for cpk in children.get((child, col, pk), ()):
+                below = (child, cpk)
+                if below not in seen:
+                    seen.add(below)
+                    todo.append(below)
+        if not (schema.foreign_keys or schema.checked_columns):  # no rule to break
+            continue
+        view = ctx.view(table, pk)
+        if view is not None and is_visible(ctx, table, view).visible:
+            edges = _edge_findings(ctx, schema, pk, view)
+            checks = _check_findings(schema, pk, view)
+            if edges or checks:
+                found[key] = (edges, checks)
+                continue
+        found.pop(key, None)
+    if not found:
+        return [], []
+    order = sorted(found, key=_rowkey_order)
+    return [p for key in order for p in found[key][0]], [p for key in order for p in found[key][1]]

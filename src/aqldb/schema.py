@@ -133,6 +133,10 @@ class TableSchema:
         return [(c.name, c.foreign_key) for c in self.columns if c.foreign_key]
 
     @cached_property
+    def checked_columns(self) -> list[tuple[str, tuple[CheckAtom, ...]]]:
+        return [(c.name, c.check_atoms) for c in self.columns if c.check_atoms]
+
+    @cached_property
     def non_pk_columns(self) -> list[ColumnDef]:
         return [c for c in self.columns if not c.is_primary_key]
 

@@ -12,10 +12,13 @@ import functools
 import random
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 from . import schema as sch
 from .crdt import AdditiveCounter, BoundedCounter, render_scalar
+# integrity_violations and constraint_violations, the full audit, stay
+# importable here: perfbench calls and times them through this module.
 from .engine import (
     Replica,
     Store,
@@ -25,6 +28,7 @@ from .engine import (
     dump_table,
     integrity_violations,
     is_visible,
+    rejudge,
 )
 from .errors import AqlError, ScenarioError
 from .txn import CausalClock, CommitRecord, LockManager, TxStatus
@@ -311,18 +315,35 @@ class Runner:
         self.refusals: dict[str, str] = {}
         self.report = Report(name)
         self.lenient = lenient
+        # rid -> the change set of its store: the keys of the rows stored
+        # there since the last audit
+        self.changed: dict[str, set] = {}
+        # rid -> its findings by row key, as engine.rejudge keeps them
+        self.found: dict[str, dict] = {}
         # rid -> (store version, [(action, problem)]) of its last audit
         self.audited: dict[str, tuple[int, list[tuple[str, str]]]] = {}
+        for rid, rep in self.cluster.replicas.items():
+            rep.store.changed = self.changed[rid] = set()
+            self.found[rid] = {}
+            self.audited[rid] = (rep.store.version, [])  # an empty store has no finding
         # (lock table version, [problem]) of the last lock safety audit
-        self.lock_audit: tuple[int, list[str]] | None = None
+        locks = self.cluster.locks
+        self.lock_audit: tuple[int, list[str]] = (locks.version, locks.safety_violations())
+        # Every finding of the last audit as (action, problem), in report order.
+        self.findings: list[tuple[str, str]] = []
+
+    def __init_subclass__(cls, **kwargs):
+        """Give each subclass its own dispatch table, its overrides in it."""
+        super().__init_subclass__(**kwargs)
+        cls.handlers = _event_handlers(cls)
 
     # ---- event dispatch
 
     def apply(self, event: Event) -> None:
-        handler = getattr(self, f"_ev_{event.kind}", None)
+        handler = self.handlers.get(event.kind)
         if handler is None:
             raise ScenarioError(f"line {event.line}: unknown event kind {event.kind}")
-        handler(event)
+        handler(self, event)
         self._audit(event)
 
     def run(self, events) -> Report:
@@ -499,22 +520,32 @@ class Runner:
     def _audit(self, event: Event) -> None:
         """Report lock safety, and the integrity and check findings of every
         replica. Those are a function of the lock table, or of the store and
-        the fixed catalog, so a lock table or a store whose version has not
-        moved reports its saved findings."""
+        the fixed catalog, so an event that stored no row and moved no lock
+        reports the saved findings again."""
         locks = self.cluster.locks
-        if self.lock_audit is None or self.lock_audit[0] != locks.version:
+        if any(self.changed.values()) or locks.version != self.lock_audit[0]:
+            self._reaudit(locks)
+        for action, problem in self.findings:
+            self.report.step(event.line, action, False, problem)
+
+    def _reaudit(self, locks: LockManager) -> None:
+        """Re-derive what moved: lock safety if the lock table's version
+        moved, and at each replica whose store changed, the findings of the
+        changed rows and the rows below them (engine.rejudge)."""
+        if locks.version != self.lock_audit[0]:
             self.lock_audit = (locks.version, locks.safety_violations())
-        for problem in self.lock_audit[1]:
-            self.report.step(event.line, "lock safety", False, problem)
+        findings = [("lock safety", problem) for problem in self.lock_audit[1]]
         for rid in self.cluster.replica_ids:
-            store = self.cluster.replica(rid).store
-            audited = self.audited.get(rid)
-            if audited is None or audited[0] != store.version:
-                findings = [(f"integrity at {rid}", p) for p in integrity_violations(store, self.catalog)]
-                findings += [(f"constraints at {rid}", p) for p in constraint_violations(store, self.catalog)]
-                audited = self.audited[rid] = (store.version, findings)
-            for action, problem in audited[1]:
-                self.report.step(event.line, action, False, problem)
+            changed, saved = self.changed[rid], self.audited[rid][1]
+            if changed:
+                store = self.cluster.replicas[rid].store
+                integrity, checks = rejudge(store, self.catalog, changed, self.found[rid])
+                changed.clear()
+                saved = [(f"integrity at {rid}", p) for p in integrity]
+                saved += [(f"constraints at {rid}", p) for p in checks]
+                self.audited[rid] = (store.version, saved)
+            findings += saved
+        self.findings = findings
 
     def finish(self) -> Report:
         """Abort leftovers, heal, deliver everything, check convergence."""
@@ -569,6 +600,16 @@ class Runner:
                             f"{table}/{render_scalar(pk)}.{col} at {rid}: "
                             f"rights spread {spread} != total {cell.total_rights()}",
                         )
+
+
+def _event_handlers(cls: type) -> dict[str, Callable[[Runner, Event], None]]:
+    """Each event kind a Runner class handles, mapped to its _ev_<kind>
+    method: apply's dispatch table, built once per class so that a
+    subclass's overrides are dispatched."""
+    return {name[len("_ev_"):]: getattr(cls, name) for name in dir(cls) if name.startswith("_ev_")}
+
+
+Runner.handlers = _event_handlers(Runner)
 
 
 # --------------------------------------------------------------------------
@@ -922,7 +963,6 @@ def _gen_events(config: FuzzConfig, rng: random.Random, rids: list[str], runner:
 
     open_txs: list = []  # the active transactions, in begin order
     for _ in range(config.events):
-        open_txs = [tx for tx in open_txs if tx.status is TxStatus.ACTIVE]
         kinds = _event_kinds(len(open_txs), partitioned, len(rids) > 1)
         kind = kinds[rng.randrange(len(kinds))]
 
@@ -930,12 +970,15 @@ def _gen_events(config: FuzzConfig, rng: random.Random, rids: list[str], runner:
             counter += 1
             emit("begin", {"rid": rng.choice(rids), "txid": f"t{counter}"})
             open_txs.append(runner.txs[f"t{counter}"])
-        elif kind == "stmt":
-            emit("stmt", {"txid": rng.choice(open_txs).txid, "sql": _gen_statement(rng), "expect": None})
-        elif kind == "commit":
-            emit("commit", {"txid": rng.choice(open_txs).txid, "expect": None})
-        elif kind == "abort":
-            emit("abort", {"txid": rng.choice(open_txs).txid})
+        elif kind in ("stmt", "commit", "abort"):  # the events that can end a transaction
+            txid = rng.choice(open_txs).txid
+            if kind == "stmt":
+                emit("stmt", {"txid": txid, "sql": _gen_statement(rng), "expect": None})
+            elif kind == "commit":
+                emit("commit", {"txid": txid, "expect": None})
+            else:
+                emit("abort", {"txid": txid})
+            open_txs = [tx for tx in open_txs if tx.status is TxStatus.ACTIVE]
         elif kind == "deliver":
             rid = None if rng.random() < 0.3 else rng.choice(rids)
             emit("deliver", {"rid": rid})

@@ -335,6 +335,18 @@ class TestBasicStatements:
             r1.execute(tx, statement, params)
         assert tx.status is TxStatus.ABORTED
 
+    def test_hand_built_statement_is_refused(self):
+        """A statement object skips parse-time typing, which the pk lookup
+        trusts: this one, a TRUE key against Plain's INT key, would return
+        row 1. execute takes statement text only."""
+        reps, _ = make_group()
+        r1 = reps["r1"]
+        run(r1, "INSERT INTO Plain VALUES (1, 'a')")
+        tx = r1.begin()
+        with pytest.raises(ValidationError):
+            r1.execute(tx, sch.Select("Plain", None, sch.Where("Id", "=", True)))
+        assert tx.status is TxStatus.ABORTED
+
     def test_begin_rejects_an_active_txid(self):
         reps, _ = make_group()
         r1 = reps["r1"]

@@ -874,6 +874,44 @@ class MemoCheckingRunner(Runner):
                 self.mismatches.append(f"{self.report.name} line {line} {rid}: {self.audited[rid]} != {fresh}")
 
 
+def own_flags_only(ctx, table, view):
+    """A planted visibility rule that judges a row by its own flags only and
+    ignores its parents: the regression integrity_violations is there to
+    catch."""
+    flags = view.flags() if view is not None else frozenset()
+    if ctx.catalog.table(table).row_policy is sch.Policy.UPDATE_WINS:
+        alive = bool(flags) and flags != {"D"}
+    else:
+        alive = bool(flags) and "D" not in flags
+    return Cause.ALL_CLEAR if alive else Cause.ANY_D
+
+
+def audit_lookups(monkeypatch, rows: int) -> list:
+    """The rows a Runner's audit looks up after one point write, over a
+    store padded with rows rows per table and audited once before it."""
+    runner = Runner(sch.parse_schema_text(FUZZ_SCHEMA), ["r1"])
+    rep = runner.cluster.replica("r1")
+    tx = rep.begin()
+    for text, params in (
+        ("INSERT INTO Artists VALUES (?, TRUE, 0)", [(f"p{i}",) for i in range(rows)] + [("Sam",)]),
+        ("INSERT INTO Albums VALUES (?, ?, 1, 'rock')", [(f"pa{i}", f"p{i}") for i in range(rows)] + [("A1", "Sam")]),
+        ("INSERT INTO Reviews VALUES (?, ?, 3)", [(100 + i, f"pa{i}") for i in range(rows)] + [(1, "A1")]),
+        ("INSERT INTO Accounts VALUES (?, 5)", [(f"pacct{i}",) for i in range(rows)]),
+    ):
+        for values in params:
+            rep.execute(tx, text, values)
+    rep.commit(tx)
+    runner.apply(Event("heal", {}, 1))
+    stmts = ["UPDATE Albums SET Genre = 'jazz' WHERE Title = 'A1'"]
+    event = Event("txblock", {"rid": "r1", "txid": "a", "stmts": stmts}, 2)
+    runner._ev_txblock(event)
+    lookups, view = [], ViewContext.view
+    monkeypatch.setattr(ViewContext, "view", lambda ctx, table, pk: lookups.append(pk) or view(ctx, table, pk))
+    runner._audit(event)
+    assert runner.report.ok, runner.report.failures
+    return lookups
+
+
 class EmptyWriteRunner(Runner):
     """After every event, records each buffered write of an active
     transaction that has no sets, no deltas and no flag. The views and the
@@ -926,6 +964,29 @@ class TestAudit:
         assert moved > 0 and kept > 0
         assert locks_moved > 0 and locks_kept > 0
 
+    def test_memo_is_sound_with_findings(self, monkeypatch):
+        """Under a visibility rule that ignores parents the audit has
+        findings, so the saved ones meet a fresh full audit after every event
+        of every scenario with something to compare."""
+        monkeypatch.setattr(engine, "is_visible", own_flags_only)
+        runners = list(scenario_runs(MemoCheckingRunner))
+        assert [mismatch for runner in runners for mismatch in runner.mismatches] == []
+        findings = [
+            step for runner in runners for step in runner.report.steps
+            if step["action"].startswith(("integrity at", "constraints at"))
+        ]
+        assert len(findings) > 0
+
+    def test_audit_work_ignores_table_size(self, monkeypatch):
+        """After a point write the audit re-judges the written album and the
+        review below it, whatever else the store holds."""
+        # the album, its artist for its verdict, the artist again for its
+        # edge; the review, its album and artist, then its edge's album and
+        # that album's artist
+        want = ["A1", "Sam", "Sam", 1, "A1", "Sam", "A1", "Sam"]
+        assert audit_lookups(monkeypatch, 100) == want
+        assert audit_lookups(monkeypatch, 2000) == want
+
     def test_finding_is_reported_at_every_later_event(self):
         # A Stars = 9 cell merged straight into r1's store bypasses the
         # statement CHECK; begin and partition leave every store unchanged.
@@ -967,15 +1028,6 @@ class TestAudit:
         orphan = {"Album": LwwRegister(("Nope", 1), (100, "r1")), "Stars": LwwRegister(2, (100, "r1"))}
         rep._apply_delta(RowDelta("Reviews", 2, orphan, MvRegister().assign("I", {}, "r1"), 1))
         assert integrity_violations(rep.store, runner.catalog) == []
-
-        def own_flags_only(ctx, table, view):
-            flags = view.flags() if view is not None else frozenset()
-            if ctx.catalog.table(table).row_policy is sch.Policy.UPDATE_WINS:
-                alive = bool(flags) and flags != {"D"}
-            else:
-                alive = bool(flags) and "D" not in flags
-            return Cause.ALL_CLEAR if alive else Cause.ANY_D
-
         monkeypatch.setattr(engine, "is_visible", own_flags_only)
         assert integrity_violations(rep.store, runner.catalog) == [
             "Albums/A1: parent Artists/Sam not visible",
