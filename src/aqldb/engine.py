@@ -83,17 +83,15 @@ _NO_ROW = Row()  # what a fold builds over, or a delta merges into, when no row 
 class Store:
     """All rows of one replica, keyed by table then primary key, and a
     reverse foreign key index (child table, fk column, parent pk) -> child
-    pks. Entries are never removed: readers re-check every candidate.
-    Replica._apply_delta, the only place a row is stored, bumps version
-    first, so an unchanged version means an unchanged store. When an auditor
-    gives the store a change set, changed, _apply_delta also adds each stored
-    row's key to it, for the auditor to re-judge and clear. A store nothing
-    audits carries none."""
+    pks. Entries are never removed: readers re-check every candidate. When
+    an auditor gives the store a change set, changed, Replica._apply_delta,
+    the only place a row is stored, adds each stored row's key to it, for
+    the auditor to re-judge and clear: an empty set means an unchanged store
+    since the auditor last cleared it. A store nothing audits carries none."""
 
     def __init__(self):
         self.tables: dict[str, dict[Scalar, Row]] = {}
         self.children: dict[tuple[str, str, Scalar], set[Scalar]] = {}
-        self.version = 0
         self.changed: set[RowKey] | None = None
 
     def row(self, table: str, pk: Scalar) -> Row | None:
@@ -411,7 +409,6 @@ class Replica:
         each its own merged copy. The row's key joins the store's change set,
         if an auditor gave it one."""
         store = self.store
-        store.version += 1
         key = (delta.table, delta.pk)
         if store.changed is not None:
             store.changed.add(key)
@@ -759,7 +756,8 @@ class Replica:
                     stack.extend((fk.table, ppk, None) for ppk, _ in view.fk_refs(colname))
 
     def _reserve_bounded(self, tx: Transaction, rowkey: RowKey, column: str, bound: Bound, delta: int) -> None:
-        """Claim rights at statement time so commits cannot overdraw."""
+        """Claim rights at statement time so commits cannot overdraw. A rights
+        request that returns true has made the rights free here."""
         prior = tx.buffer.get(rowkey).deltas.get(column, 0) if rowkey in tx.buffer else 0
         net = prior + delta
         cell = self.store.cell(*rowkey, column)
@@ -777,11 +775,6 @@ class Replica:
             if not self.hooks.request_rights(self.rid, rowkey[0], rowkey[1], column, units - free):
                 raise CheckViolation(
                     f"{rowkey[0]}.{column} lacks rights for {net:+d} (bound {bound.canon()})",
-                    retryable=True,
-                )
-            if units > self.donatable(*rowkey, column) + tx.reserved.get(key, 0):
-                raise CheckViolation(
-                    f"{rowkey[0]}.{column} lacks rights for {net:+d} after transfer",
                     retryable=True,
                 )
         if units > 0:

@@ -57,9 +57,11 @@ class Cluster:
         return a == b or self.groups[a] == self.groups[b]
 
     def catch_up(self, rid: str, sources) -> bool:
-        """Deliver to rid until it has seen everything sources committed. The
-        lock manager's only call passes sources other than rid that rid can
-        reach: it refused any it could not, and reachability is transitive."""
+        """Deliver to rid until it has seen everything sources committed. Both
+        callers pass sources other than rid that rid can reach: the lock
+        manager refused any it could not, and request_rights asks only
+        reachable donors. Once rid has caught up to a source, a record that
+        source seals next is causally ready at rid."""
         target = CausalClock()
         for s in sources:
             target.merge(self.replicas[s].clock)
@@ -67,24 +69,31 @@ class Cluster:
         return self.replicas[rid].clock.dominates(target)
 
     def request_rights(self, rid: str, table: str, pk, column: str, needed: int) -> bool:
-        """Pull bounded-counter rights toward rid from reachable donors, the
-        richest first. Each donor's rights are read once: a transfer is sealed
-        at its donor, and rid merges none before the loop ends."""
-        remaining = needed
+        """Move needed bounded-counter rights to rid, all or nothing, as a
+        lock grant moves ownership. Only reachable donors that rid can catch
+        up to offer, so each transfer is ready at rid once shipped. If their
+        offers together cannot cover needed, nothing moves; otherwise the
+        richest ship first and rid merges the transfers, so true means the
+        rights are free at rid. Each donor's rights are read once: catching
+        rid up changes no donor."""
+        donors = [
+            d for d in self.replica_ids if d != rid and self.reachable(rid, d) and self.catch_up(rid, [d])
+        ]
         offers = sorted(
-            ((self.replicas[d].donatable(table, pk, column), d)
-             for d in self.replica_ids if d != rid and self.reachable(rid, d)),
+            ((self.replicas[d].donatable(table, pk, column), d) for d in donors),
             key=lambda offer: (-offer[0], offer[1]),
         )
-        for available, donor in offers:
-            if remaining <= 0 or available <= 0:
+        if sum(available for available, _ in offers) < needed:
+            return False
+        remaining = needed
+        for available, donor in offers:  # the richest cover needed before an empty one
+            if remaining <= 0:
                 break
             amount = min(available, remaining)
-            record = self.replicas[donor].transfer_rights(table, pk, column, rid, amount)
-            self._broadcast(record)
+            self._broadcast(self.replicas[donor].transfer_rights(table, pk, column, rid, amount))
             remaining -= amount
         self.pump(rid)
-        return remaining <= 0
+        return True
 
     # ---- cluster operations
 
@@ -156,7 +165,7 @@ class Cluster:
     def converged(self) -> bool:
         """Every replica's rows equal the others', compared by value: the
         same tables, keys, cell states, flags and generations. Only
-        Store.tables counts; the children index and the version are local.
+        Store.tables counts; the children index and the change set are local.
         This equals comparing store_canon texts, which render exactly those
         rows: no state keeps a zero entry that canon would drop, and columns
         are typed, so True and 1 never share a cell. Dict equality stops at
@@ -315,22 +324,15 @@ class Runner:
         self.refusals: dict[str, str] = {}
         self.report = Report(name)
         self.lenient = lenient
-        # rid -> the change set of its store: the keys of the rows stored
-        # there since the last audit
-        self.changed: dict[str, set] = {}
-        # rid -> its findings by row key, as engine.rejudge keeps them
+        # rid -> its findings by row key, as engine.rejudge keeps them. Each
+        # store's change set holds the keys of the rows stored since.
         self.found: dict[str, dict] = {}
-        # rid -> (store version, [(action, problem)]) of its last audit
-        self.audited: dict[str, tuple[int, list[tuple[str, str]]]] = {}
         for rid, rep in self.cluster.replicas.items():
-            rep.store.changed = self.changed[rid] = set()
-            self.found[rid] = {}
-            self.audited[rid] = (rep.store.version, [])  # an empty store has no finding
+            rep.store.changed = set()
+            self.found[rid] = {}  # an empty store has no finding
         # (lock table version, [problem]) of the last lock safety audit
         locks = self.cluster.locks
         self.lock_audit: tuple[int, list[str]] = (locks.version, locks.safety_violations())
-        # Every finding of the last audit as (action, problem), in report order.
-        self.findings: list[tuple[str, str]] = []
 
     def __init_subclass__(cls, **kwargs):
         """Give each subclass its own dispatch table, its overrides in it."""
@@ -520,32 +522,24 @@ class Runner:
     def _audit(self, event: Event) -> None:
         """Report lock safety, and the integrity and check findings of every
         replica. Those are a function of the lock table, or of the store and
-        the fixed catalog, so an event that stored no row and moved no lock
-        reports the saved findings again."""
-        locks = self.cluster.locks
-        if any(self.changed.values()) or locks.version != self.lock_audit[0]:
-            self._reaudit(locks)
-        for action, problem in self.findings:
-            self.report.step(event.line, action, False, problem)
-
-    def _reaudit(self, locks: LockManager) -> None:
-        """Re-derive what moved: lock safety if the lock table's version
-        moved, and at each replica whose store changed, the findings of the
-        changed rows and the rows below them (engine.rejudge)."""
+        the fixed catalog, so lock safety is re-derived only when the lock
+        table's version moved, and at each replica engine.rejudge re-judges
+        only the rows in its store's change set and the rows below them. A
+        replica that stored no row and has no finding is skipped."""
+        locks, line = self.cluster.locks, event.line
         if locks.version != self.lock_audit[0]:
             self.lock_audit = (locks.version, locks.safety_violations())
-        findings = [("lock safety", problem) for problem in self.lock_audit[1]]
-        for rid in self.cluster.replica_ids:
-            changed, saved = self.changed[rid], self.audited[rid][1]
-            if changed:
-                store = self.cluster.replicas[rid].store
-                integrity, checks = rejudge(store, self.catalog, changed, self.found[rid])
+        for problem in self.lock_audit[1]:
+            self.report.step(line, "lock safety", False, problem)
+        for rid, rep in self.cluster.replicas.items():
+            changed, found = rep.store.changed, self.found[rid]
+            if changed or found:
+                integrity, checks = rejudge(rep.store, self.catalog, changed, found)
                 changed.clear()
-                saved = [(f"integrity at {rid}", p) for p in integrity]
-                saved += [(f"constraints at {rid}", p) for p in checks]
-                self.audited[rid] = (store.version, saved)
-            findings += saved
-        self.findings = findings
+                for problem in integrity:
+                    self.report.step(line, f"integrity at {rid}", False, problem)
+                for problem in checks:
+                    self.report.step(line, f"constraints at {rid}", False, problem)
 
     def finish(self) -> Report:
         """Abort leftovers, heal, deliver everything, check convergence."""

@@ -173,7 +173,10 @@ class ClusterHooks(Protocol):
 
     def catch_up(self, replica: str, sources: Iterable[str]) -> bool: ...
 
-    def request_rights(self, replica: str, table: str, pk, column: str, needed: int) -> bool: ...
+    def request_rights(self, replica: str, table: str, pk, column: str, needed: int) -> bool:
+        """Move needed bounded-counter rights to replica, all or nothing. True
+        means they are free at replica on return; false, that none moved."""
+        ...
 
 
 class LocalHooks:

@@ -20,7 +20,7 @@ import aqldb.txn as txn
 from aqldb.crdt import AdditiveCounter, Bound, BoundedCounter, LwwRegister, MvRegister, render_scalar
 from aqldb.engine import (
     SEQ_COLUMN, SEQ_TABLE, Cause, Replica, Row, RowView, ViewContext, constraint_violations,
-    integrity_violations, visible_rows,
+    integrity_violations, rejudge, visible_rows,
 )
 from aqldb.errors import AqlError, CheckViolation, ScenarioError
 from aqldb.sim import (
@@ -518,13 +518,61 @@ class TestCluster:
         cluster.deliver_all()
         assert cluster.converged()
         cell = r1.store.row("Accounts", "a").cells["Balance"]
-        assert (cell.value(), cell.free("r1"), cell.free("r2")) == (6, 0, 6)
+        # r2's refused request moved nothing: r1 keeps its last free right.
+        assert (cell.value(), cell.free("r1"), cell.free("r2")) == (6, 1, 5)
         # A reservation ends with its transaction.
         undo = r2.begin()
         r2.execute(undo, "UPDATE Accounts SET Balance = Balance - 6 WHERE Owner = 'a'")
         assert r2.donatable("Accounts", "a", "Balance") == 0
         r2.abort(undo)
         assert r2.donatable("Accounts", "a", "Balance") == 6
+
+
+class TestRightsRequest:
+    """A rights request is all or nothing, like a lock grant: only reachable
+    donors the requester can catch up to offer, a refused request moves
+    nothing, and a granted one leaves the rights free at the requester."""
+
+    @staticmethod
+    def make(blocked: str) -> Cluster:
+        """Four replicas holding 3 of acct's 12 rights each. r2 asks; r3 can
+        donate; r1 cannot, being partitioned away ("partitioned") or behind a
+        commit of r4's that r2 cannot reach ("behind")."""
+        cluster = Cluster(sch.parse_schema_text(FUZZ_SCHEMA), ["r1", "r2", "r3", "r4"])
+        r1, r4 = cluster.replica("r1"), cluster.replica("r4")
+        tx = r1.begin()
+        r1.execute(tx, "INSERT INTO Accounts VALUES ('acct', 12)")
+        cluster.commit(tx)
+        cluster.deliver_all()
+        if blocked == "partitioned":
+            cluster.partition([["r1"], ["r2", "r3"], ["r4"]])
+        else:
+            tx = r4.begin()
+            r4.execute(tx, "INSERT INTO Accounts VALUES ('other', 1)")
+            cluster.commit(tx)
+            cluster.pump("r1")
+            cluster.partition([["r1", "r2", "r3"], ["r4"]])
+        return cluster
+
+    @staticmethod
+    def free(cluster: Cluster) -> dict[str, int]:
+        return {rid: rep.donatable("Accounts", "acct", "Balance") for rid, rep in cluster.replicas.items()}
+
+    @pytest.mark.parametrize("blocked", ["partitioned", "behind"])
+    def test_refused_request_moves_nothing(self, blocked):
+        cluster = self.make(blocked)
+        assert self.free(cluster) == {"r1": 3, "r2": 3, "r3": 3, "r4": 3}
+        queues = {rid: list(queue) for rid, queue in cluster.queues.items()}
+        assert not cluster.request_rights("r2", "Accounts", "acct", "Balance", 4)  # r3 alone offers 3
+        assert cluster.queues == queues
+        assert self.free(cluster) == {"r1": 3, "r2": 3, "r3": 3, "r4": 3}
+
+    @pytest.mark.parametrize("blocked", ["partitioned", "behind"])
+    def test_granted_rights_are_free_on_return(self, blocked):
+        cluster = self.make(blocked)
+        assert cluster.request_rights("r2", "Accounts", "acct", "Balance", 3)
+        # r2 holds its own 3 and r3's 3 on return, at least the 3 it asked for.
+        assert self.free(cluster) == {"r1": 3, "r2": 6, "r3": 0, "r4": 3}
 
 
 class TestRetention:
@@ -823,16 +871,24 @@ def lock_table(locks) -> dict:
     }
 
 
+def row_lines(store) -> dict:
+    """Each stored row's store_canon line, by row key."""
+    keys = [(table, pk) for table in sorted(store.tables) for pk in sorted(store.tables[table], key=render_scalar)]
+    return dict(zip(keys, store_canon(store).split("\n")))
+
+
 class MemoCheckingRunner(Runner):
-    """After every event, checks the audit memos. At every replica, a store
-    whose version has not moved has an unchanged store_canon, and the saved
-    findings equal a fresh audit of the store. Likewise, a lock table whose
-    version has not moved is unchanged, and the saved lock findings equal a
-    fresh safety_violations()."""
+    """After every event, checks the audit memos. At every replica, each row
+    whose store_canon line changed was in the store's change set when the
+    audit read it, the audit left that set empty, and the saved findings
+    equal a fresh audit of the store. Likewise, a lock table whose version
+    has not moved is unchanged, and the saved lock findings equal a fresh
+    safety_violations()."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.seen: dict[str, tuple[int, str]] = {}
+        self.seen = {rid: {} for rid in self.cluster.replica_ids}  # rid -> row_lines
+        self.pending: dict[str, set] = {}  # rid -> its change set as the last audit read it
         self.moved = self.kept = 0
         self.locks_seen: tuple[int, dict] | None = None
         self.locks_moved = self.locks_kept = 0
@@ -841,6 +897,10 @@ class MemoCheckingRunner(Runner):
     def apply(self, event):
         super().apply(event)
         self.check_memo(event.line)
+
+    def _audit(self, event):
+        self.pending = {rid: set(rep.store.changed) for rid, rep in self.cluster.replicas.items()}
+        super()._audit(event)
 
     def check_memo(self, line):
         locks = self.cluster.locks
@@ -857,21 +917,25 @@ class MemoCheckingRunner(Runner):
         if self.lock_audit != (locks.version, locks.safety_violations()):
             self.mismatches.append(f"{self.report.name} line {line}: {self.lock_audit} != fresh lock audit")
         for rid in self.cluster.replica_ids:
-            store = self.cluster.replica(rid).store
-            canon = store_canon(store)
-            if rid in self.seen:
-                version, before = self.seen[rid]
-                if version != store.version:
-                    self.moved += 1
-                elif before == canon:
-                    self.kept += 1
-                else:
-                    self.mismatches.append(f"{self.report.name} line {line} {rid}: version kept, store changed")
-            self.seen[rid] = (store.version, canon)
-            fresh = [(f"integrity at {rid}", p) for p in integrity_violations(store, self.catalog)]
-            fresh += [(f"constraints at {rid}", p) for p in constraint_violations(store, self.catalog)]
-            if self.audited[rid] != (store.version, fresh):
-                self.mismatches.append(f"{self.report.name} line {line} {rid}: {self.audited[rid]} != {fresh}")
+            store, pending = self.cluster.replica(rid).store, self.pending[rid]
+            lines, before = row_lines(store), self.seen[rid]
+            unmarked = sorted(
+                (key for key in lines.keys() | before.keys() if lines.get(key) != before.get(key) and key not in pending),
+                key=repr,
+            )
+            if unmarked:
+                self.mismatches.append(f"{self.report.name} line {line} {rid}: changed outside the change set: {unmarked}")
+            if store.changed:
+                self.mismatches.append(f"{self.report.name} line {line} {rid}: audit left {store.changed}")
+            if pending:
+                self.moved += 1
+            else:
+                self.kept += 1
+            self.seen[rid] = lines
+            saved = rejudge(store, self.catalog, (), dict(self.found[rid]))
+            fresh = (integrity_violations(store, self.catalog), constraint_violations(store, self.catalog))
+            if saved != fresh:
+                self.mismatches.append(f"{self.report.name} line {line} {rid}: {saved} != {fresh}")
 
 
 def own_flags_only(ctx, table, view):
