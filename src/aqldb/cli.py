@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
 from . import schema as sch
@@ -71,10 +70,11 @@ def _cmd_fuzz(args) -> int:
     if args.schema:
         schema_text = read_text(args.schema)
         # The fuzzer writes FUZZ_SCHEMA's tables: a schema that refuses one of
-        # its statements would pass every seed having checked nothing.
+        # its statements would pass every seed having checked nothing. Each
+        # shape is checked once, every draw in it fixed at 0.
         catalog = sch.parse_schema_text(schema_text)
         for make in _STATEMENT_MAKERS:
-            sql = make(random.Random(0), "Sam", "A1", "rock", "acct1")
+            sql = make(lambda n: 0, "Sam", "A1", "rock", "acct1")
             try:
                 sch.parse_statement(sql, catalog)
             except AqlError as err:

@@ -31,7 +31,7 @@ from .engine import (
     rejudge,
 )
 from .errors import AqlError, ScenarioError
-from .txn import CausalClock, CommitRecord, LockManager, TxStatus
+from .txn import CommitRecord, LockManager, TxStatus
 
 
 class Cluster:
@@ -57,16 +57,13 @@ class Cluster:
         return a == b or self.groups[a] == self.groups[b]
 
     def catch_up(self, rid: str, sources) -> bool:
-        """Deliver to rid until it has seen everything sources committed. Both
-        callers pass sources other than rid that rid can reach: the lock
-        manager refused any it could not, and request_rights asks only
-        reachable donors. Once rid has caught up to a source, a record that
-        source seals next is causally ready at rid."""
-        target = CausalClock()
-        for s in sources:
-            target.merge(self.replicas[s].clock)
+        """Deliver to rid until it has seen everything sources committed. The
+        lock manager, the only caller, passes sources other than rid that rid
+        can reach, having refused any it could not. Once rid has caught up to
+        a source, a record that source seals next is causally ready at rid."""
         self.pump(rid)
-        return self.replicas[rid].clock.dominates(target)
+        clock = self.replicas[rid].clock
+        return all(clock.dominates(self.replicas[s].clock) for s in sources)
 
     def request_rights(self, rid: str, table: str, pk, column: str, needed: int) -> bool:
         """Move needed bounded-counter rights to rid, all or nothing, as a
@@ -74,13 +71,16 @@ class Cluster:
         up to offer, so each transfer is ready at rid once shipped. If their
         offers together cannot cover needed, nothing moves; otherwise the
         richest ship first and rid merges the transfers, so true means the
-        rights are free at rid. Each donor's rights are read once: catching
-        rid up changes no donor."""
-        donors = [
-            d for d in self.replica_ids if d != rid and self.reachable(rid, d) and self.catch_up(rid, [d])
-        ]
+        rights are free at rid. One pump catches rid up as far as it can get
+        (see pump), and it changes no donor, so each donor's clock and rights
+        are read once, after it."""
+        donors = [d for d in self.replica_ids if d != rid and self.reachable(rid, d)]
+        if donors:
+            self.pump(rid)
+        clock = self.replicas[rid].clock
         offers = sorted(
-            ((self.replicas[d].donatable(table, pk, column), d) for d in donors),
+            ((self.replicas[d].donatable(table, pk, column), d)
+             for d in donors if clock.dominates(self.replicas[d].clock)),
             key=lambda offer: (-offer[0], offer[1]),
         )
         if sum(available for available, _ in offers) < needed:
@@ -324,20 +324,18 @@ class Runner:
         self.refusals: dict[str, str] = {}
         self.report = Report(name)
         self.lenient = lenient
+        self.handlers = _event_handlers(type(self))
         # rid -> its findings by row key, as engine.rejudge keeps them. Each
         # store's change set holds the keys of the rows stored since.
-        self.found: dict[str, dict] = {}
-        for rid, rep in self.cluster.replicas.items():
+        self.found = {rid: {} for rid in self.cluster.replica_ids}  # an empty store has no finding
+        # Every findings dict and change set: while all are empty, no row needs judging.
+        self.audited = list(self.found.values())
+        for rep in self.cluster.replicas.values():
             rep.store.changed = set()
-            self.found[rid] = {}  # an empty store has no finding
+            self.audited.append(rep.store.changed)
         # (lock table version, [problem]) of the last lock safety audit
         locks = self.cluster.locks
         self.lock_audit: tuple[int, list[str]] = (locks.version, locks.safety_violations())
-
-    def __init_subclass__(cls, **kwargs):
-        """Give each subclass its own dispatch table, its overrides in it."""
-        super().__init_subclass__(**kwargs)
-        cls.handlers = _event_handlers(cls)
 
     # ---- event dispatch
 
@@ -525,12 +523,15 @@ class Runner:
         the fixed catalog, so lock safety is re-derived only when the lock
         table's version moved, and at each replica engine.rejudge re-judges
         only the rows in its store's change set and the rows below them. A
-        replica that stored no row and has no finding is skipped."""
+        replica that stored no row and has no finding is skipped, and so is
+        the loop when no replica stored a row or has a finding."""
         locks, line = self.cluster.locks, event.line
         if locks.version != self.lock_audit[0]:
             self.lock_audit = (locks.version, locks.safety_violations())
         for problem in self.lock_audit[1]:
             self.report.step(line, "lock safety", False, problem)
+        if not any(self.audited):
+            return
         for rid, rep in self.cluster.replicas.items():
             changed, found = rep.store.changed, self.found[rid]
             if changed or found:
@@ -596,14 +597,12 @@ class Runner:
                         )
 
 
+@functools.cache
 def _event_handlers(cls: type) -> dict[str, Callable[[Runner, Event], None]]:
     """Each event kind a Runner class handles, mapped to its _ev_<kind>
     method: apply's dispatch table, built once per class so that a
     subclass's overrides are dispatched."""
     return {name[len("_ev_"):]: getattr(cls, name) for name in dir(cls) if name.startswith("_ev_")}
-
-
-Runner.handlers = _event_handlers(Runner)
 
 
 # --------------------------------------------------------------------------
@@ -873,6 +872,7 @@ _ARTISTS = ("Sam", "Ana", "Lee", "Kim")
 _ALBUMS = ("A1", "A2", "A3", "A4")
 _GENRES = ("rock", "jazz", "folk")
 _ACCOUNTS = ("acct1", "acct2")
+_ENDING = ("stmt", "commit", "abort")  # the events that can end a transaction
 
 
 @dataclass(slots=True)
@@ -899,33 +899,41 @@ class FuzzOutcome:
         return "\n".join(e.render() for e in events)
 
 
+def draws(rng: random.Random) -> Callable[[int], int]:
+    """below(n), a uniform draw from range(n) off rng: the draw rng.choice,
+    randrange and shuffle make, from the public getrandbits. The generator
+    makes every draw through it but one rng.random()."""
+    getrandbits = rng.getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
+    return below
+
+
 # One maker per statement shape; each draws its literals after the four keys.
 _STATEMENT_MAKERS = (
-    lambda rng, artist, album, genre, account: f"INSERT INTO Artists VALUES ('{artist}', {rng.choice(('TRUE', 'FALSE'))}, {rng.randrange(4)})",
-    lambda rng, artist, album, genre, account: f"INSERT INTO Albums VALUES ('{album}', '{artist}', {rng.randrange(5)}, '{genre}')",
-    lambda rng, artist, album, genre, account: f"INSERT INTO Reviews VALUES ({rng.randrange(1, 7)}, '{album}', {rng.randrange(1, 6)})",
-    lambda rng, artist, album, genre, account: f"INSERT INTO Accounts VALUES ('{account}', {rng.randrange(11)})",
-    lambda rng, artist, album, genre, account: f"UPDATE Artists SET Active = {rng.choice(('TRUE', 'FALSE'))} WHERE Name = '{artist}'",
-    lambda rng, artist, album, genre, account: f"UPDATE Artists SET Plays = Plays + {rng.randrange(1, 5)} WHERE Name = '{artist}'",
-    lambda rng, artist, album, genre, account: f"UPDATE Albums SET Stock = Stock {rng.choice('+-')} {rng.randrange(1, 4)} WHERE Title = '{album}'",
-    lambda rng, artist, album, genre, account: f"UPDATE Albums SET Genre = '{genre}' WHERE Title = '{album}'",
-    lambda rng, artist, album, genre, account: f"UPDATE Albums SET Artist = '{artist}' WHERE Title = '{album}'",
-    lambda rng, artist, album, genre, account: f"UPDATE Reviews SET Stars = {rng.randrange(7)} WHERE Id = {rng.randrange(1, 7)}",
-    lambda rng, artist, album, genre, account: f"UPDATE Accounts SET Balance = Balance - {rng.randrange(1, 5)} WHERE Owner = '{account}'",
-    lambda rng, artist, album, genre, account: f"UPDATE Accounts SET Balance = Balance + {rng.randrange(1, 5)} WHERE Owner = '{account}'",
-    lambda rng, artist, album, genre, account: f"DELETE FROM Artists WHERE Name = '{artist}'",
-    lambda rng, artist, album, genre, account: f"DELETE FROM Albums WHERE Title = '{album}'",
-    lambda rng, artist, album, genre, account: f"DELETE FROM Reviews WHERE Id = {rng.randrange(1, 7)}",
-    lambda rng, artist, album, genre, account: f"SELECT * FROM {rng.choice(('Artists', 'Albums', 'Reviews', 'Accounts'))}",
+    lambda below, artist, album, genre, account: f"INSERT INTO Artists VALUES ('{artist}', {('TRUE', 'FALSE')[below(2)]}, {below(4)})",
+    lambda below, artist, album, genre, account: f"INSERT INTO Albums VALUES ('{album}', '{artist}', {below(5)}, '{genre}')",
+    lambda below, artist, album, genre, account: f"INSERT INTO Reviews VALUES ({1 + below(6)}, '{album}', {1 + below(5)})",
+    lambda below, artist, album, genre, account: f"INSERT INTO Accounts VALUES ('{account}', {below(11)})",
+    lambda below, artist, album, genre, account: f"UPDATE Artists SET Active = {('TRUE', 'FALSE')[below(2)]} WHERE Name = '{artist}'",
+    lambda below, artist, album, genre, account: f"UPDATE Artists SET Plays = Plays + {1 + below(4)} WHERE Name = '{artist}'",
+    lambda below, artist, album, genre, account: f"UPDATE Albums SET Stock = Stock {'+-'[below(2)]} {1 + below(3)} WHERE Title = '{album}'",
+    lambda below, artist, album, genre, account: f"UPDATE Albums SET Genre = '{genre}' WHERE Title = '{album}'",
+    lambda below, artist, album, genre, account: f"UPDATE Albums SET Artist = '{artist}' WHERE Title = '{album}'",
+    lambda below, artist, album, genre, account: f"UPDATE Reviews SET Stars = {below(7)} WHERE Id = {1 + below(6)}",
+    lambda below, artist, album, genre, account: f"UPDATE Accounts SET Balance = Balance - {1 + below(4)} WHERE Owner = '{account}'",
+    lambda below, artist, album, genre, account: f"UPDATE Accounts SET Balance = Balance + {1 + below(4)} WHERE Owner = '{account}'",
+    lambda below, artist, album, genre, account: f"DELETE FROM Artists WHERE Name = '{artist}'",
+    lambda below, artist, album, genre, account: f"DELETE FROM Albums WHERE Title = '{album}'",
+    lambda below, artist, album, genre, account: f"DELETE FROM Reviews WHERE Id = {1 + below(6)}",
+    lambda below, artist, album, genre, account: f"SELECT * FROM {('Artists', 'Albums', 'Reviews', 'Accounts')[below(4)]}",
 )
-
-
-def _gen_statement(rng: random.Random) -> str:
-    artist = rng.choice(_ARTISTS)
-    album = rng.choice(_ALBUMS)
-    genre = rng.choice(_GENRES)
-    account = rng.choice(_ACCOUNTS)
-    return rng.choice(_STATEMENT_MAKERS)(rng, artist, album, genre, account)
 
 
 @functools.cache
@@ -944,47 +952,42 @@ def _event_kinds(open_count: int, partitioned: bool, can_partition: bool) -> tup
     return tuple(kind for weight, kind in choices for _ in range(weight))
 
 
-def _gen_events(config: FuzzConfig, rng: random.Random, rids: list[str], runner: Runner) -> list[Event]:
+def _gen_events(config: FuzzConfig, rids: list[str], runner: Runner) -> list[Event]:
     """Generate and apply events one at a time; choices depend on run state."""
+    rng = random.Random(config.seed)
+    below, apply, txs = draws(rng), runner.apply, runner.txs
+    replicas = len(rids)
     trace: list[Event] = []
-    counter = 0
     partitioned = False
-
-    def emit(kind: str, args: dict) -> None:
-        event = Event(kind, args, len(trace) + 1)
-        trace.append(event)
-        runner.apply(event)
-
-    open_txs: list = []  # the active transactions, in begin order
-    for _ in range(config.events):
-        kinds = _event_kinds(len(open_txs), partitioned, len(rids) > 1)
-        kind = kinds[rng.randrange(len(kinds))]
-
+    open_txids: list[str] = []  # the active transactions, in begin order
+    for line in range(1, config.events + 1):
+        kinds = _event_kinds(len(open_txids), partitioned, replicas > 1)
+        kind = kinds[below(len(kinds))]
         if kind == "begin":
-            counter += 1
-            emit("begin", {"rid": rng.choice(rids), "txid": f"t{counter}"})
-            open_txs.append(runner.txs[f"t{counter}"])
-        elif kind in ("stmt", "commit", "abort"):  # the events that can end a transaction
-            txid = rng.choice(open_txs).txid
+            open_txids.append(f"t{len(txs) + 1}")  # txs holds every transaction begun so far
+            args = {"rid": rids[below(replicas)], "txid": open_txids[-1]}
+        elif kind in _ENDING:
+            args = {"txid": open_txids[below(len(open_txids))], "expect": None}
             if kind == "stmt":
-                emit("stmt", {"txid": txid, "sql": _gen_statement(rng), "expect": None})
-            elif kind == "commit":
-                emit("commit", {"txid": txid, "expect": None})
-            else:
-                emit("abort", {"txid": txid})
-            open_txs = [tx for tx in open_txs if tx.status is TxStatus.ACTIVE]
+                keys = [values[below(len(values))] for values in (_ARTISTS, _ALBUMS, _GENRES, _ACCOUNTS)]
+                args["sql"] = _STATEMENT_MAKERS[below(len(_STATEMENT_MAKERS))](below, *keys)
         elif kind == "deliver":
-            rid = None if rng.random() < 0.3 else rng.choice(rids)
-            emit("deliver", {"rid": rid})
+            args = {"rid": None if rng.random() < 0.3 else rids[below(replicas)]}
         elif kind == "partition":
-            cut = rng.randrange(1, len(rids))
-            shuffled = rids[:]
-            rng.shuffle(shuffled)
-            emit("partition", {"groups": [sorted(shuffled[:cut]), sorted(shuffled[cut:])]})
+            cut, order = 1 + below(replicas - 1), rids[:]
+            for i in range(replicas - 1, 0, -1):  # the swaps rng.shuffle(order) makes
+                j = below(i + 1)
+                order[i], order[j] = order[j], order[i]
+            args = {"groups": [sorted(order[:cut]), sorted(order[cut:])]}
             partitioned = True
         else:
-            emit("heal", {})
+            args = {}
             partitioned = False
+        event = Event(kind, args, line)
+        trace.append(event)
+        apply(event)
+        if kind in _ENDING:
+            open_txids = [txid for txid in open_txids if txs[txid].status is TxStatus.ACTIVE]
     return trace
 
 
@@ -993,18 +996,14 @@ def _fuzz_runner(config: FuzzConfig, name: str) -> tuple[Runner, list[str]]:
     if config.replicas < 1:
         raise ScenarioError(f"fuzzing needs at least one replica, not {config.replicas}")
     rids = [f"r{i + 1}" for i in range(config.replicas)]
-    catalog = sch.parse_schema_text(config.schema_text)
-    runner = Runner(catalog, rids, name=name, lenient=True)
-    return runner, rids
+    return Runner(sch.parse_schema_text(config.schema_text), rids, name=name, lenient=True), rids
 
 
 def fuzz(config: FuzzConfig, shrink: bool = True) -> FuzzOutcome:
     """One seeded random run; the report carries any invariant breakage."""
-    rng = random.Random(config.seed)
     runner, rids = _fuzz_runner(config, f"fuzz-{config.seed}")
-    trace = _gen_events(config, rng, rids, runner)
-    runner.finish()
-    outcome = FuzzOutcome(config, trace, runner.report)
+    trace = _gen_events(config, rids, runner)
+    outcome = FuzzOutcome(config, trace, runner.finish())
     if not outcome.ok and shrink:
         outcome.minimized = minimize(config, trace)
     return outcome
@@ -1014,8 +1013,7 @@ def replay_trace(config: FuzzConfig, trace: list[Event]) -> Report:
     """Re-run a recorded trace; used to confirm and minimize failures."""
     runner, _ = _fuzz_runner(config, "replay")
     runner.run(trace)
-    runner.finish()
-    return runner.report
+    return runner.finish()
 
 
 def minimize(config: FuzzConfig, trace: list[Event]) -> list[Event]:

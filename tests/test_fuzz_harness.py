@@ -1,12 +1,14 @@
 """What an audited fuzz run costs and keeps: refused transactions leave no
-reference cycles, the generator's draws stay pinned in every state, event
-dispatch honours subclass handlers, and a bounded column has one Bound."""
+reference cycles, the generator's draws stay pinned in every state and are
+the draws random.Random makes, event dispatch honours subclass handlers, and
+a bounded column has one Bound."""
 
 import collections
 import gc
 import hashlib
 import json
 import os
+import random
 from types import FrameType, TracebackType
 
 import pytest
@@ -14,7 +16,7 @@ import pytest
 import aqldb.schema as sch
 from aqldb.crdt import Bound, BoundedCounter
 from aqldb.errors import AqlError, ScenarioError
-from aqldb.sim import FUZZ_SCHEMA, Cluster, Event, FuzzConfig, Runner, fuzz, load_scenario, run_scenario
+from aqldb.sim import FUZZ_SCHEMA, Cluster, Event, FuzzConfig, Runner, draws, fuzz, load_scenario, run_scenario
 from aqldb.txn import Transaction
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -118,6 +120,41 @@ class TestGeneratorStatesPinned:
             digest.update(json.dumps(outcome.report.to_json(), sort_keys=True).encode())
             digest.update(outcome.trace_text().encode())
         assert digest.hexdigest() == expected
+
+
+class TestDraws:
+    """The generator draws through draws(rng) alone. Its pins hold only while
+    below makes the draw that random.Random's choice, randrange and shuffle
+    make on this interpreter, so it is checked against them here, over small
+    sizes and over powers of two, where the rejection loop matters most. The
+    shuffle is the generator's partition loop: swap i with below(i + 1), i
+    running down from the last index to 1."""
+
+    SIZES = list(range(1, 101)) + [2**k for k in range(7, 21)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_below_matches_choice_and_randrange(self, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        below = draws(ours)
+        for n in self.SIZES:
+            items = range(n)
+            for _ in range(3):
+                assert below(n) == theirs.choice(items)
+                assert 5 + below(n) == theirs.randrange(5, 5 + n)
+        assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_below_matches_shuffle(self, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        below = draws(ours)
+        for n in list(range(1, 101)) + [2**k for k in range(7, 11)]:
+            order, items = list(range(n)), list(range(n))
+            for i in range(n - 1, 0, -1):
+                j = below(i + 1)
+                order[i], order[j] = order[j], order[i]
+            theirs.shuffle(items)
+            assert order == items
+        assert ours.getstate() == theirs.getstate()
 
 
 class TestDispatch:

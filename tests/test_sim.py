@@ -574,6 +574,19 @@ class TestRightsRequest:
         # r2 holds its own 3 and r3's 3 on return, at least the 3 it asked for.
         assert self.free(cluster) == {"r1": 3, "r2": 6, "r3": 0, "r4": 3}
 
+    def test_granted_request_pumps_the_requester_once_to_catch_up(self, monkeypatch):
+        cluster = self.make("partitioned")
+        cluster.partition([["r1"], ["r2", "r3", "r4"]])  # r3 and r4 can donate
+        calls, pump, transfer = [], Cluster.pump, Replica.transfer_rights
+        monkeypatch.setattr(Cluster, "pump", lambda c, rid: calls.append(f"pump {rid}") or pump(c, rid))
+        monkeypatch.setattr(
+            Replica, "transfer_rights", lambda rep, *args: calls.append(f"transfer {rep.rid}") or transfer(rep, *args)
+        )
+        assert cluster.request_rights("r2", "Accounts", "acct", "Balance", 4)
+        # One pump catches r2 up to both donors; the last merges their transfers.
+        assert calls == ["pump r2", "transfer r3", "transfer r4", "pump r2"]
+        assert self.free(cluster) == {"r1": 3, "r2": 7, "r3": 0, "r4": 2}
+
 
 class TestRetention:
     """A Cluster keeps a commit record only while some destination's queue
