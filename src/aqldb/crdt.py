@@ -108,19 +108,34 @@ class MvRegister:
         writer: str,
         counter: int | None = None,
     ) -> "MvRegister":
-        """Write value with a version that dominates everything in observed.
+        """This register with value written at a version that dominates
+        everything in observed: the register step keeps. counter, when
+        given, must be a never-reused per-writer sequence number; otherwise
+        the writer component is bumped past observed."""
+        return self.step(value, observed, writer, counter)[1]
 
-        counter, when given, must be a never-reused per-writer sequence
-        number; otherwise the writer component is bumped past observed.
-        """
+    def step(
+        self,
+        value,
+        observed: Mapping[str, int],
+        writer: str,
+        counter: int | None = None,
+    ) -> tuple["MvRegister", "MvRegister"]:
+        """One write as (slice, kept), built in one step: the one-entry
+        register the write ships, and this register with it applied, the
+        held entries its version does not dominate plus the new one. With a
+        fresh counter kept equals self.merge(slice), the delta-mutator law;
+        when the new entry dominates every held one, kept is slice itself.
+        Each held entry is compared with the new version's counts once."""
         counts = dict(observed)
         counts[writer] = counter if counter is not None else counts.get(writer, 0) + 1
         entry = (value, make_version(counts))
-        if not self.entries:
-            return MvRegister(frozenset((entry,)))
-        kept = {e for e in self.entries if not version_leq(e[1], entry[1])}
-        kept.add(entry)
-        return MvRegister(frozenset(kept))
+        one = MvRegister(frozenset((entry,)))
+        kept = [e for e in self.entries if not _counts_leq(e[1], counts)]
+        if not kept:
+            return one, one
+        kept.append(entry)
+        return one, MvRegister(frozenset(kept))
 
     def merge(self, other: "MvRegister") -> "MvRegister":
         """The entries of either side that no entry strictly dominates. When

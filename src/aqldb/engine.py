@@ -78,6 +78,7 @@ class Row:
 
 
 _NO_ROW = Row()  # what a fold builds over, or a delta merges into, when no row is stored
+_NO_MV = _NO_ROW.visibility  # what a fold writes a multi-value cell over when none is stored
 
 
 class Store:
@@ -95,14 +96,15 @@ class Store:
         self.changed: set[RowKey] | None = None
 
     def row(self, table: str, pk: Scalar) -> Row | None:
-        return self.tables.get(table, {}).get(pk)
+        rows = self.tables.get(table)
+        return rows.get(pk) if rows is not None else None
 
     def cell(self, table: str, pk: Scalar, column: str) -> MergeValue | None:
         row = self.row(table, pk)
         return row.cells.get(column) if row is not None else None
 
     def pks(self, table: str) -> list[Scalar]:
-        return list(self.tables.get(table, {}))
+        return list(self.tables.get(table, ()))
 
 
 class Cause(Enum):
@@ -339,14 +341,22 @@ class Replica:
             self.abort(tx)
             raise
 
-    def commit(self, tx: Transaction) -> CommitRecord:
+    def commit(self, tx: Transaction) -> CommitRecord | None:
+        """Commit tx: fold each buffered row write into a stamped delta,
+        apply them here, and return the record that ships them. A
+        transaction that wrote nothing commits here alone: it returns None,
+        and neither the Lamport counter nor the clock moves, so a clock
+        counts writing commits and a record exists per writing transaction."""
         if tx.status is not _ACTIVE:
             raise ValidationError(f"transaction {tx.txid} is {tx.status.value}")
+        buffer = tx.buffer
+        if not buffer:
+            self._settle(tx, _COMMITTED)
+            return None
         try:
             lam = self.lamport + 1
-            deltas = [
-                self._fold_row(rowkey, tx.buffer[rowkey], lam) for rowkey in sorted(tx.buffer, key=_rowkey_order)
-            ]
+            keys = sorted(buffer, key=_rowkey_order) if len(buffer) > 1 else buffer
+            deltas = [self._fold_row(rowkey, buffer[rowkey], lam) for rowkey in keys]
         except AqlError:
             self.abort(tx)
             raise
@@ -412,7 +422,9 @@ class Replica:
         key = (delta.table, delta.pk)
         if store.changed is not None:
             store.changed.add(key)
-        rows = store.tables.setdefault(delta.table, {})
+        rows = store.tables.get(delta.table)
+        if rows is None:
+            rows = store.tables[delta.table] = {}
         row = rows.get(delta.pk)
         for tx in self.active.values():
             if tx.txid != committing and key not in tx.saved:
@@ -432,9 +444,13 @@ class Replica:
             for col, _ in schema.foreign_keys:
                 state = delta.cells.get(col)
                 if state is not None:
-                    refs = [state.value] if isinstance(state, LwwRegister) else state.values()
+                    refs = (state.value,) if isinstance(state, LwwRegister) else [e[0] for e in state.entries]
                     for ppk, _ in refs:
-                        store.children.setdefault((delta.table, col, ppk), set()).add(delta.pk)
+                        kids = store.children.get((delta.table, col, ppk))
+                        if kids is None:
+                            store.children[(delta.table, col, ppk)] = {delta.pk}
+                        else:
+                            kids.add(delta.pk)
 
     # -- contexts -------------------------------------------------------------
 
@@ -787,7 +803,10 @@ class Replica:
         each written cell, and as result the row it builds over the live row,
         its base. That row holds each cell's whole new state, which equals the
         live cell merged with the slice: the stamp (lam, rid) tops every stamp
-        held here, and a counter step grows only this replica's entries."""
+        held here, and a counter step grows only this replica's entries. Each
+        multi-value write, the row's flag or a MULTI_VALUE cell, is one
+        MvRegister.step, which gives the slice and the new state at once, so
+        the fold merges nothing."""
         table, pk = rowkey
         schema = self.catalog.tables.get(table)
         live = self.store.row(table, pk)
@@ -796,13 +815,13 @@ class Replica:
 
         shipped: dict[str, MergeValue] = {}
         cells = dict(old.cells)
-        for name, (value, observed) in sorted(write.sets.items()):
+        sets, deltas = write.sets.items(), write.deltas.items()
+        for name, (value, observed) in sorted(sets) if len(sets) > 1 else sets:
             if observed is None:
                 cells[name] = shipped[name] = LwwRegister(value, stamp)
             else:
-                state = shipped[name] = MvRegister().assign(value, observed, self.rid, lam)
-                cells[name] = cells[name].merge(state) if name in cells else state
-        for colname, delta in sorted(write.deltas.items()):
+                shipped[name], cells[name] = cells.get(name, _NO_MV).step(value, observed, self.rid, lam)
+        for colname, delta in sorted(deltas) if len(deltas) > 1 else deltas:
             bound = schema.column(colname).additive_bound
             live_cell = old.cells.get(colname)
             if bound is None:
@@ -821,15 +840,14 @@ class Replica:
             cells[colname] = state
             shipped[colname] = state if live_cell is None else state.slice_for(self.rid)  # a new one is its slice
 
-        visibility = None
+        visibility, flags = None, old.visibility
         if write.flag is not None:
             flag, observed = write.flag
             if live is not None and self.catalog.coordination[table].row_guarded:
                 # Lock-guarded rows fold against the freshest committed state.
                 observed = live.visibility.max_versions()
-            visibility = MvRegister().assign(flag, observed, self.rid, lam)
+            visibility, flags = flags.step(flag, observed, self.rid, lam)
 
-        flags = old.visibility if visibility is None else old.visibility.merge(visibility)
         built = Row(cells, flags, max(old.generation, write.generation or 0))
         return RowDelta(table, pk, shipped, visibility, write.generation, base=live, result=built)
 

@@ -102,9 +102,10 @@ class Cluster:
             raise ScenarioError(f"unknown replica {rid}")
         return self.replicas[rid]
 
-    def commit(self, tx) -> CommitRecord:
+    def commit(self, tx) -> CommitRecord | None:
         record = self.replica(tx.origin).commit(tx)
-        self._broadcast(record)
+        if record is not None:  # a read-only commit ships nothing
+            self._broadcast(record)
         return record
 
     def _broadcast(self, record: CommitRecord) -> None:

@@ -3,8 +3,9 @@
 A transaction executes at one replica against a snapshot of the store as of
 its begin: it keeps the pre-image of every row a commit changes under it. It
 buffers its effects and turns them into a single commit record at commit time.
-Records carry the origin's vector clock; CausalClock.ready is the one rule by
-which receivers deliver them in causal order.
+A transaction that wrote nothing commits at its origin alone and ships no
+record. Records carry the origin's vector clock; CausalClock.ready is the one
+rule by which receivers deliver them in causal order.
 
 Locks have two levels. A lock is first owned at replica granularity, by a
 set of replicas in one mode (an exclusive owner is alone); ownership moves
@@ -39,7 +40,9 @@ class TxStatus(Enum):
 
 @dataclass(slots=True)
 class CausalClock:
-    """Vector clock counting commits per origin replica."""
+    """Vector clock counting, per origin replica, the commits that shipped a
+    record: writing transactions and rights transfers. A read-only commit
+    ships nothing, so no clock counts it and no one waits for it."""
 
     counts: dict[str, int] = field(default_factory=dict)
 

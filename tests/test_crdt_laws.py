@@ -224,6 +224,16 @@ def test_a_fresh_mv_assign_is_its_merge(held, value, observed, writer):
 
 
 @STEP
+@given(held_mv, st.sampled_from("IDTxy"), st.dictionaries(replicas, st.integers(0, HELD)), replicas)
+def test_an_mv_step_is_its_slice_and_its_merge(held, value, observed, writer):
+    """step gives in one pass the one-entry slice a fresh assign ships and
+    the held register merged with that slice, which the commit fold stores."""
+    one, kept = held.step(value, observed, writer, HELD + 1)
+    assert one == MvRegister().assign(value, observed, writer, HELD + 1)
+    assert kept == held.assign(value, observed, writer, HELD + 1) == held.merge(one)
+
+
+@STEP
 @given(counts, counts, replicas, st.integers(-5, 5))
 def test_an_additive_step_is_its_merge(incs, decs, writer, delta):
     held = AdditiveCounter(incs, decs)
