@@ -109,33 +109,18 @@ class MvRegister:
         counter: int | None = None,
     ) -> "MvRegister":
         """This register with value written at a version that dominates
-        everything in observed: the register step keeps. counter, when
-        given, must be a never-reused per-writer sequence number; otherwise
-        the writer component is bumped past observed."""
-        return self.step(value, observed, writer, counter)[1]
-
-    def step(
-        self,
-        value,
-        observed: Mapping[str, int],
-        writer: str,
-        counter: int | None = None,
-    ) -> tuple["MvRegister", "MvRegister"]:
-        """One write as (slice, kept), built in one step: the one-entry
-        register the write ships, and this register with it applied, the
-        held entries its version does not dominate plus the new one. With a
-        fresh counter kept equals self.merge(slice), the delta-mutator law;
-        when the new entry dominates every held one, kept is slice itself.
-        Each held entry is compared with the new version's counts once."""
+        everything in observed: the held entries that version does not
+        dominate, plus the new one. counter, when given, must be a
+        never-reused per-writer sequence number; otherwise the writer
+        component is bumped past observed. With a fresh counter the result
+        equals self merged with the new entry alone, and merging it into
+        self gives it back. Each held entry is compared with the new
+        version's counts once."""
         counts = dict(observed)
         counts[writer] = counter if counter is not None else counts.get(writer, 0) + 1
-        entry = (value, make_version(counts))
-        one = MvRegister(frozenset((entry,)))
         kept = [e for e in self.entries if not _counts_leq(e[1], counts)]
-        if not kept:
-            return one, one
-        kept.append(entry)
-        return one, MvRegister(frozenset(kept))
+        kept.append((value, make_version(counts)))
+        return MvRegister(frozenset(kept))
 
     def merge(self, other: "MvRegister") -> "MvRegister":
         """The entries of either side that no entry strictly dominates. When
@@ -194,10 +179,6 @@ class AdditiveCounter:
         elif delta < 0:
             decs = {**decs, replica: decs.get(replica, 0) - delta}
         return self._like(incs, decs)
-
-    def slice_for(self, replica: str) -> "AdditiveCounter":
-        """Partial state carrying only the components this replica writes."""
-        return self._like(_slice(self.incs, replica), _slice(self.decs, replica))
 
     def merge(self, other: "AdditiveCounter") -> "AdditiveCounter":
         return self._like(_max_map(self.incs, other.incs), _max_map(self.decs, other.decs))
@@ -319,11 +300,6 @@ class BoundedCounter(AdditiveCounter):
             )
         return self.add(replica, delta if self.bound.direction == "lower" else -delta)
 
-    def slice_for(self, replica: str) -> "BoundedCounter":
-        incs, decs = _slice(self.incs, replica), _slice(self.decs, replica)
-        transfers = {k: v for k, v in self.transfers.items() if k[0] == replica}
-        return BoundedCounter(incs, decs, bound=self.bound, transfers=transfers)
-
     def merge(self, other: "BoundedCounter") -> "BoundedCounter":
         if self.bound is not other.bound and self.bound != other.bound:
             raise KindMismatch(
@@ -355,10 +331,6 @@ def _max_map(a: Mapping, b: Mapping) -> dict:
         if v > out.get(k, v - 1):
             out[k] = v
     return out
-
-
-def _slice(m: Mapping, key) -> dict:
-    return {key: m[key]} if key in m else {}
 
 
 def _canon_map(m: Mapping) -> str:

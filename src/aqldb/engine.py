@@ -410,14 +410,17 @@ class Replica:
         return True
 
     def _apply_delta(self, delta: RowDelta, committing: str | None = None) -> None:
-        """Store the row that merging one row's delta builds: the only place
-        rows change. Each open transaction but the committing one first keeps
-        the replaced row as its pre-image. The commit fold built that row over
-        the delta's base, so a replica whose row is that base, or equal to it,
-        stores it, and any other merges. The origin holds the base; the equal
-        case lets replicas share rows again after a concurrent write has left
-        each its own merged copy. The row's key joins the store's change set,
-        if an auditor gave it one."""
+        """Store the row one row's delta leaves here: the only place rows
+        change. Each open transaction but the committing one first keeps the
+        replaced row as its pre-image. A replica whose row is the delta's
+        base, or equal to it, stores result: the origin holds the base, and
+        the equal case lets replicas share rows again after a concurrent
+        write has left each its own merged copy. Any other row is at or
+        above base, by causal delivery (CausalClock.ready), so it merges the
+        states the commit wrote, those of result that are not base's own
+        objects, and keeps the larger generation; Store.children learns the
+        references those written cells hold. The row's key joins the store's
+        change set, if an auditor gave it one."""
         store = self.store
         key = (delta.table, delta.pk)
         if store.changed is not None:
@@ -429,21 +432,25 @@ class Replica:
         for tx in self.active.values():
             if tx.txid != committing and key not in tx.saved:
                 tx.saved[key] = row
-        new = delta.result
-        if new is None or (row is not delta.base and row != delta.base):
+        base, result = delta.base or _NO_ROW, delta.result
+        if row is delta.base or row == delta.base:
+            rows[delta.pk] = result
+        else:
             old = row if row is not None else _NO_ROW
             cells = dict(old.cells)
-            for col, state in delta.cells.items():
-                cur = cells.get(col)
-                cells[col] = state if cur is None else merge(cur, state)
-            visibility = old.visibility if delta.visibility is None else old.visibility.merge(delta.visibility)
-            new = Row(cells, visibility, max(old.generation, delta.generation or 0))
-        rows[delta.pk] = new
+            for col, state in result.cells.items():
+                if state is not base.cells.get(col):  # written by the commit
+                    cur = cells.get(col)
+                    cells[col] = state if cur is None else merge(cur, state)
+            visibility = old.visibility
+            if result.visibility is not base.visibility:
+                visibility = visibility.merge(result.visibility)
+            rows[delta.pk] = Row(cells, visibility, max(old.generation, result.generation))
         schema = self.catalog.tables.get(delta.table)  # None for sequences
         if schema is not None:
             for col, _ in schema.foreign_keys:
-                state = delta.cells.get(col)
-                if state is not None:
+                state = result.cells.get(col)
+                if state is not None and state is not base.cells.get(col):
                     refs = (state.value,) if isinstance(state, LwwRegister) else [e[0] for e in state.entries]
                     for ppk, _ in refs:
                         kids = store.children.get((delta.table, col, ppk))
@@ -500,9 +507,8 @@ class Replica:
         cell = row.cells.get(column) if row is not None else None
         if not isinstance(cell, BoundedCounter):
             raise InsufficientRights(f"{table}.{column} holds no bounded counter here")
-        moved = cell.transfer(self.rid, dst, amount)  # equals cell merged with its slice
-        result = Row({**row.cells, column: moved}, row.visibility, row.generation)
-        delta = RowDelta(table, pk, {column: moved.slice_for(self.rid)}, base=row, result=result)
+        moved = cell.transfer(self.rid, dst, amount)  # the one state this commit writes
+        delta = RowDelta(table, pk, row, Row({**row.cells, column: moved}, row.visibility, row.generation))
         self.txn_counter += 1
         return self._seal(f"{self.rid}-rights{self.txn_counter}", self.lamport + 1, [delta])
 
@@ -799,28 +805,26 @@ class Replica:
             tx.reserved.pop(key, None)
 
     def _fold_row(self, rowkey: RowKey, write: RowWrite, lam: int) -> RowDelta:
-        """The delta one row's buffered write ships: this writer's slice of
-        each written cell, and as result the row it builds over the live row,
-        its base. That row holds each cell's whole new state, which equals the
-        live cell merged with the slice: the stamp (lam, rid) tops every stamp
-        held here, and a counter step grows only this replica's entries. Each
-        multi-value write, the row's flag or a MULTI_VALUE cell, is one
-        MvRegister.step, which gives the slice and the new state at once, so
-        the fold merges nothing."""
+        """The delta one row's buffered write ships: the live row as base,
+        and as result the row built over it. Each written cell, and the
+        flag register when a flag is written, is a new state that inflates
+        the live one: the stamp (lam, rid) tops every stamp held here, a
+        counter step grows only this replica's entries, and a multi-value
+        write is one MvRegister.assign. Every other cell is the live row's
+        own object, which is how a merging receiver tells them apart."""
         table, pk = rowkey
         schema = self.catalog.tables.get(table)
         live = self.store.row(table, pk)
         old = live if live is not None else _NO_ROW
         stamp = (lam, self.rid)
 
-        shipped: dict[str, MergeValue] = {}
         cells = dict(old.cells)
         sets, deltas = write.sets.items(), write.deltas.items()
         for name, (value, observed) in sorted(sets) if len(sets) > 1 else sets:
             if observed is None:
-                cells[name] = shipped[name] = LwwRegister(value, stamp)
+                cells[name] = LwwRegister(value, stamp)
             else:
-                shipped[name], cells[name] = cells.get(name, _NO_MV).step(value, observed, self.rid, lam)
+                cells[name] = cells.get(name, _NO_MV).assign(value, observed, self.rid, lam)
         for colname, delta in sorted(deltas) if len(deltas) > 1 else deltas:
             bound = schema.column(colname).additive_bound
             live_cell = old.cells.get(colname)
@@ -838,18 +842,16 @@ class Replica:
                 except ValueError as err:
                     raise CheckViolation(str(err)) from err
             cells[colname] = state
-            shipped[colname] = state if live_cell is None else state.slice_for(self.rid)  # a new one is its slice
 
-        visibility, flags = None, old.visibility
+        flags = old.visibility
         if write.flag is not None:
             flag, observed = write.flag
             if live is not None and self.catalog.coordination[table].row_guarded:
                 # Lock-guarded rows fold against the freshest committed state.
                 observed = live.visibility.max_versions()
-            visibility, flags = flags.step(flag, observed, self.rid, lam)
+            flags = flags.assign(flag, observed, self.rid, lam)
 
-        built = Row(cells, flags, max(old.generation, write.generation or 0))
-        return RowDelta(table, pk, shipped, visibility, write.generation, base=live, result=built)
+        return RowDelta(table, pk, live, Row(cells, flags, max(old.generation, write.generation or 0)))
 
 
 # --------------------------------------------------------------------------

@@ -551,13 +551,9 @@ class Runner:
         self._audit(Event("heal", {}, 0))
         if not self.cluster.converged():
             self.report.step(0, "convergence after quiesce", False, self.cluster.divergence())
-        for rid, queue in self.cluster.queues.items():
-            undelivered = [r for r in queue if not self.cluster.replica(rid).clock.has(r)]
-            if undelivered:
-                self.report.step(
-                    0, "eventual delivery", False,
-                    f"{len(undelivered)} records still queued for {rid}",
-                )
+        for rid, queue in self.cluster.queues.items():  # pump dropped each record rid has
+            if queue:
+                self.report.step(0, "eventual delivery", False, f"{len(queue)} records still queued for {rid}")
         self._check_ledger()
         self.report.deliveries = self.cluster.deliveries
         return self.report

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Protocol
 
-from .crdt import MergeValue, MvRegister, render_scalar
+from .crdt import render_scalar
 from .errors import LockUnavailable
 
 
@@ -54,11 +54,6 @@ class CausalClock:
 
     def tick(self, replica: str) -> None:
         self.counts[replica] = self.counts.get(replica, 0) + 1
-
-    def merge(self, other: "CausalClock") -> None:
-        for r, c in other.counts.items():
-            if c > self.counts.get(r, 0):
-                self.counts[r] = c
 
     def dominates(self, other: "CausalClock") -> bool:
         return all(self.get(r) >= c for r, c in other.counts.items())
@@ -118,17 +113,19 @@ class Transaction:
 
 @dataclass(slots=True)
 class RowDelta:
-    """Stamped mergeable effects for one row, carried by a commit record.
-    The commit fold sets base, the stored row it read (None: absent), and
-    result, the row it built: a replica whose row is or equals base stores it."""
+    """One row's commit effect: base, the stored row the commit fold read
+    (None: absent), and result, the row it built over base. Each cell and
+    visibility register of result the commit wrote is a new state object;
+    every other one is base's own. A receiver whose row is or equals base
+    stores result. Any other receiver is at or above base, because
+    CausalClock.ready delivers every record base depends on first, so it
+    merges in just the written states: base's unwritten ones it already
+    holds or dominates."""
 
     table: str
     pk: object
-    cells: dict[str, MergeValue] = field(default_factory=dict)
-    visibility: MvRegister | None = None  # over the flags I, D, T
-    generation: int | None = None
-    base: object = field(default=None, compare=False, repr=False)
-    result: object = field(default=None, compare=False, repr=False)
+    base: object
+    result: object
 
 
 # Not slotted, so that a record can be weakly referenced (weakref_slot needs

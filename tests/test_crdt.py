@@ -121,12 +121,6 @@ class TestAdditive:
         b = AdditiveCounter().add("r2", 4)
         assert a.merge(b).value() == 7
 
-    def test_slice_carries_only_own_share(self):
-        full = AdditiveCounter().add("r1", 5).add("r2", 7)
-        part = full.slice_for("r1")
-        assert part.value() == 5
-        assert part.merge(full) == full
-
 
 def lower(limit):
     return Bound("lower", limit)
@@ -150,11 +144,6 @@ class TestBounded:
         assert m.value() == 5
         assert m.total_rights() == 5
         assert sum(m.rights(r) for r in ("r1", "r2", "r3")) == 5
-
-    def test_create_is_the_creators_slice(self):
-        c = BoundedCounter.create(Bound("upper", 10), 3, ["r1", "r2", "r3"], "r2")
-        assert c.slice_for("r2") == c
-        assert c.slice_for("r1") == BoundedCounter(bound=Bound("upper", 10))
 
     def test_create_rejects_value_past_bound(self):
         with pytest.raises(ValueError):
@@ -219,12 +208,11 @@ class TestBounded:
         assert m.free("r1") == 3
         assert m.free("r2") == 0
 
-    def test_slice_round_trip(self):
+    def test_a_receiver_at_base_takes_the_writers_state(self):
         base = BoundedCounter.create(lower(0), 9, ["r1", "r2", "r3"], "r2")
         full = base.apply_delta("r1", -2).transfer("r1", "r3", 1)
-        part = full.slice_for("r1")
-        assert part.merge(full) == full
-        assert base.merge(part).free("r1") == full.free("r1")
+        assert base.merge(full) == full
+        assert base.merge(full).free("r1") == full.free("r1")
 
     def test_bound_mismatch(self):
         a = BoundedCounter.create(lower(0), 5, ["r1"], "r1")

@@ -156,7 +156,6 @@ def derived_states(a, b, rng: random.Random):
             yield a.assign("v", {**a.max_versions(), "r9": 0}, r)
     if isinstance(a, AdditiveCounter):
         for r in REPLICAS:
-            yield a.slice_for(r)
             for delta in range(-3, 4):
                 yield a.add(r, delta)
     if isinstance(a, BoundedCounter):
@@ -185,10 +184,12 @@ def test_no_zero_entries(kind):
 
 
 # ---------------------------------------------------------------------------
-# A writer's own step is its old state merged with the step's slice: the
-# delta-mutator law m(X) = X join m_delta(X). The commit fold relies on it to
-# store each written cell's new state at the origin without merging. A
-# register write needs a stamp or writer counter above every one held.
+# A writer's own step inflates its old state: the old state merged with the
+# step is the step. A commit record ships each written cell's new state over
+# the row the fold read, and a receiver at or above that row merges the new
+# state in; at the row itself the merge is the step, so the origin stores it
+# without merging. A register write needs a stamp or writer counter above
+# every one held.
 
 STEP = settings(max_examples=200, derandomize=True, database=None, deadline=None)
 HELD = 6  # every stamp counter and version count held is at most this
@@ -225,12 +226,9 @@ def test_a_fresh_mv_assign_is_its_merge(held, value, observed, writer):
 
 @STEP
 @given(held_mv, st.sampled_from("IDTxy"), st.dictionaries(replicas, st.integers(0, HELD)), replicas)
-def test_an_mv_step_is_its_slice_and_its_merge(held, value, observed, writer):
-    """step gives in one pass the one-entry slice a fresh assign ships and
-    the held register merged with that slice, which the commit fold stores."""
-    one, kept = held.step(value, observed, writer, HELD + 1)
-    assert one == MvRegister().assign(value, observed, writer, HELD + 1)
-    assert kept == held.assign(value, observed, writer, HELD + 1) == held.merge(one)
+def test_an_mv_step_is_its_merge(held, value, observed, writer):
+    step = held.assign(value, observed, writer, HELD + 1)
+    assert held.merge(step) == step
 
 
 @STEP
@@ -238,7 +236,7 @@ def test_an_mv_step_is_its_slice_and_its_merge(held, value, observed, writer):
 def test_an_additive_step_is_its_merge(incs, decs, writer, delta):
     held = AdditiveCounter(incs, decs)
     step = held.add(writer, delta)
-    assert step == held.merge(step.slice_for(writer))
+    assert held.merge(step) == step
 
 
 @STEP
@@ -246,7 +244,7 @@ def test_an_additive_step_is_its_merge(incs, decs, writer, delta):
 def test_a_bounded_step_is_its_merge(held, writer, delta):
     assume(held.consumption_units(delta) <= held.free(writer))
     step = held.apply_delta(writer, delta)
-    assert step == held.merge(step.slice_for(writer))
+    assert held.merge(step) == step
 
 
 @STEP
@@ -255,12 +253,12 @@ def test_a_transfer_is_its_merge(held, pair, amount):
     src, dst = pair
     assume(amount <= held.free(src))
     step = held.transfer(src, dst, amount)
-    assert step == held.merge(step.slice_for(src))
+    assert held.merge(step) == step
 
 
 @STEP
 @given(bounds, st.integers(0, 8), replicas)
-def test_a_creation_is_its_slice(bound, headroom, creator):
+def test_a_creation_is_its_merge(bound, headroom, creator):
     initial = bound.limit + headroom if bound.direction == "lower" else bound.limit - headroom
     step = BoundedCounter.create(bound, initial, REPLICAS, creator)
-    assert step == BoundedCounter(bound=bound).merge(step.slice_for(creator))
+    assert BoundedCounter(bound=bound).merge(step) == step

@@ -187,12 +187,12 @@ class TestDispatch:
 class TestOneBoundPerColumn:
     def test_bound_is_cached_on_the_column(self):
         col = sch.parse_schema_text(FUZZ_SCHEMA).table("Accounts").column("Balance")
-        assert sch.additive_bound(col) is sch.additive_bound(col)
-        assert sch.additive_bound(col) == Bound("lower", 0)
+        assert col.additive_bound is col.additive_bound
+        assert col.additive_bound == Bound("lower", 0)
 
     def test_counters_folded_at_two_replicas_share_it(self):
         catalog = sch.parse_schema_text(FUZZ_SCHEMA)
-        bound = sch.additive_bound(catalog.table("Accounts").column("Balance"))
+        bound = catalog.table("Accounts").column("Balance").additive_bound
         cluster = Cluster(catalog, ["r1", "r2"])
         for rid, sql in (
             ("r1", "INSERT INTO Accounts VALUES ('a', 5)"),

@@ -127,9 +127,36 @@ class TestIdentity:
         cluster.deliver_all()
         record = broadcasts[cluster][-1]
         (delta,) = record.deltas
-        assert delta.visibility is not None
+        assert delta.result.visibility is not delta.base.visibility  # the update wrote the flag
         for rid in cluster.replica_ids:
-            assert cluster.replica(rid).store.row("Artists", "Sam").visibility is delta.visibility
+            assert cluster.replica(rid).store.row("Artists", "Sam").visibility is delta.result.visibility
+        assert cluster.converged()
+
+    def test_a_concurrent_update_merges_only_the_cells_its_commit_wrote(self, broadcasts):
+        """Each replica's update reads the inserted row, so each receiver
+        holds a row above the other's base and merges: it takes the cell the
+        other commit wrote and keeps its own cell object for the one that
+        commit left as base's."""
+        cluster = Cluster(sch.parse_schema_text(FUZZ_SCHEMA), ["r1", "r2"])
+        r1, r2 = cluster.replica("r1"), cluster.replica("r2")
+        tx = r1.begin()
+        r1.execute(tx, "INSERT INTO Artists VALUES ('Sam', TRUE, 1)")
+        cluster.commit(tx)
+        cluster.deliver_all()
+        tx1, tx2 = r1.begin(), r2.begin()
+        r1.execute(tx1, "UPDATE Artists SET Active = FALSE WHERE Name = 'Sam'")
+        r2.execute(tx2, "UPDATE Artists SET Plays = Plays + 2 WHERE Name = 'Sam'")
+        (active,) = cluster.commit(tx1).deltas
+        (plays,) = cluster.commit(tx2).deltas
+        assert active.base is plays.base
+        assert active.result.cells["Plays"] is active.base.cells["Plays"]
+        assert plays.result.cells["Active"] is plays.base.cells["Active"]
+        cluster.deliver_all()
+        assert r1.store.row("Artists", "Sam").cells["Active"] is active.result.cells["Active"]
+        assert r2.store.row("Artists", "Sam").cells["Plays"] is plays.result.cells["Plays"]
+        for rep in (r1, r2):
+            row = rep.store.row("Artists", "Sam")
+            assert (row.cells["Active"].value, row.cells["Plays"].value()) == (False, 3)
         assert cluster.converged()
 
 
@@ -142,16 +169,14 @@ class TestCounters:
         with pytest.raises(dataclasses.FrozenInstanceError):
             AdditiveCounter().incs = {}
 
-    def test_slice_and_merge_leave_their_inputs_alone(self):
+    def test_merge_leaves_its_inputs_alone(self):
         a = BoundedCounter.create(Bound("lower", 0), 9, REPLICAS, "r1").apply_delta("r1", -2)
         b = BoundedCounter.create(Bound("lower", 0), 0, REPLICAS, "r2").apply_delta("r2", 4).transfer("r2", "r3", 1)
         before = (a.canon(), b.canon())
-        part = a.slice_for("r1")
         merged = a.merge(b)
         assert (a.canon(), b.canon()) == before
-        assert part.canon() == "bc[>=0](+{r1:9}-{r1:2}t{r1>r2:3,r1>r3:3})"
         assert merged.canon() == "bc[>=0](+{r1:9,r2:4}-{r1:2}t{r1>r2:3,r1>r3:3,r2>r3:1})"
-        assert part.transfers is not a.transfers and merged.transfers is not a.transfers
+        assert merged.transfers is not a.transfers
 
 
 def test_delete_locks_row_follows_the_schema():

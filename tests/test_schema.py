@@ -8,7 +8,6 @@ from aqldb.errors import AqlSyntaxError, ValidationError
 from aqldb.schema import (
     Modifier,
     Policy,
-    additive_bound,
     catalog_to_ddl,
     concurrent_insert_allowed,
     parse_literal,
@@ -89,11 +88,11 @@ def test_additive_bounds():
         """
     )
     t = cat.table("T")
-    assert additive_bound(t.column("A")).canon() == ">=0"
-    assert additive_bound(t.column("B")).canon() == ">=3"
-    assert additive_bound(t.column("C")).canon() == "<=10"
-    assert additive_bound(t.column("D")).canon() == "<=9"
-    assert additive_bound(t.column("E")) is None
+    assert t.column("A").additive_bound.canon() == ">=0"
+    assert t.column("B").additive_bound.canon() == ">=3"
+    assert t.column("C").additive_bound.canon() == "<=10"
+    assert t.column("D").additive_bound.canon() == "<=9"
+    assert t.column("E").additive_bound is None
 
 
 def test_concurrent_insert_allowed(catalog):

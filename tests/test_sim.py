@@ -7,6 +7,7 @@ import glob
 import hashlib
 import json
 import os
+import re
 import weakref
 from types import MappingProxyType
 
@@ -48,6 +49,13 @@ from aqldb.txn import (
 from delivery_orders import causal_orders, enumerate_orders
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+
+
+def row_delta(table, pk, cells=None, visibility=None, generation=None) -> RowDelta:
+    """A delta with no base, so a receiver holding the row merges every
+    state of it, and one without stores it: cells, plus visibility and
+    generation when given."""
+    return RowDelta(table, pk, None, Row(cells or {}, visibility or MvRegister(), generation or 0))
 
 SIMPLE = """
 replicas r1 r2
@@ -264,7 +272,7 @@ tx a @r1 { INSERT INTO T VALUES ('j', 'y') }
         ]}, 1))
         runner.apply(Event("deliver", {"rid": None}, 2))
         assert runner.report.ok, runner.report.failures
-        runner.cluster.replica("r2")._apply_delta(RowDelta("Albums", "A1", generation=7))
+        runner.cluster.replica("r2")._apply_delta(row_delta("Albums", "A1", generation=7))
         runner.apply(Event("assert_converged", {}, 3))
         runner.finish()
         where = "replica states differ at Albums/A1 (r1 vs r2)"
@@ -427,14 +435,14 @@ class TestCluster:
         r2 = cluster.replica("r2")
         balance = r2.store.row("Accounts", "a").cells["Balance"]
         delta = {
-            "counter entry": RowDelta("Artists", "Sam", {"Plays": AdditiveCounter({"r2": 1})}),
-            "transfers entry": RowDelta("Accounts", "a", {
+            "counter entry": row_delta("Artists", "Sam", {"Plays": AdditiveCounter({"r2": 1})}),
+            "transfers entry": row_delta("Accounts", "a", {
                 "Balance": BoundedCounter(bound=balance.bound, transfers={("r2", "r1"): 1}),
             }),
-            "flag": RowDelta("Artists", "Sam", visibility=MvRegister().assign("D", {}, "r2", 9)),
-            "generation": RowDelta("Albums", "A1", generation=7),
-            "invisible row": RowDelta("Reviews", 9),
-            "reference cell": RowDelta("Albums", "A1", {
+            "flag": row_delta("Artists", "Sam", visibility=MvRegister().assign("D", {}, "r2", 9)),
+            "generation": row_delta("Albums", "A1", generation=7),
+            "invisible row": row_delta("Reviews", 9),
+            "reference cell": row_delta("Albums", "A1", {
                 "Artist": LwwRegister(("Sam", 2), (9, "r2")),
             }),
         }[case]
@@ -455,9 +463,9 @@ class TestCluster:
         cluster.commit(tx)
         cluster.deliver_all()
         assert cluster.converged()
-        cluster.replica("r2")._apply_delta(RowDelta("Artists", "Sam", generation=7))
+        cluster.replica("r2")._apply_delta(row_delta("Artists", "Sam", generation=7))
         assert cluster.divergence() == "replica states differ at Artists/Sam (r1 vs r2)"
-        cluster.replica("r3")._apply_delta(RowDelta("Albums", "A1", generation=7))
+        cluster.replica("r3")._apply_delta(row_delta("Albums", "A1", generation=7))
         assert cluster.divergence() == "replica states differ at Albums/A1 (r1 vs r3)"
 
     def test_sequential_ids_gap_free_across_replicas(self):
@@ -1018,6 +1026,74 @@ def test_no_active_transaction_buffers_an_empty_write():
     assert sum(runner.writes for runner in runners) > 1000
 
 
+# FUZZ_SCHEMA with every policy and merge word removed: every table, edge
+# and column strict.
+ALL_STRICT_SCHEMA = re.sub(r" (UPDATE_WINS|DELETE_WINS|LWW|MULTI_VALUE)\b", "", FUZZ_SCHEMA)
+
+
+class BaseCheckingApply:
+    """Wraps Replica._apply_delta. A delivered delta whose row is neither
+    its base nor equal to it merges the states its commit wrote, which is
+    sound only if the row is at or above base: merging each base cell, and
+    base's visibility register, into the row's changes nothing, and the
+    row's generation is at least base's. Counts merging and adopting
+    deliveries, and records each row that is not at or above its base."""
+
+    def __init__(self, monkeypatch):
+        self.merging = self.adopting = 0
+        self.violations: list[str] = []
+        apply = Replica._apply_delta
+
+        def checked(rep, delta, committing=None):
+            if committing is None:
+                self.check(rep, delta)
+            apply(rep, delta, committing)
+
+        monkeypatch.setattr(Replica, "_apply_delta", checked)
+
+    def check(self, rep, delta):
+        row, base = rep.store.row(delta.table, delta.pk), delta.base
+        if row is base or row == base:
+            self.adopting += 1
+            return
+        self.merging += 1
+        if base is None:
+            return
+        where = f"{rep.rid} {delta.table}/{render_scalar(delta.pk)}"
+        if row is None:
+            self.violations.append(f"{where}: no row under base")
+            return
+        for col, cell in base.cells.items():
+            held = row.cells.get(col)
+            if held is None or crdt.merge(held, cell) != held:
+                self.violations.append(f"{where}: cell {col} below base")
+        if row.visibility.merge(base.visibility) != row.visibility:
+            self.violations.append(f"{where}: visibility below base")
+        if row.generation < base.generation:
+            self.violations.append(f"{where}: generation {row.generation} < {base.generation}")
+
+
+def test_a_merging_receiver_is_at_or_above_base(monkeypatch):
+    checker = BaseCheckingApply(monkeypatch)
+    list(scenario_runs())
+    for schema_text in (FUZZ_SCHEMA, MV_FK_SCHEMA, ALL_STRICT_SCHEMA):
+        for replicas in (2, 3):
+            for seed in range(150):
+                fuzz(FuzzConfig(seed=seed, replicas=replicas, events=200, schema_text=schema_text), shrink=False)
+    assert checker.violations == []
+    assert checker.merging > 0 and checker.adopting > 0
+
+
+def test_base_check_sees_a_clock_that_skips_dependencies(monkeypatch):
+    """A ready that checks only the origin's sequence number can deliver a
+    record before one it depends on; on this seed a receiver then merges a
+    delta whose base is above its row."""
+    monkeypatch.setattr(txn.CausalClock, "ready", lambda clock, record: clock.get(record.origin) == record.seq - 1)
+    checker = BaseCheckingApply(monkeypatch)
+    fuzz(FuzzConfig(seed=117, replicas=3, events=200), shrink=False)
+    assert checker.violations
+
+
 class TestAudit:
     def test_memo_is_sound_on_scenarios(self):
         mismatches, moved, kept, locks_moved, locks_kept = [], 0, 0, 0, 0
@@ -1076,7 +1152,7 @@ class TestAudit:
         ]}, 1))
         assert runner.report.ok, runner.report.failures
         runner.cluster.replica("r1")._apply_delta(
-            RowDelta("Reviews", 1, {"Stars": LwwRegister(9, (100, "r1"))})
+            row_delta("Reviews", 1, {"Stars": LwwRegister(9, (100, "r1"))})
         )
         runner.apply(Event("begin", {"rid": "r2", "txid": "b"}, 2))
         runner.apply(Event("partition", {"groups": [["r1"], ["r2"]]}, 3))
@@ -1099,12 +1175,12 @@ class TestAudit:
 
         def flag(table, pk, value, generation=None):
             observed = rep.store.row(table, pk).visibility.max_versions()
-            rep._apply_delta(RowDelta(table, pk, {}, MvRegister().assign(value, observed, "r1"), generation))
+            rep._apply_delta(row_delta(table, pk, {}, MvRegister().assign(value, observed, "r1"), generation))
 
         flag("Artists", "Sam", "D")  # A1's parent is deleted
         flag("Albums", "A2", "I", generation=2)  # re-inserted under review 1's delete-wins reference
         orphan = {"Album": LwwRegister(("Nope", 1), (100, "r1")), "Stars": LwwRegister(2, (100, "r1"))}
-        rep._apply_delta(RowDelta("Reviews", 2, orphan, MvRegister().assign("I", {}, "r1"), 1))
+        rep._apply_delta(row_delta("Reviews", 2, orphan, MvRegister().assign("I", {}, "r1"), 1))
         assert integrity_violations(rep.store, runner.catalog) == []
         monkeypatch.setattr(engine, "is_visible", own_flags_only)
         assert integrity_violations(rep.store, runner.catalog) == [
@@ -1145,7 +1221,7 @@ class TestAudit:
         r1 = runner.cluster.replica("r1")
         moved = r1.store.cell("Albums", "A1", "Stock").transfer("r1", "r9", 1)  # r9 is no replica
         for rep in runner.cluster.replicas.values():
-            rep._apply_delta(RowDelta("Albums", "A1", {"Stock": moved.slice_for("r1")}))
+            rep._apply_delta(row_delta("Albums", "A1", {"Stock": moved}))
         seq = r1.clock.get("r1") + 2  # one commit of r1 never sent
         runner.cluster.queues["r2"].append(CommitRecord("r1", seq, "lost", CausalClock({"r1": seq}), 99, []))
         assert runner.finish().failures == [
@@ -1358,9 +1434,10 @@ class TestRowValues:
         assert all(rep.store.row("Artists", "Sam") is row for rep in cluster.replicas.values())
 
     def test_a_multi_value_write_folds_in_one_step(self, monkeypatch):
-        """The fold takes one MvRegister.step for the row's flag and one for
-        each MULTI_VALUE cell, and merges nothing; it stores the Row that
-        merging each fresh one-entry register into the live state builds."""
+        """The fold takes one MvRegister.assign for the row's flag and one for
+        each MULTI_VALUE cell, and merges nothing; it stores, and ships over
+        the live row as base, the Row that merging each fresh one-entry
+        register into the live state builds."""
         cluster = Cluster(sch.parse_schema_text(FUZZ_SCHEMA), ["r1", "r2"])
         r1 = cluster.replica("r1")
         tx = r1.begin()
@@ -1374,10 +1451,10 @@ class TestRowValues:
         assert list(tx.buffer) == [("Albums", "A1")] and not cluster.catalog.coordination["Albums"].row_guarded
         (flag, seen), (genre, observed) = write.flag, write.sets["Genre"]
         lam = r1.lamport + 1
-        flag_slice = MvRegister().assign(flag, seen, "r1", lam)
-        genre_slice = MvRegister().assign(genre, observed, "r1", lam)
-        cell = old.cells["Genre"].merge(genre_slice)
-        two_step = Row({**old.cells, "Genre": cell}, old.visibility.merge(flag_slice), old.generation)
+        flag_entry = MvRegister().assign(flag, seen, "r1", lam)
+        genre_entry = MvRegister().assign(genre, observed, "r1", lam)
+        cell = old.cells["Genre"].merge(genre_entry)
+        two_step = Row({**old.cells, "Genre": cell}, old.visibility.merge(flag_entry), old.generation)
 
         merge, calls = MvRegister.merge, collections.Counter()
 
@@ -1390,7 +1467,7 @@ class TestRowValues:
         assert calls["merge"] == 0
         assert r1.store.row("Albums", "A1") == two_step
         (delta,) = record.deltas
-        assert delta.visibility == flag_slice and delta.cells == {"Genre": genre_slice}
+        assert delta.base is old and delta.result == two_step
 
 
 class TestReadOnlyCommit:
@@ -1436,7 +1513,7 @@ class TestObjectShapes:
             LwwRegister(), MvRegister(), AdditiveCounter(), Bound("lower", 0),
             BoundedCounter(bound=Bound("lower", 0)),
             Row(), RowView(None),
-            CausalClock(), RowWrite(), Transaction("t", "r1"), RowDelta("T", 1), LockState(),
+            CausalClock(), RowWrite(), Transaction("t", "r1"), row_delta("T", 1), LockState(),
             Event("heal", {}), Scenario("s", [], "", []), report, FuzzConfig(),
             FuzzOutcome(FuzzConfig(), [], report),
         ]

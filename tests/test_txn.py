@@ -1,5 +1,7 @@
 """Clocks, commit records and the ownership-passing lock manager."""
 
+import dataclasses
+
 import pytest
 
 from aqldb.errors import LockUnavailable
@@ -8,6 +10,7 @@ from aqldb.txn import (
     CommitRecord,
     LockManager,
     Mode,
+    RowDelta,
     Transaction,
     column_lock,
     row_lock,
@@ -19,6 +22,12 @@ def make_tx(txid, origin):
     return Transaction(txid, origin)
 
 
+def test_a_row_delta_is_the_row_read_and_the_row_built():
+    """A commit record ships no per-cell copy of a write beside the row the
+    fold built: a merging receiver reads the written cells off result."""
+    assert [f.name for f in dataclasses.fields(RowDelta)] == ["table", "pk", "base", "result"]
+
+
 class TestClock:
     def test_tick_and_get(self):
         c = CausalClock()
@@ -28,11 +37,6 @@ class TestClock:
         assert c.get("r1") == 2
         assert c.get("r2") == 1
         assert c.get("r3") == 0
-
-    def test_merge_takes_max(self):
-        a, b = CausalClock({"r1": 3, "r2": 1}), CausalClock({"r1": 2, "r2": 5})
-        a.merge(b)
-        assert a.counts == {"r1": 3, "r2": 5}
 
     def test_dominates(self):
         big = CausalClock({"r1": 2, "r2": 2})
