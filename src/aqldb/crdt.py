@@ -6,8 +6,15 @@ return one of its inputs as is when that input already is the join, so
 replicas can share one state object.
 Callers are responsible for issuing fresh stamps and version counters; the
 types themselves only enforce the lattice rules. A stamp is a plain
-(counter, replica) tuple, so stamps order lexicographically and the cyclic
-garbage collector stops tracking them after one pass.
+(counter, replica) tuple, so stamps order lexicographically.
+
+The store only grows, and a full garbage collection walks every tracked
+object in it. CPython stops tracking an exact tuple whose items are all
+untracked, never a slotted instance or a frozenset. So a last-writer-wins
+cell is the exact tuple (value, stamp), which merge() and canon() take like
+any other state and other modules tell by type(cell) is tuple; and an
+MvRegister keeps its entries as a tuple in version order, which is
+canonical: versions are unique within an antichain.
 
 No state keeps a zero entry: the incs, decs and transfers of a counter and
 the counts of a version vector are all positive. canon() drops zeros, so
@@ -43,52 +50,36 @@ def make_version(counts: Mapping[str, int]) -> Version:
     return tuple(sorted([(r, int(c)) for r, c in counts.items() if c]))
 
 
-def version_leq(a: Version, b: Version) -> bool:
-    return a == b or _counts_leq(a, dict(b))
-
-
 def _counts_leq(a: Version, bc: dict[str, int]) -> bool:
-    """version_leq(a, b) given bc = dict(b)."""
+    """Whether version a is at or below version b, given bc = dict(b)."""
     for r, c in a:
         if c > bc.get(r, 0):
             return False
     return True
 
 
+def _entry_order(entry: tuple[object, Version]) -> tuple[Version, str]:
+    """MV entries sort by version; ties, which fresh counters never make, by value."""
+    return entry[1], render_scalar(entry[0])
+
+
 # A logical timestamp: (counter, replica).
 EventStamp = tuple[int, str]
 
-
-@dataclass(frozen=True, slots=True)
-class LwwRegister:
-    """Register keeping the single value with the greatest stamp."""
-
-    value: object = None
-    stamp: EventStamp = (0, "")
-
-    def merge(self, other: "LwwRegister") -> "LwwRegister":
-        if other.stamp > self.stamp:
-            return other
-        if other.stamp < self.stamp:
-            return self
-        # Equal stamps only happen for identical writes; break ties on the
-        # rendered value anyway so merge stays total and commutative.
-        return self if render_scalar(self.value) >= render_scalar(other.value) else other
-
-    def canon(self) -> str:
-        counter, replica = self.stamp
-        return f"lww({render_scalar(self.value)}@{counter}.{replica})"
+# A last-writer-wins register, keeping the value with the greatest stamp.
+Lww = tuple[object, EventStamp]  # (value, stamp)
 
 
 @dataclass(frozen=True, slots=True)
 class MvRegister:
-    """Multi-value register: an antichain of (value, version) entries.
+    """Multi-value register: an antichain of (value, version) entries, in
+    version order.
 
     Concurrent assignments all survive a merge; causally dominated entries
     are discarded.
     """
 
-    entries: frozenset[tuple[object, Version]] = frozenset()
+    entries: tuple[tuple[object, Version], ...] = ()
 
     def values(self) -> list:
         return sorted((e[0] for e in self.entries), key=render_scalar)
@@ -120,13 +111,15 @@ class MvRegister:
         counts[writer] = counter if counter is not None else counts.get(writer, 0) + 1
         kept = [e for e in self.entries if not _counts_leq(e[1], counts)]
         kept.append((value, make_version(counts)))
-        return MvRegister(frozenset(kept))
+        if len(kept) > 1:
+            kept.sort(key=_entry_order)
+        return MvRegister(tuple(kept))
 
     def merge(self, other: "MvRegister") -> "MvRegister":
         """The entries of either side that no entry strictly dominates. When
         that is one side's whole entry set, that side is returned."""
         mine, theirs = self.entries, other.entries
-        if len(mine) < 2 and theirs <= mine:
+        if len(mine) < 2 and (not theirs or theirs == mine):
             return self  # other adds nothing, and one entry is an antichain
         if len(theirs) == 1:
             (_, top), = theirs
@@ -136,9 +129,9 @@ class MvRegister:
                     break
             else:
                 return other  # its one entry dominates every entry of self
-        pool = mine | theirs
+        pool = sorted(dict.fromkeys(mine + theirs), key=_entry_order)
         tops = {ver: dict(ver) for _, ver in pool}
-        kept = frozenset(
+        kept = tuple(
             e for e in pool
             if not any(ver != e[1] and _counts_leq(e[1], bc) for ver, bc in tops.items())
         )
@@ -315,14 +308,28 @@ class BoundedCounter(AdditiveCounter):
         return f"bc[{self.bound.canon()}](" + self._canon_maps() + "t{" + t + "})"
 
 
-MergeValue = LwwRegister | MvRegister | AdditiveCounter | BoundedCounter
+MergeValue = Lww | MvRegister | AdditiveCounter | BoundedCounter
 
 
 def merge(a: MergeValue, b: MergeValue) -> MergeValue:
     """Merge two states of the same kind; KindMismatch otherwise."""
     if type(a) is not type(b):
         raise KindMismatch(f"cannot merge {type(a).__name__} with {type(b).__name__}")
-    return a.merge(b)
+    if type(a) is not tuple:
+        return a.merge(b)
+    if a[1] != b[1]:  # last writer wins
+        return a if a[1] > b[1] else b
+    # Equal stamps only happen for identical writes; break ties on the
+    # rendered value anyway so merge stays total and commutative.
+    return a if render_scalar(a[0]) >= render_scalar(b[0]) else b
+
+
+def canon(state: MergeValue) -> str:
+    """The canonical text of any state."""
+    if type(state) is tuple:
+        value, (counter, replica) = state
+        return f"lww({render_scalar(value)}@{counter}.{replica})"
+    return state.canon()
 
 
 def _max_map(a: Mapping, b: Mapping) -> dict:

@@ -19,7 +19,6 @@ from .crdt import (
     AdditiveCounter,
     Bound,
     BoundedCounter,
-    LwwRegister,
     MergeValue,
     MvRegister,
     Scalar,
@@ -63,14 +62,12 @@ def _rowkey_order(rowkey: RowKey) -> tuple[str, str]:
     return rowkey[0], render_scalar(rowkey[1])
 
 
-# The stamp of a last-writer-wins register that was never written.
-_UNWRITTEN = (0, "")
-
-
 @dataclass(frozen=True, slots=True)
 class Row:
     """A stored row, immutable down to its cells dict: a change stores a new
-    Row, so the old one stays readable as a pre-image and replicas share rows."""
+    Row, so the old one stays readable as a pre-image and replicas share rows.
+    A row of last-writer-wins cells only has a cells dict of plain tuples,
+    which the garbage collector stops tracking (see crdt)."""
 
     cells: dict[str, MergeValue] = field(default_factory=dict)
     visibility: MvRegister = field(default_factory=MvRegister)  # over I, D, T
@@ -84,15 +81,17 @@ _NO_MV = _NO_ROW.visibility  # what a fold writes a multi-value cell over when n
 class Store:
     """All rows of one replica, keyed by table then primary key, and a
     reverse foreign key index (child table, fk column, parent pk) -> child
-    pks. Entries are never removed: readers re-check every candidate. When
-    an auditor gives the store a change set, changed, Replica._apply_delta,
-    the only place a row is stored, adds each stored row's key to it, for
-    the auditor to re-judge and clear: an empty set means an unchanged store
-    since the auditor last cleared it. A store nothing audits carries none."""
+    pks, each a dict of pk -> None: an insertion-ordered set that, unlike a
+    set, the garbage collector stops tracking. Entries are never removed:
+    readers re-check every candidate. When an auditor gives the store a
+    change set, changed, Replica._apply_delta, the only place a row is
+    stored, adds each stored row's key to it, for the auditor to re-judge
+    and clear: an empty set means an unchanged store since the auditor last
+    cleared it. A store nothing audits carries none."""
 
     def __init__(self):
         self.tables: dict[str, dict[Scalar, Row]] = {}
-        self.children: dict[tuple[str, str, Scalar], set[Scalar]] = {}
+        self.children: dict[tuple[str, str, Scalar], dict[Scalar, None]] = {}
         self.changed: set[RowKey] | None = None
 
     def row(self, table: str, pk: Scalar) -> Row | None:
@@ -171,8 +170,8 @@ class RowView:
         cell = self.row.cells.get(column) if self.row is not None else None
         if cell is None:
             return ()
-        if isinstance(cell, LwwRegister):
-            return () if cell.stamp == _UNWRITTEN else (cell.value,)
+        if type(cell) is tuple:  # last-writer-wins: every stored one was written
+            return (cell[0],)
         if isinstance(cell, MvRegister):
             return tuple(cell.values())
         return (cell.value(),)
@@ -451,13 +450,13 @@ class Replica:
             for col, _ in schema.foreign_keys:
                 state = result.cells.get(col)
                 if state is not None and state is not base.cells.get(col):
-                    refs = (state.value,) if isinstance(state, LwwRegister) else [e[0] for e in state.entries]
+                    refs = (state[0],) if type(state) is tuple else [e[0] for e in state.entries]
                     for ppk, _ in refs:
                         kids = store.children.get((delta.table, col, ppk))
                         if kids is None:
-                            store.children[(delta.table, col, ppk)] = {delta.pk}
+                            store.children[(delta.table, col, ppk)] = {delta.pk: None}
                         else:
-                            kids.add(delta.pk)
+                            kids[delta.pk] = None
 
     # -- contexts -------------------------------------------------------------
 
@@ -487,7 +486,7 @@ class Replica:
             current = write.sets[SEQ_COLUMN][0]
         else:
             cell = self.store.cell(SEQ_TABLE, name, SEQ_COLUMN)
-            current = cell.value if isinstance(cell, LwwRegister) and cell.value is not None else 0
+            current = cell[0] if type(cell) is tuple and cell[0] is not None else 0
         value = current + 1
         tx.write(rowkey).sets[SEQ_COLUMN] = (value, None)
         return value
@@ -822,7 +821,7 @@ class Replica:
         sets, deltas = write.sets.items(), write.deltas.items()
         for name, (value, observed) in sorted(sets) if len(sets) > 1 else sets:
             if observed is None:
-                cells[name] = LwwRegister(value, stamp)
+                cells[name] = (value, stamp)
             else:
                 cells[name] = cells.get(name, _NO_MV).assign(value, observed, self.rid, lam)
         for colname, delta in sorted(deltas) if len(deltas) > 1 else deltas:

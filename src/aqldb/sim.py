@@ -16,7 +16,7 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 from . import schema as sch
-from .crdt import AdditiveCounter, BoundedCounter, render_scalar
+from .crdt import AdditiveCounter, BoundedCounter, canon, render_scalar
 # integrity_violations and constraint_violations, the full audit, stay
 # importable here: perfbench calls and times them through this module.
 from .engine import (
@@ -206,7 +206,7 @@ def store_canon(store: Store) -> str:
             row = store.tables[table][pk]
             parts = [f"{table}/{render_scalar(pk)}"]
             for col in sorted(row.cells):
-                parts.append(f"{col}={row.cells[col].canon()}")
+                parts.append(f"{col}={canon(row.cells[col])}")
             parts.append(f"vis={row.visibility.canon()}")
             parts.append(f"gen={row.generation}")
             lines.append(" ".join(parts))

@@ -6,14 +6,20 @@ from aqldb.crdt import (
     AdditiveCounter,
     Bound,
     BoundedCounter,
-    LwwRegister,
     MvRegister,
+    _counts_leq,
+    canon,
     make_version,
     merge,
     render_scalar,
-    version_leq,
 )
 from aqldb.errors import InsufficientRights, KindMismatch
+
+UNWRITTEN = (None, (0, ""))  # a last-writer-wins cell never written
+
+
+def version_leq(a, b):
+    return a == b or _counts_leq(a, dict(b))
 
 
 def version_dominates(a, b):
@@ -42,27 +48,32 @@ def test_version_order():
 
 class TestLww:
     def test_later_stamp_wins(self):
-        old, new = LwwRegister("old", (1, "r1")), LwwRegister("new", (2, "r1"))
-        assert old.merge(new).value == "new"
-        assert new.merge(old).value == "new"
+        old, new = ("old", (1, "r1")), ("new", (2, "r1"))
+        assert merge(old, new)[0] == "new"
+        assert merge(new, old)[0] == "new"
 
     def test_merge_picks_higher_stamp(self):
-        a = LwwRegister("a", (3, "r1"))
-        b = LwwRegister("b", (2, "r2"))
-        assert a.merge(b).value == "a"
-        assert b.merge(a).value == "a"
+        a = ("a", (3, "r1"))
+        b = ("b", (2, "r2"))
+        assert merge(a, b)[0] == "a"
+        assert merge(b, a)[0] == "a"
 
     def test_equal_counter_breaks_tie_on_replica(self):
-        a = LwwRegister("a", (2, "r1"))
-        b = LwwRegister("b", (2, "r2"))
+        a = ("a", (2, "r1"))
+        b = ("b", (2, "r2"))
         # (2, r2) > (2, r1) lexicographically
-        assert a.merge(b).value == "b"
-        assert b.merge(a).value == "b"
+        assert merge(a, b)[0] == "b"
+        assert merge(b, a)[0] == "b"
 
     def test_bottom_is_identity(self):
-        a = LwwRegister("a", (1, "r1"))
-        assert a.merge(LwwRegister()) == a
-        assert LwwRegister().merge(a) == a
+        a = ("a", (1, "r1"))
+        assert merge(a, UNWRITTEN) == a
+        assert merge(UNWRITTEN, a) == a
+
+    def test_canon(self):
+        assert canon(("a", (3, "r1"))) == "lww(a@3.r1)"
+        assert canon((("A1", 2), (3, "r1"))) == "lww((A1,2)@3.r1)"
+        assert canon(UNWRITTEN) == "lww(null@0.)"
 
 
 class TestMv:
@@ -223,7 +234,7 @@ class TestBounded:
 
 def test_merge_rejects_kind_mismatch():
     with pytest.raises(KindMismatch):
-        merge(LwwRegister(), MvRegister())
+        merge(UNWRITTEN, MvRegister())
 
 
 def test_canon_distinguishes_states():
@@ -232,3 +243,4 @@ def test_canon_distinguishes_states():
     assert a.value() == b.value() == 5
     # same value, different histories: canon reflects the history
     assert a.canon() != b.canon()
+    assert canon(a) == a.canon()

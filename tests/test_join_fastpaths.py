@@ -1,7 +1,7 @@
 """The join and visibility fast paths against the plain rules they shortcut.
 
-MvRegister.merge, version_leq and CausalClock.ready take shortcuts on the
-delivery path. Each must give exactly what its plain, all-pairs or
+MvRegister.merge, the version order and CausalClock.ready take shortcuts on
+the delivery path. Each must give exactly what its plain, all-pairs or
 all-entries definition gives, on any input: registers here are arbitrary
 entry sets, not only the antichains merges build. Where merge's
 result is one of its inputs, it returns that input itself, so replicas share
@@ -19,8 +19,9 @@ from aqldb.crdt import (
     Bound,
     BoundedCounter,
     MvRegister,
+    _counts_leq,
     make_version,
-    version_leq,
+    render_scalar,
 )
 from aqldb.engine import Row, RowView
 from aqldb.sim import FUZZ_SCHEMA, Cluster
@@ -33,7 +34,19 @@ PROPERTY = settings(max_examples=300, derandomize=True, database=None, deadline=
 versions = st.dictionaries(st.sampled_from(REPLICAS), st.integers(0, 3)).map(make_version)
 # Flags and column values; equal versions may carry different values.
 entries = st.tuples(st.sampled_from(["I", "D", "T", 1, "x"]), versions)
-registers = st.frozensets(entries, max_size=5).map(MvRegister)
+
+
+def mv(entries) -> MvRegister:
+    """A register holding entries in version order, as assign and merge keep
+    them; entries whose versions tie order by value."""
+    return MvRegister(tuple(sorted(entries, key=lambda e: (e[1], render_scalar(e[0])))))
+
+
+registers = st.frozensets(entries, max_size=5).map(mv)
+
+
+def version_leq(a, b):
+    return a == b or _counts_leq(a, dict(b))
 
 
 def version_dominates(a, b):
@@ -49,10 +62,11 @@ def ref_dominates(a, b):
     return a != b and ref_leq(b, a)
 
 
-def ref_merge(a: MvRegister, b: MvRegister) -> frozenset:
-    """The all-pairs rule: keep each entry no entry strictly dominates."""
-    pool = a.entries | b.entries
-    return frozenset(e for e in pool if not any(ref_dominates(f[1], e[1]) for f in pool))
+def ref_merge(a: MvRegister, b: MvRegister) -> tuple:
+    """The all-pairs rule over entry sets: the entries no entry strictly
+    dominates, in mv's order."""
+    pool = {*a.entries, *b.entries}
+    return mv(e for e in pool if not any(ref_dominates(f[1], e[1]) for f in pool)).entries
 
 
 def ref_ready(clock: CausalClock, record: CommitRecord) -> bool:
@@ -73,7 +87,7 @@ class TestReference:
     def test_merge_matches_all_pairs_rule(self, a, b, entry):
         assert a.merge(b).entries == ref_merge(a, b)
         # The delivery path's usual shape: a one-entry delta against a row.
-        one = MvRegister(frozenset([entry]))
+        one = mv([entry])
         assert a.merge(one).entries == ref_merge(a, one)
         assert one.merge(a).entries == ref_merge(one, a)
         empty = MvRegister()
@@ -98,7 +112,7 @@ class TestIdentity:
     def test_merge_returns_self_when_other_adds_nothing(self):
         a = MvRegister().assign("x", {}, "r1").merge(MvRegister().assign("y", {}, "r2"))
         assert len(a.entries) == 2
-        for sub in (MvRegister(), MvRegister(frozenset(list(a.entries)[:1])), MvRegister(a.entries), a):
+        for sub in (MvRegister(), MvRegister(a.entries[:1]), MvRegister(a.entries), a):
             assert a.merge(sub) is a
 
     def test_merge_returns_a_dominating_single_entry(self):
@@ -112,7 +126,7 @@ class TestIdentity:
         b = MvRegister().assign("y", {}, "r2")
         out = a.merge(b)
         assert out is not a and out is not b
-        assert out.entries == a.entries | b.entries
+        assert out.entries == mv({*a.entries, *b.entries}).entries
 
     def test_delivered_update_shares_the_record_register(self, broadcasts):
         cluster = Cluster(sch.parse_schema_text(FUZZ_SCHEMA), ["r1", "r2", "r3"])
@@ -156,7 +170,7 @@ class TestIdentity:
         assert r2.store.row("Artists", "Sam").cells["Plays"] is plays.result.cells["Plays"]
         for rep in (r1, r2):
             row = rep.store.row("Artists", "Sam")
-            assert (row.cells["Active"].value, row.cells["Plays"].value()) == (False, 3)
+            assert (row.cells["Active"][0], row.cells["Plays"].value()) == (False, 3)
         assert cluster.converged()
 
 

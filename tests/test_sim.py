@@ -18,7 +18,7 @@ import aqldb.engine as engine
 import aqldb.schema as sch
 import aqldb.sim as sim
 import aqldb.txn as txn
-from aqldb.crdt import AdditiveCounter, Bound, BoundedCounter, LwwRegister, MvRegister, render_scalar
+from aqldb.crdt import AdditiveCounter, Bound, BoundedCounter, MvRegister, render_scalar
 from aqldb.engine import (
     SEQ_COLUMN, SEQ_TABLE, Cause, Replica, Row, RowView, ViewContext, constraint_violations,
     integrity_violations, rejudge, visible_rows,
@@ -443,7 +443,7 @@ class TestCluster:
             "generation": row_delta("Albums", "A1", generation=7),
             "invisible row": row_delta("Reviews", 9),
             "reference cell": row_delta("Albums", "A1", {
-                "Artist": LwwRegister(("Sam", 2), (9, "r2")),
+                "Artist": (("Sam", 2), (9, "r2")),
             }),
         }[case]
         r2._apply_delta(delta)
@@ -1152,7 +1152,7 @@ class TestAudit:
         ]}, 1))
         assert runner.report.ok, runner.report.failures
         runner.cluster.replica("r1")._apply_delta(
-            row_delta("Reviews", 1, {"Stars": LwwRegister(9, (100, "r1"))})
+            row_delta("Reviews", 1, {"Stars": (9, (100, "r1"))})
         )
         runner.apply(Event("begin", {"rid": "r2", "txid": "b"}, 2))
         runner.apply(Event("partition", {"groups": [["r1"], ["r2"]]}, 3))
@@ -1179,7 +1179,7 @@ class TestAudit:
 
         flag("Artists", "Sam", "D")  # A1's parent is deleted
         flag("Albums", "A2", "I", generation=2)  # re-inserted under review 1's delete-wins reference
-        orphan = {"Album": LwwRegister(("Nope", 1), (100, "r1")), "Stars": LwwRegister(2, (100, "r1"))}
+        orphan = {"Album": (("Nope", 1), (100, "r1")), "Stars": (2, (100, "r1"))}
         rep._apply_delta(row_delta("Reviews", 2, orphan, MvRegister().assign("I", {}, "r1"), 1))
         assert integrity_violations(rep.store, runner.catalog) == []
         monkeypatch.setattr(engine, "is_visible", own_flags_only)
@@ -1284,7 +1284,7 @@ class TestConvergence:
 
 def row_text(row) -> str:
     """A stored row as store_canon renders it, without its key."""
-    cells = [f"{col}={row.cells[col].canon()}" for col in sorted(row.cells)]
+    cells = [f"{col}={crdt.canon(row.cells[col])}" for col in sorted(row.cells)]
     return " ".join(cells + [f"vis={row.visibility.canon()}", f"gen={row.generation}"])
 
 
@@ -1504,13 +1504,13 @@ class TestReadOnlyCommit:
 
 class TestObjectShapes:
     """Stored state is many small objects that the cyclic garbage collector
-    walks on every full collection, so each is one slotted block and a
-    stamp is a tuple it stops tracking."""
+    walks on every full collection, so each is one slotted block, or a
+    tuple or dict it stops tracking."""
 
     def test_dataclass_instances_have_no_dict(self):
         report = Report("r")
         instances = [
-            LwwRegister(), MvRegister(), AdditiveCounter(), Bound("lower", 0),
+            MvRegister(), AdditiveCounter(), Bound("lower", 0),
             BoundedCounter(bound=Bound("lower", 0)),
             Row(), RowView(None),
             CausalClock(), RowWrite(), Transaction("t", "r1"), row_delta("T", 1), LockState(),
@@ -1526,19 +1526,54 @@ class TestObjectShapes:
         }
         assert declared - {type(obj) for obj in instances} == {txn.CommitRecord}
 
-    def test_stored_stamps_are_untracked_tuples(self):
+    def test_stored_cells_and_child_keys_are_untracked(self):
+        """After a full collection the collector no longer tracks a stored
+        last-writer-wins cell, a multi-value register's entries or a child
+        index key set, so it walks none of them again; nor a row's cells
+        dict that holds only last-writer-wins cells, as a Reviews row's does."""
         cluster = Cluster(sch.parse_schema_text(FUZZ_SCHEMA), ["r1", "r2"])
-        r1 = cluster.replica("r1")
-        for sql in ("INSERT INTO Artists VALUES ('Sam', TRUE, 0)", "UPDATE Artists SET Active = FALSE WHERE Name = 'Sam'"):
-            tx = r1.begin()
-            r1.execute(tx, sql)
+        r1, r2 = cluster.replica("r1"), cluster.replica("r2")
+        for rep, sql in (
+            (r1, "INSERT INTO Artists VALUES ('Sam', TRUE, 0)"),
+            (r2, "INSERT INTO Artists VALUES ('Ana', TRUE, 0)"),
+            (r1, "INSERT INTO Albums VALUES ('A1', 'Sam', 2, 'rock')"),
+            (r2, "INSERT INTO Reviews VALUES (1, 'A1', 3)"),
+            (r1, "UPDATE Artists SET Active = FALSE WHERE Name = 'Sam'"),
+            (r2, "UPDATE Albums SET Artist = 'Ana' WHERE Title = 'A1'"),
+            (r1, "UPDATE Reviews SET Stars = 4 WHERE Id = 1"),
+        ):
+            tx = rep.begin()
+            rep.execute(tx, sql)
             cluster.commit(tx)
             cluster.deliver_all()
-        gc.collect()
-        for rid in ("r1", "r2"):
-            cell = cluster.replica(rid).store.cell("Artists", "Sam", "Active")
-            assert cell.value is False
-            assert type(cell.stamp) is tuple and not gc.is_tracked(cell.stamp)
+        for rep, genre in ((r1, "jazz"), (r2, "folk")):  # concurrent: both survive
+            tx = rep.begin()
+            rep.execute(tx, f"UPDATE Albums SET Genre = '{genre}' WHERE Title = 'A1'")
+            cluster.commit(tx)
+        cluster.deliver_all()
+        assert cluster.converged()
+        # A pass untracks a tuple only once it has untracked every item, and
+        # it may meet the tuple first: an MV register's entries, their
+        # versions and a version's pairs nest four deep, so four passes.
+        for _ in range(4):
+            gc.collect()
+        for rep in (r1, r2):
+            assert rep.store.cell("Albums", "A1", "Genre").values() == ["folk", "jazz"]
+            assert rep.store.cell("Reviews", 1, "Stars") == (4, (7, "r1"))
+            lww = 0
+            for rows in rep.store.tables.values():
+                for row in rows.values():
+                    for cell in (*row.cells.values(), row.visibility):
+                        if isinstance(cell, MvRegister):
+                            assert type(cell.entries) is tuple and not gc.is_tracked(cell.entries), cell
+                        elif not isinstance(cell, AdditiveCounter):
+                            assert type(cell) is tuple and not gc.is_tracked(cell), cell
+                            lww += 1
+            assert lww == 9  # keys included: four Artists, two Albums and three Reviews cells
+            children = rep.store.children
+            assert set(children) == {("Albums", "Artist", "Sam"), ("Albums", "Artist", "Ana"), ("Reviews", "Album", "A1")}
+            assert not any(gc.is_tracked(kids) for kids in children.values())
+            assert not gc.is_tracked(rep.store.row("Reviews", 1).cells)
 
 
 class TestFuzz:
