@@ -48,7 +48,7 @@ class Cluster:
             for rid in self.replica_ids
         }
         self.queues: dict[str, list[CommitRecord]] = {rid: [] for rid in self.replica_ids}
-        self.groups: dict[str, int] = {rid: 0 for rid in self.replica_ids}
+        self.heal()  # groups: rid -> its partition group
         self.deliveries = 0
 
     # ---- hooks the engine and lock manager call back into
@@ -103,7 +103,7 @@ class Cluster:
         return self.replicas[rid]
 
     def commit(self, tx) -> CommitRecord | None:
-        record = self.replica(tx.origin).commit(tx)
+        record = self.replicas[tx.origin].commit(tx)
         if record is not None:  # a read-only commit ships nothing
             self._broadcast(record)
         return record
@@ -135,7 +135,7 @@ class Cluster:
         return delivered
 
     def deliver_all(self) -> int:
-        return sum(self.pump(rid) for rid in self.replica_ids)
+        return sum(map(self.pump, self.replica_ids))
 
     def partition(self, groups: list[list[str]]) -> None:
         mapping: dict[str, int] = {}
@@ -154,7 +154,7 @@ class Cluster:
         self.groups = mapping
 
     def heal(self) -> None:
-        self.groups = {rid: 0 for rid in self.replica_ids}
+        self.groups: dict[str, int] = {rid: 0 for rid in self.replica_ids}
 
     def quiesce(self) -> None:
         self.heal()
@@ -226,37 +226,37 @@ class Event:
     line: int = 0
 
     def render(self) -> str:
-        a = self.args
+        kind, a = self.kind, self.args
         expect = f" expect {a['expect']}" if a.get("expect") else ""
-        if self.kind == "begin":
+        if kind == "begin":
             return f"begin {a['txid']} @{a['rid']}"
-        if self.kind == "stmt":
+        if kind == "stmt":
             return f"stmt {a['txid']}{expect}: {a['sql']}"
-        if self.kind in ("commit", "abort"):
-            return f"{self.kind} {a['txid']}{expect}"
-        if self.kind == "deliver":
+        if kind in ("commit", "abort"):
+            return f"{kind} {a['txid']}{expect}"
+        if kind == "deliver":
             return "deliver_all" if a.get("rid") is None else f"deliver @{a['rid']}"
-        if self.kind == "partition":
-            return "partition " + " | ".join(" ".join(g) for g in a["groups"])
-        if self.kind == "heal":
+        if kind == "partition":
+            return "partition " + " | ".join(map(" ".join, a["groups"]))
+        if kind == "heal":
             return "heal"
-        if self.kind == "txblock":
+        if kind == "txblock":
             head = f"tx {a['txid']} @{a['rid']}{expect} {{"
             return "\n".join([head] + [f"  {s}" for s in a["stmts"]] + ["}"])
-        if self.kind == "assert_table":
+        if kind == "assert_table":
             head = f"assert table @{a['rid']} {a['table']} {{"
             return "\n".join([head] + [f"  {line}" for line in a["lines"]] + ["}"])
-        if self.kind == "assert_visible":
+        if kind == "assert_visible":
             word = "visible" if a["expected"] else "invisible"
             return f"assert {word} @{a['rid']} {a['table']} {sch._literal_ddl(a['pk'])}"
-        if self.kind == "assert_flags":
+        if kind == "assert_flags":
             flags = ",".join(sorted(a["flags"]))
             return f"assert flags @{a['rid']} {a['table']} {sch._literal_ddl(a['pk'])} {{{flags}}}"
-        if self.kind == "assert_outcome":
+        if kind == "assert_outcome":
             return f"assert outcome {a['txid']} {a['outcome']}"
-        if self.kind == "assert_converged":
+        if kind == "assert_converged":
             return "assert converged"
-        raise ScenarioError(f"cannot render event kind {self.kind}")
+        raise ScenarioError(f"cannot render event kind {kind}")
 
 
 @dataclass(slots=True)
@@ -334,9 +334,9 @@ class Runner:
         for rep in self.cluster.replicas.values():
             rep.store.changed = set()
             self.audited.append(rep.store.changed)
-        # (lock table version, [problem]) of the last lock safety audit
-        locks = self.cluster.locks
-        self.lock_audit: tuple[int, list[str]] = (locks.version, locks.safety_violations())
+        # (lock table version, [problem]) of the last lock safety audit; a
+        # new lock table is at version 0 and holds no lock, so no problem
+        self.lock_audit: tuple[int, list[str]] = (0, [])
 
     # ---- event dispatch
 
@@ -354,60 +354,55 @@ class Runner:
         return self.report
 
     def _tx(self, event: Event):
-        txid = event.args["txid"]
-        tx = self.txs.get(txid)
+        """The event's transaction; an unknown one raises, or is None when lenient."""
+        tx = self.txs.get(event.args["txid"])
         if tx is None and not self.lenient:
-            raise ScenarioError(f"line {event.line}: unknown transaction {txid}")
+            raise ScenarioError(f"line {event.line}: unknown transaction {event.args['txid']}")
         return tx
-
-    def _unused_txid(self, event: Event) -> bool:
-        """Whether event names a new transaction; a used txid raises, or
-        skips the event when lenient."""
-        if event.args["txid"] not in self.txs:
-            return True
-        if self.lenient:
-            return False
-        raise ScenarioError(f"line {event.line}: transaction {event.args['txid']} already exists")
-
-    def _ev_begin(self, event: Event) -> None:
-        rid, txid = event.args["rid"], event.args["txid"]
-        if not self._unused_txid(event):
-            return
-        self.txs[txid] = self.cluster.replica(rid).begin(txid)
-        self.report.step(event.line, f"begin {txid} @{rid}", True)
 
     def _active_tx(self, event: Event):
         """The event's transaction if active; else raise, or None when lenient."""
-        tx = self._tx(event)
-        if tx is None or tx.status is not TxStatus.ACTIVE:
+        tx = self.txs.get(event.args["txid"])
+        if tx is not None and tx.status is TxStatus.ACTIVE:
+            return tx
+        if self._tx(event) is not None and not self.lenient:
+            raise ScenarioError(f"line {event.line}: transaction not active")
+
+    def _begin(self, event: Event):
+        """Begin the event's transaction at its replica and return it. A used
+        txid raises, or, when lenient, begins nothing and returns None."""
+        txid = event.args["txid"]
+        if txid in self.txs:
             if self.lenient:
                 return None
-            raise ScenarioError(f"line {event.line}: transaction not active")
+            raise ScenarioError(f"line {event.line}: transaction {txid} already exists")
+        tx = self.txs[txid] = self.cluster.replica(event.args["rid"]).begin(txid)
         return tx
+
+    def _ev_begin(self, event: Event) -> None:
+        tx = self._begin(event)
+        if tx is not None:
+            self.report.step(event.line, f"begin {tx.txid} @{tx.origin}", True)
 
     def _ev_stmt(self, event: Event) -> None:
         tx = self._active_tx(event)
-        if tx is None:
-            return
-        sql = event.args["sql"]
-        ok, detail = self._outcome(
-            tx.txid, event.args.get("expect"), lambda: self.cluster.replica(tx.origin).execute(tx, sql)
-        )
-        self.report.step(event.line, f"stmt {tx.txid}: {sql}", ok or self.lenient, detail)
+        if tx is not None:
+            sql = event.args["sql"]
+            ok, detail = self._outcome(tx, event.args.get("expect"), self.cluster.replicas[tx.origin].execute, tx, sql)
+            self.report.step(event.line, f"stmt {tx.txid}: {sql}", ok or self.lenient, detail)
 
     def _ev_commit(self, event: Event) -> None:
         tx = self._active_tx(event)
-        if tx is None:
-            return
-        ok, detail = self._outcome(tx.txid, event.args.get("expect"), lambda: self._commit(tx))
-        self.report.step(event.line, f"commit {tx.txid}", ok or self.lenient, detail)
+        if tx is not None:
+            ok, detail = self._outcome(tx, event.args.get("expect"), self._commit, tx)
+            self.report.step(event.line, f"commit {tx.txid}", ok or self.lenient, detail)
 
     def _ev_abort(self, event: Event) -> None:
         tx = self._tx(event)
         if tx is None:
             return
         if tx.status is TxStatus.ACTIVE:
-            self.cluster.replica(tx.origin).abort(tx)
+            self.cluster.replicas[tx.origin].abort(tx)
             self.report.aborts += 1
         self.report.step(event.line, f"abort {tx.txid}", True)
 
@@ -416,20 +411,17 @@ class Runner:
         self.report.commits += 1
 
     def _ev_txblock(self, event: Event) -> None:
-        rid, txid = event.args["rid"], event.args["txid"]
-        if not self._unused_txid(event):
+        tx = self._begin(event)
+        if tx is None:
             return
-        rep = self.cluster.replica(rid)
-        tx = rep.begin(txid)
-        self.txs[txid] = tx
 
         def run_block() -> None:
             for sql in event.args["stmts"]:
-                rep.execute(tx, sql)
+                self.cluster.replicas[tx.origin].execute(tx, sql)
             self._commit(tx)
 
-        ok, detail = self._outcome(txid, event.args.get("expect"), run_block)
-        self.report.step(event.line, f"tx {txid} @{rid}", ok, detail)
+        ok, detail = self._outcome(tx, event.args.get("expect"), run_block)
+        self.report.step(event.line, f"tx {tx.txid} @{tx.origin}", ok, detail)
 
     def _ev_deliver(self, event: Event) -> None:
         rid = event.args.get("rid")
@@ -499,13 +491,13 @@ class Runner:
         tx = self.txs.get(txid)
         return tx.status.value if tx is not None else "unknown transaction"
 
-    def _outcome(self, txid: str, expect: str | None, action) -> tuple[bool, str]:
-        """Run action on transaction txid; record what it raised as the
+    def _outcome(self, tx, expect: str | None, action, *args) -> tuple[bool, str]:
+        """Call action(*args) on transaction tx; record what it raised as the
         transaction's refusal and compare it against the expected kind."""
         try:
-            action()
+            action(*args)
         except AqlError as err:
-            self.refusals[txid] = err.kind
+            self.refusals[tx.txid] = err.kind
             self.report.aborts += 1
             if expect is None:
                 return False, f"unexpected {err.kind}: {err}"
@@ -546,7 +538,8 @@ class Runner:
     def finish(self) -> Report:
         """Abort leftovers, heal, deliver everything, check convergence."""
         for tx in self.txs.values():
-            self.cluster.replica(tx.origin).abort(tx)
+            if tx.status is TxStatus.ACTIVE:
+                self.cluster.replicas[tx.origin].abort(tx)
         self.cluster.quiesce()
         self._audit(Event("heal", {}, 0))
         if not self.cluster.converged():
@@ -830,10 +823,7 @@ def read_text(path: str | None) -> str:
 
 def load_scenario(path: str) -> Scenario:
     text = read_text(path)
-    name = path.replace("\\", "/").rsplit("/", 1)[-1]
-    if name.endswith(".aqlsim"):
-        name = name[: -len(".aqlsim")]
-    return parse_scenario(text, name)
+    return parse_scenario(text, path.replace("\\", "/").rsplit("/", 1)[-1].removesuffix(".aqlsim"))
 
 
 # --------------------------------------------------------------------------
@@ -950,24 +940,32 @@ def _event_kinds(open_count: int, partitioned: bool, can_partition: bool) -> tup
 
 
 def _gen_events(config: FuzzConfig, rids: list[str], runner: Runner) -> list[Event]:
-    """Generate and apply events one at a time; choices depend on run state."""
+    """Generate and apply events one at a time; choices depend on run state.
+    No event settles a transaction but its own, so after a stmt, commit or
+    abort only that event's txid can leave the open set."""
     rng = random.Random(config.seed)
     below, apply, txs = draws(rng), runner.apply, runner.txs
     replicas = len(rids)
+    # this run's _event_kinds of every state: kinds_by[open_count][partitioned]
+    kinds_by = [[_event_kinds(n, p, replicas > 1) for p in (False, True)] for n in range(_MAX_OPEN + 1)]
     trace: list[Event] = []
     partitioned = False
     open_txids: list[str] = []  # the active transactions, in begin order
     for line in range(1, config.events + 1):
-        kinds = _event_kinds(len(open_txids), partitioned, replicas > 1)
+        kinds = kinds_by[len(open_txids)][partitioned]
         kind = kinds[below(len(kinds))]
         if kind == "begin":
             open_txids.append(f"t{len(txs) + 1}")  # txs holds every transaction begun so far
             args = {"rid": rids[below(replicas)], "txid": open_txids[-1]}
         elif kind in _ENDING:
-            args = {"txid": open_txids[below(len(open_txids))], "expect": None}
-            if kind == "stmt":
-                keys = [values[below(len(values))] for values in (_ARTISTS, _ALBUMS, _GENRES, _ACCOUNTS)]
-                args["sql"] = _STATEMENT_MAKERS[below(len(_STATEMENT_MAKERS))](below, *keys)
+            txid = open_txids[below(len(open_txids))]
+            args = {"txid": txid, "expect": None}
+            if kind == "stmt":  # the four keys, then the maker, which draws its literals
+                artist, album, genre, account = (
+                    _ARTISTS[below(len(_ARTISTS))], _ALBUMS[below(len(_ALBUMS))],
+                    _GENRES[below(len(_GENRES))], _ACCOUNTS[below(len(_ACCOUNTS))],
+                )
+                args["sql"] = _STATEMENT_MAKERS[below(len(_STATEMENT_MAKERS))](below, artist, album, genre, account)
         elif kind == "deliver":
             args = {"rid": None if rng.random() < 0.3 else rids[below(replicas)]}
         elif kind == "partition":
@@ -983,8 +981,8 @@ def _gen_events(config: FuzzConfig, rids: list[str], runner: Runner) -> list[Eve
         event = Event(kind, args, line)
         trace.append(event)
         apply(event)
-        if kind in _ENDING:
-            open_txids = [txid for txid in open_txids if txs[txid].status is TxStatus.ACTIVE]
+        if kind in _ENDING and txs[txid].status is not TxStatus.ACTIVE:
+            open_txids.remove(txid)
     return trace
 
 

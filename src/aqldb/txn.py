@@ -216,8 +216,8 @@ def _blocker(st: LockState, tx: Transaction, mode: Mode) -> tuple[str, Mode] | N
 class LockManager:
     """Replica-level ownership plus transaction-level grants for every lock.
     acquire and release_all, the only places the lock table changes, bump
-    version first (release_all only when there is something to release), so
-    an unchanged version means an unchanged table."""
+    version first, and only when they may change it, so an unchanged
+    version means an unchanged table."""
 
     def __init__(self, replica_ids: Iterable[str], hooks: ClusterHooks | None = None):
         self.coordinator = min(replica_ids)
@@ -232,13 +232,13 @@ class LockManager:
         return self.locks[lock_id]
 
     def acquire(self, tx: Transaction, lock_id: str, mode: Mode) -> None:
-        # Ownership may move before a conflict raises, so bump first.
+        current = tx.held.get(lock_id)
+        if current is Mode.EXCLUSIVE or current is mode:
+            return  # already held strongly enough: the table stays as it is
+        # Ownership may move before a conflict raises, so bump before both.
         self.version += 1
         st = self._state(lock_id)
         replica = tx.origin
-        current = tx.held.get(lock_id)
-        if current is Mode.EXCLUSIVE or current is mode:
-            return  # already held strongly enough
 
         if replica in st.owners and (st.exclusive or mode is Mode.SHARED):
             blocker = _blocker(st, tx, mode)

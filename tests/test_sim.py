@@ -46,6 +46,7 @@ from aqldb.txn import (
     row_lock,
 )
 
+import behaviour_digest
 from delivery_orders import causal_orders, enumerate_orders
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -1574,6 +1575,57 @@ class TestObjectShapes:
             assert set(children) == {("Albums", "Artist", "Sam"), ("Albums", "Artist", "Ana"), ("Reviews", "Album", "A1")}
             assert not any(gc.is_tracked(kids) for kids in children.values())
             assert not gc.is_tracked(rep.store.row("Reviews", 1).cells)
+
+
+class SettleCheckingRunner(Runner):
+    """Checks, at every event, what the fuzzer's incremental open set rests
+    on: a stmt, commit or abort names a transaction that is active when it
+    is applied, and applying an event changes the status of no transaction
+    but the event's own. Counts the events of those three kinds and the
+    ones that settled their own transaction."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.ending = self.settled = 0
+        self.problems: list[str] = []
+
+    def apply(self, event):
+        own = event.args.get("txid")
+        where = f"{self.report.name} line {event.line}: {event.kind} {own}"
+        if event.kind in ("stmt", "commit", "abort"):
+            self.ending += 1
+            tx = self.txs.get(own)
+            if tx is None or tx.status is not TxStatus.ACTIVE:
+                self.problems.append(f"{where} names a transaction that is not active")
+        txids = list(self.txs)
+        before = [tx.status for tx in self.txs.values()]
+        super().apply(event)
+        after = [tx.status for tx in self.txs.values()]
+        for txid, old, new in zip(txids, before, after):
+            if new is not old:
+                if txid == own:
+                    self.settled += 1
+                else:
+                    self.problems.append(f"{where} changed the status of {txid}")
+
+
+@pytest.mark.parametrize("schema_text", behaviour_digest.SCHEMAS.values(), ids=behaviour_digest.SCHEMAS.keys())
+def test_only_an_events_own_transaction_settles(schema_text):
+    """The generator drops only the event's own txid from its open set
+    after a stmt, commit or abort; this holds it to that over the digest's
+    seeds, replica counts and schemas."""
+    problems, ending, settled = [], 0, 0
+    catalog = sch.parse_schema_text(schema_text)
+    for replicas in behaviour_digest.REPLICAS:
+        rids = [f"r{i + 1}" for i in range(replicas)]
+        for seed in behaviour_digest.SEEDS:
+            config = FuzzConfig(seed=seed, replicas=replicas, events=behaviour_digest.EVENTS, schema_text=schema_text)
+            runner = SettleCheckingRunner(catalog, rids, name=f"fuzz-{seed}@{replicas}", lenient=True)
+            sim._gen_events(config, rids, runner)
+            problems += runner.problems
+            ending, settled = ending + runner.ending, settled + runner.settled
+    assert problems == []
+    assert ending > 10_000 and settled > 1000
 
 
 class TestFuzz:

@@ -116,6 +116,24 @@ class TestLocks:
         lm.acquire(t1, row_lock("T", "k"), Mode.SHARED)  # weaker: still fine
         assert t1.held[row_lock("T", "k")] is Mode.EXCLUSIVE
 
+    def test_a_no_op_acquire_keeps_the_version(self):
+        """An acquire of a lock already held strongly enough changes no
+        table, so it leaves version, which the per-event lock audit keys
+        on, where it was; one that grants bumps it."""
+        lm = LockManager(["r1", "r2"])
+        t1 = make_tx("t1", "r1")
+        lm.acquire(t1, row_lock("T", "k"), Mode.SHARED)
+        granted = lm.version
+        assert granted > 0
+        lm.acquire(t1, row_lock("T", "k"), Mode.SHARED)
+        assert lm.version == granted
+        lm.acquire(t1, row_lock("T", "k"), Mode.EXCLUSIVE)  # an upgrade grants
+        upgraded = lm.version
+        assert upgraded > granted
+        lm.acquire(t1, row_lock("T", "k"), Mode.EXCLUSIVE)
+        lm.acquire(t1, row_lock("T", "k"), Mode.SHARED)
+        assert lm.version == upgraded
+
     def test_ownership_survives_release(self):
         """After release the replica keeps the lock; local reuse is free."""
         lm = LockManager(["r1", "r2"])
