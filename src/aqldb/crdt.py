@@ -10,11 +10,14 @@ types themselves only enforce the lattice rules. A stamp is a plain
 
 The store only grows, and a full garbage collection walks every tracked
 object in it. CPython stops tracking an exact tuple whose items are all
-untracked, never a slotted instance or a frozenset. So a last-writer-wins
-cell is the exact tuple (value, stamp), which merge() and canon() take like
-any other state and other modules tell by type(cell) is tuple; and an
-MvRegister keeps its entries as a tuple in version order, which is
-canonical: versions are unique within an antichain.
+untracked, never a slotted instance or a frozenset. So both registers are
+exact tuples, which merge() and canon() take like any other state: a
+last-writer-wins cell is (value, stamp), and a multi-value register is its
+entries, each (value, version), in version order, which is canonical:
+versions are unique within an antichain. () is the register never written.
+A tuple is a register and anything else a counter. The two kinds differ in
+their second item's second item, a stamp's replica id in a cell and a
+version tuple in a register of two entries; is_lww() is that one test.
 
 No state keeps a zero entry: the incs, decs and transfers of a counter and
 the counts of a version vector are all positive. canon() drops zeros, so
@@ -70,81 +73,70 @@ EventStamp = tuple[int, str]
 Lww = tuple[object, EventStamp]  # (value, stamp)
 
 
-@dataclass(frozen=True, slots=True)
-class MvRegister:
-    """Multi-value register: an antichain of (value, version) entries, in
-    version order.
+# A multi-value register: its (value, version) entries, an antichain.
+Mv = tuple[tuple[object, Version], ...]
 
-    Concurrent assignments all survive a merge; causally dominated entries
-    are discarded.
-    """
 
-    entries: tuple[tuple[object, Version], ...] = ()
+def is_lww(state: tuple) -> bool:
+    """Whether a tuple state is a last-writer-wins cell, not a multi-value
+    register (see the module docstring)."""
+    return len(state) == 2 and type(state[1][1]) is not tuple
 
-    def values(self) -> list:
-        return sorted((e[0] for e in self.entries), key=render_scalar)
 
-    def max_versions(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for _, ver in self.entries:
-            for r, c in ver:
-                if c > out.get(r, 0):
-                    out[r] = c
-        return out
+def mv_values(reg: Mv) -> list:
+    return sorted((e[0] for e in reg), key=render_scalar)
 
-    def assign(
-        self,
-        value,
-        observed: Mapping[str, int],
-        writer: str,
-        counter: int | None = None,
-    ) -> "MvRegister":
-        """This register with value written at a version that dominates
-        everything in observed: the held entries that version does not
-        dominate, plus the new one. counter, when given, must be a
-        never-reused per-writer sequence number; otherwise the writer
-        component is bumped past observed. With a fresh counter the result
-        equals self merged with the new entry alone, and merging it into
-        self gives it back. Each held entry is compared with the new
-        version's counts once."""
-        counts = dict(observed)
-        counts[writer] = counter if counter is not None else counts.get(writer, 0) + 1
-        kept = [e for e in self.entries if not _counts_leq(e[1], counts)]
-        kept.append((value, make_version(counts)))
-        if len(kept) > 1:
-            kept.sort(key=_entry_order)
-        return MvRegister(tuple(kept))
 
-    def merge(self, other: "MvRegister") -> "MvRegister":
-        """The entries of either side that no entry strictly dominates. When
-        that is one side's whole entry set, that side is returned."""
-        mine, theirs = self.entries, other.entries
-        if len(mine) < 2 and (not theirs or theirs == mine):
-            return self  # other adds nothing, and one entry is an antichain
-        if len(theirs) == 1:
-            (_, top), = theirs
-            tc = dict(top)
-            for _, ver in mine:
-                if ver == top or not _counts_leq(ver, tc):
-                    break
-            else:
-                return other  # its one entry dominates every entry of self
-        pool = sorted(dict.fromkeys(mine + theirs), key=_entry_order)
-        tops = {ver: dict(ver) for _, ver in pool}
-        kept = tuple(
-            e for e in pool
-            if not any(ver != e[1] and _counts_leq(e[1], bc) for ver, bc in tops.items())
-        )
-        if kept == mine:
-            return self
-        return other if kept == theirs else MvRegister(kept)
+def mv_max_versions(reg: Mv) -> dict[str, int]:
+    out: dict[str, int] = {}
+    for _, ver in reg:
+        for r, c in ver:
+            if c > out.get(r, 0):
+                out[r] = c
+    return out
 
-    def canon(self) -> str:
-        parts = sorted(
-            f"{render_scalar(v)}@" + ",".join(f"{r}.{c}" for r, c in ver)
-            for v, ver in self.entries
-        )
-        return "mv{" + "|".join(parts) + "}"
+
+def mv_assign(reg: Mv, value, observed: Mapping[str, int], writer: str, counter: int | None = None) -> Mv:
+    """reg with value written at a version that dominates everything in
+    observed: the held entries that version does not dominate, plus the new
+    one. counter, when given, must be a never-reused per-writer sequence
+    number; otherwise the writer component is bumped past observed. With a
+    fresh counter the result equals reg merged with the new entry alone,
+    and merging it into reg gives it back. Each held entry is compared with
+    the new version's counts once. The result is a new, non-empty tuple."""
+    counts = dict(observed)
+    counts[writer] = counter if counter is not None else counts.get(writer, 0) + 1
+    kept = [e for e in reg if not _counts_leq(e[1], counts)]
+    kept.append((value, make_version(counts)))
+    if len(kept) > 1:
+        kept.sort(key=_entry_order)
+    return tuple(kept)
+
+
+def mv_merge(mine: Mv, theirs: Mv) -> Mv:
+    """The entries of either register that no entry strictly dominates.
+    Concurrent assignments all survive; causally dominated entries are
+    discarded. When that is one side's whole entry set, that side is
+    returned."""
+    if len(mine) < 2 and (not theirs or theirs == mine):
+        return mine  # theirs adds nothing, and one entry is an antichain
+    if len(theirs) == 1:
+        (_, top), = theirs
+        tc = dict(top)
+        for _, ver in mine:
+            if ver == top or not _counts_leq(ver, tc):
+                break
+        else:
+            return theirs  # its one entry dominates every entry of mine
+    pool = sorted(dict.fromkeys(mine + theirs), key=_entry_order)
+    tops = {ver: dict(ver) for _, ver in pool}
+    kept = tuple(
+        e for e in pool
+        if not any(ver != e[1] and _counts_leq(e[1], bc) for ver, bc in tops.items())
+    )
+    if kept == mine:
+        return mine
+    return theirs if kept == theirs else kept
 
 
 @dataclass(frozen=True, slots=True)
@@ -308,7 +300,7 @@ class BoundedCounter(AdditiveCounter):
         return f"bc[{self.bound.canon()}](" + self._canon_maps() + "t{" + t + "})"
 
 
-MergeValue = Lww | MvRegister | AdditiveCounter | BoundedCounter
+MergeValue = Lww | Mv | AdditiveCounter | BoundedCounter
 
 
 def merge(a: MergeValue, b: MergeValue) -> MergeValue:
@@ -317,6 +309,11 @@ def merge(a: MergeValue, b: MergeValue) -> MergeValue:
         raise KindMismatch(f"cannot merge {type(a).__name__} with {type(b).__name__}")
     if type(a) is not tuple:
         return a.merge(b)
+    lww = is_lww(a)
+    if lww is not is_lww(b):
+        raise KindMismatch(f"cannot merge {canon(a)} with {canon(b)}")
+    if not lww:
+        return mv_merge(a, b)
     if a[1] != b[1]:  # last writer wins
         return a if a[1] > b[1] else b
     # Equal stamps only happen for identical writes; break ties on the
@@ -326,10 +323,15 @@ def merge(a: MergeValue, b: MergeValue) -> MergeValue:
 
 def canon(state: MergeValue) -> str:
     """The canonical text of any state."""
-    if type(state) is tuple:
+    if type(state) is not tuple:
+        return state.canon()
+    if is_lww(state):
         value, (counter, replica) = state
         return f"lww({render_scalar(value)}@{counter}.{replica})"
-    return state.canon()
+    parts = sorted(
+        f"{render_scalar(v)}@" + ",".join(f"{r}.{c}" for r, c in ver) for v, ver in state
+    )
+    return "mv{" + "|".join(parts) + "}"
 
 
 def _max_map(a: Mapping, b: Mapping) -> dict:

@@ -16,14 +16,8 @@ from typing import Iterable, Iterator
 
 from . import schema as sch
 from .crdt import (
-    AdditiveCounter,
-    Bound,
-    BoundedCounter,
-    MergeValue,
-    MvRegister,
-    Scalar,
-    merge,
-    render_scalar,
+    AdditiveCounter, Bound, BoundedCounter, MergeValue, Mv, Scalar, is_lww, merge, mv_assign, mv_max_versions,
+    mv_merge, mv_values, render_scalar,
 )
 from .errors import (
     AqlError,
@@ -66,11 +60,11 @@ def _rowkey_order(rowkey: RowKey) -> tuple[str, str]:
 class Row:
     """A stored row, immutable down to its cells dict: a change stores a new
     Row, so the old one stays readable as a pre-image and replicas share rows.
-    A row of last-writer-wins cells only has a cells dict of plain tuples,
-    which the garbage collector stops tracking (see crdt)."""
+    Its registers, the I/D/T flag register too, and a cells dict holding no
+    counter are plain objects the garbage collector stops tracking (see crdt)."""
 
     cells: dict[str, MergeValue] = field(default_factory=dict)
-    visibility: MvRegister = field(default_factory=MvRegister)  # over I, D, T
+    visibility: Mv = ()
     generation: int = 0
 
 
@@ -140,7 +134,7 @@ class RowView:
         if self.write is not None and self.write.flag is not None:
             return {self.write.flag[0]}
         if self.row is not None:
-            return {flag for flag, _ in self.row.visibility.entries}
+            return {flag for flag, _ in self.row.visibility}
         return set()
 
     def generation(self) -> int:
@@ -170,22 +164,20 @@ class RowView:
         cell = self.row.cells.get(column) if self.row is not None else None
         if cell is None:
             return ()
-        if type(cell) is tuple:  # last-writer-wins: every stored one was written
-            return (cell[0],)
-        if isinstance(cell, MvRegister):
-            return tuple(cell.values())
-        return (cell.value(),)
+        if type(cell) is not tuple:
+            return (cell.value(),)
+        return (cell[0],) if is_lww(cell) else tuple(mv_values(cell))  # a stored LWW cell was written
 
     def _counter_base(self, column: str) -> int:
         cell = self.row.cells.get(column) if self.row is not None else None
         return cell.value() if isinstance(cell, AdditiveCounter) else 0
 
     def visibility_versions(self) -> dict[str, int]:
-        return self.row.visibility.max_versions() if self.row is not None else {}
+        return mv_max_versions(self.row.visibility) if self.row is not None else {}
 
     def cell_versions(self, column: str) -> dict[str, int]:
-        cell = self.row.cells.get(column) if self.row is not None else None
-        return cell.max_versions() if isinstance(cell, MvRegister) else {}
+        """The versions a MULTI_VALUE column's register holds."""
+        return mv_max_versions(self.row.cells.get(column, _NO_MV)) if self.row is not None else {}
 
 
 class ViewContext:
@@ -417,9 +409,10 @@ class Replica:
         write has left each its own merged copy. Any other row is at or
         above base, by causal delivery (CausalClock.ready), so it merges the
         states the commit wrote, those of result that are not base's own
-        objects, and keeps the larger generation; Store.children learns the
-        references those written cells hold. The row's key joins the store's
-        change set, if an auditor gave it one."""
+        objects: cells through merge, which perfbench counts, and the flag
+        register through mv_merge. It keeps the larger generation;
+        Store.children learns the references those written cells hold. The
+        row's key joins the store's change set, if an auditor gave it one."""
         store = self.store
         key = (delta.table, delta.pk)
         if store.changed is not None:
@@ -443,14 +436,14 @@ class Replica:
                     cells[col] = state if cur is None else merge(cur, state)
             visibility = old.visibility
             if result.visibility is not base.visibility:
-                visibility = visibility.merge(result.visibility)
+                visibility = mv_merge(visibility, result.visibility)
             rows[delta.pk] = Row(cells, visibility, max(old.generation, result.generation))
         schema = self.catalog.tables.get(delta.table)  # None for sequences
         if schema is not None:
             for col, _ in schema.foreign_keys:
                 state = result.cells.get(col)
                 if state is not None and state is not base.cells.get(col):
-                    refs = (state[0],) if type(state) is tuple else [e[0] for e in state.entries]
+                    refs = (state[0],) if is_lww(state) else [e[0] for e in state]
                     for ppk, _ in refs:
                         kids = store.children.get((delta.table, col, ppk))
                         if kids is None:
@@ -809,8 +802,8 @@ class Replica:
         flag register when a flag is written, is a new state that inflates
         the live one: the stamp (lam, rid) tops every stamp held here, a
         counter step grows only this replica's entries, and a multi-value
-        write is one MvRegister.assign. Every other cell is the live row's
-        own object, which is how a merging receiver tells them apart."""
+        write is one mv_assign, a new tuple. Every other cell is the live
+        row's own object, which is how a merging receiver tells them apart."""
         table, pk = rowkey
         schema = self.catalog.tables.get(table)
         live = self.store.row(table, pk)
@@ -823,7 +816,7 @@ class Replica:
             if observed is None:
                 cells[name] = (value, stamp)
             else:
-                cells[name] = cells.get(name, _NO_MV).assign(value, observed, self.rid, lam)
+                cells[name] = mv_assign(cells.get(name, _NO_MV), value, observed, self.rid, lam)
         for colname, delta in sorted(deltas) if len(deltas) > 1 else deltas:
             bound = schema.column(colname).additive_bound
             live_cell = old.cells.get(colname)
@@ -847,8 +840,8 @@ class Replica:
             flag, observed = write.flag
             if live is not None and self.catalog.coordination[table].row_guarded:
                 # Lock-guarded rows fold against the freshest committed state.
-                observed = live.visibility.max_versions()
-            flags = flags.assign(flag, observed, self.rid, lam)
+                observed = mv_max_versions(live.visibility)
+            flags = mv_assign(flags, flag, observed, self.rid, lam)
 
         return RowDelta(table, pk, live, Row(cells, flags, max(old.generation, write.generation or 0)))
 

@@ -207,7 +207,7 @@ def store_canon(store: Store) -> str:
             parts = [f"{table}/{render_scalar(pk)}"]
             for col in sorted(row.cells):
                 parts.append(f"{col}={canon(row.cells[col])}")
-            parts.append(f"vis={row.visibility.canon()}")
+            parts.append(f"vis={canon(row.visibility)}")
             parts.append(f"gen={row.generation}")
             lines.append(" ".join(parts))
     return "\n".join(lines)
@@ -462,7 +462,7 @@ class Runner:
         rid, table, pk = event.args["rid"], event.args["table"], event.args["pk"]
         want = set(event.args["flags"])
         row = self.cluster.replica(rid).store.row(table, pk)
-        got = set(row.visibility.values()) if row is not None else set()
+        got = {flag for flag, _ in row.visibility} if row is not None else set()
         ok = got == want
         detail = "" if ok else f"want {sorted(want)}, got {sorted(got)}"
         self.report.step(

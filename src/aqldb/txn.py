@@ -115,12 +115,13 @@ class Transaction:
 class RowDelta:
     """One row's commit effect: base, the stored row the commit fold read
     (None: absent), and result, the row it built over base. Each cell and
-    visibility register of result the commit wrote is a new state object;
-    every other one is base's own. A receiver whose row is or equals base
-    stores result. Any other receiver is at or above base, because
-    CausalClock.ready delivers every record base depends on first, so it
-    merges in just the written states: base's unwritten ones it already
-    holds or dominates."""
+    flag register of result the commit wrote is a new state object, never
+    the shared empty register (); every other one is base's own, so a
+    receiver tells them apart by identity. A receiver whose row is or
+    equals base stores result. Any other receiver is at or above base,
+    because CausalClock.ready delivers every record base depends on first,
+    so it merges in just the written states: base's unwritten ones it
+    already holds or dominates."""
 
     table: str
     pk: object

@@ -6,6 +6,9 @@ STEPS point transactions (updates, inserts of fresh keys, deletes and
 selects, one row each), every one followed by delivery everywhere. The load
 goes through the public API only and is drawn from one seeded generator, so
 every run does the same work. After set-up and after each block it prints:
+- the block's CPU time (process_time), the collector's CPU time inside it,
+  timed through gc.callbacks, and its share, and the number of
+  generation-2 (full) collections the block ran;
 - the rows one replica stores, live or deleted;
 - the objects the collector tracks that the replicas' stores reach, per
   stored row, in all and by type (replicas share rows, so each object
@@ -100,6 +103,10 @@ class Load:
             return f"UPDATE {table} SET {sets} {where}"
         return f"DELETE FROM {table} {where}"
 
+    def run(self, steps: int) -> None:
+        for _ in range(steps):
+            self.step()
+
     def step(self) -> None:
         rep = self.cluster.replica(REPLICAS[self.steps % len(REPLICAS)])
         self.steps += 1
@@ -132,7 +139,38 @@ def reached(cluster: Cluster) -> collections.Counter:
     return by_type
 
 
-def report(point: str, load: Load) -> None:
+class CollectorClock:
+    """A gc.callbacks hook: the CPU time the collector takes between its
+    start and stop callbacks, and how many of its runs were full ones."""
+
+    def __init__(self):
+        self.cpu = 0.0
+        self.full = 0
+        self.began = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self.began = time.process_time()
+        else:
+            self.cpu += time.process_time() - self.began
+            self.full += info["generation"] == 2
+
+
+def timed(work, *args) -> str:
+    """Run work(*args) with a CollectorClock hooked in; describe its cost."""
+    clock = CollectorClock()
+    gc.callbacks.append(clock)
+    began = time.process_time()
+    work(*args)
+    cpu = time.process_time() - began
+    gc.callbacks.remove(clock)
+    return (
+        f"{cpu:.2f} s CPU, collector {clock.cpu:.2f} s ({clock.cpu / cpu:.1%}),"
+        f" {clock.full} generation-2 collections"
+    )
+
+
+def report(point: str, load: Load, cost: str) -> None:
     gc.collect()
     began = time.perf_counter()
     gc.collect()
@@ -140,8 +178,9 @@ def report(point: str, load: Load) -> None:
     store = load.cluster.replica(REPLICAS[0]).store
     rows = sum(len(table) for table in store.tables.values())
     by_type = reached(load.cluster)
+    print(f"{point}: {cost}")
     print(
-        f"{point}: {rows} rows, {sum(by_type.values()) / rows:.2f} tracked objects per row,"
+        f"  {rows} rows, {sum(by_type.values()) / rows:.2f} tracked objects per row,"
         f" full collection {full_ms:.1f} ms ({len(gc.get_objects())} tracked in all)"
     )
     print("  " + ", ".join(f"{name} {count / rows:.2f}" for name, count in by_type.most_common()))
@@ -149,12 +188,9 @@ def report(point: str, load: Load) -> None:
 
 def main() -> None:
     load = Load(SEED)
-    load.setup(ROWS)
-    report("set-up", load)
+    report("set-up", load, timed(load.setup, ROWS))
     for block in range(1, BLOCKS + 1):
-        for _ in range(STEPS):
-            load.step()
-        report(f"after {block * STEPS} steps", load)
+        report(f"after {block * STEPS} steps", load, timed(load.run, STEPS))
 
 
 if __name__ == "__main__":

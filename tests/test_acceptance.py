@@ -11,7 +11,7 @@ import time
 import pytest
 
 import aqldb.schema as sch
-from aqldb.crdt import Bound, BoundedCounter, MvRegister, merge
+from aqldb.crdt import Bound, BoundedCounter, merge, mv_assign, mv_merge
 from aqldb.engine import (
     Cause,
     Row,
@@ -139,9 +139,9 @@ def test_c03_visibility_truth_table_exhaustive():
             for combo in itertools.combinations("IDT", n):
                 flags = frozenset(combo)
                 store = Store()
-                vis = MvRegister()
+                vis = ()
                 for i, f in enumerate(sorted(flags)):
-                    vis = vis.merge(MvRegister().assign(f, {}, f"w{i}"))
+                    vis = mv_merge(vis, mv_assign((), f, {}, f"w{i}"))
                 store.tables["T"] = {"k": Row(visibility=vis)}
                 verdict = verdict_of(ViewContext(store, catalog), "T", "k")
                 if not flags:

@@ -6,11 +6,14 @@ from aqldb.crdt import (
     AdditiveCounter,
     Bound,
     BoundedCounter,
-    MvRegister,
     _counts_leq,
     canon,
     make_version,
     merge,
+    mv_assign,
+    mv_max_versions,
+    mv_merge,
+    mv_values,
     render_scalar,
 )
 from aqldb.errors import InsufficientRights, KindMismatch
@@ -78,45 +81,45 @@ class TestLww:
 
 class TestMv:
     def test_sequential_assign_replaces(self):
-        r = MvRegister()
-        r = r.assign("a", r.max_versions(), "r1")
-        r = r.assign("b", r.max_versions(), "r1")
-        assert r.values() == ["b"]
+        r = ()
+        r = mv_assign(r, "a", mv_max_versions(r), "r1")
+        r = mv_assign(r, "b", mv_max_versions(r), "r1")
+        assert mv_values(r) == ["b"]
 
     def test_concurrent_assigns_both_survive(self):
-        base = MvRegister().assign("seed", {}, "r1")
-        left = base.assign("x", base.max_versions(), "r1")
-        right = base.assign("y", base.max_versions(), "r2")
-        merged = left.merge(right)
-        assert merged.values() == ["x", "y"]
+        base = mv_assign((), "seed", {}, "r1")
+        left = mv_assign(base, "x", mv_max_versions(base), "r1")
+        right = mv_assign(base, "y", mv_max_versions(base), "r2")
+        merged = mv_merge(left, right)
+        assert mv_values(merged) == ["x", "y"]
         # a write that has seen both collapses the set again
-        final = merged.assign("z", merged.max_versions(), "r3")
-        assert final.values() == ["z"]
+        final = mv_assign(merged, "z", mv_max_versions(merged), "r3")
+        assert mv_values(final) == ["z"]
 
     def test_observed_subset_keeps_unseen_entry(self):
-        base = MvRegister().assign("seed", {}, "r1")
-        unseen = base.assign("x", base.max_versions(), "r2")
+        base = mv_assign((), "seed", {}, "r1")
+        unseen = mv_assign(base, "x", mv_max_versions(base), "r2")
         # writer saw only the seed, not x
-        late = base.assign("y", base.max_versions(), "r3")
-        assert unseen.merge(late).values() == ["x", "y"]
+        late = mv_assign(base, "y", mv_max_versions(base), "r3")
+        assert mv_values(mv_merge(unseen, late)) == ["x", "y"]
 
     def test_explicit_counter(self):
-        r = MvRegister().assign("a", {}, "r1", counter=5)
-        assert r.max_versions() == {"r1": 5}
+        r = mv_assign((), "a", {}, "r1", counter=5)
+        assert mv_max_versions(r) == {"r1": 5}
 
 
 class TestVisibility:
     def test_flags_accumulate_when_concurrent(self):
-        ins = MvRegister().assign("I", {}, "r1")
-        dele = ins.assign("D", ins.max_versions(), "r2")
-        touch = ins.assign("T", ins.max_versions(), "r3")
-        merged = dele.merge(touch)
-        assert set(merged.values()) == {"D", "T"}
+        ins = mv_assign((), "I", {}, "r1")
+        dele = mv_assign(ins, "D", mv_max_versions(ins), "r2")
+        touch = mv_assign(ins, "T", mv_max_versions(ins), "r3")
+        merged = mv_merge(dele, touch)
+        assert set(mv_values(merged)) == {"D", "T"}
 
     def test_causal_flag_replaces(self):
-        ins = MvRegister().assign("I", {}, "r1")
-        dele = ins.assign("D", ins.max_versions(), "r1")
-        assert set(dele.values()) == {"D"}
+        ins = mv_assign((), "I", {}, "r1")
+        dele = mv_assign(ins, "D", mv_max_versions(ins), "r1")
+        assert set(mv_values(dele)) == {"D"}
 
 
 class TestAdditive:
@@ -234,7 +237,7 @@ class TestBounded:
 
 def test_merge_rejects_kind_mismatch():
     with pytest.raises(KindMismatch):
-        merge(UNWRITTEN, MvRegister())
+        merge(UNWRITTEN, ())
 
 
 def test_canon_distinguishes_states():

@@ -9,14 +9,19 @@ import functools
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from aqldb.crdt import (
     AdditiveCounter,
     Bound,
     BoundedCounter,
-    MvRegister,
+    canon,
+    is_lww,
+    make_version,
     merge,
+    mv_assign,
+    mv_max_versions,
+    mv_merge,
     render_scalar,
 )
 from aqldb.errors import KindMismatch
@@ -32,31 +37,31 @@ def rand_lww(rng: random.Random) -> tuple:
     return rng.choice("abcd"), stamp
 
 
-def rand_mv(rng: random.Random) -> MvRegister:
-    reg = MvRegister()
+def rand_mv(rng: random.Random) -> tuple:
+    reg = ()
     branches = [reg]
     for _ in range(rng.randrange(4)):
         base = rng.choice(branches)
         branches.append(
-            base.assign(rng.choice("wxyz"), base.max_versions(), rng.choice(REPLICAS))
+            mv_assign(base, rng.choice("wxyz"), mv_max_versions(base), rng.choice(REPLICAS))
         )
-    out = MvRegister()
+    out = ()
     for b in branches:
         out = merge(out, b)
     return out
 
 
-def rand_vis(rng: random.Random) -> MvRegister:
-    reg = MvRegister()
+def rand_vis(rng: random.Random) -> tuple:
+    reg = ()
     branches = [reg]
     for _ in range(rng.randrange(4)):
         base = rng.choice(branches)
         branches.append(
-            base.assign(
-                rng.choice("IDT"), base.max_versions(), rng.choice(REPLICAS)
+            mv_assign(
+                base, rng.choice("IDT"), mv_max_versions(base), rng.choice(REPLICAS)
             )
         )
-    out = MvRegister()
+    out = ()
     for b in branches:
         out = merge(out, b)
     return out
@@ -135,6 +140,10 @@ def test_merge_absorbs_earlier_state(kind):
         assert merge(ab, b) == ab
 
 
+def is_mv(state) -> bool:
+    return type(state) is tuple and not is_lww(state)
+
+
 def zero_entries(state) -> list:
     """Entries of a state that hold zero: counter incs and decs, bounded
     counter transfers, and the counts of multi-value versions. canon()
@@ -145,18 +154,18 @@ def zero_entries(state) -> list:
         maps += [state.incs, state.decs]
     if isinstance(state, BoundedCounter):
         maps.append(state.transfers)
-    if isinstance(state, MvRegister):
-        maps += [dict(version) for _, version in state.entries]
+    if is_mv(state):
+        maps += [dict(version) for _, version in state]
     return [(key, value) for m in maps for key, value in m.items() if value == 0]
 
 
 def derived_states(a, b, rng: random.Random):
     """a and b merged, plus what every operation of their kind makes of a."""
     yield merge(a, b)
-    if isinstance(a, MvRegister):
+    if is_mv(a):
         for r in REPLICAS:
-            yield a.assign("v", {**a.max_versions(), "r9": 0}, r)
-            yield a.assign("v", {}, r)  # concurrent with what a holds
+            yield mv_assign(a, "v", {**mv_max_versions(a), "r9": 0}, r)
+            yield mv_assign(a, "v", {}, r)  # concurrent with what a holds
     if isinstance(a, AdditiveCounter):
         for r in REPLICAS:
             for delta in range(-3, 4):
@@ -197,8 +206,8 @@ def test_entries_stay_in_version_order(kind):
     for _ in range(500):
         a, b = gen(rng), gen(rng)
         for state in (a, b, *derived_states(a, b, rng)):
-            order = sorted(state.entries, key=lambda e: (e[1], render_scalar(e[0])))
-            assert list(state.entries) == order, state
+            order = sorted(state, key=lambda e: (e[1], render_scalar(e[0])))
+            assert list(state) == order, state
 
 
 @pytest.mark.parametrize("kind", sorted(set(GENERATORS) - {"lww"}))
@@ -228,9 +237,9 @@ counts = st.dictionaries(replicas, st.integers(1, HELD))
 held_lww = st.tuples(st.sampled_from("abcd"), st.tuples(st.integers(0, HELD), replicas))
 # Antichains, as merges build them: each entry one write's version.
 held_mv = st.lists(
-    st.tuples(st.sampled_from("IDTxy"), counts).map(lambda e: MvRegister().assign(e[0], e[1], "w")),
+    st.tuples(st.sampled_from("IDTxy"), counts).map(lambda e: mv_assign((), e[0], e[1], "w")),
     max_size=4,
-).map(lambda regs: functools.reduce(MvRegister.merge, regs, MvRegister()))
+).map(lambda regs: functools.reduce(mv_merge, regs, ()))
 bounds = st.sampled_from([Bound("lower", 0), Bound("lower", 3), Bound("upper", 9)])
 pairs = st.permutations(REPLICAS).map(lambda order: tuple(order[:2]))  # two distinct replicas
 held_bounded = st.builds(
@@ -249,15 +258,15 @@ def test_a_fresh_lww_write_is_its_merge(held, value, writer):
 @STEP
 @given(held_mv, st.sampled_from("IDTxy"), st.dictionaries(replicas, st.integers(0, HELD)), replicas)
 def test_a_fresh_mv_assign_is_its_merge(held, value, observed, writer):
-    step = held.assign(value, observed, writer, HELD + 1)
-    assert step == held.merge(MvRegister().assign(value, observed, writer, HELD + 1))
+    step = mv_assign(held, value, observed, writer, HELD + 1)
+    assert step == mv_merge(held, mv_assign((), value, observed, writer, HELD + 1))
 
 
 @STEP
 @given(held_mv, st.sampled_from("IDTxy"), st.dictionaries(replicas, st.integers(0, HELD)), replicas)
 def test_an_mv_step_is_its_merge(held, value, observed, writer):
-    step = held.assign(value, observed, writer, HELD + 1)
-    assert held.merge(step) == step
+    step = mv_assign(held, value, observed, writer, HELD + 1)
+    assert mv_merge(held, step) == step
 
 
 @STEP
@@ -291,3 +300,47 @@ def test_a_creation_is_its_merge(bound, headroom, creator):
     initial = bound.limit + headroom if bound.direction == "lower" else bound.limit - headroom
     step = BoundedCounter.create(bound, initial, REPLICAS, creator)
     assert BoundedCounter(bound=bound).merge(step) == step
+
+
+# ---------------------------------------------------------------------------
+# Both registers are plain tuples, and crdt.is_lww alone tells them apart:
+# a cell's second item holds a replica id second, a two-entry register's
+# second entry a version. Values are of every column type: INT, VARCHAR,
+# BOOLEAN and a foreign key reference (parent key, generation).
+
+scalars = st.one_of(
+    st.integers(-9, 9),
+    st.text("ab ", max_size=3),
+    st.booleans(),
+    st.tuples(st.text("ab", min_size=1, max_size=2), st.integers(1, HELD)),
+)
+lww_cells = st.tuples(scalars, st.tuples(st.integers(0, HELD), st.sampled_from(REPLICAS + ("",))))
+mv_registers = st.lists(
+    st.tuples(scalars, st.dictionaries(replicas, st.integers(1, HELD), min_size=1).map(make_version)),
+    max_size=4,
+).map(tuple)
+
+
+@STEP
+@example(lww=(5, (7, "r1")), reg=((5, (("r1", 2),)), (7, (("r2", 2),))))
+@given(lww=lww_cells, reg=mv_registers)
+def test_is_lww_tells_the_tuple_kinds_apart(lww, reg):
+    assert is_lww(lww) and not is_lww(reg)
+    for a, b in ((lww, reg), (reg, lww)):
+        with pytest.raises(KindMismatch):
+            merge(a, b)
+
+
+@pytest.mark.parametrize("state, text", [
+    ((5, (7, "r1")), "lww(5@7.r1)"),
+    ((("A1", 2), (3, "r2")), "lww((A1,2)@3.r2)"),
+    ((True, (1, "r3")), "lww(true@1.r3)"),
+    ((None, (0, "")), "lww(null@0.)"),
+    ((), "mv{}"),
+    ((("I", (("r1", 1),)), ("T", (("r2", 3),))), "mv{I@r1.1|T@r2.3}"),
+    (((5, (("r1", 2),)), (7, (("r2", 2),))), "mv{5@r1.2|7@r2.2}"),
+    (((("A1", 2), (("r1", 1), ("r2", 1))),), "mv{(A1,2)@r1.1,r2.1}"),
+    (((False, (("r3", 4),)), ("x y", (("r1", 1), ("r2", 5)))), "mv{false@r3.4|x y@r1.1,r2.5}"),
+])
+def test_canon_text_of_each_tuple_kind(state, text):
+    assert canon(state) == text

@@ -6,7 +6,7 @@ import operator
 import pytest
 
 import aqldb.schema as sch
-from aqldb.crdt import MvRegister
+from aqldb.crdt import mv_assign, mv_merge
 from aqldb.engine import (
     Cause,
     Replica,
@@ -89,10 +89,10 @@ def verdict_of(ctx, table, pk):
 
 def build_flag_row(store: Store, table: str, pk, flags):
     """Store a row with the exact flag set by concurrent single-flag writes."""
-    vis = MvRegister()
+    vis = ()
     for i, flag in enumerate(sorted(flags)):
-        one = MvRegister().assign(flag, {}, f"w{i}")
-        vis = vis.merge(one)
+        one = mv_assign((), flag, {}, f"w{i}")
+        vis = mv_merge(vis, one)
     store.tables.setdefault(table, {})[pk] = Row(visibility=vis)
 
 
@@ -509,7 +509,7 @@ class TestInsertSemantics:
 class TestReferences:
     def test_multi_value_keys_come_in_key_render_order(self):
         # The references render as '(A B,1)' < '(A,1)'; their keys as 'A' < 'A B'.
-        cell = MvRegister().assign(("A B", 1), {}, "r1", 1).merge(MvRegister().assign(("A", 1), {}, "r2", 1))
+        cell = mv_merge(mv_assign((), ("A B", 1), {}, "r1", 1), mv_assign((), ("A", 1), {}, "r2", 1))
         view = RowView(Row({"Artist": cell}))
         assert view.fk_refs("Artist") == (("A B", 1), ("A", 1))
         assert view.scalars("Artist") == ("A", "A B")

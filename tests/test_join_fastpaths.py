@@ -1,6 +1,6 @@
 """The join and visibility fast paths against the plain rules they shortcut.
 
-MvRegister.merge, the version order and CausalClock.ready take shortcuts on
+crdt.mv_merge, the version order and CausalClock.ready take shortcuts on
 the delivery path. Each must give exactly what its plain, all-pairs or
 all-entries definition gives, on any input: registers here are arbitrary
 entry sets, not only the antichains merges build. Where merge's
@@ -18,9 +18,12 @@ from aqldb.crdt import (
     AdditiveCounter,
     Bound,
     BoundedCounter,
-    MvRegister,
     _counts_leq,
     make_version,
+    mv_assign,
+    mv_max_versions,
+    mv_merge,
+    mv_values,
     render_scalar,
 )
 from aqldb.engine import Row, RowView
@@ -36,10 +39,10 @@ versions = st.dictionaries(st.sampled_from(REPLICAS), st.integers(0, 3)).map(mak
 entries = st.tuples(st.sampled_from(["I", "D", "T", 1, "x"]), versions)
 
 
-def mv(entries) -> MvRegister:
+def mv(entries) -> tuple:
     """A register holding entries in version order, as assign and merge keep
     them; entries whose versions tie order by value."""
-    return MvRegister(tuple(sorted(entries, key=lambda e: (e[1], render_scalar(e[0])))))
+    return tuple(sorted(entries, key=lambda e: (e[1], render_scalar(e[0]))))
 
 
 registers = st.frozensets(entries, max_size=5).map(mv)
@@ -62,11 +65,11 @@ def ref_dominates(a, b):
     return a != b and ref_leq(b, a)
 
 
-def ref_merge(a: MvRegister, b: MvRegister) -> tuple:
+def ref_merge(a: tuple, b: tuple) -> tuple:
     """The all-pairs rule over entry sets: the entries no entry strictly
     dominates, in mv's order."""
-    pool = {*a.entries, *b.entries}
-    return mv(e for e in pool if not any(ref_dominates(f[1], e[1]) for f in pool)).entries
+    pool = {*a, *b}
+    return mv(e for e in pool if not any(ref_dominates(f[1], e[1]) for f in pool))
 
 
 def ref_ready(clock: CausalClock, record: CommitRecord) -> bool:
@@ -85,15 +88,15 @@ class TestReference:
     @PROPERTY
     @given(registers, registers, entries)
     def test_merge_matches_all_pairs_rule(self, a, b, entry):
-        assert a.merge(b).entries == ref_merge(a, b)
+        assert mv_merge(a, b) == ref_merge(a, b)
         # The delivery path's usual shape: a one-entry delta against a row.
         one = mv([entry])
-        assert a.merge(one).entries == ref_merge(a, one)
-        assert one.merge(a).entries == ref_merge(one, a)
-        empty = MvRegister()
-        assert a.merge(empty).entries == empty.merge(a).entries == ref_merge(a, empty)
-        assert a.merge(a).entries == ref_merge(a, a)
-        assert RowView(Row(visibility=a)).flags() == frozenset(a.values())
+        assert mv_merge(a, one) == ref_merge(a, one)
+        assert mv_merge(one, a) == ref_merge(one, a)
+        empty = ()
+        assert mv_merge(a, empty) == mv_merge(empty, a) == ref_merge(a, empty)
+        assert mv_merge(a, a) == ref_merge(a, a)
+        assert RowView(Row(visibility=a)).flags() == frozenset(mv_values(a))
 
     @PROPERTY
     @given(
@@ -110,23 +113,23 @@ class TestReference:
 
 class TestIdentity:
     def test_merge_returns_self_when_other_adds_nothing(self):
-        a = MvRegister().assign("x", {}, "r1").merge(MvRegister().assign("y", {}, "r2"))
-        assert len(a.entries) == 2
-        for sub in (MvRegister(), MvRegister(a.entries[:1]), MvRegister(a.entries), a):
-            assert a.merge(sub) is a
+        a = mv_merge(mv_assign((), "x", {}, "r1"), mv_assign((), "y", {}, "r2"))
+        assert len(a) == 2
+        for sub in ((), a[:1], tuple(list(a)), a):
+            assert mv_merge(a, sub) is a
 
     def test_merge_returns_a_dominating_single_entry(self):
-        a = MvRegister().assign("x", {}, "r1").merge(MvRegister().assign("y", {}, "r2"))
-        top = MvRegister().assign("z", a.max_versions(), "r3")
-        assert a.merge(top) is top
-        assert MvRegister().merge(top) is top
+        a = mv_merge(mv_assign((), "x", {}, "r1"), mv_assign((), "y", {}, "r2"))
+        top = mv_assign((), "z", mv_max_versions(a), "r3")
+        assert mv_merge(a, top) is top
+        assert mv_merge((), top) is top
 
     def test_merge_builds_a_new_register_for_a_concurrent_entry(self):
-        a = MvRegister().assign("x", {}, "r1")
-        b = MvRegister().assign("y", {}, "r2")
-        out = a.merge(b)
+        a = mv_assign((), "x", {}, "r1")
+        b = mv_assign((), "y", {}, "r2")
+        out = mv_merge(a, b)
         assert out is not a and out is not b
-        assert out.entries == mv({*a.entries, *b.entries}).entries
+        assert out == mv({*a, *b})
 
     def test_delivered_update_shares_the_record_register(self, broadcasts):
         cluster = Cluster(sch.parse_schema_text(FUZZ_SCHEMA), ["r1", "r2", "r3"])

@@ -18,7 +18,9 @@ import aqldb.engine as engine
 import aqldb.schema as sch
 import aqldb.sim as sim
 import aqldb.txn as txn
-from aqldb.crdt import AdditiveCounter, Bound, BoundedCounter, MvRegister, render_scalar
+from aqldb.crdt import (
+    AdditiveCounter, Bound, BoundedCounter, is_lww, mv_assign, mv_max_versions, mv_merge, mv_values, render_scalar,
+)
 from aqldb.engine import (
     SEQ_COLUMN, SEQ_TABLE, Cause, Replica, Row, RowView, ViewContext, constraint_violations,
     integrity_violations, rejudge, visible_rows,
@@ -47,6 +49,7 @@ from aqldb.txn import (
 )
 
 import behaviour_digest
+import gc_census
 from delivery_orders import causal_orders, enumerate_orders
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
@@ -56,7 +59,7 @@ def row_delta(table, pk, cells=None, visibility=None, generation=None) -> RowDel
     """A delta with no base, so a receiver holding the row merges every
     state of it, and one without stores it: cells, plus visibility and
     generation when given."""
-    return RowDelta(table, pk, None, Row(cells or {}, visibility or MvRegister(), generation or 0))
+    return RowDelta(table, pk, None, Row(cells or {}, visibility or (), generation or 0))
 
 SIMPLE = """
 replicas r1 r2
@@ -440,7 +443,7 @@ class TestCluster:
             "transfers entry": row_delta("Accounts", "a", {
                 "Balance": BoundedCounter(bound=balance.bound, transfers={("r2", "r1"): 1}),
             }),
-            "flag": row_delta("Artists", "Sam", visibility=MvRegister().assign("D", {}, "r2", 9)),
+            "flag": row_delta("Artists", "Sam", visibility=mv_assign((), "D", {}, "r2", 9)),
             "generation": row_delta("Albums", "A1", generation=7),
             "invisible row": row_delta("Reviews", 9),
             "reference cell": row_delta("Albums", "A1", {
@@ -1068,7 +1071,7 @@ class BaseCheckingApply:
             held = row.cells.get(col)
             if held is None or crdt.merge(held, cell) != held:
                 self.violations.append(f"{where}: cell {col} below base")
-        if row.visibility.merge(base.visibility) != row.visibility:
+        if mv_merge(row.visibility, base.visibility) != row.visibility:
             self.violations.append(f"{where}: visibility below base")
         if row.generation < base.generation:
             self.violations.append(f"{where}: generation {row.generation} < {base.generation}")
@@ -1175,13 +1178,13 @@ class TestAudit:
         rep = runner.cluster.replica("r1")
 
         def flag(table, pk, value, generation=None):
-            observed = rep.store.row(table, pk).visibility.max_versions()
-            rep._apply_delta(row_delta(table, pk, {}, MvRegister().assign(value, observed, "r1"), generation))
+            observed = mv_max_versions(rep.store.row(table, pk).visibility)
+            rep._apply_delta(row_delta(table, pk, {}, mv_assign((), value, observed, "r1"), generation))
 
         flag("Artists", "Sam", "D")  # A1's parent is deleted
         flag("Albums", "A2", "I", generation=2)  # re-inserted under review 1's delete-wins reference
         orphan = {"Album": (("Nope", 1), (100, "r1")), "Stars": (2, (100, "r1"))}
-        rep._apply_delta(row_delta("Reviews", 2, orphan, MvRegister().assign("I", {}, "r1"), 1))
+        rep._apply_delta(row_delta("Reviews", 2, orphan, mv_assign((), "I", {}, "r1"), 1))
         assert integrity_violations(rep.store, runner.catalog) == []
         monkeypatch.setattr(engine, "is_visible", own_flags_only)
         assert integrity_violations(rep.store, runner.catalog) == [
@@ -1286,7 +1289,7 @@ class TestConvergence:
 def row_text(row) -> str:
     """A stored row as store_canon renders it, without its key."""
     cells = [f"{col}={crdt.canon(row.cells[col])}" for col in sorted(row.cells)]
-    return " ".join(cells + [f"vis={row.visibility.canon()}", f"gen={row.generation}"])
+    return " ".join(cells + [f"vis={crdt.canon(row.visibility)}", f"gen={row.generation}"])
 
 
 class RowValueCheckingRunner(Runner):
@@ -1435,7 +1438,7 @@ class TestRowValues:
         assert all(rep.store.row("Artists", "Sam") is row for rep in cluster.replicas.values())
 
     def test_a_multi_value_write_folds_in_one_step(self, monkeypatch):
-        """The fold takes one MvRegister.assign for the row's flag and one for
+        """The fold takes one mv_assign for the row's flag and one for
         each MULTI_VALUE cell, and merges nothing; it stores, and ships over
         the live row as base, the Row that merging each fresh one-entry
         register into the live state builds."""
@@ -1452,18 +1455,19 @@ class TestRowValues:
         assert list(tx.buffer) == [("Albums", "A1")] and not cluster.catalog.coordination["Albums"].row_guarded
         (flag, seen), (genre, observed) = write.flag, write.sets["Genre"]
         lam = r1.lamport + 1
-        flag_entry = MvRegister().assign(flag, seen, "r1", lam)
-        genre_entry = MvRegister().assign(genre, observed, "r1", lam)
-        cell = old.cells["Genre"].merge(genre_entry)
-        two_step = Row({**old.cells, "Genre": cell}, old.visibility.merge(flag_entry), old.generation)
+        flag_entry = mv_assign((), flag, seen, "r1", lam)
+        genre_entry = mv_assign((), genre, observed, "r1", lam)
+        cell = mv_merge(old.cells["Genre"], genre_entry)
+        two_step = Row({**old.cells, "Genre": cell}, mv_merge(old.visibility, flag_entry), old.generation)
 
-        merge, calls = MvRegister.merge, collections.Counter()
+        calls = collections.Counter()
 
         def counting(a, b):
             calls["merge"] += 1
-            return merge(a, b)
+            return mv_merge(a, b)
 
-        monkeypatch.setattr(MvRegister, "merge", counting)
+        for module in (crdt, engine):  # crdt.merge's register path, and the flag merge
+            monkeypatch.setattr(module, "mv_merge", counting)
         record = cluster.commit(tx)
         assert calls["merge"] == 0
         assert r1.store.row("Albums", "A1") == two_step
@@ -1511,7 +1515,7 @@ class TestObjectShapes:
     def test_dataclass_instances_have_no_dict(self):
         report = Report("r")
         instances = [
-            MvRegister(), AdditiveCounter(), Bound("lower", 0),
+            AdditiveCounter(), Bound("lower", 0),
             BoundedCounter(bound=Bound("lower", 0)),
             Row(), RowView(None),
             CausalClock(), RowWrite(), Transaction("t", "r1"), row_delta("T", 1), LockState(),
@@ -1529,9 +1533,10 @@ class TestObjectShapes:
 
     def test_stored_cells_and_child_keys_are_untracked(self):
         """After a full collection the collector no longer tracks a stored
-        last-writer-wins cell, a multi-value register's entries or a child
-        index key set, so it walks none of them again; nor a row's cells
-        dict that holds only last-writer-wins cells, as a Reviews row's does."""
+        last-writer-wins cell, a multi-value register (a row's flags or a
+        Genre cell) or a child index key set, so it walks none of them
+        again; nor a row's cells dict that holds no counter, as a Reviews
+        row's does."""
         cluster = Cluster(sch.parse_schema_text(FUZZ_SCHEMA), ["r1", "r2"])
         r1, r2 = cluster.replica("r1"), cluster.replica("r2")
         for rep, sql in (
@@ -1559,22 +1564,39 @@ class TestObjectShapes:
         for _ in range(4):
             gc.collect()
         for rep in (r1, r2):
-            assert rep.store.cell("Albums", "A1", "Genre").values() == ["folk", "jazz"]
+            assert mv_values(rep.store.cell("Albums", "A1", "Genre")) == ["folk", "jazz"]
             assert rep.store.cell("Reviews", 1, "Stars") == (4, (7, "r1"))
-            lww = 0
+            lww = mv = 0
             for rows in rep.store.tables.values():
                 for row in rows.values():
-                    for cell in (*row.cells.values(), row.visibility):
-                        if isinstance(cell, MvRegister):
-                            assert type(cell.entries) is tuple and not gc.is_tracked(cell.entries), cell
-                        elif not isinstance(cell, AdditiveCounter):
+                    assert type(row.visibility) is tuple and row.visibility, row
+                    assert not gc.is_tracked(row.visibility), row
+                    for cell in row.cells.values():
+                        if not isinstance(cell, AdditiveCounter):
                             assert type(cell) is tuple and not gc.is_tracked(cell), cell
-                            lww += 1
+                            lww += is_lww(cell)
+                            mv += not is_lww(cell)
             assert lww == 9  # keys included: four Artists, two Albums and three Reviews cells
+            assert mv == 1  # A1's Genre
             children = rep.store.children
             assert set(children) == {("Albums", "Artist", "Sam"), ("Albums", "Artist", "Ana"), ("Reviews", "Album", "A1")}
             assert not any(gc.is_tracked(kids) for kids in children.values())
             assert not gc.is_tracked(rep.store.row("Reviews", 1).cells)
+
+    def test_the_collector_walks_only_rows_and_counters(self):
+        """Under gc_census's seeded point load, what the stores reach that
+        the collector still tracks, after four full collections, is the
+        Row instances, the cells dicts that hold a counter, and the
+        counters: no register, cell, key set or index entry. A pass
+        untracks a tuple only once it has untracked its items, one level of
+        nesting per pass (see test_stored_cells_and_child_keys_are_untracked)."""
+        load = gc_census.Load(gc_census.SEED)
+        load.setup(400)
+        load.run(1000)
+        for _ in range(4):
+            gc.collect()
+        by_type = gc_census.reached(load.cluster)
+        assert set(by_type) <= {"dict", "Row", "AdditiveCounter", "BoundedCounter", "Bound"}, by_type
 
 
 class SettleCheckingRunner(Runner):
