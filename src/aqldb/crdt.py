@@ -102,15 +102,17 @@ def mv_assign(reg: Mv, value, observed: Mapping[str, int], writer: str, counter:
     one. counter, when given, must be a never-reused per-writer sequence
     number; otherwise the writer component is bumped past observed. With a
     fresh counter the result equals reg merged with the new entry alone,
-    and merging it into reg gives it back. Each held entry is compared with
-    the new version's counts once. The result is a new, non-empty tuple."""
+    and merging it into reg gives it back. One walk compares each held
+    entry with the new version's counts once; when the new version
+    dominates them all, as it almost always does, the result is the new
+    entry alone, with no sort. The result is a new, non-empty tuple."""
     counts = dict(observed)
     counts[writer] = counter if counter is not None else counts.get(writer, 0) + 1
-    kept = [e for e in reg if not _counts_leq(e[1], counts)]
-    kept.append((value, make_version(counts)))
-    if len(kept) > 1:
-        kept.sort(key=_entry_order)
-    return tuple(kept)
+    kept = (value, make_version(counts)),
+    for e in reg:
+        if not _counts_leq(e[1], counts):
+            kept += e,
+    return kept if len(kept) == 1 else tuple(sorted(kept, key=_entry_order))
 
 
 def mv_merge(mine: Mv, theirs: Mv) -> Mv:

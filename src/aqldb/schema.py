@@ -8,16 +8,17 @@ Parsed catalogs and statements are immutable, so they are shared:
 parse_schema_text returns one catalog per schema text, and each catalog
 keeps the statements parsed against it by text once a text repeats (a text
 seen once is only noted), and their templates (the text with each literal
-masked as `?`) by template text, so a new text of a known shape only binds
-its literals. All caches are bounded by module constants and emptied when
-full; a text that fails to parse is never stored, so it raises again on
-every call.
+masked as `?`) by template text. A template is parsed once and compiles
+once a builder of its statements, so a new text of a known shape, or its
+`?` text with parameters, costs one pass over its literals and one builder
+call. All caches are bounded by module constants and emptied when full; a
+text that fails to parse is never stored, so it raises again on every call.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -150,7 +151,7 @@ class Catalog:
         default_factory=dict, init=False, repr=False, compare=False
     )
     seen: dict[str, None] = field(default_factory=dict, init=False, repr=False, compare=False)
-    templates: dict[str, tuple[Statement, tuple[_Slot, ...]]] = field(
+    templates: dict[str, tuple[Statement, tuple[_Slot, ...], Callable | None]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -636,8 +637,10 @@ def parse_statement(text: str, catalog: Catalog, params: Sequence[Scalar] = ()) 
     parse on, the same text under the same catalog gives the same (immutable)
     statement object: a text is kept only once it repeats, so one-off texts
     leave no statement behind. Each `?` in text takes one of params, checked
-    as a literal of it would be. Any failure takes the full parse, so an
-    error keeps its type and offset."""
+    as a literal of it would be. A new text binds through its shape's
+    template: one pass converts each literal, or checks each parameter, as
+    its slot needs, and the template's builder makes the statement. Any
+    failure takes the full parse, so an error keeps its type and offset."""
     if params:
         return _bind(text, params, catalog) or _parse_statement(_render(text, params), catalog)
     stmt = catalog.statements.get(text)
@@ -651,8 +654,10 @@ def parse_statement(text: str, catalog: Catalog, params: Sequence[Scalar] = ()) 
 
 
 # A string or integer literal; digits after an identifier character belong
-# to the identifier. As a capturing group, split keeps the literals.
-_LITERAL_RE = re.compile(r"('(?:[^']|'')*'|(?<![A-Za-z0-9_])\d+)")
+# to the identifier. As a capturing group, split keeps the literals. Each
+# branch begins with the literal's first character, so re starts a match
+# only there.
+_LITERAL_RE = re.compile(r"('[^']*(?:''[^']*)*'|\d(?<![A-Za-z0-9_]\d)\d*)")
 
 
 def _bind_literals(text: str, catalog: Catalog) -> Statement | None:
@@ -660,45 +665,57 @@ def _bind_literals(text: str, catalog: Catalog) -> Statement | None:
         return None
     parts = _LITERAL_RE.split(text)
     try:
-        values = [int(lit) if lit[0] != "'" else lit[1:-1].replace("''", "'") for lit in parts[1::2]]
-        return _bind("?".join(parts[::2]), values, catalog)
+        return _bind("?".join(parts[::2]), parts[1::2], catalog, True)
     except (ValueError, AqlError):  # a literal too long for int(), or a shape that does not parse
         return None
 
 
-def _bind(key: str, values: Sequence, catalog: Catalog) -> Statement | None:
+def _bind(key: str, values: Sequence, catalog: Catalog, texts: bool = False) -> Statement | None:
     """The statement of template text key with values in its slots, or None
-    where a value does not fit. A template is kept once a bind succeeds."""
+    where a value does not fit. Given texts, values are literal texts, each
+    converted as its slot needs. A template is kept once a bind succeeds."""
     template = catalog.templates.get(key)
     if template is None:
         slots: list[_Slot] = []
-        template = _parse_statement(key, catalog, slots), tuple(slots)
-    stmt, slots = template
+        stmt = _parse_statement(key, catalog, slots)
+        template = stmt, tuple(slots), _compile(stmt) if slots else None
+    stmt, slots, build = template
     if len(values) != len(slots):
         raise ValidationError(f"statement has {len(slots)} placeholders, {len(values)} parameters given")
     filled = []
     for slot, value in zip(slots, values):
+        if texts:  # a string's text, or digits for an int >= 0
+            value = value[1:-1].replace("''", "'") if value[0] == "'" else int(value)
         if type(value) is not slot.type or slot.int_only and value < 0:
             return None
         filled.append(slot.sign * value if slot.int_only else value)
     if key not in catalog.templates:
         _remember(catalog.templates, key, template, TEMPLATE_CACHE_LIMIT)
-    return _fill(stmt, filled) if slots else stmt
+    return build(filled) if slots else stmt
 
 
-def _fill(stmt: Statement, values: list[Scalar]) -> Statement:
-    def get(value):
-        return values[value.index] if type(value) is _Slot else value
-    if type(stmt) is Insert:
-        return Insert(stmt.table, MappingProxyType({k: get(v) for k, v in stmt.values.items()}))
-    where = stmt.where
-    if where is not None and type(where.value) is _Slot:
-        where = Where(where.column, where.op, get(where.value))
-    if type(stmt) is Update:
-        return Update(stmt.table, tuple([
-            DeltaAssign(a.column, get(a.delta)) if type(a) is DeltaAssign
-            else SetAssign(a.column, get(a.value)) for a in stmt.assignments]), where)
-    return Delete(stmt.table, where) if type(stmt) is Delete else Select(stmt.table, stmt.columns, where)
+def _compile(stmt: Statement) -> Callable[[list], Statement]:
+    """The builder of a template's statements, compiled once per template: a
+    function of the slot values that rebuilds each part of stmt holding a
+    slot, with value i in slot i, and shares every other part."""
+    env = {c.__name__: c for c in (MappingProxyType, Insert, Update, Delete, Select, Where, SetAssign, DeltaAssign)}
+
+    def code(part) -> str:
+        if type(part) is _Slot:
+            return f"v[{part.index}]"
+        src = ""
+        if type(part) is tuple:
+            src = "(" + "".join(code(x) + ", " for x in part) + ")"
+        elif type(part) is MappingProxyType:
+            src = "mappingproxy({" + ", ".join(f"{code(k)}: {code(x)}" for k, x in part.items()) + "})"
+        elif hasattr(part, "__match_args__"):  # a statement, a Where or an assignment
+            src = f"{type(part).__name__}({', '.join(code(getattr(part, f)) for f in part.__match_args__)})"
+        if "v[" in src:
+            return src
+        env[name := f"c{len(env)}"] = part
+        return name
+
+    return eval("lambda v: " + code(stmt), env)
 
 
 def _render(text: str, params: Sequence) -> str:

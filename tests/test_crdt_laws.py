@@ -344,3 +344,45 @@ def test_is_lww_tells_the_tuple_kinds_apart(lww, reg):
 ])
 def test_canon_text_of_each_tuple_kind(state, text):
     assert canon(state) == text
+
+
+# ---------------------------------------------------------------------------
+# mv_assign against the form it had before it walked the held entries once:
+# a list of the survivors, the new entry appended, then sorted.
+
+def reference_mv_assign(reg, value, observed, writer, counter=None):
+    counts = dict(observed)
+    counts[writer] = counter if counter is not None else counts.get(writer, 0) + 1
+    kept = [e for e in reg if any(c > counts.get(r, 0) for r, c in e[1])]
+    kept.append((value, make_version(counts)))
+    if len(kept) > 1:
+        kept.sort(key=lambda e: (e[1], render_scalar(e[0])))
+    return tuple(kept)
+
+
+observed_maps = st.dictionaries(replicas, st.integers(0, HELD))
+# Registers of 0-4 entries that merges and then assigns reach.
+reachable_mv = st.tuples(
+    held_mv, st.lists(st.tuples(st.sampled_from("IDTxy"), observed_maps, replicas), max_size=3),
+).map(lambda d: functools.reduce(lambda reg, step: reference_mv_assign(reg, *step), d[1], d[0])).filter(
+    lambda reg: len(reg) <= 4
+)
+
+
+@STEP
+@example(held=(("x", (("r1", 2),)),), value="y", observed={"r2": 1}, writer="r2", fresh=False)
+@example(held=(), value="I", observed={}, writer="r1", fresh=True)
+@given(reachable_mv, st.sampled_from("IDTxy"), observed_maps, replicas, st.booleans())
+def test_mv_assign_answers_like_its_reference(held, value, observed, writer, fresh):
+    """The same tuple as the reference, always a new one; the new entry
+    alone whenever its version dominates every held entry. A fresh counter
+    is above every count of writer held or observed."""
+    counter = None
+    if fresh:
+        counter = 1 + max([c for _, ver in held for r, c in ver if r == writer] + [observed.get(writer, 0)])
+    got = mv_assign(held, value, observed, writer, counter)
+    assert type(got) is tuple and got == reference_mv_assign(held, value, observed, writer, counter)
+    assert got is not held
+    version = make_version({**observed, writer: counter if fresh else observed.get(writer, 0) + 1})
+    if all(c <= dict(version).get(r, 0) for _, ver in held for r, c in ver):
+        assert got == ((value, version),)

@@ -179,6 +179,109 @@ def test_parse_statement_with_params_raises_only_aql_errors(text, params):
         pass
 
 
+# ---------------------------------------------------------------------------
+# The literal binder answers like the full parse, on statements of every
+# shape over INT, VARCHAR and BOOLEAN columns. Identifiers hold digits, and
+# the literals are of every kind the binder tells apart.
+
+SHAPES_SCHEMA = """
+CREATE UPDATE_WINS TABLE T1 (K INT PRIMARY KEY, Name1 VARCHAR LWW, On1 BOOLEAN LWW, Plays INT ADDITIVE);
+CREATE TABLE T2 (Id VARCHAR PRIMARY KEY, Col2 INT, Flag BOOLEAN, Note2 VARCHAR MULTI_VALUE);
+"""
+NO_PARAM = None  # no `?` parameter stands for the literal
+
+# A literal is (its text, the text of its `?` form, the parameter that form takes).
+naturals = st.integers(0, 10 ** 6)
+int_literals = naturals.flatmap(lambda n: st.sampled_from([
+    (str(n), "?", n), (f"-{n}", "?", -n), (f"-{n}", "-?", n), (f"- {n}", "- ?", n),
+]))
+odd_int_literals = st.sampled_from([
+    ("٣", "?", 3), ("1٣", "?", 13), ("-٣", "-?", 3), (HUGE, "?", NO_PARAM), ("-" + HUGE, "-?", NO_PARAM),
+])
+str_literals = st.text("ab'?٣1 ", max_size=5).map(lambda s: ("'" + s.replace("'", "''") + "'", "?", s))
+bool_literals = st.sampled_from([("TRUE", "?", True), ("FALSE", "?", False)])
+any_literal = st.one_of(
+    int_literals, odd_int_literals, str_literals, bool_literals, st.just(("-'x'", "-?", NO_PARAM)),
+)
+LITERALS_OF = {"INT": int_literals | odd_int_literals, "VARCHAR": str_literals, "BOOLEAN": bool_literals}
+
+
+@st.composite
+def shaped_statements(draw):
+    """A statement over SHAPES_SCHEMA as pieces: fixed texts, and literals
+    mostly of their column's type. Some pieces do not fit: a primary key
+    assigned, a value missing, a literal of another type."""
+    table = sch.parse_schema_text(SHAPES_SCHEMA).table(draw(st.sampled_from(["T1", "T2"])))
+
+    def literal(col):
+        return draw(LITERALS_OF[col.datatype.value] if draw(st.integers(0, 4)) else any_literal)
+
+    kind = draw(st.sampled_from(["INSERT", "UPDATE", "DELETE", "SELECT"]))
+    if kind == "INSERT":
+        listed = draw(st.booleans())
+        names = draw(st.permutations(table.column_names)) if listed else list(table.column_names)
+        names = names[:len(names) - (draw(st.integers(0, 9)) == 0)]
+        pieces = [f"INSERT INTO {table.name} " + (f"({', '.join(names)}) " if listed else "") + "VALUES ("]
+        for i, name in enumerate(names):
+            pieces += [", "] * (i > 0) + [literal(table.column(name))]
+        pieces.append(")")
+    elif kind == "UPDATE":
+        pieces = [f"UPDATE {table.name} SET "]
+        for i, col in enumerate(draw(st.lists(st.sampled_from(table.columns), min_size=1, max_size=2))):
+            pieces += [", "] * (i > 0)
+            if col.modifier is sch.Modifier.ADDITIVE:
+                sign = draw(st.sampled_from("+-"))
+                pieces += [f"{col.name} = {col.name} {sign} ", draw(naturals.map(lambda n: (str(n), "?", n)) | any_literal)]
+            else:
+                pieces += [f"{col.name} = ", literal(col)]
+    elif kind == "DELETE":
+        pieces = [f"DELETE FROM {table.name}"]
+    else:
+        names = draw(st.lists(st.sampled_from(table.column_names), max_size=3))
+        pieces = [f"SELECT {', '.join(names) or '*'} FROM {table.name}"]
+    if kind != "INSERT" and draw(st.integers(0, 4)):
+        col = draw(st.sampled_from(table.columns))
+        pieces += [f" WHERE {col.name} {draw(st.sampled_from(sch.COMPARISON_OPS))} ", literal(col)]
+    return pieces + [";"] * draw(st.booleans())
+
+
+def answer(parse, *args):
+    """The statement with its repr, or the error's type, message and offset."""
+    try:
+        stmt = parse(*args)
+    except AqlError as err:
+        return type(err), str(err), getattr(err, "position", None)
+    return stmt, repr(stmt)
+
+
+def shapes_catalog():
+    return sch.Catalog(dict(sch.parse_schema_text(SHAPES_SCHEMA).tables))
+
+
+@robust
+@given(shaped_statements())
+@example(["UPDATE T2 SET Note2 = ", ("'it''s ٣?'", "?", "it's ٣?"), " WHERE Id = ", ("'a1'", "?", "a1")])
+@example(["SELECT Col2 FROM T2 WHERE Col2 <> ", ("-٣", "-?", 3)])
+@example(["UPDATE T1 SET Plays = Plays - ", (HUGE, "?", NO_PARAM), " WHERE K = ", ("1٣", "?", 13)])
+def test_the_literal_binder_answers_like_the_full_parse(pieces):
+    """A template miss, a template hit and a text hit each answer as the
+    full parse does, and the `?` form with the literals' values as
+    parameters answers as the literal form, on a warm template and on a
+    cold one (an error: of the same type)."""
+    text = "".join(p if type(p) is str else p[0] for p in pieces)
+    catalog = shapes_catalog()
+    expected = answer(sch._parse_statement, text, catalog)
+    for _ in range(3):
+        assert answer(sch.parse_statement, text, catalog) == expected
+    params = [p[2] for p in pieces if type(p) is not str]
+    if NO_PARAM in params:
+        return
+    qtext = "".join(p if type(p) is str else p[1] for p in pieces)
+    for cat in (catalog, shapes_catalog()):
+        got = answer(sch.parse_statement, qtext, cat, params)
+        assert got[0] is expected[0] if isinstance(expected[0], type) else got == expected
+
+
 @robust
 @given(texts([FUZZ_SCHEMA]))
 @example(f"CREATE TABLE T (K INT PRIMARY KEY, V INT CHECK (V < {HUGE}))")

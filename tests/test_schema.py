@@ -5,6 +5,7 @@ import pytest
 import aqldb.schema as sch
 
 from aqldb.errors import AqlSyntaxError, ValidationError
+from aqldb.sim import FUZZ_SCHEMA
 from aqldb.schema import (
     Modifier,
     Policy,
@@ -15,6 +16,8 @@ from aqldb.schema import (
     parse_statement,
     to_ddl,
 )
+
+from parse_split import SHAPES, fresh_params, literal_text
 
 MUSIC = """
 CREATE UPDATE_WINS TABLE Artists (
@@ -563,3 +566,30 @@ def test_catalog_lookups(catalog):
     assert [c.name for c in albums.non_pk_columns] == ["Artist", "Stock", "Genre"]
     assert catalog.referencing("Albums") == ()
     assert catalog.referencing("Artists") is catalog.referencing("Artists")
+
+
+def test_one_full_parse_and_one_builder_per_shape(monkeypatch):
+    """Counted, not timed: 200 new literal texts of each of point-large's
+    statement shapes, then the same shapes with `?` parameters, take one
+    full parse and one builder compilation per shape. Every other text
+    binds its literals into the builder its shape's template compiled."""
+    parses, builders = [], []
+
+    class CountedParser(sch._Parser):
+        def __init__(self, text, slots=None):
+            parses.append(text)
+            super().__init__(text, slots)
+
+    cat = sch.Catalog(dict(parse_schema_text(FUZZ_SCHEMA).tables))
+    compile_builder = sch._compile
+    monkeypatch.setattr(sch, "_Parser", CountedParser)
+    monkeypatch.setattr(sch, "_compile", lambda stmt: builders.append(stmt) or compile_builder(stmt))
+    bound = []
+    for shape, types in SHAPES:
+        for _ in range(200):
+            params = fresh_params(types)
+            bound.append((shape, params, parse_statement(literal_text(shape, params), cat)))
+    for shape, params, stmt in bound:
+        assert parse_statement(shape, cat, params) == stmt
+    assert len(parses) == len(builders) == len(SHAPES)
+    assert sorted(parses) == sorted(cat.templates) == sorted(shape for shape, _ in SHAPES)
