@@ -15,9 +15,9 @@ exact tuples, which merge() and canon() take like any other state: a
 last-writer-wins cell is (value, stamp), and a multi-value register is its
 entries, each (value, version), in version order, which is canonical:
 versions are unique within an antichain. () is the register never written.
-A tuple is a register and anything else a counter. The two kinds differ in
-their second item's second item, a stamp's replica id in a cell and a
-version tuple in a register of two entries; is_lww() is that one test.
+The engine knows each cell's kind from its column in the catalog
+(schema.TableSchema.kinds). Only merge() and canon(), which judge a bare
+state, tell the tuple kinds apart by shape, with is_lww().
 
 No state keeps a zero entry: the incs, decs and transfers of a counter and
 the counts of a version vector are all positive. canon() drops zeros, so
@@ -78,8 +78,8 @@ Mv = tuple[tuple[object, Version], ...]
 
 
 def is_lww(state: tuple) -> bool:
-    """Whether a tuple state is a last-writer-wins cell, not a multi-value
-    register (see the module docstring)."""
+    """Whether a bare tuple state is an LWW cell, (value, (counter, replica)),
+    not an MV register, whose entries end in version tuples."""
     return len(state) == 2 and type(state[1][1]) is not tuple
 
 

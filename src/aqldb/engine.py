@@ -10,14 +10,15 @@ effects that the commit fold turns into stamped mergeable states.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
 from . import schema as sch
 from .crdt import (
-    AdditiveCounter, Bound, BoundedCounter, MergeValue, Mv, Scalar, is_lww, merge, mv_assign, mv_max_versions,
-    mv_merge, mv_values, render_scalar,
+    AdditiveCounter, Bound, BoundedCounter, MergeValue, Mv, Scalar, merge, mv_assign, mv_max_versions, mv_merge,
+    mv_values, render_scalar,
 )
 from .errors import (
     AqlError,
@@ -61,7 +62,8 @@ class Row:
     """A stored row, immutable down to its cells dict: a change stores a new
     Row, so the old one stays readable as a pre-image and replicas share rows.
     Its registers, the I/D/T flag register too, and a cells dict holding no
-    counter are plain objects the garbage collector stops tracking (see crdt)."""
+    counter are plain objects the garbage collector stops tracking (see crdt).
+    A cell holds the state its column's kind in the catalog gives it."""
 
     cells: dict[str, MergeValue] = field(default_factory=dict)
     visibility: Mv = ()
@@ -120,57 +122,50 @@ _ALL_CLEAR, _ONLY_D, _ANY_D, _MISSING, _PARENT_DELETED, _PARENT_VERSION_STALE = 
 _ACTIVE, _COMMITTED, _ABORTED = TxStatus
 _SHARED, _EXCLUSIVE = Mode
 _UPDATE_WINS, _DELETE_WINS = sch.Policy.UPDATE_WINS, sch.Policy.DELETE_WINS
-_ADDITIVE, _MULTI_VALUE = sch.Modifier.ADDITIVE, sch.Modifier.MULTI_VALUE
+_ADDITIVE = sch.Modifier.ADDITIVE
+_LWW, _MV, _UNBOUNDED, _BOUNDED = sch.Kind
+_SEQ_KINDS = {SEQ_COLUMN: (_LWW, None, None)}  # the schema-less sequence table's one column
 
 
 @dataclass(slots=True)
 class RowView:
-    """A row as one transaction sees it: stored state plus buffered writes."""
+    """A row as one transaction sees it: stored state plus buffered writes.
+    A column is read by its kind, which the caller takes from the schema."""
 
     row: Row | None
     write: RowWrite | None = None
-
-    def flags(self) -> set[str]:
-        if self.write is not None and self.write.flag is not None:
-            return {self.write.flag[0]}
-        if self.row is not None:
-            return {flag for flag, _ in self.row.visibility}
-        return set()
 
     def generation(self) -> int:
         if self.write is not None and self.write.generation is not None:
             return self.write.generation
         return self.row.generation if self.row is not None else 0
 
-    def scalars(self, column: str) -> tuple:
-        """Current value(s) of a column; several for concurrent MV writes,
-        in render order. A foreign key column gives its parent keys."""
-        values = self.fk_refs(column)
-        # A Scalar is never a tuple, so a tuple value is a reference.
-        if not values or type(values[0]) is not tuple:
+    def scalars(self, column: str, kind: tuple) -> tuple:
+        """Current value(s) of a column, given its TableSchema.kinds entry;
+        several for concurrent MV writes, in render order. A foreign key
+        column gives its parent keys."""
+        values = self.fk_refs(column, kind[0])
+        if kind[2] is None or not values:
             return values
         if len(values) == 1:
             return (values[0][0],)
         return tuple(sorted([ref[0] for ref in values], key=render_scalar))
 
-    def fk_refs(self, column: str) -> tuple:
-        """The column's value(s) as stored: for a foreign key column, its
-        references (parent key, parent generation)."""
-        if self.write is not None:
-            if column in self.write.sets:
-                return (self.write.sets[column][0],)
-            if column in self.write.deltas:
-                return (self._counter_base(column) + self.write.deltas[column],)
+    def fk_refs(self, column: str, kind: sch.Kind) -> tuple:
+        """The column's value(s) as stored, read as its kind says: for a
+        foreign key column, its references (parent key, parent generation)."""
+        write = self.write
         cell = self.row.cells.get(column) if self.row is not None else None
+        if write is not None:
+            if column in write.sets:
+                return (write.sets[column][0],)
+            if column in write.deltas:  # over the stored counter, if any
+                return ((cell.value() if cell is not None else 0) + write.deltas[column],)
         if cell is None:
             return ()
-        if type(cell) is not tuple:
-            return (cell.value(),)
-        return (cell[0],) if is_lww(cell) else tuple(mv_values(cell))  # a stored LWW cell was written
-
-    def _counter_base(self, column: str) -> int:
-        cell = self.row.cells.get(column) if self.row is not None else None
-        return cell.value() if isinstance(cell, AdditiveCounter) else 0
+        if kind is _LWW:
+            return (cell[0],)
+        return tuple(mv_values(cell)) if kind is _MV else (cell.value(),)
 
     def visibility_versions(self) -> dict[str, int]:
         return mv_max_versions(self.row.visibility) if self.row is not None else {}
@@ -215,24 +210,31 @@ class ViewContext:
 def is_visible(ctx: ViewContext, table: str, view: RowView | None) -> Cause:
     """The Cause that judges view, a row of table as ctx.view gave it (None
     for a missing row): ALL_CLEAR if it is visible, else why not. Own flags
-    per row policy, then every recorded parent must itself be visible;
-    delete-wins references additionally pin the parent's insertion
-    generation. A foreign key always references an earlier table
-    (schema._validate_schema), so the recursion ends."""
+    (buffered, else stored) per row policy, then every recorded parent, in
+    render order, must itself be visible; delete-wins references also pin
+    the parent's insertion generation. A foreign key always references an
+    earlier table (schema._validate_schema), so the recursion ends."""
     if view is None:
         return _MISSING
     schema = ctx.catalog.tables[table]
-    flags = view.flags()
-    if not flags:
+    if view.write is not None and view.write.flag is not None:
+        flags = (view.write.flag,)  # one (flag, observed) entry
+    elif view.row is None or not view.row.visibility:
         return _MISSING
+    else:
+        flags = view.row.visibility
     if schema.row_policy is _UPDATE_WINS:
-        # A concurrent touch or insert outweighs the delete.
-        if flags == {"D"}:
+        for flag, _ in flags:
+            if flag != "D":  # a concurrent touch or insert outweighs the delete
+                break
+        else:
             return _ONLY_D
-    elif "D" in flags:
-        return _ANY_D
-    for colname, fk in schema.foreign_keys:
-        for ppk, pgen in view.fk_refs(colname):
+    else:
+        for flag, _ in flags:
+            if flag == "D":
+                return _ANY_D
+    for colname, kind, fk in schema.foreign_keys:
+        for ppk, pgen in view.fk_refs(colname, kind):
             parent = ctx.view(fk.table, ppk)
             if parent is None or not is_visible(ctx, fk.table, parent).visible:
                 return _PARENT_DELETED
@@ -255,24 +257,16 @@ def visible_rows(ctx: ViewContext, table: str) -> list[tuple[Scalar, RowView]]:
     return out
 
 
+_COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
 def compare(left: Scalar, op: str, right: Scalar) -> bool:
+    """left op right, op one of schema.COMPARISON_OPS, as parsing ensures."""
     if isinstance(left, bool) != isinstance(right, bool) or (
         isinstance(left, str) != isinstance(right, str)
     ):
         raise TypeMismatch(f"cannot compare {left!r} with {right!r}")
-    if op == "=":
-        return left == right
-    if op == "<>":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise ValidationError(f"unknown operator {op}")
+    return _COMPARISONS[op](left, right)
 
 
 def check_eval(atoms: Iterable[sch.CheckAtom], value: Scalar) -> bool:
@@ -440,10 +434,10 @@ class Replica:
             rows[delta.pk] = Row(cells, visibility, max(old.generation, result.generation))
         schema = self.catalog.tables.get(delta.table)  # None for sequences
         if schema is not None:
-            for col, _ in schema.foreign_keys:
+            for col, kind, _ in schema.foreign_keys:
                 state = result.cells.get(col)
                 if state is not None and state is not base.cells.get(col):
-                    refs = (state[0],) if is_lww(state) else [e[0] for e in state]
+                    refs = (state[0],) if kind is _LWW else [e[0] for e in state]
                     for ppk, _ in refs:
                         kids = store.children.get((delta.table, col, ppk))
                         if kids is None:
@@ -474,21 +468,17 @@ class Replica:
         """
         self._acquire(tx, [(sequence_lock(name), _EXCLUSIVE)])
         rowkey = (SEQ_TABLE, name)
-        write = tx.buffer.get(rowkey)
-        if write is not None and SEQ_COLUMN in write.sets:
-            current = write.sets[SEQ_COLUMN][0]
-        else:
-            cell = self.store.cell(SEQ_TABLE, name, SEQ_COLUMN)
-            current = cell[0] if type(cell) is tuple and cell[0] is not None else 0
-        value = current + 1
+        view = RowView(self.store.row(SEQ_TABLE, name), tx.buffer.get(rowkey))
+        value = (view.scalars(SEQ_COLUMN, _SEQ_KINDS[SEQ_COLUMN]) or (0,))[0] + 1
         tx.write(rowkey).sets[SEQ_COLUMN] = (value, None)
         return value
 
     # -- rights movement ------------------------------------------------------
 
     def donatable(self, table: str, pk: Scalar, column: str) -> int:
+        """The rights of a BOUNDED column's counter free here to give away."""
         cell = self.store.cell(table, pk, column)
-        if not isinstance(cell, BoundedCounter):
+        if cell is None:
             return 0
         key = ((table, pk), column)
         return cell.free(self.rid) - sum(tx.reserved.get(key, 0) for tx in self.active.values())
@@ -497,7 +487,7 @@ class Replica:
         """Ship bounded-counter rights to dst as a standalone system commit."""
         row = self.store.row(table, pk)
         cell = row.cells.get(column) if row is not None else None
-        if not isinstance(cell, BoundedCounter):
+        if cell is None:
             raise InsufficientRights(f"{table}.{column} holds no bounded counter here")
         moved = cell.transfer(self.rid, dst, amount)  # the one state this commit writes
         delta = RowDelta(table, pk, row, Row({**row.cells, column: moved}, row.visibility, row.generation))
@@ -532,7 +522,7 @@ class Replica:
             return rows
         return [
             (pk, view) for pk, view in rows
-            if any(compare(v, where.op, where.value) for v in view.scalars(where.column))
+            if any(compare(v, where.op, where.value) for v in view.scalars(where.column, schema.kinds[where.column]))
         ]
 
     def _exec_insert(self, tx: Transaction, stmt: sch.Insert):
@@ -649,20 +639,21 @@ class Replica:
         re-checked in ctx, visibility last."""
         candidates = set(self.store.children.get((child_table, colname, parent_pk), ()))
         candidates.update(pk for t, pk in ctx.buffer if t == child_table)
+        kind = self.catalog.tables[child_table].kinds[colname]
         for cpk in sorted(candidates, key=render_scalar):
             view = ctx.view(child_table, cpk)
-            if view is not None and parent_pk in view.scalars(colname) and is_visible(ctx, child_table, view).visible:
+            if view is not None and parent_pk in view.scalars(colname, kind) and is_visible(ctx, child_table, view).visible:
                 yield cpk, view
 
     def _exec_select(self, tx: Transaction, stmt: sch.Select):
         schema = self.catalog.table(stmt.table)
         ctx = self.snap_ctx(tx)
         names = stmt.columns if stmt.columns is not None else schema.column_names
-        rows = []
+        kinds, rows = schema.kinds, []
         for _, view in self._match_rows(ctx, schema, stmt.where):
             out = {}
             for name in names:
-                values = view.scalars(name)
+                values = view.scalars(name, kinds[name])
                 out[name] = values[0] if len(values) == 1 else tuple(values)
             rows.append(out)
         return rows
@@ -709,22 +700,20 @@ class Replica:
         rowkey = (schema.name, pk)
         write = tx.write(rowkey)
         for a in assignments:
-            col = schema.column(a.column)
+            kind, bound, fk = schema.kinds[a.column]
             if isinstance(a, sch.DeltaAssign):
-                bound = col.additive_bound
                 if bound is not None:
                     self._reserve_bounded(tx, rowkey, a.column, bound, a.delta)
                 write.deltas[a.column] = write.deltas.get(a.column, 0) + a.delta
                 continue
-            atoms = col.check_atoms
+            atoms = schema.column(a.column).check_atoms
             if atoms and not check_eval(atoms, a.value):
                 raise CheckViolation(f"{schema.name}.{a.column} = {a.value!r} fails its check")
             value = a.value
-            if col.foreign_key is not None:
-                live = a.column in plan.locked_parents
-                value = self._check_fk_parent(tx, schema.name, a.column, col.foreign_key, a.value, live)
+            if fk is not None:
+                value = self._check_fk_parent(tx, schema.name, a.column, fk, a.value, a.column in plan.locked_parents)
             observed = None
-            if col.modifier is _MULTI_VALUE:
+            if kind is _MV:
                 observed = view.cell_versions(a.column) if view is not None else {}
             write.sets[a.column] = (value, observed)
         return write
@@ -765,9 +754,9 @@ class Replica:
             write = tx.write((t, p))
             if write.flag is None:
                 write.flag = ("T", view.visibility_versions())
-            for colname, fk in self.catalog.tables[t].foreign_keys:
+            for colname, kind, fk in self.catalog.tables[t].foreign_keys:
                 if fk.policy is _UPDATE_WINS:
-                    stack.extend((fk.table, ppk, None) for ppk, _ in view.fk_refs(colname))
+                    stack.extend((fk.table, ppk, None) for ppk, _ in view.fk_refs(colname, kind))
 
     def _reserve_bounded(self, tx: Transaction, rowkey: RowKey, column: str, bound: Bound, delta: int) -> None:
         """Claim rights at statement time so commits cannot overdraw. A rights
@@ -775,7 +764,7 @@ class Replica:
         prior = tx.buffer.get(rowkey).deltas.get(column, 0) if rowkey in tx.buffer else 0
         net = prior + delta
         cell = self.store.cell(*rowkey, column)
-        if not isinstance(cell, BoundedCounter):
+        if cell is None:
             # Creating the counter: the initial value itself must sit in bound.
             if not bound.admits(net):
                 raise CheckViolation(
@@ -806,6 +795,7 @@ class Replica:
         row's own object, which is how a merging receiver tells them apart."""
         table, pk = rowkey
         schema = self.catalog.tables.get(table)
+        kinds = schema.kinds if schema is not None else _SEQ_KINDS
         live = self.store.row(table, pk)
         old = live if live is not None else _NO_ROW
         stamp = (lam, self.rid)
@@ -813,17 +803,16 @@ class Replica:
         cells = dict(old.cells)
         sets, deltas = write.sets.items(), write.deltas.items()
         for name, (value, observed) in sorted(sets) if len(sets) > 1 else sets:
-            if observed is None:
-                cells[name] = (value, stamp)
-            else:
+            if kinds[name][0] is _MV:
                 cells[name] = mv_assign(cells.get(name, _NO_MV), value, observed, self.rid, lam)
+            else:
+                cells[name] = (value, stamp)
         for colname, delta in sorted(deltas) if len(deltas) > 1 else deltas:
-            bound = schema.column(colname).additive_bound
+            kind, bound, _ = kinds[colname]
             live_cell = old.cells.get(colname)
-            if bound is None:
-                base = live_cell if isinstance(live_cell, AdditiveCounter) else AdditiveCounter()
-                state = base.add(self.rid, delta)
-            elif isinstance(live_cell, BoundedCounter):
+            if kind is _UNBOUNDED:
+                state = (live_cell if live_cell is not None else AdditiveCounter()).add(self.rid, delta)
+            elif live_cell is not None:
                 try:
                     state = live_cell.apply_delta(self.rid, delta)
                 except InsufficientRights as err:
@@ -856,8 +845,8 @@ def dump_table(store: Store, catalog: sch.Catalog, table: str) -> list[str]:
     lines = []
     for _, view in visible_rows(ctx, table):
         parts = []
-        for col in schema.columns:
-            values = view.scalars(col.name)
+        for name, kind in schema.kinds.items():
+            values = view.scalars(name, kind)
             if len(values) == 1:
                 parts.append(render_scalar(values[0]))
             elif not values:
@@ -885,8 +874,8 @@ def _edge_findings(ctx: ViewContext, schema: sch.TableSchema, pk: Scalar, view: 
     record is stored, visible and, over a delete-wins edge, of the recorded
     generation."""
     out = []
-    for colname, fk in schema.foreign_keys:
-        for ppk, pgen in view.fk_refs(colname):
+    for colname, kind, fk in schema.foreign_keys:
+        for ppk, pgen in view.fk_refs(colname, kind):
             parent = ctx.view(fk.table, ppk)
             if parent is None:
                 problem = "missing"
@@ -906,7 +895,7 @@ def _check_findings(schema: sch.TableSchema, pk: Scalar, view: RowView) -> list[
     return [
         f"{schema.name}/{render_scalar(pk)}.{name} = {value!r} violates its check"
         for name, atoms in schema.checked_columns
-        for value in view.scalars(name)
+        for value in view.scalars(name, schema.kinds[name])
         if not check_eval(atoms, value)
     ]
 

@@ -41,6 +41,12 @@ class Modifier(Enum):
     NONE = "NONE"
 
 
+class Kind(Enum):
+    """A column's state kind: what its cell holds (see crdt)."""
+
+    LWW, MV, ADDITIVE, BOUNDED = "LWW", "MV", "ADDITIVE", "BOUNDED"
+
+
 class Datatype(Enum):
     INT = "INT"
     VARCHAR = "VARCHAR"
@@ -99,6 +105,9 @@ class ColumnDef:
         return Bound("upper", atom.value - 1)
 
 
+_KIND_OF = {Modifier.MULTI_VALUE: Kind.MV, Modifier.ADDITIVE: Kind.ADDITIVE}  # unless bounded; else LWW
+
+
 @dataclass
 class TableSchema:
     name: str
@@ -130,8 +139,21 @@ class TableSchema:
         return tuple([c.name for c in self.columns])
 
     @cached_property
-    def foreign_keys(self) -> list[tuple[str, ForeignKey]]:
-        return [(c.name, c.foreign_key) for c in self.columns if c.foreign_key]
+    def kinds(self) -> dict[str, tuple[Kind, Bound | None, ForeignKey | None]]:
+        """Each column's state kind, by its modifier and CHECK, with the Bound
+        of a BOUNDED column and the edge of a foreign key column: the one rule
+        for what a cell is, by which the engine reads and writes it."""
+        out = {}
+        for c in self.columns:
+            bound = c.additive_bound if c.modifier is Modifier.ADDITIVE else None
+            kind = Kind.BOUNDED if bound is not None else _KIND_OF.get(c.modifier, Kind.LWW)
+            out[c.name] = (kind, bound, c.foreign_key)
+        return out
+
+    @cached_property
+    def foreign_keys(self) -> tuple[tuple[str, Kind, ForeignKey], ...]:
+        """Each foreign key column with its kind (LWW or MV) and edge."""
+        return tuple((name, kind, fk) for name, (kind, _, fk) in self.kinds.items() if fk)
 
     @cached_property
     def checked_columns(self) -> list[tuple[str, tuple[CheckAtom, ...]]]:
@@ -164,7 +186,7 @@ class Catalog:
     def _referencing(self) -> dict[str, tuple[tuple[str, str, ForeignKey], ...]]:
         out: dict[str, list[tuple[str, str, ForeignKey]]] = {}
         for child in self.tables.values():
-            for col, fk in child.foreign_keys:
+            for col, _, fk in child.foreign_keys:
                 out.setdefault(fk.table, []).append((child.name, col, fk))
         return {table: tuple(edges) for table, edges in out.items()}
 
@@ -182,7 +204,7 @@ class Catalog:
                 name, not concurrent_insert_allowed(t), guarded,
                 guarded or any(fk.policy is noc for _, _, fk in self.referencing(name)),
                 frozenset(c.name for c in t.non_pk_columns if c.modifier is Modifier.NONE),
-                MappingProxyType({col: fk.table for col, fk in t.foreign_keys if fk.policy is noc}))
+                MappingProxyType({col: fk.table for col, _, fk in t.foreign_keys if fk.policy is noc}))
         return MappingProxyType(out)
 
 
@@ -216,12 +238,9 @@ def concurrent_insert_allowed(schema: TableSchema) -> bool:
     if schema.row_policy is Policy.NO_CONCURRENCY:
         return False
     for c in schema.non_pk_columns:
-        if c.modifier is Modifier.NONE:
+        bound = schema.kinds[c.name][1]  # a BOUNDED column's
+        if c.modifier is Modifier.NONE or bound is not None and bound.limit != 0:
             return False
-        if c.modifier is Modifier.ADDITIVE:
-            bound = c.additive_bound
-            if bound is not None and bound.limit != 0:
-                return False
     return True
 
 

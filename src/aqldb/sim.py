@@ -16,7 +16,7 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 from . import schema as sch
-from .crdt import AdditiveCounter, BoundedCounter, canon, render_scalar
+from .crdt import canon, render_scalar
 # integrity_violations and constraint_violations, the full audit, stay
 # importable here: perfbench calls and times them through this module.
 from .engine import (
@@ -553,38 +553,30 @@ class Runner:
 
     def _check_ledger(self) -> None:
         """Each additive cell must equal, at every replica, the sum of the
-        deltas the committed transactions buffered for it."""
+        deltas the committed transactions buffered for it (only an ADDITIVE
+        column takes a delta), and a BOUNDED one must conserve its rights."""
         ledger: dict[tuple, int] = {}
         for tx in self.txs.values():
             if tx.status is TxStatus.COMMITTED:
                 for (table, pk), write in tx.buffer.items():
-                    schema = self.catalog.tables.get(table)
                     for col, delta in write.deltas.items():
-                        if schema is not None and schema.column(col).modifier is sch.Modifier.ADDITIVE:
-                            ledger[(table, pk, col)] = ledger.get((table, pk, col), 0) + delta
+                        ledger[(table, pk, col)] = ledger.get((table, pk, col), 0) + delta
         for (table, pk, col), expected in sorted(ledger.items()):
+            bounded = self.catalog.tables[table].kinds[col][0] is sch.Kind.BOUNDED
+            where = f"{table}/{render_scalar(pk)}.{col}"
             for rid in self.cluster.replica_ids:
                 cell = self.cluster.replica(rid).store.cell(table, pk, col)
-                if not isinstance(cell, AdditiveCounter):
-                    self.report.step(
-                        0, "counter ledger", False,
-                        f"{table}/{render_scalar(pk)}.{col} missing at {rid}",
-                    )
+                if cell is None:
+                    self.report.step(0, "counter ledger", False, f"{where} missing at {rid}")
                     continue
                 if cell.value() != expected:
-                    self.report.step(
-                        0, "counter ledger", False,
-                        f"{table}/{render_scalar(pk)}.{col} at {rid}: "
-                        f"value {cell.value()}, committed deltas sum to {expected}",
-                    )
-                if isinstance(cell, BoundedCounter):
+                    detail = f"value {cell.value()}, committed deltas sum to {expected}"
+                    self.report.step(0, "counter ledger", False, f"{where} at {rid}: {detail}")
+                if bounded:
                     spread = sum(cell.rights(r) for r in self.cluster.replica_ids)
                     if spread != cell.total_rights():
-                        self.report.step(
-                            0, "rights conservation", False,
-                            f"{table}/{render_scalar(pk)}.{col} at {rid}: "
-                            f"rights spread {spread} != total {cell.total_rights()}",
-                        )
+                        detail = f"rights spread {spread} != total {cell.total_rights()}"
+                        self.report.step(0, "rights conservation", False, f"{where} at {rid}: {detail}")
 
 
 @functools.cache

@@ -511,8 +511,8 @@ class TestReferences:
         # The references render as '(A B,1)' < '(A,1)'; their keys as 'A' < 'A B'.
         cell = mv_merge(mv_assign((), ("A B", 1), {}, "r1", 1), mv_assign((), ("A", 1), {}, "r2", 1))
         view = RowView(Row({"Artist": cell}))
-        assert view.fk_refs("Artist") == (("A B", 1), ("A", 1))
-        assert view.scalars("Artist") == ("A", "A B")
+        assert view.fk_refs("Artist", sch.Kind.MV) == (("A B", 1), ("A", 1))
+        assert view.scalars("Artist", (sch.Kind.MV, None, sch.ForeignKey("Artists", "Name"))) == ("A", "A B")
 
     def test_cascade_depth_two(self):
         reps, catalog = make_group()
@@ -621,7 +621,7 @@ class TestReferences:
         # the update's own flag replaces the touch, over the versions it saw
         assert tx.buffer[("Artists", "Sam")].flag[0] == "I"
         r1.commit(tx)
-        assert RowView(r1.store.row("Artists", "Sam"), None).flags() == {"I"}
+        assert {flag for flag, _ in r1.store.row("Artists", "Sam").visibility} == {"I"}
 
 
 class TestChecks:

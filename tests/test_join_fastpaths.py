@@ -26,7 +26,7 @@ from aqldb.crdt import (
     mv_values,
     render_scalar,
 )
-from aqldb.engine import Row, RowView
+from aqldb.engine import Row
 from aqldb.sim import FUZZ_SCHEMA, Cluster
 from aqldb.txn import CausalClock, CommitRecord
 
@@ -96,7 +96,7 @@ class TestReference:
         empty = ()
         assert mv_merge(a, empty) == mv_merge(empty, a) == ref_merge(a, empty)
         assert mv_merge(a, a) == ref_merge(a, a)
-        assert RowView(Row(visibility=a)).flags() == frozenset(mv_values(a))
+        assert {flag for flag, _ in Row(visibility=a).visibility} == frozenset(mv_values(a))
 
     @PROPERTY
     @given(

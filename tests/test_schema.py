@@ -1,12 +1,16 @@
 """Schema dialect: parsing, validation and printing."""
 
+import glob
+import os
+
 import pytest
 
 import aqldb.schema as sch
 
 from aqldb.errors import AqlSyntaxError, ValidationError
-from aqldb.sim import FUZZ_SCHEMA
+from aqldb.sim import FUZZ_SCHEMA, load_scenario
 from aqldb.schema import (
+    Kind,
     Modifier,
     Policy,
     catalog_to_ddl,
@@ -75,6 +79,41 @@ def test_foreign_key_details(catalog):
 def test_referencing_index(catalog):
     edges = catalog.referencing("Artists")
     assert [(child, col) for child, col, _ in edges] == [("Albums", "Artist")]
+
+
+def kind_schema_texts() -> list[str]:
+    """FUZZ_SCHEMA, it with both foreign keys MULTI_VALUE, and every
+    shipped scenario's schema."""
+    texts = [FUZZ_SCHEMA, FUZZ_SCHEMA.replace("VARCHAR LWW FOREIGN KEY", "VARCHAR MULTI_VALUE FOREIGN KEY")]
+    folder = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
+    return texts + [load_scenario(path).schema_text for path in sorted(glob.glob(os.path.join(folder, "*.aqlsim")))]
+
+
+def test_each_column_kind_follows_its_modifier_and_check():
+    """A MULTI_VALUE column is MV, an ADDITIVE one BOUNDED under a CHECK and
+    ADDITIVE without, any other LWW; only a BOUNDED column carries a bound,
+    exactly its additive_bound, and a foreign key column carries its edge,
+    which foreign_keys lists with the kind."""
+    seen = set()
+    for text in kind_schema_texts():
+        for table in parse_schema_text(text).tables.values():
+            for col in table.columns:
+                if col.modifier is Modifier.MULTI_VALUE:
+                    want = Kind.MV
+                elif col.modifier is Modifier.ADDITIVE:
+                    want = Kind.BOUNDED if col.check_atoms else Kind.ADDITIVE
+                else:
+                    want = Kind.LWW
+                kind, bound, fk = table.kinds[col.name]
+                assert kind is want, (table.name, col.name)
+                assert bound is (col.additive_bound if want is Kind.BOUNDED else None), (table.name, col.name)
+                assert fk is col.foreign_key
+                seen.add((kind, fk is not None))
+            assert list(table.kinds) == list(table.column_names)
+            assert table.foreign_keys == tuple(
+                (c.name, table.kinds[c.name][0], c.foreign_key) for c in table.columns if c.foreign_key
+            )
+    assert seen >= {(kind, False) for kind in Kind} | {(Kind.LWW, True), (Kind.MV, True)}
 
 
 def test_additive_bounds():

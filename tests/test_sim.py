@@ -786,52 +786,79 @@ def fuzz_runs(schema_text, runner_class=Runner):
         yield runner, outcome
 
 
-def check_stored_cells(runner, problems) -> int:
+def has_form(cell, kind, bound) -> bool:
+    """Whether a stored cell has the form of its column's kind, as
+    TableSchema.kinds gives it with its bound: (value, (int, str)) for LWW,
+    a non-empty tuple of (value, version) entries for MV, an
+    AdditiveCounter, or a BoundedCounter under the catalog's bound."""
+    if kind is sch.Kind.LWW:
+        return type(cell) is tuple and len(cell) == 2 and tuple(map(type, cell[1])) == (int, str)
+    if kind is sch.Kind.MV:
+        return type(cell) is tuple and cell != () and all(
+            type(e) is tuple and len(e) == 2 and type(e[1]) is tuple for e in cell
+        )
+    if kind is sch.Kind.ADDITIVE:
+        return type(cell) is AdditiveCounter
+    return type(cell) is BoundedCounter and cell.bound == bound
+
+
+def check_stored_cells(runner, problems, forms) -> int:
     """At every replica, every stored row holds only cells named after its
-    table's columns, and each foreign key cell holds (parent key, int
-    generation) references whose keys scalars gives, in render order;
-    return how many written foreign key cells were checked."""
+    table's columns, each of the form of its column's kind (a sequence's
+    one cell is LWW), counted by kind in forms, and each foreign key cell
+    holds (parent key, int generation) references whose keys scalars
+    gives, in render order; return how many written foreign key cells were
+    checked."""
     checked = 0
-    columns = {name: {c.name for c in t.columns} for name, t in runner.catalog.tables.items()}
-    columns[SEQ_TABLE] = {SEQ_COLUMN}
+    kinds = {name: t.kinds for name, t in runner.catalog.tables.items()}
+    kinds[SEQ_TABLE] = {SEQ_COLUMN: (sch.Kind.LWW, None, None)}
     for rid in runner.cluster.replica_ids:
         for table, rows in runner.cluster.replica(rid).store.tables.items():
-            fks = runner.catalog.tables[table].foreign_keys if table in runner.catalog.tables else []
+            fks = runner.catalog.tables[table].foreign_keys if table in runner.catalog.tables else ()
             for pk, row in rows.items():
                 where = f"{rid} {table}/{render_scalar(pk)}"
-                if not set(row.cells) <= columns[table]:
+                if not set(row.cells) <= set(kinds[table]):
                     problems.append(f"{where}: cells {sorted(row.cells)}")
+                for col, cell in row.cells.items():
+                    kind, bound, _ = kinds[table].get(col, (None, None, None))
+                    forms[kind] += 1
+                    if not has_form(cell, kind, bound):
+                        problems.append(f"{where}.{col}: {cell!r} is not of kind {kind}")
                 view = RowView(row)
-                for col, _ in fks:
-                    refs = view.fk_refs(col)
+                for col, kind, _ in fks:
+                    refs = view.fk_refs(col, kind)
                     checked += bool(refs)
+                    scalars = view.scalars(col, kinds[table][col])
                     if not all(type(ref) is tuple and len(ref) == 2 and type(ref[1]) is int for ref in refs):
                         problems.append(f"{where}.{col}: references {refs}")
-                    elif view.scalars(col) != tuple(sorted([ref[0] for ref in refs], key=render_scalar)):
-                        problems.append(f"{where}.{col}: scalars {view.scalars(col)}, references {refs}")
+                    elif scalars != tuple(sorted([ref[0] for ref in refs], key=render_scalar)):
+                        problems.append(f"{where}.{col}: scalars {scalars}, references {refs}")
     return checked
 
 
 class TestStoredCells:
-    """One cell per column: a foreign key column's cell is its reference."""
+    """One cell per column, of the form of its kind: a foreign key column's
+    cell is its reference."""
 
     def test_scenarios(self):
-        problems, checked = [], 0
+        problems, checked, forms = [], 0, collections.Counter()
         for runner in scenario_runs():
             runner.finish()
-            checked += check_stored_cells(runner, problems)
+            checked += check_stored_cells(runner, problems, forms)
         assert problems == []
         assert checked > 0
+        assert set(forms) == set(sch.Kind)
 
     @fuzz_schemas
     def test_fuzz(self, schema_text):
-        problems, checked = [], 0
+        problems, checked, forms = [], 0, collections.Counter()
         for runner, outcome in fuzz_runs(schema_text):
             runner.finish()
             assert runner.report.to_json()["steps"] == outcome.report.to_json()["steps"]
-            checked += check_stored_cells(runner, problems)
+            checked += check_stored_cells(runner, problems, forms)
         assert problems == []
         assert checked > 0
+        assert set(forms) == set(sch.Kind)
 
 
 def check_point_reads(runner, mismatches) -> tuple[int, int]:
@@ -850,15 +877,15 @@ def check_point_reads(runner, mismatches) -> tuple[int, int]:
                 rows = visible_rows(ctx, table)
                 for pk in sorted(set(rep.store.pks(table)) | set(ctx.pks(table)), key=render_scalar):
                     got = [p for p, _ in rep._match_rows(ctx, schema, sch.Where(schema.primary_key, "=", pk))]
-                    want = [p for p, view in rows if pk in view.scalars(schema.primary_key)]
+                    want = [p for p, view in rows if pk in view.scalars(schema.primary_key, schema.kinds[schema.primary_key])]
                     if got != want:
                         mismatches.append(f"{rid} {name} {table} pk {pk}: {got} != {want}")
             for parent in runner.catalog.tables:
                 for child, col, _ in runner.catalog.referencing(parent):
-                    rows = visible_rows(ctx, child)
+                    rows, kind = visible_rows(ctx, child), runner.catalog.tables[child].kinds[col]
                     for ppk in rep.store.pks(parent):
                         got = [c for c, _ in rep._children(ctx, child, col, ppk)]
-                        want = [c for c, view in rows if ppk in view.scalars(col)]
+                        want = [c for c, view in rows if ppk in view.scalars(col, kind)]
                         children += len(want)
                         if got != want:
                             mismatches.append(f"{rid} {name} {child}.{col} -> {ppk}: {got} != {want}")
@@ -887,6 +914,95 @@ class TestPointReads:
         assert mismatches == []
         assert children > 0
         assert snapshots > 0
+
+
+def own_flags(view) -> set[str]:
+    """A row's own flags as a set: its buffered flag, else those of its
+    stored flag register; none for a missing row."""
+    if view is None:
+        return set()
+    if view.write is not None and view.write.flag is not None:
+        return {view.write.flag[0]}
+    return {flag for flag, _ in view.row.visibility} if view.row is not None else set()
+
+
+def reference_verdict(ctx, table, view) -> Cause:
+    """is_visible's rule over a set of flags: the row's own flags judged per
+    row policy, then each recorded parent, in render order, visible and,
+    over a delete-wins edge, of the recorded generation. A cell's shape
+    tells its kind."""
+    if view is None:
+        return Cause.MISSING
+    schema = ctx.catalog.tables[table]
+    write, row = view.write, view.row
+    flags = own_flags(view)
+    if not flags:
+        return Cause.MISSING
+    if schema.row_policy is sch.Policy.UPDATE_WINS:
+        if flags == {"D"}:
+            return Cause.ONLY_D
+    elif "D" in flags:
+        return Cause.ANY_D
+    for col in schema.columns:
+        fk = col.foreign_key
+        if fk is None:
+            continue
+        if write is not None and col.name in write.sets:
+            refs = (write.sets[col.name][0],)
+        else:
+            cell = row.cells.get(col.name) if row is not None else None
+            refs = () if cell is None else (cell[0],) if is_lww(cell) else tuple(mv_values(cell))
+        for ppk, pgen in refs:
+            parent = ctx.view(fk.table, ppk)
+            if parent is None or not reference_verdict(ctx, fk.table, parent).visible:
+                return Cause.PARENT_DELETED
+            if fk.policy is sch.Policy.DELETE_WINS and parent.generation() != pgen:
+                return Cause.PARENT_VERSION_STALE
+    return Cause.ALL_CLEAR
+
+
+def check_verdicts(runner, mismatches, causes) -> None:
+    """At every replica, in the committed context and in the snapshot of
+    every open transaction, judge every stored or buffered key with
+    is_visible and with reference_verdict, and count each cause in causes."""
+    for rid in runner.cluster.replica_ids:
+        rep = runner.cluster.replica(rid)
+        contexts = [("committed", ViewContext(rep.store, rep.catalog))]
+        contexts += [(tx.txid, rep.snap_ctx(tx)) for tx in rep.active.values()]
+        for name, ctx in contexts:
+            for table in runner.catalog.tables:
+                for pk in set(rep.store.pks(table)) | set(ctx.pks(table)):
+                    view = ctx.view(table, pk)
+                    got, want = engine.is_visible(ctx, table, view), reference_verdict(ctx, table, view)
+                    causes[got] += 1
+                    if got is not want:
+                        mismatches.append(f"{runner.report.name} {rid} {name} {table}/{pk}: {got} != {want}")
+
+
+class TestVerdicts:
+    """is_visible gives the verdict of the set-based reference rule, for
+    stored rows and for rows a transaction has written. The scenarios reach
+    every cause; fuzz seeds 0-19 leave only visible and missing rows."""
+
+    def test_scenarios(self):
+        mismatches, causes = [], collections.Counter()
+        for runner in scenario_runs():
+            check_verdicts(runner, mismatches, causes)
+            runner.finish()
+            check_verdicts(runner, mismatches, causes)
+        assert mismatches == []
+        assert causes[Cause.ALL_CLEAR] and causes[Cause.PARENT_DELETED]
+        assert causes[Cause.ONLY_D] and causes[Cause.ANY_D]
+
+    @fuzz_schemas
+    def test_fuzz(self, schema_text):
+        mismatches, causes = [], collections.Counter()
+        for runner, _ in fuzz_runs(schema_text):
+            check_verdicts(runner, mismatches, causes)
+            runner.finish()
+            check_verdicts(runner, mismatches, causes)
+        assert mismatches == []
+        assert causes[Cause.ALL_CLEAR]
 
 
 def lock_table(locks) -> dict:
@@ -968,7 +1084,7 @@ def own_flags_only(ctx, table, view):
     """A planted visibility rule that judges a row by its own flags only and
     ignores its parents: the regression integrity_violations is there to
     catch."""
-    flags = view.flags() if view is not None else frozenset()
+    flags = own_flags(view)
     if ctx.catalog.table(table).row_policy is sch.Policy.UPDATE_WINS:
         alive = bool(flags) and flags != {"D"}
     else:
