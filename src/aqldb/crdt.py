@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .errors import InsufficientRights, KindMismatch
+from .errors import InsufficientRights
 
 Scalar = int | str | bool
 
@@ -288,10 +288,6 @@ class BoundedCounter(AdditiveCounter):
         return self.add(replica, delta if self.bound.direction == "lower" else -delta)
 
     def merge(self, other: "BoundedCounter") -> "BoundedCounter":
-        if self.bound is not other.bound and self.bound != other.bound:
-            raise KindMismatch(
-                f"cannot merge counters bounded by {self.bound.canon()} and {other.bound.canon()}"
-            )
         incs, decs = _max_map(self.incs, other.incs), _max_map(self.decs, other.decs)
         return BoundedCounter(incs, decs, bound=self.bound, transfers=_max_map(self.transfers, other.transfers))
 
@@ -306,15 +302,11 @@ MergeValue = Lww | Mv | AdditiveCounter | BoundedCounter
 
 
 def merge(a: MergeValue, b: MergeValue) -> MergeValue:
-    """Merge two states of the same kind; KindMismatch otherwise."""
-    if type(a) is not type(b):
-        raise KindMismatch(f"cannot merge {type(a).__name__} with {type(b).__name__}")
+    """Merge two states of one kind: the engine merges a cell only with a
+    state of the same column, whose kind and bound the catalog fixes."""
     if type(a) is not tuple:
         return a.merge(b)
-    lww = is_lww(a)
-    if lww is not is_lww(b):
-        raise KindMismatch(f"cannot merge {canon(a)} with {canon(b)}")
-    if not lww:
+    if not is_lww(a):
         return mv_merge(a, b)
     if a[1] != b[1]:  # last writer wins
         return a if a[1] > b[1] else b

@@ -28,7 +28,6 @@ from .errors import (
     FkRestrict,
     InsufficientRights,
     RowNotFound,
-    TypeMismatch,
     ValidationError,
 )
 from .txn import (
@@ -122,7 +121,6 @@ _ALL_CLEAR, _ONLY_D, _ANY_D, _MISSING, _PARENT_DELETED, _PARENT_VERSION_STALE = 
 _ACTIVE, _COMMITTED, _ABORTED = TxStatus
 _SHARED, _EXCLUSIVE = Mode
 _UPDATE_WINS, _DELETE_WINS = sch.Policy.UPDATE_WINS, sch.Policy.DELETE_WINS
-_ADDITIVE = sch.Modifier.ADDITIVE
 _LWW, _MV, _UNBOUNDED, _BOUNDED = sch.Kind
 _SEQ_KINDS = {SEQ_COLUMN: (_LWW, None, None)}  # the schema-less sequence table's one column
 
@@ -261,11 +259,8 @@ _COMPARISONS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt, "<=": ope
 
 
 def compare(left: Scalar, op: str, right: Scalar) -> bool:
-    """left op right, op one of schema.COMPARISON_OPS, as parsing ensures."""
-    if isinstance(left, bool) != isinstance(right, bool) or (
-        isinstance(left, str) != isinstance(right, str)
-    ):
-        raise TypeMismatch(f"cannot compare {left!r} with {right!r}")
+    """left op right, op one of schema.COMPARISON_OPS and both of the one
+    column's datatype, as parsing ensures."""
     return _COMPARISONS[op](left, right)
 
 
@@ -528,15 +523,8 @@ class Replica:
     def _exec_insert(self, tx: Transaction, stmt: sch.Insert):
         schema = self.catalog.table(stmt.table)
         plan = self.catalog.coordination[stmt.table]
-        pk = stmt.values[schema.primary_key]
-        locked = plan.insert_locked
-        assignments = [
-            sch.DeltaAssign(col.name, stmt.values[col.name])
-            if col.modifier is _ADDITIVE
-            else sch.SetAssign(col.name, stmt.values[col.name])
-            for col in schema.columns
-        ]
-        self._acquire(tx, self._lock_wants(plan, [pk], _EXCLUSIVE if locked else None, assignments))
+        pk, locked = stmt.pk, plan.insert_locked
+        self._acquire(tx, self._lock_wants(plan, [pk], _EXCLUSIVE if locked else None, stmt.assignments))
 
         # With the insert lock held, validation reads the freshest state the
         # lock handover shipped in; otherwise the snapshot rules.
@@ -554,7 +542,7 @@ class Replica:
         else:
             generation = view.generation() + 1  # re-insert over a deleted key
 
-        write = self._buffer_assignments(tx, schema, plan, pk, view, assignments)
+        write = self._buffer_assignments(tx, schema, plan, pk, view, stmt.assignments)
         write.flag = ("I", view.visibility_versions() if view is not None else {})
         write.generation = generation
         return None

@@ -25,14 +25,6 @@ class ValidationError(AqlError):
     """Well-formed syntax that violates a schema or statement rule."""
 
 
-class TypeMismatch(AqlError):
-    """Comparison or assignment between incompatible value types."""
-
-
-class KindMismatch(AqlError):
-    """Attempt to merge two values of different mergeable kinds."""
-
-
 class InsufficientRights(AqlError):
     """Bounded counter has too little local quota. Retryable after a transfer."""
 

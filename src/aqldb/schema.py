@@ -277,7 +277,8 @@ class DeltaAssign:
 @dataclass(frozen=True, slots=True)
 class Insert:
     table: str
-    values: Mapping[str, Scalar]  # read-only
+    pk: Scalar
+    assignments: tuple[SetAssign | DeltaAssign, ...]  # one per column, in schema order
 
 
 @dataclass(frozen=True, slots=True)
@@ -717,7 +718,7 @@ def _compile(stmt: Statement) -> Callable[[list], Statement]:
     """The builder of a template's statements, compiled once per template: a
     function of the slot values that rebuilds each part of stmt holding a
     slot, with value i in slot i, and shares every other part."""
-    env = {c.__name__: c for c in (MappingProxyType, Insert, Update, Delete, Select, Where, SetAssign, DeltaAssign)}
+    env = {c.__name__: c for c in (Insert, Update, Delete, Select, Where, SetAssign, DeltaAssign)}
 
     def code(part) -> str:
         if type(part) is _Slot:
@@ -725,8 +726,6 @@ def _compile(stmt: Statement) -> Callable[[list], Statement]:
         src = ""
         if type(part) is tuple:
             src = "(" + "".join(code(x) + ", " for x in part) + ")"
-        elif type(part) is MappingProxyType:
-            src = "mappingproxy({" + ", ".join(f"{code(k)}: {code(x)}" for k, x in part.items()) + "})"
         elif hasattr(part, "__match_args__"):  # a statement, a Where or an assignment
             src = f"{type(part).__name__}({', '.join(code(getattr(part, f)) for f in part.__match_args__)})"
         if "v[" in src:
@@ -803,20 +802,22 @@ def _parse_insert(p: _Parser, catalog: Catalog) -> Insert:
         raise ValidationError(
             f"insert into {table} lists {len(names)} columns but {len(values)} values"
         )
-    mapping: dict[str, Scalar] = {}
+    given = {}
     for name, value in zip(names, values):
         col = schema.column(name)
-        if name in mapping:
+        if name in given:
             raise ValidationError(f"column {name} listed twice")
         if not _admits(col.datatype, value):
             raise ValidationError(
                 f"value {value!r} does not match {table}.{name} ({col.datatype.value})"
             )
-        mapping[name] = value
-    missing = [c.name for c in schema.columns if c.name not in mapping]
+        given[name] = value
+    missing = [c.name for c in schema.columns if c.name not in given]
     if missing:
         raise ValidationError(f"insert into {table} must cover columns {missing}")
-    return Insert(table, MappingProxyType(mapping))
+    return Insert(table, given[schema.primary_key], tuple(
+        (DeltaAssign if c.modifier is Modifier.ADDITIVE else SetAssign)(c.name, given[c.name]) for c in schema.columns
+    ))
 
 
 def _parse_update(p: _Parser, catalog: Catalog) -> Update:
@@ -844,7 +845,6 @@ def _parse_assignment(p: _Parser, schema: TableSchema) -> SetAssign | DeltaAssig
             raise ValidationError(
                 f"assignment to {name} may only reference {name} itself"
             )
-        sign = 1
         if p.accept_sym("+"):
             sign = 1
         elif p.accept_sym("-"):

@@ -144,9 +144,6 @@ class CommitRecord:
     def record_id(self) -> tuple[str, int]:
         return (self.origin, self.seq)
 
-    def happens_before(self, other: "CommitRecord") -> bool:
-        return self.record_id != other.record_id and other.clock.dominates(self.clock)
-
 
 # --------------------------------------------------------------------------
 # locks

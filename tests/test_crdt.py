@@ -16,7 +16,7 @@ from aqldb.crdt import (
     mv_values,
     render_scalar,
 )
-from aqldb.errors import InsufficientRights, KindMismatch
+from aqldb.errors import InsufficientRights
 
 UNWRITTEN = (None, (0, ""))  # a last-writer-wins cell never written
 
@@ -227,17 +227,6 @@ class TestBounded:
         full = base.apply_delta("r1", -2).transfer("r1", "r3", 1)
         assert base.merge(full) == full
         assert base.merge(full).free("r1") == full.free("r1")
-
-    def test_bound_mismatch(self):
-        a = BoundedCounter.create(lower(0), 5, ["r1"], "r1")
-        b = BoundedCounter.create(lower(1), 5, ["r1"], "r1")
-        with pytest.raises(KindMismatch):
-            a.merge(b)
-
-
-def test_merge_rejects_kind_mismatch():
-    with pytest.raises(KindMismatch):
-        merge(UNWRITTEN, ())
 
 
 def test_canon_distinguishes_states():

@@ -24,7 +24,6 @@ from aqldb.crdt import (
     mv_merge,
     render_scalar,
 )
-from aqldb.errors import KindMismatch
 
 REPLICAS = ("r1", "r2", "r3")
 CASES_PER_KIND = 2500  # x5 kinds -> >= 10^4 cases per law
@@ -210,17 +209,6 @@ def test_entries_stay_in_version_order(kind):
             assert list(state) == order, state
 
 
-@pytest.mark.parametrize("kind", sorted(set(GENERATORS) - {"lww"}))
-def test_lww_merges_with_no_other_kind(kind):
-    rng = random.Random(f"kind-{kind}")
-    for _ in range(50):
-        lww, other = rand_lww(rng), GENERATORS[kind](rng)
-        with pytest.raises(KindMismatch):
-            merge(lww, other)
-        with pytest.raises(KindMismatch):
-            merge(other, lww)
-
-
 # ---------------------------------------------------------------------------
 # A writer's own step inflates its old state: the old state merged with the
 # step is the step. A commit record ships each written cell's new state over
@@ -326,9 +314,6 @@ mv_registers = st.lists(
 @given(lww=lww_cells, reg=mv_registers)
 def test_is_lww_tells_the_tuple_kinds_apart(lww, reg):
     assert is_lww(lww) and not is_lww(reg)
-    for a, b in ((lww, reg), (reg, lww)):
-        with pytest.raises(KindMismatch):
-            merge(a, b)
 
 
 @pytest.mark.parametrize("state, text", [

@@ -2,7 +2,8 @@
 catalog (schema.TableSchema.kinds), never by its shape: neither module calls
 crdt.is_lww, tests a value against a counter class with isinstance, or tests
 type(...) is tuple. Only crdt.merge and crdt.canon, which judge a bare state,
-tell kinds apart by shape."""
+tell kinds apart by shape. Nor does either read a column's schema.Modifier:
+they read kinds and the writes a statement is parsed into."""
 
 import ast
 import os
@@ -37,6 +38,9 @@ def shape_tests(source: str) -> list[str]:
                     found.append(f"{node.lineno}: type(...) tuple test")
         elif isinstance(node, ast.alias) and node.name == "is_lww":
             found.append(f"{node.lineno}: is_lww import")
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name == "Modifier" or isinstance(node, ast.alias) and node.name == "Modifier":
+            found.append(f"{node.lineno}: Modifier reference")
     return found
 
 
@@ -56,6 +60,9 @@ d = isinstance(cell, (int, crdt.AdditiveCounter))
 e = type(cell) is tuple
 f = type(cell) is not tuple
 g = tuple == type(cell)
-ok = isinstance(statement, str) or type(value) is int
+from .schema import Kind, Modifier
+i = col.modifier is sch.Modifier.ADDITIVE
+j = Modifier.LWW
+ok = isinstance(statement, str) or type(value) is int or col.modifier is not None
 """
-    assert [line.split(": ")[0] for line in shape_tests(source)] == ["2", "3", "4", "5", "6", "7", "8", "9"]
+    assert sorted(int(line.split(": ")[0]) for line in shape_tests(source)) == list(range(2, 13))

@@ -116,6 +116,35 @@ def test_each_column_kind_follows_its_modifier_and_check():
     assert seen >= {(kind, False) for kind in Kind} | {(Kind.LWW, True), (Kind.MV, True)}
 
 
+def test_an_insert_parses_to_its_key_and_one_write_per_column():
+    """An INSERT into any table, its columns listed in reverse, parses to
+    its key and one write per column in schema order: a DeltaAssign exactly
+    where the column's kind is ADDITIVE or BOUNDED, else a SetAssign. The
+    full parse, the template's builder and `?` parameters agree."""
+    counters = {Kind.ADDITIVE, Kind.BOUNDED}
+    sample = {sch.Datatype.INT: lambda i: i * (-1) ** i, sch.Datatype.VARCHAR: "v{}".format,
+              sch.Datatype.BOOLEAN: lambda i: i % 2 == 0}
+    for text in kind_schema_texts():
+        tables = parse_schema_text(text).tables
+        for table in tables.values():
+            given = {c.name: sample[c.datatype](i) for i, c in reversed(list(enumerate(table.columns)))}
+            head = f"INSERT INTO {table.name} ({', '.join(given)}) VALUES "
+            literals = head + "(" + ", ".join(sch._literal_ddl(v) for v in given.values()) + ")"
+            want = sch.Insert(table.name, given[table.primary_key], tuple(
+                (sch.DeltaAssign if table.kinds[c.name][0] in counters else sch.SetAssign)(c.name, given[c.name])
+                for c in table.columns
+            ))
+            params = head + "(" + ", ".join("?" * len(given)) + ")"
+            cat = sch.Catalog(dict(tables))
+            for stmt in (
+                sch._parse_statement(literals, cat),
+                parse_statement(literals, cat),
+                parse_statement(params, cat, list(given.values())),
+            ):
+                assert (stmt, repr(stmt)) == (want, repr(want)), literals
+            assert params in cat.templates
+
+
 def test_additive_bounds():
     cat = parse_schema_text(
         """
@@ -191,6 +220,11 @@ def test_parse_literal():
         parse_literal("'a' 'b'")
 
 
+def written(insert) -> dict:
+    """An insert's value for each column, as its writes hold them."""
+    return {a.column: a.delta if type(a) is sch.DeltaAssign else a.value for a in insert.assignments}
+
+
 def one_table(text):
     """The one table a single CREATE TABLE statement defines."""
     (table,) = parse_schema_text(text).tables.values()
@@ -214,6 +248,9 @@ class TestValidation:
     def test_additive_requires_int(self):
         with pytest.raises(ValidationError):
             one_table(self.plain("A INT PRIMARY KEY, B VARCHAR ADDITIVE"))
+        with pytest.raises(ValidationError, match="foreign key column B.P cannot be ADDITIVE"):
+            parse_schema_text("CREATE TABLE A (K INT PRIMARY KEY); CREATE TABLE B (K INT PRIMARY KEY,"
+                              " P INT ADDITIVE FOREIGN KEY REFERENCES A (K))")
 
     def test_duplicate_column(self):
         with pytest.raises(ValidationError):
@@ -232,6 +269,8 @@ class TestValidation:
             one_table(
                 self.plain("A INT PRIMARY KEY, B INT ADDITIVE CHECK (B > 0 AND B < 9)")
             )
+        with pytest.raises(ValidationError, match="additive column T.B needs a one-sided bound"):
+            one_table(self.plain("A INT PRIMARY KEY, B INT ADDITIVE CHECK (B <> 3)"))
 
     def test_fk_must_point_at_pk(self):
         with pytest.raises(ValidationError):
@@ -260,6 +299,9 @@ class TestValidation:
     def test_fk_unknown_table(self):
         with pytest.raises(ValidationError):
             one_table(self.plain("A INT PRIMARY KEY, B INT FOREIGN KEY REFERENCES Nope (X)"))
+        with pytest.raises(ValidationError, match="foreign key target A.X does not exist"):
+            parse_schema_text("CREATE TABLE A (K INT PRIMARY KEY); CREATE TABLE B (K INT PRIMARY KEY,"
+                              " P INT FOREIGN KEY REFERENCES A (X))")
 
     def test_fk_to_own_table_is_rejected(self):
         # Every column needs a value and there is no NULL, so the first row
@@ -274,6 +316,7 @@ class TestValidation:
          "column P has two FOREIGN KEY clauses"),
         ("K INT PRIMARY KEY, P INT FOREIGN KEY REFERENCES A (K) FOREIGN KEY REFERENCES Nope (X)",
          "column P has two FOREIGN KEY clauses"),
+        ("K INT PRIMARY KEY); CREATE TABLE A (K INT PRIMARY KEY", "table A defined twice"),
     ])
     def test_clause_given_twice_is_rejected(self, columns, message):
         with pytest.raises(ValidationError, match=message):
@@ -309,14 +352,14 @@ class TestStatements:
             "INSERT INTO Artists VALUES ('Sam', TRUE, 0)", catalog
         )
         assert stmt.table == "Artists"
-        assert stmt.values == {"Name": "Sam", "Active": True, "Plays": 0}
+        assert written(stmt) == {"Name": "Sam", "Active": True, "Plays": 0}
 
     def test_insert_with_column_list(self, catalog):
         stmt = parse_statement(
             "INSERT INTO Artists (Name, Plays, Active) VALUES ('Sam', 2, FALSE)",
             catalog,
         )
-        assert stmt.values == {"Name": "Sam", "Plays": 2, "Active": False}
+        assert written(stmt) == {"Name": "Sam", "Plays": 2, "Active": False}
 
     def test_insert_arity_mismatch(self, catalog):
         with pytest.raises(ValidationError):
@@ -410,10 +453,10 @@ class TestCaches:
         three = parse_schema_text("CREATE TABLE T (K INT PRIMARY KEY, V INT, W INT);")
         short, long = "INSERT INTO T VALUES (1, 2)", "INSERT INTO T VALUES (1, 2, 3)"
         for _ in range(2):
-            assert parse_statement(short, two).values == {"K": 1, "V": 2}
+            assert written(parse_statement(short, two)) == {"K": 1, "V": 2}
             with pytest.raises(ValidationError):
                 parse_statement(short, three)
-            assert parse_statement(long, three).values == {"K": 1, "V": 2, "W": 3}
+            assert written(parse_statement(long, three)) == {"K": 1, "V": 2, "W": 3}
             with pytest.raises(ValidationError):
                 parse_statement(long, two)
 
@@ -423,8 +466,12 @@ class TestCaches:
             "SELECT * FROM Artists garbage",
             "UPDATE Artists SET Plays = 'x' WHERE Name = 'Sam'",
             "INSERT INTO Artists VALUES ('Sam', TRUE)",
+            "SELECT * FROM Plain WHERE Id + 1",
+            "INSERT INTO Plain (Id, Id) VALUES (1, 2)",
+            "UPDATE Artists SET Plays = Active + 1 WHERE Name = 'Sam'",
+            "UPDATE Artists SET Plays = Plays * 2 WHERE Name = 'Sam'",
         ],
-        ids=["syntax", "type", "arity"],
+        ids=["syntax", "type", "arity", "operator", "column-twice", "other-column", "times"],
     )
     def test_failing_text_fails_alike_every_call(self, catalog, text):
         templates = dict(catalog.templates)
@@ -485,6 +532,8 @@ class TestCaches:
             "UPDATE Artists SET Plays = Plays - 12 WHERE Name = 'al1234'",
             "UPDATE Artists SET Active = TRUE WHERE Name = 'it''s ٣'",
             "SELECT * FROM Plain WHERE Note = 'Col1'",
+            "INSERT INTO Artists (Plays, Name, Active) VALUES (-2, 'it''s', TRUE)",
+            "INSERT INTO Albums VALUES ('A1', 'Sam', 0, 'rock')",
         ],
     )
     def test_edge_literals_bind_like_the_full_parse(self, text):
@@ -530,13 +579,13 @@ class TestCaches:
         select = parse_statement("SELECT Name FROM Artists", catalog)
         with pytest.raises(AttributeError):
             insert.table = "Albums"
-        with pytest.raises(TypeError):
-            insert.values["Name"] = "Ana"
+        with pytest.raises(AttributeError):
+            insert.assignments[0].value = "Ana"
         with pytest.raises(AttributeError):
             update.where.value = "Ana"
         with pytest.raises(AttributeError):
             update.assignments[0].value = True
-        assert isinstance(update.assignments, tuple)
+        assert isinstance(insert.assignments, tuple) and isinstance(update.assignments, tuple)
         assert select.columns == ("Name",)
 
     def test_same_schema_text_same_catalog(self):

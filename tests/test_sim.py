@@ -153,6 +153,10 @@ class TestParser:
     def test_missing_replicas(self):
         with pytest.raises(ScenarioError):
             parse_scenario("schema {\n}\nheal", "broken")
+        with pytest.raises(ScenarioError, match="^broken line 2: replicas needs at least one id$"):
+            parse_scenario(SIMPLE.replace("replicas r1 r2", "replicas"), "broken")
+        with pytest.raises(ScenarioError, match="^broken: missing schema block$"):
+            parse_scenario("replicas r1\nheal", "broken")
 
     def test_unknown_directive(self):
         with pytest.raises(ScenarioError):
@@ -161,6 +165,8 @@ class TestParser:
     def test_undeclared_replica_rejected(self):
         with pytest.raises(ScenarioError):
             parse_scenario(SIMPLE + "\ndeliver @r9", "broken")
+        with pytest.raises(ScenarioError, match="^broken line 15: undeclared replica r9$"):
+            parse_scenario(SIMPLE + "partition r1 | r9", "broken")
 
     def test_bad_statement_rejected_at_parse_time(self):
         bad = SIMPLE.replace("INSERT INTO T VALUES ('x', 1)", "INSERT INTO Ghost VALUES (1)")
@@ -170,6 +176,8 @@ class TestParser:
     def test_unterminated_block(self):
         with pytest.raises(ScenarioError):
             parse_scenario("replicas r1\nschema {\n  CREATE TABLE T (K INT PRIMARY KEY);", "broken")
+        with pytest.raises(ScenarioError, match="^broken line 15: tx body must follow { on the same line"):
+            parse_scenario(SIMPLE + "tx b @r1 { INSERT INTO T VALUES ('y', 2)", "broken")
 
     def test_partition_needs_two_groups(self):
         with pytest.raises(ScenarioError):
@@ -208,6 +216,7 @@ class TestParser:
         "deliver_all r1",
         "assert converged x",
         "abort a expect DuplicateKey",
+        "schema { x",
     ])
     def test_extra_words_rejected(self, line):
         with pytest.raises(ScenarioError, match="usage: "):
@@ -239,6 +248,8 @@ class TestRunner:
         scenario = parse_scenario(SIMPLE + "\ncommit ghost", "broken")
         with pytest.raises(ScenarioError):
             run_scenario(scenario)
+        with pytest.raises(ScenarioError, match="^line 15: transaction not active$"):
+            run_scenario(parse_scenario(SIMPLE + "commit a", "settled"))
 
     REUSED_TXID = """
 replicas r1
@@ -290,6 +301,10 @@ tx a @r1 { INSERT INTO T VALUES ('j', 'y') }
         assert not report.ok  # so expecting DuplicateKey must fail
         text2 = text.replace("expect DuplicateKey ", "")
         assert run_scenario(parse_scenario(text2, "merged")).ok
+        text3 = SIMPLE + "tx b @r1 expect DuplicateKey { UPDATE T SET V = V + 1 WHERE K = 'y' }"
+        assert run_scenario(parse_scenario(text3, "other")).failures == [
+            "line 15: tx b @r1: expected DuplicateKey, got RowNotFound: no visible T row matches"
+        ]
 
 
 def test_scenario_suite_present():
@@ -681,8 +696,8 @@ class TestOrderIndependence:
             assert {rec.record_id for rec in order} == ids
             seen = []
             for rec in order:
-                for earlier in seen:
-                    assert not rec.happens_before(earlier)
+                for earlier in seen:  # rec does not happen before earlier
+                    assert not (rec.record_id != earlier.record_id and earlier.clock.dominates(rec.clock))
                 seen.append(rec)
 
     def test_all_orders_converge(self, broadcasts):
@@ -1880,12 +1895,11 @@ def prescribed_locks(catalog, stmt):
     prescribes for an INSERT or a point UPDATE."""
     plan, schema = catalog.coordination[stmt.table], catalog.table(stmt.table)
     if isinstance(stmt, sch.Insert):
-        pk, row_mode, values = stmt.values[schema.primary_key], Mode.EXCLUSIVE, dict(stmt.values)
-        locked = plan.insert_locked
+        pk, row_mode, locked = stmt.pk, Mode.EXCLUSIVE, plan.insert_locked
     else:
         assert stmt.where.is_pk_lookup(schema), stmt
         pk, row_mode, locked = stmt.where.value, Mode.SHARED, plan.row_guarded
-        values = {a.column: getattr(a, "value", None) for a in stmt.assignments}
+    values = {a.column: getattr(a, "value", None) for a in stmt.assignments}
     want = {row_lock(stmt.table, pk): row_mode} if locked else {}
     for column, value in values.items():
         if column in plan.locked_columns:
