@@ -352,7 +352,6 @@ class Replica:
         self.clock.tick(self.rid)
         return CommitRecord(
             origin=self.rid,
-            seq=self.clock.get(self.rid),
             txid=txid,
             clock=self.clock.copy(),
             lamport=lam,
@@ -374,14 +373,11 @@ class Replica:
     # -- replication ----------------------------------------------------------
 
     def deliver(self, record: CommitRecord) -> bool:
-        """Merge a remote commit. Duplicate delivery is a no-op. A ready
-        record is never one the clock has, so has is asked only of the rest."""
+        """Merge a remote commit if CausalClock.ready holds for it and say
+        whether it merged. A record that is not ready, whether it waits on a
+        commit not merged yet or was merged already, changes nothing."""
         if not self.clock.ready(record):
-            if self.clock.has(record):
-                return False
-            raise ValidationError(
-                f"record {record.record_id} not causally ready at {self.rid}"
-            )
+            return False
         for delta in record.deltas:
             self._apply_delta(delta)
         self.clock.tick(record.origin)

@@ -119,16 +119,17 @@ class Cluster:
         causal, as a commit is broadcast after every commit its origin had seen.
         So each predecessor of a queued record is delivered already or comes
         earlier in this pass, and a record left behind waits, itself or through
-        a predecessor, on an origin rid cannot reach. A ready record is never
-        one rid has, so has is asked only of the rest: those rid has go."""
+        a predecessor, on an origin rid cannot reach. Replica.deliver judges
+        each record and pump keeps those it refuses, so a queue holds just the
+        records rid has not merged: _broadcast queues a record once at each
+        replica but its origin."""
         rep = self.replica(rid)
         delivered = 0
         keep = []
         for record in self.queues[rid]:
-            if self.reachable(rid, record.origin) and rep.clock.ready(record):
-                rep.deliver(record)
+            if self.reachable(rid, record.origin) and rep.deliver(record):
                 delivered += 1
-            elif not rep.clock.has(record):
+            else:
                 keep.append(record)
         self.queues[rid] = keep
         self.deliveries += delivered
@@ -544,7 +545,7 @@ class Runner:
         self._audit(Event("heal", {}, 0))
         if not self.cluster.converged():
             self.report.step(0, "convergence after quiesce", False, self.cluster.divergence())
-        for rid, queue in self.cluster.queues.items():  # pump dropped each record rid has
+        for rid, queue in self.cluster.queues.items():  # a queue holds what rid has not merged
             if queue:
                 self.report.step(0, "eventual delivery", False, f"{len(queue)} records still queued for {rid}")
         self._check_ledger()

@@ -58,15 +58,11 @@ class CausalClock:
     def dominates(self, other: "CausalClock") -> bool:
         return all(self.get(r) >= c for r, c in other.counts.items())
 
-    def has(self, record: "CommitRecord") -> bool:
-        """Whether this clock counts record already."""
-        return self.get(record.origin) >= record.seq
-
     def ready(self, record: "CommitRecord") -> bool:
         """Whether record can be delivered next: it is its origin's next
         commit, and this clock counts every commit it depends on."""
         counts, origin = self.counts, record.origin
-        if counts.get(origin, 0) != record.seq - 1:
+        if counts.get(origin, 0) != record.clock.counts[origin] - 1:
             return False
         for r, c in record.clock.counts.items():
             if c > counts.get(r, 0) and r != origin:
@@ -134,15 +130,10 @@ class RowDelta:
 @dataclass
 class CommitRecord:
     origin: str
-    seq: int  # commit count at the origin, 1-based
     txid: str
-    clock: CausalClock  # origin clock after this commit
+    clock: CausalClock  # origin clock after this commit; its origin entry is the record's place
     lamport: int
     deltas: list[RowDelta]
-
-    @property
-    def record_id(self) -> tuple[str, int]:
-        return (self.origin, self.seq)
 
 
 # --------------------------------------------------------------------------

@@ -42,10 +42,11 @@ def causal_orders(records: list[CommitRecord], limit: int | None = None) -> list
 
 
 def replay_records(records, catalog: sch.Catalog, replica_ids) -> Replica:
-    """Apply commit records, in the given order, to a fresh observer."""
+    """Apply commit records, in the given order, to a fresh observer. Each
+    must merge, so an order that is not causal fails loudly."""
     observer = Replica(OBSERVER, catalog, replica_ids, LockManager(replica_ids))
     for record in records:
-        observer.deliver(record)
+        assert observer.deliver(record), f"{record.txid} is not ready at the observer"
     return observer
 
 

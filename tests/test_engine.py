@@ -1,5 +1,6 @@
 """Replica engine: visibility, statements, constraints, folding, ids."""
 
+import dataclasses
 import itertools
 import operator
 
@@ -28,7 +29,7 @@ from aqldb.errors import (
     RowNotFound,
     ValidationError,
 )
-from aqldb.txn import LockManager, TxStatus
+from aqldb.txn import CausalClock, LockManager, TxStatus
 
 MUSIC = """
 CREATE UPDATE_WINS TABLE Artists (
@@ -74,8 +75,7 @@ def run(rep, *statements):
 def sync(records, *reps):
     for rep in reps:
         for record in records:
-            if not rep.clock.has(record):
-                rep.deliver(record)
+            rep.deliver(record)
 
 
 def verdict_of(ctx, table, pk):
@@ -193,7 +193,7 @@ def statement_lookups(monkeypatch, statement, padding=()) -> list:
     reps, _ = make_group()
     r1 = reps["r1"]
     for record in padding:
-        r1.deliver(record)
+        assert r1.deliver(record)
     run(
         r1,
         "INSERT INTO Artists VALUES ('Sam', TRUE, 0)",
@@ -699,10 +699,13 @@ class TestTwoReplicas:
         r2.deliver(rec1)
         assert r2.deliver(rec2)
         assert not r2.deliver(rec2)  # duplicate is a no-op
-        with pytest.raises(ValidationError):
-            r2.deliver(rec2.__class__(  # gap: seq 4 cannot apply
-                origin="r1", seq=4, txid="x", clock=rec2.clock, lamport=9, deltas=[],
-            ))
+        rec3, _ = run(r1, "UPDATE Artists SET Plays = Plays + 1 WHERE Name = 'Sam'")
+        gap = dataclasses.replace(rec3, clock=CausalClock({"r1": 4}), lamport=9)  # r1's 3rd is missing
+        clock, lamport = dict(r2.clock.counts), r2.lamport
+        tables = {table: dict(rows) for table, rows in r2.store.tables.items()}
+        assert not r2.deliver(gap)
+        assert (r2.clock.counts, r2.lamport) == (clock, lamport)
+        assert {table: dict(rows) for table, rows in r2.store.tables.items()} == tables
 
     def test_stale_reference_invisible_everywhere(self):
         text = """

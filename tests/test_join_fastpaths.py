@@ -73,7 +73,7 @@ def ref_merge(a: tuple, b: tuple) -> tuple:
 
 
 def ref_ready(clock: CausalClock, record: CommitRecord) -> bool:
-    if clock.get(record.origin) != record.seq - 1:
+    if clock.get(record.origin) != record.clock.get(record.origin) - 1:
         return False
     return all(clock.get(r) >= c for r, c in record.clock.counts.items() if r != record.origin)
 
@@ -106,7 +106,7 @@ class TestReference:
         st.integers(1, 5),
     )
     def test_ready_matches_all_entries_rule(self, mine, theirs, origin, seq):
-        record = CommitRecord(origin, seq, "t", CausalClock({**theirs, origin: seq}), 1, [])
+        record = CommitRecord(origin, "t", CausalClock({**theirs, origin: seq}), 1, [])
         clock = CausalClock(dict(mine))
         assert clock.ready(record) == ref_ready(clock, record)
 

@@ -663,6 +663,11 @@ class TestRetention:
         assert queued > 0
 
 
+def record_id(rec) -> tuple[str, int]:
+    """A record's origin and its place in its origin's commits."""
+    return (rec.origin, rec.clock.get(rec.origin))
+
+
 class TestOrderIndependence:
     def scripted_log(self, broadcasts):
         text = """
@@ -691,13 +696,13 @@ class TestOrderIndependence:
     def test_causal_orders_respect_dependencies(self, broadcasts):
         records, _, _ = self.scripted_log(broadcasts)
         orders = causal_orders(records, limit=4)
-        ids = {rec.record_id for rec in records[:4]}
+        ids = {record_id(rec) for rec in records[:4]}
         for order in orders:
-            assert {rec.record_id for rec in order} == ids
+            assert {record_id(rec) for rec in order} == ids
             seen = []
             for rec in order:
                 for earlier in seen:  # rec does not happen before earlier
-                    assert not (rec.record_id != earlier.record_id and earlier.clock.dominates(rec.clock))
+                    assert not (record_id(rec) != record_id(earlier) and earlier.clock.dominates(rec.clock))
                 seen.append(rec)
 
     def test_all_orders_converge(self, broadcasts):
@@ -724,8 +729,9 @@ class TestOrderIndependence:
 class TestPump:
     """Cluster.pump delivers in one pass. After every call, in every
     scenario and in fuzz seeds 0-19 at 200 events, each queue is in
-    broadcast order, and no record left in the pumped queue is both
-    reachable and causally ready at its destination."""
+    broadcast order and holds only records its destination has not merged,
+    and no record left in the pumped queue is both reachable and causally
+    ready at its destination."""
 
     @pytest.fixture()
     def checked(self, monkeypatch, broadcasts):
@@ -739,11 +745,15 @@ class TestPump:
                 order = [position[id(rec)] for rec in queue]
                 if order != sorted(order):
                     stats["problems"].append(f"queue for {dst} out of broadcast order: {order}")
+                dst_clock = cluster.replica(dst).clock
+                for rec in queue:
+                    if rec.clock.get(rec.origin) <= dst_clock.get(rec.origin):
+                        stats["problems"].append(f"{record_id(rec)} queued at {dst}, which merged it")
             clock = cluster.replica(rid).clock
             for rec in cluster.queues[rid]:
                 stats["left"] += 1
                 if cluster.reachable(rid, rec.origin) and clock.ready(rec):
-                    stats["problems"].append(f"{rec.record_id} left ready at {rid}")
+                    stats["problems"].append(f"{record_id(rec)} left ready at {rid}")
             return delivered
 
         monkeypatch.setattr(Cluster, "pump", checking_pump)
@@ -1220,10 +1230,13 @@ def test_a_merging_receiver_is_at_or_above_base(monkeypatch):
 
 
 def test_base_check_sees_a_clock_that_skips_dependencies(monkeypatch):
-    """A ready that checks only the origin's sequence number can deliver a
+    """A ready that checks only the record's origin entry can deliver a
     record before one it depends on; on this seed a receiver then merges a
     delta whose base is above its row."""
-    monkeypatch.setattr(txn.CausalClock, "ready", lambda clock, record: clock.get(record.origin) == record.seq - 1)
+    def origin_only(clock, record):
+        return clock.get(record.origin) == record.clock.get(record.origin) - 1
+
+    monkeypatch.setattr(txn.CausalClock, "ready", origin_only)
     checker = BaseCheckingApply(monkeypatch)
     fuzz(FuzzConfig(seed=117, replicas=3, events=200), shrink=False)
     assert checker.violations
@@ -1358,7 +1371,7 @@ class TestAudit:
         for rep in runner.cluster.replicas.values():
             rep._apply_delta(row_delta("Albums", "A1", {"Stock": moved}))
         seq = r1.clock.get("r1") + 2  # one commit of r1 never sent
-        runner.cluster.queues["r2"].append(CommitRecord("r1", seq, "lost", CausalClock({"r1": seq}), 99, []))
+        runner.cluster.queues["r2"].append(CommitRecord("r1", "lost", CausalClock({"r1": seq}), 99, []))
         assert runner.finish().failures == [
             "eventual delivery: 1 records still queued for r2",
             "rights conservation: Albums/A1.Stock at r1: rights spread 3 != total 4",
@@ -1631,7 +1644,7 @@ class TestReadOnlyCommit:
         tx = r1.begin()
         r1.execute(tx, "UPDATE Artists SET Plays = Plays + 1 WHERE Name = 'Sam'")
         record = cluster.commit(tx)
-        assert (record.seq, record.lamport) == (first.seq + 1, first.lamport + 1)
+        assert (record.clock.get("r1"), record.lamport) == (first.clock.get("r1") + 1, first.lamport + 1)
         assert cluster.deliver_all() == 4  # both records, at r2 and at r3
         assert all(rep.clock == r1.clock for rep in cluster.replicas.values())
         assert cluster.converged()

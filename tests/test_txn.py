@@ -46,20 +46,20 @@ class TestClock:
         # missing entries count as zero
         assert big.dominates(CausalClock())
 
-    def test_has_and_ready(self):
-        def record(origin, seq, counts):
-            return CommitRecord(origin, seq, f"{origin}-{seq}", CausalClock(counts), seq, [])
+    def test_ready(self):
+        def record(origin, counts):
+            seq = counts[origin]
+            return CommitRecord(origin, f"{origin}-{seq}", CausalClock(counts), seq, [])
 
         clock = CausalClock({"r1": 1})
-        first, second, third = (record("r1", seq, {"r1": seq}) for seq in (1, 2, 3))
-        assert clock.has(first) and not clock.has(second)
+        first, second, third = (record("r1", {"r1": seq}) for seq in (1, 2, 3))
         assert not clock.ready(first)  # already counted
         assert clock.ready(second)
         assert not clock.ready(third)  # second comes first
-        dependent = record("r2", 1, {"r1": 2, "r2": 1})
+        dependent = record("r2", {"r1": 2, "r2": 1})
         assert not clock.ready(dependent)  # it saw r1's second commit
         clock.tick("r1")
-        assert clock.ready(dependent) and not clock.has(dependent)
+        assert clock.ready(dependent)
 
 
 def test_lock_ids_distinguish_key_types():
