@@ -179,32 +179,35 @@ class AdditiveCounter:
 
 @dataclass(frozen=True, slots=True)
 class Bound:
-    """One-sided numeric bound: value stays >= limit (lower) or <= limit (upper)."""
+    """One-sided numeric bound: sign 1 for value >= limit, -1 for <= limit.
+    A value's head-room is sign * (value - limit); the bound admits a value
+    whose head-room is not negative."""
 
-    direction: str  # "lower" or "upper"
+    sign: int
     limit: int
 
+    def headroom(self, value: int) -> int:
+        return self.sign * (value - self.limit)
+
     def admits(self, value: int) -> bool:
-        if self.direction == "lower":
-            return value >= self.limit
-        return value <= self.limit
+        return self.headroom(value) >= 0
 
     def canon(self) -> str:
-        op = ">=" if self.direction == "lower" else "<="
-        return f"{op}{self.limit}"
+        return (">=" if self.sign > 0 else "<=") + str(self.limit)
 
 
 @dataclass(frozen=True, kw_only=True, slots=True)
 class BoundedCounter(AdditiveCounter):
     """Escrow counter that can never cross its bound, without coordination.
 
-    An additive counter of head-room against the bound: incs[r] is head-room
-    replica r created, by creating the counter or moving the value away from
-    the bound, and decs[r] is head-room r spent. A replica's rights are what
-    it created plus what others shipped it, less what it shipped; it spends
-    only those. Every entry of incs, decs and transfers is written by exactly
-    one replica (a transfer by its source) and only grows, so merge is a
-    pointwise maximum.
+    An additive counter of head-room against the bound, sign * (value -
+    limit): incs[r] is head-room replica r created, by creating the counter
+    or moving the value away from the bound, and decs[r] is head-room r
+    spent, so the value is limit + sign * (sum(incs) - sum(decs)). A
+    replica's rights are what it created plus what others shipped it, less
+    what it shipped; it spends only those. Every entry of incs, decs and
+    transfers is written by exactly one replica (a transfer by its source)
+    and only grows, so merge is a pointwise maximum.
     """
 
     bound: Bound
@@ -221,10 +224,7 @@ class BoundedCounter(AdditiveCounter):
         """The creator holds the initial head-room and ships an even share to
         every other replica, keeping the remainder. Creations of the same
         counter at several replicas write disjoint entries, so they add up."""
-        if bound.direction == "lower":
-            headroom = initial - bound.limit
-        else:
-            headroom = bound.limit - initial
+        headroom = bound.headroom(initial)
         if headroom < 0:
             raise ValueError(f"initial value {initial} violates bound {bound.canon()}")
         others = sorted(set(replicas) - {creator})
@@ -253,9 +253,7 @@ class BoundedCounter(AdditiveCounter):
     def value(self) -> int:
         # Not super(): slots=True builds a new class, which the
         # zero-argument form does not see.
-        if self.bound.direction == "lower":
-            return self.bound.limit + AdditiveCounter.value(self)
-        return self.bound.limit - AdditiveCounter.value(self)
+        return self.bound.limit + self.bound.sign * AdditiveCounter.value(self)
 
     def transfer(self, src: str, dst: str, amount: int) -> "BoundedCounter":
         """Ship free rights from src to dst. Total rights are conserved."""
@@ -272,10 +270,8 @@ class BoundedCounter(AdditiveCounter):
         return BoundedCounter(self.incs, self.decs, bound=self.bound, transfers=transfers)
 
     def consumption_units(self, delta: int) -> int:
-        """Rights needed to apply a signed delta under this bound."""
-        if self.bound.direction == "lower":
-            return max(0, -delta)
-        return max(0, delta)
+        """Rights a signed delta needs under this bound: the head-room it spends."""
+        return max(0, -self.bound.sign * delta)
 
     def apply_delta(self, replica: str, delta: int) -> "BoundedCounter":
         """Move the value by delta at replica. A move toward the bound spends
@@ -285,7 +281,7 @@ class BoundedCounter(AdditiveCounter):
             raise InsufficientRights(
                 f"{replica} holds {self.free(replica)} free rights, needs {units}"
             )
-        return self.add(replica, delta if self.bound.direction == "lower" else -delta)
+        return self.add(replica, self.bound.sign * delta)
 
     def merge(self, other: "BoundedCounter") -> "BoundedCounter":
         incs, decs = _max_map(self.incs, other.incs), _max_map(self.decs, other.decs)

@@ -34,7 +34,6 @@ from .txn import (
     CausalClock,
     ClusterHooks,
     CommitRecord,
-    LocalHooks,
     Mode,
     RowDelta,
     RowWrite,
@@ -270,16 +269,15 @@ def check_eval(atoms: Iterable[sch.CheckAtom], value: Scalar) -> bool:
 
 
 class Replica:
-    """One logical data center: a store, a clock, and active transactions."""
+    """One logical data center: a store, a clock, and active transactions.
+    hooks, required, is the cluster that ships it bounded-counter rights."""
 
-    def __init__(
-        self, rid: str, catalog: sch.Catalog, replica_ids, lock_manager, hooks: ClusterHooks | None = None
-    ):
+    def __init__(self, rid: str, catalog: sch.Catalog, replica_ids, lock_manager, hooks: ClusterHooks):
         self.rid = rid
         self.catalog = catalog
         self.replica_ids = sorted(replica_ids)
         self.locks = lock_manager
-        self.hooks = hooks if hooks is not None else LocalHooks()
+        self.hooks = hooks
         self.store = Store()
         self.clock = CausalClock()
         self.lamport = 0
@@ -686,9 +684,10 @@ class Replica:
         for a in assignments:
             kind, bound, fk = schema.kinds[a.column]
             if isinstance(a, sch.DeltaAssign):
+                net = write.deltas.get(a.column, 0) + a.delta
                 if bound is not None:
-                    self._reserve_bounded(tx, rowkey, a.column, bound, a.delta)
-                write.deltas[a.column] = write.deltas.get(a.column, 0) + a.delta
+                    self._reserve_bounded(tx, rowkey, a.column, bound, net)
+                write.deltas[a.column] = net
                 continue
             atoms = schema.column(a.column).check_atoms
             if atoms and not check_eval(atoms, a.value):
@@ -742,11 +741,10 @@ class Replica:
                 if fk.policy is _UPDATE_WINS:
                     stack.extend((fk.table, ppk, None) for ppk, _ in view.fk_refs(colname, kind))
 
-    def _reserve_bounded(self, tx: Transaction, rowkey: RowKey, column: str, bound: Bound, delta: int) -> None:
-        """Claim rights at statement time so commits cannot overdraw. A rights
-        request that returns true has made the rights free here."""
-        prior = tx.buffer.get(rowkey).deltas.get(column, 0) if rowkey in tx.buffer else 0
-        net = prior + delta
+    def _reserve_bounded(self, tx: Transaction, rowkey: RowKey, column: str, bound: Bound, net: int) -> None:
+        """Claim rights for the transaction's net delta on a bounded column
+        at statement time, so commits cannot overdraw. A rights request that
+        returns true has made the rights free here."""
         cell = self.store.cell(*rowkey, column)
         if cell is None:
             # Creating the counter: the initial value itself must sit in bound.

@@ -95,14 +95,10 @@ class ColumnDef:
     def additive_bound(self) -> Bound | None:
         if not self.check_atoms:
             return None
+        # > or >= gives sign 1, < or <= -1; a strict op moves the limit inward.
         atom = self.check_atoms[0]
-        if atom.op == ">=":
-            return Bound("lower", atom.value)
-        if atom.op == ">":
-            return Bound("lower", atom.value + 1)
-        if atom.op == "<=":
-            return Bound("upper", atom.value)
-        return Bound("upper", atom.value - 1)
+        sign = 1 if atom.op[0] == ">" else -1
+        return Bound(sign, atom.value + sign * ("=" not in atom.op))
 
 
 _KIND_OF = {Modifier.MULTI_VALUE: Kind.MV, Modifier.ADDITIVE: Kind.ADDITIVE}  # unless bounded; else LWW
@@ -658,7 +654,7 @@ def parse_statement(text: str, catalog: Catalog, params: Sequence[Scalar] = ()) 
     statement object: a text is kept only once it repeats, so one-off texts
     leave no statement behind. Each `?` in text takes one of params, checked
     as a literal of it would be. A new text binds through its shape's
-    template: one pass converts each literal, or checks each parameter, as
+    template: one pass checks each parameter, or each literal's value, as
     its slot needs, and the template's builder makes the statement. Any
     failure takes the full parse, so an error keeps its type and offset."""
     if params:
@@ -684,16 +680,16 @@ def _bind_literals(text: str, catalog: Catalog) -> Statement | None:
     if "?" in text:
         return None
     parts = _LITERAL_RE.split(text)
-    try:
-        return _bind("?".join(parts[::2]), parts[1::2], catalog, True)
+    try:  # each literal is a string's text, or digits for an int >= 0
+        values = [t[1:-1].replace("''", "'") if t[0] == "'" else int(t) for t in parts[1::2]]
+        return _bind("?".join(parts[::2]), values, catalog)
     except (ValueError, AqlError):  # a literal too long for int(), or a shape that does not parse
         return None
 
 
-def _bind(key: str, values: Sequence, catalog: Catalog, texts: bool = False) -> Statement | None:
+def _bind(key: str, values: Sequence, catalog: Catalog) -> Statement | None:
     """The statement of template text key with values in its slots, or None
-    where a value does not fit. Given texts, values are literal texts, each
-    converted as its slot needs. A template is kept once a bind succeeds."""
+    where a value does not fit. A template is kept once a bind succeeds."""
     template = catalog.templates.get(key)
     if template is None:
         slots: list[_Slot] = []
@@ -704,8 +700,6 @@ def _bind(key: str, values: Sequence, catalog: Catalog, texts: bool = False) -> 
         raise ValidationError(f"statement has {len(slots)} placeholders, {len(values)} parameters given")
     filled = []
     for slot, value in zip(slots, values):
-        if texts:  # a string's text, or digits for an int >= 0
-            value = value[1:-1].replace("''", "'") if value[0] == "'" else int(value)
         if type(value) is not slot.type or slot.int_only and value < 0:
             return None
         filled.append(slot.sign * value if slot.int_only else value)

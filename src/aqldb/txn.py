@@ -168,20 +168,6 @@ class ClusterHooks(Protocol):
         ...
 
 
-class LocalHooks:
-    """Degenerate single-site view: everything reachable, nothing to fetch,
-    and no other replica to send bounded-counter rights."""
-
-    def reachable(self, a: str, b: str) -> bool:
-        return True
-
-    def catch_up(self, replica: str, sources: Iterable[str]) -> bool:
-        return True
-
-    def request_rights(self, replica: str, table: str, pk, column: str, needed: int) -> bool:
-        return False
-
-
 @dataclass(slots=True)
 class LockState:
     """One lock's entry: owners, the replicas that own it, all in one mode
@@ -206,11 +192,12 @@ class LockManager:
     """Replica-level ownership plus transaction-level grants for every lock.
     acquire and release_all, the only places the lock table changes, bump
     version first, and only when they may change it, so an unchanged
-    version means an unchanged table."""
+    version means an unchanged table. hooks, required, is the cluster that
+    says which replicas reach each other and catches a new owner up."""
 
-    def __init__(self, replica_ids: Iterable[str], hooks: ClusterHooks | None = None):
+    def __init__(self, replica_ids: Iterable[str], hooks: ClusterHooks):
         self.coordinator = min(replica_ids)
-        self.hooks = hooks if hooks is not None else LocalHooks()
+        self.hooks = hooks
         self.locks: dict[str, LockState] = {}
         self.coordinator_requests = 0
         self.version = 0

@@ -14,6 +14,21 @@ from aqldb.txn import CausalClock, CommitRecord, LockManager
 OBSERVER = "observer"
 
 
+class SingleSite:
+    """Cluster hooks for replicas with no cluster around them: everything
+    is reachable, there is nothing to catch up to, and no other replica
+    ships bounded-counter rights."""
+
+    def reachable(self, a, b):
+        return True
+
+    def catch_up(self, replica, sources):
+        return True
+
+    def request_rights(self, replica, table, pk, column, needed):
+        return False
+
+
 def causal_orders(records: list[CommitRecord], limit: int | None = None) -> list[list[CommitRecord]]:
     """Every delivery order of the records that respects causality.
 
@@ -44,7 +59,8 @@ def causal_orders(records: list[CommitRecord], limit: int | None = None) -> list
 def replay_records(records, catalog: sch.Catalog, replica_ids) -> Replica:
     """Apply commit records, in the given order, to a fresh observer. Each
     must merge, so an order that is not causal fails loudly."""
-    observer = Replica(OBSERVER, catalog, replica_ids, LockManager(replica_ids))
+    hooks = SingleSite()
+    observer = Replica(OBSERVER, catalog, replica_ids, LockManager(replica_ids, hooks), hooks)
     for record in records:
         assert observer.deliver(record), f"{record.txid} is not ready at the observer"
     return observer

@@ -206,7 +206,7 @@ def test_c06_bounded_counter_safety_over_seeded_schedules():
     schedules = 1000
     for seed in range(schedules):
         rng = random.Random(seed)
-        bound = Bound("lower", 0)
+        bound = Bound(1, 0)
         initial = rng.randrange(0, 21)
         base = BoundedCounter.create(bound, initial, rids, rng.choice(rids))
         states = {r: base for r in rids}

@@ -137,7 +137,7 @@ class TestAdditive:
 
 
 def lower(limit):
-    return Bound("lower", limit)
+    return Bound(1, limit)
 
 
 class TestBounded:
@@ -197,7 +197,7 @@ class TestBounded:
         assert c.free("r2") == 6
 
     def test_upper_bound_counts_down(self):
-        c = BoundedCounter.create(Bound("upper", 100), 90, ["r1", "r2"], "r2")
+        c = BoundedCounter.create(Bound(-1, 100), 90, ["r1", "r2"], "r2")
         assert c.value() == 90
         assert c.total_rights() == 10
         # moving up consumes, moving down replenishes

@@ -24,6 +24,7 @@ from aqldb.crdt import (
     mv_merge,
     render_scalar,
 )
+from aqldb.errors import InsufficientRights
 
 REPLICAS = ("r1", "r2", "r3")
 CASES_PER_KIND = 2500  # x5 kinds -> >= 10^4 cases per law
@@ -75,7 +76,7 @@ def rand_additive(rng: random.Random) -> AdditiveCounter:
 
 def rand_bounded(rng: random.Random) -> BoundedCounter:
     # all states in one comparison must share the bound
-    bound = Bound("lower", 0)
+    bound = Bound(1, 0)
     grants = {r: rng.randrange(8) for r in REPLICAS if rng.random() < 0.7}
     used = {r: rng.randrange(6) for r in REPLICAS if rng.random() < 0.5}
     transfers = {}
@@ -177,8 +178,8 @@ def derived_states(a, b, rng: random.Random):
             for dst in REPLICAS:
                 if dst != r and a.free(r) > 0:
                     yield a.transfer(r, dst, rng.randrange(1, a.free(r) + 1))
-        for bound in (Bound("lower", 0), Bound("lower", 2), Bound("upper", 6)):
-            initial = bound.limit + rng.randrange(0, 5) * (1 if bound.direction == "lower" else -1)
+        for bound in (Bound(1, 0), Bound(1, 2), Bound(-1, 6), Bound(-1, 0)):
+            initial = bound.limit + bound.sign * rng.randrange(0, 5)
             yield BoundedCounter.create(bound, initial, REPLICAS, rng.choice(REPLICAS))
 
 
@@ -228,7 +229,7 @@ held_mv = st.lists(
     st.tuples(st.sampled_from("IDTxy"), counts).map(lambda e: mv_assign((), e[0], e[1], "w")),
     max_size=4,
 ).map(lambda regs: functools.reduce(mv_merge, regs, ()))
-bounds = st.sampled_from([Bound("lower", 0), Bound("lower", 3), Bound("upper", 9)])
+bounds = st.sampled_from([Bound(1, 0), Bound(1, 3), Bound(-1, 9), Bound(-1, 0)])
 pairs = st.permutations(REPLICAS).map(lambda order: tuple(order[:2]))  # two distinct replicas
 held_bounded = st.builds(
     lambda incs, decs, transfers, bound: BoundedCounter(incs, decs, bound=bound, transfers=transfers),
@@ -285,9 +286,45 @@ def test_a_transfer_is_its_merge(held, pair, amount):
 @STEP
 @given(bounds, st.integers(0, 8), replicas)
 def test_a_creation_is_its_merge(bound, headroom, creator):
-    initial = bound.limit + headroom if bound.direction == "lower" else bound.limit - headroom
+    initial = bound.limit + bound.sign * headroom
     step = BoundedCounter.create(bound, initial, REPLICAS, creator)
     assert BoundedCounter(bound=bound).merge(step) == step
+
+
+# ---------------------------------------------------------------------------
+# A bound (s, L) and its mirror (-s, -L) hold the same head-room at v and -v,
+# so the same entries under the mirrored bound are the counter reflected
+# through zero: every operation on it is the reflection of the original's.
+
+def mirror(c: BoundedCounter) -> BoundedCounter:
+    return BoundedCounter(c.incs, c.decs, bound=Bound(-c.bound.sign, -c.bound.limit), transfers=c.transfers)
+
+
+@STEP
+@given(held_bounded, held_bounded, replicas, st.integers(-5, 5), st.integers(-2, 8))
+def test_a_mirrored_bound_reflects_the_counter(held, other, writer, delta, headroom):
+    m = mirror(held)
+    assert m.value() == -held.value()
+    for r in REPLICAS:
+        assert (m.rights(r), m.free(r)) == (held.rights(r), held.free(r))
+    assert m.consumption_units(-delta) == held.consumption_units(delta)
+    try:
+        step = held.apply_delta(writer, delta)
+    except InsufficientRights:
+        with pytest.raises(InsufficientRights):
+            m.apply_delta(writer, -delta)
+    else:
+        assert m.apply_delta(writer, -delta) == mirror(step)
+    other = BoundedCounter(other.incs, other.decs, bound=held.bound, transfers=other.transfers)
+    assert m.merge(mirror(other)) == mirror(held.merge(other))
+    initial = held.bound.limit + held.bound.sign * headroom
+    try:
+        created = BoundedCounter.create(held.bound, initial, REPLICAS, writer)
+    except ValueError:
+        with pytest.raises(ValueError):
+            BoundedCounter.create(m.bound, -initial, REPLICAS, writer)
+    else:
+        assert BoundedCounter.create(m.bound, -initial, REPLICAS, writer) == mirror(created)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,8 @@ from aqldb.errors import (
 )
 from aqldb.txn import CausalClock, LockManager, TxStatus
 
+from delivery_orders import SingleSite
+
 MUSIC = """
 CREATE UPDATE_WINS TABLE Artists (
   Name VARCHAR PRIMARY KEY,
@@ -60,8 +62,9 @@ CREATE TABLE Plain (
 
 def make_group(schema_text=MUSIC, rids=("r1", "r2")):
     catalog = sch.parse_schema_text(schema_text)
-    locks = LockManager(rids)
-    return {rid: Replica(rid, catalog, rids, locks) for rid in rids}, catalog
+    hooks = SingleSite()
+    locks = LockManager(rids, hooks)
+    return {rid: Replica(rid, catalog, rids, locks, hooks) for rid in rids}, catalog
 
 
 def run(rep, *statements):

@@ -188,7 +188,7 @@ class TestOneBoundPerColumn:
     def test_bound_is_cached_on_the_column(self):
         col = sch.parse_schema_text(FUZZ_SCHEMA).table("Accounts").column("Balance")
         assert col.additive_bound is col.additive_bound
-        assert col.additive_bound == Bound("lower", 0)
+        assert col.additive_bound == Bound(1, 0)
 
     def test_counters_folded_at_two_replicas_share_it(self):
         catalog = sch.parse_schema_text(FUZZ_SCHEMA)
@@ -212,6 +212,6 @@ class TestOneBoundPerColumn:
                 assert cell.bound is bound
 
     def test_equal_bounds_of_distinct_objects_still_merge(self):
-        a = BoundedCounter.create(Bound("lower", 0), 5, ["r1", "r2"], "r1")
-        b = BoundedCounter.create(Bound("lower", 0), 3, ["r1", "r2"], "r2")
+        a = BoundedCounter.create(Bound(1, 0), 5, ["r1", "r2"], "r1")
+        b = BoundedCounter.create(Bound(1, 0), 3, ["r1", "r2"], "r2")
         assert a.merge(b).value() == 8

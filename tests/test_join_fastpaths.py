@@ -179,7 +179,7 @@ class TestIdentity:
 
 class TestCounters:
     def test_counters_are_frozen(self):
-        counter = BoundedCounter.create(Bound("lower", 0), 9, REPLICAS, "r1")
+        counter = BoundedCounter.create(Bound(1, 0), 9, REPLICAS, "r1")
         for field in ("incs", "decs", "transfers", "bound"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(counter, field, {})
@@ -187,8 +187,8 @@ class TestCounters:
             AdditiveCounter().incs = {}
 
     def test_merge_leaves_its_inputs_alone(self):
-        a = BoundedCounter.create(Bound("lower", 0), 9, REPLICAS, "r1").apply_delta("r1", -2)
-        b = BoundedCounter.create(Bound("lower", 0), 0, REPLICAS, "r2").apply_delta("r2", 4).transfer("r2", "r3", 1)
+        a = BoundedCounter.create(Bound(1, 0), 9, REPLICAS, "r1").apply_delta("r1", -2)
+        b = BoundedCounter.create(Bound(1, 0), 0, REPLICAS, "r2").apply_delta("r2", 4).transfer("r2", "r3", 1)
         before = (a.canon(), b.canon())
         merged = a.merge(b)
         assert (a.canon(), b.canon()) == before

@@ -1659,8 +1659,8 @@ class TestObjectShapes:
     def test_dataclass_instances_have_no_dict(self):
         report = Report("r")
         instances = [
-            AdditiveCounter(), Bound("lower", 0),
-            BoundedCounter(bound=Bound("lower", 0)),
+            AdditiveCounter(), Bound(1, 0),
+            BoundedCounter(bound=Bound(1, 0)),
             Row(), RowView(None),
             CausalClock(), RowWrite(), Transaction("t", "r1"), row_delta("T", 1), LockState(),
             Event("heal", {}), Scenario("s", [], "", []), report, FuzzConfig(),

@@ -85,7 +85,7 @@ class Net:
 
 class TestLocks:
     def test_exclusive_excludes(self):
-        lm = LockManager(["r1", "r2"])
+        lm = LockManager(["r1", "r2"], Net())
         t1, t2 = make_tx("t1", "r1"), make_tx("t2", "r1")
         lm.acquire(t1, row_lock("T", "k"), Mode.EXCLUSIVE)
         with pytest.raises(LockUnavailable):
@@ -95,21 +95,21 @@ class TestLocks:
         assert not lm.safety_violations()
 
     def test_shared_coexists(self):
-        lm = LockManager(["r1", "r2"])
+        lm = LockManager(["r1", "r2"], Net())
         t1, t2 = make_tx("t1", "r1"), make_tx("t2", "r2")
         lm.acquire(t1, row_lock("T", "k"), Mode.SHARED)
         lm.acquire(t2, row_lock("T", "k"), Mode.SHARED)
         assert not lm.safety_violations()
 
     def test_shared_blocks_exclusive(self):
-        lm = LockManager(["r1", "r2"])
+        lm = LockManager(["r1", "r2"], Net())
         t1, t2 = make_tx("t1", "r1"), make_tx("t2", "r2")
         lm.acquire(t1, row_lock("T", "k"), Mode.SHARED)
         with pytest.raises(LockUnavailable):
             lm.acquire(t2, row_lock("T", "k"), Mode.EXCLUSIVE)
 
     def test_reacquire_same_mode_is_noop(self):
-        lm = LockManager(["r1"])
+        lm = LockManager(["r1"], Net())
         t1 = make_tx("t1", "r1")
         lm.acquire(t1, row_lock("T", "k"), Mode.EXCLUSIVE)
         lm.acquire(t1, row_lock("T", "k"), Mode.EXCLUSIVE)
@@ -120,7 +120,7 @@ class TestLocks:
         """An acquire of a lock already held strongly enough changes no
         table, so it leaves version, which the per-event lock audit keys
         on, where it was; one that grants bumps it."""
-        lm = LockManager(["r1", "r2"])
+        lm = LockManager(["r1", "r2"], Net())
         t1 = make_tx("t1", "r1")
         lm.acquire(t1, row_lock("T", "k"), Mode.SHARED)
         granted = lm.version
@@ -136,7 +136,7 @@ class TestLocks:
 
     def test_ownership_survives_release(self):
         """After release the replica keeps the lock; local reuse is free."""
-        lm = LockManager(["r1", "r2"])
+        lm = LockManager(["r1", "r2"], Net())
         t1 = make_tx("t1", "r1")
         lm.acquire(t1, row_lock("T", "k"), Mode.EXCLUSIVE)
         lm.release_all(t1)
@@ -153,7 +153,7 @@ class TestLocks:
             lm.acquire(t2, row_lock("T", "k"), Mode.EXCLUSIVE)
 
     def test_ownership_transfer_needs_old_owner(self):
-        lm = LockManager(["r1", "r2", "r3"])
+        lm = LockManager(["r1", "r2", "r3"], Net())
         t1 = make_tx("t1", "r1")
         lm.acquire(t1, row_lock("T", "k"), Mode.EXCLUSIVE)
         lm.release_all(t1)
@@ -165,7 +165,7 @@ class TestLocks:
             lm.acquire(t3, row_lock("T", "k"), Mode.EXCLUSIVE)
 
     def test_active_remote_holder_blocks_transfer(self):
-        lm = LockManager(["r1", "r2"])
+        lm = LockManager(["r1", "r2"], Net())
         t1, t2 = make_tx("t1", "r1"), make_tx("t2", "r2")
         lm.acquire(t1, row_lock("T", "k"), Mode.EXCLUSIVE)
         with pytest.raises(LockUnavailable):
